@@ -4,7 +4,9 @@
 #            build, and the full unit suite (including the quick-scale
 #            output goldens).
 # tier1.5  — adds static analysis and the race detector; the
-#            determinism test self-downscales under -race.
+#            determinism test self-downscales under -race, and the
+#            kernel's tests repeat ten times under it, because kernel
+#            state passes between process goroutines.
 # tier2    — tier1.5 plus the observability/chaos determinism gates,
 #            the coverage floor, and short fuzz smoke runs: full
 #            campaigns with tracing + metrics + fault injection on must
@@ -43,6 +45,7 @@ golden:
 
 tier1.5:
 	$(GO) vet ./... && $(GO) test -race -timeout 20m ./...
+	$(GO) test -race -count=10 ./internal/sim/
 	$(MAKE) golden-cache-off
 
 # golden-cache-off replays the quick-scale suite with the payload cache
@@ -118,8 +121,11 @@ fuzz:
 	$(GO) test -run - -fuzz FuzzJSONPath -fuzztime 10s ./internal/aws/sfn/
 	$(GO) test -run - -fuzz FuzzChoiceEval -fuzztime 10s ./internal/aws/sfn/
 
+# bench-kernel reports at GOMAXPROCS 1 and 2: a baton pass between
+# process goroutines costs differently when the woken goroutine can run
+# on another core.
 bench-kernel:
-	$(GO) test -run - -bench 'Kernel|EventThroughput|ProcContextSwitch' -benchmem ./internal/sim/
+	$(GO) test -run - -bench 'Kernel|EventThroughput|ProcContextSwitch|ProcHandoff' -benchmem -cpu 1,2 ./internal/sim/
 
 bench-payload:
 	$(GO) test -run - -bench 'BenchmarkPayload' -benchmem ./internal/workloads/mlpipe/ ./internal/video/

@@ -78,12 +78,16 @@ func NewEnv(seed uint64) *Env {
 // NewEnvWithParams builds an environment with explicit platform
 // parameters (used by ablation experiments).
 func NewEnvWithParams(seed uint64, ap platform.AWSParams, zp platform.AzureParams) *Env {
-	k := sim.NewKernel(seed)
+	return newEnv(sim.NewKernel(seed), ap, zp)
+}
+
+// newEnv builds an environment on a fresh kernel k.
+func newEnv(k *sim.Kernel, ap platform.AWSParams, zp platform.AzureParams) *Env {
 	e := &Env{
 		K:           k,
 		AWS:         aws.New(k, ap),
 		Azure:       azure.New(k, zp),
-		Seed:        seed,
+		Seed:        k.Seed(),
 		AWSPrices:   pricing.DefaultAWS(),
 		AzurePrices: pricing.DefaultAzure(),
 		Scratch:     make(map[string]any),

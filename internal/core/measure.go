@@ -11,6 +11,7 @@ import (
 	"statebench/internal/obs/tseries"
 	"statebench/internal/parallel"
 	"statebench/internal/payload"
+	"statebench/internal/platform"
 	"statebench/internal/pricing"
 	"statebench/internal/sim"
 )
@@ -160,13 +161,19 @@ func DefaultMeasureOptions() MeasureOptions {
 // invokes it opt.Iters times, collecting latency, breakdown, and cost
 // series.
 func Measure(wf Workflow, impl Impl, opt MeasureOptions) (*Series, error) {
+	return measureSharded(1, wf, impl, opt)
+}
+
+// measureSharded is Measure on a kernel with the given number of event
+// partitions, which tests vary: results must not depend on it.
+func measureSharded(shards int, wf Workflow, impl Impl, opt MeasureOptions) (*Series, error) {
 	if !SupportsImpl(wf, impl) {
 		return nil, &UnsupportedImplError{Workflow: wf.Name(), Impl: impl}
 	}
 	if opt.Iters <= 0 {
 		opt.Iters = 1
 	}
-	env := NewEnv(opt.Seed)
+	env := newEnv(sim.NewKernelSharded(opt.Seed, shards), platform.DefaultAWS(), platform.DefaultAzure())
 	if opt.PayloadCache != nil {
 		env.Payload = opt.PayloadCache
 	}

@@ -42,6 +42,12 @@ func (m *Memo) Series(sig string, measure func() (*core.Series, error)) (*core.S
 	}
 	s, _, err := payload.Get(m.eng, key, func() (*core.Series, int, error) {
 		s, err := measure()
+		if err == nil {
+			// Sort before sharing: a lazy in-place sort under concurrent
+			// quantile reads would be a data race.
+			s.E2E.Sort()
+			s.Cold.Sort()
+		}
 		return s, 0, err
 	})
 	return s, err

@@ -15,8 +15,9 @@ func BenchmarkEventThroughput(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkProcContextSwitch measures the park/resume round trip that
-// every simulated blocking operation pays.
+// BenchmarkProcContextSwitch measures a blocking operation whose
+// wake-up is the process's own next event: the process dispatches it
+// itself and resumes in place, with no goroutine switch.
 func BenchmarkProcContextSwitch(b *testing.B) {
 	k := NewKernel(1)
 	n := b.N
@@ -25,6 +26,22 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 			p.Sleep(time.Nanosecond)
 		}
 	})
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkProcHandoff measures a wake-up that passes the baton: two
+// processes take turns, so every op is one goroutine switch.
+func BenchmarkProcHandoff(b *testing.B) {
+	k := NewKernel(1)
+	n := b.N / 2
+	for i := 0; i < 2; i++ {
+		k.SpawnAfter(time.Duration(i), "turn", func(p *Proc) {
+			for j := 0; j < n; j++ {
+				p.Sleep(2 * time.Nanosecond)
+			}
+		})
+	}
 	b.ResetTimer()
 	k.Run()
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Future is a single-assignment result that processes can await.
 // Complete may be called from kernel or process context; waiters are
@@ -18,7 +21,8 @@ type Future[T any] struct {
 // is non-nil, otherwise a timed waiter (AwaitTimeout) to be woken
 // through the kernel's conditional-unpark event — the closure-free
 // path. The two live in one ordered list so completion order between
-// callbacks and timed waiters is exactly registration order.
+// callbacks and timed waiters is exactly registration order. A timed
+// waiter whose timeout wins removes its entry.
 type completion[T any] struct {
 	fn  func(T, error)
 	p   *Proc
@@ -89,6 +93,15 @@ func (f *Future[T]) AwaitTimeout(p *Proc, d time.Duration) (v T, err error, ok b
 	p.park()
 	if f.done {
 		return f.val, f.err, true
+	}
+	// The timeout won: withdraw the entry, or Complete would schedule a
+	// wake-up that finds the generation stale and does nothing. Idle
+	// pollers re-await one future many times; the entry is usually last.
+	for i := len(f.cbs) - 1; i >= 0; i-- {
+		if f.cbs[i].p == p && f.cbs[i].gen == gen {
+			f.cbs = slices.Delete(f.cbs, i, i+1)
+			break
+		}
 	}
 	return v, nil, false
 }

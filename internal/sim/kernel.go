@@ -7,19 +7,26 @@
 // sequential style (Sleep, Await, resource acquisition) while the whole
 // run remains fully deterministic and independent of the host clock.
 //
-// Exactly one logical thread of control is active at any instant —
-// either the kernel's event loop or a single process — so simulation
-// state never needs locking.
+// Exactly one goroutine holds the baton at any instant — the caller of
+// Run or a single process — and the holder runs the event loop itself.
+// An event that wakes a process only records it; once the event
+// returns, the holder either carries on as that process (its own
+// wake-up: no goroutine switch) or passes the baton on that process's
+// channel (one switch). When the run drains, stops or reaches its
+// deadline, the holder passes the baton back to Run's caller.
 //
 // # Concurrency contract
 //
 // A Kernel and everything attached to it (processes, futures,
 // resources, the simulated platforms of a core.Env) belong to exactly
-// one host goroutine: the one that calls Run. Kernels are cheap; code
-// that wants parallelism creates one kernel per goroutine (see
+// one host goroutine, the one that calls Run, and to the process
+// goroutines it passes the baton to. Kernels are cheap; code that
+// wants parallelism creates one kernel per goroutine (see
 // internal/parallel) and never shares a kernel, a Proc, or any
 // simulated component across host goroutines. Nothing in this package
-// locks, by design.
+// locks, by design: each baton pass is a channel operation, which
+// orders one holder's writes before the next holder's reads. A panic
+// in an event callback unwinds whichever goroutine holds the baton.
 //
 // # Sharded event storage
 //
@@ -172,17 +179,23 @@ const maxShards = 1024
 // Kernel is a discrete-event simulation engine with a virtual clock.
 // Create one with NewKernel (single event partition) or
 // NewKernelSharded; it is not safe for concurrent use from multiple
-// host goroutines (all access must come from the event loop or from
-// the currently running Proc — see the package comment's concurrency
-// contract).
+// host goroutines (all access must come from the goroutine holding the
+// baton — see the package comment's concurrency contract).
 type Kernel struct {
 	now     Time
 	seq     int64
-	yield   chan struct{} // signalled when the running proc parks/exits
 	seed    uint64
 	procSeq int64
 	stopped bool
 	live    int // live (started, unfinished) procs; diagnostics only
+
+	// Baton passing: next is the process the current event woke, done
+	// returns the baton to RunUntil's caller, and deadline is
+	// RunUntil's bound, which any holder may reach.
+	next     *Proc
+	done     chan struct{}
+	deadline Time
+	switches uint64
 
 	// Sharded pending-event storage. shards holds the per-partition
 	// heaps; headAt/headSeq cache each shard's minimum key (headSentinel
@@ -253,7 +266,7 @@ func NewKernelSharded(seed uint64, shards int) *Kernel {
 		shards = 1 << bits.Len(uint(shards))
 	}
 	k := &Kernel{
-		yield:   make(chan struct{}),
+		done:    make(chan struct{}, 1),
 		seed:    seed,
 		shards:  make([]eventQueue, shards),
 		headAt:  make([]Time, shards),
@@ -392,7 +405,20 @@ func (k *Kernel) Run() Time { return k.RunUntil(-1) }
 // The clock is left at the last executed event (or at deadline, if the
 // deadline cut execution short and deadline is beyond the clock).
 func (k *Kernel) RunUntil(deadline Time) Time {
-	single := k.mask == 0
+	k.deadline = deadline
+	if next := k.dispatch(); next != nil {
+		k.handoff(next)
+		<-k.done
+	}
+	return k.now
+}
+
+// dispatch runs the event loop on the calling goroutine, which must
+// hold the baton, until an event wakes a process or the run ends
+// (drained, stopped, or past the deadline). It returns the woken
+// process, or nil when the run ended.
+func (k *Kernel) dispatch() *Proc {
+	single, deadline := k.mask == 0, k.deadline
 	for k.pending > 0 && !k.stopped {
 		// Merge: the next event is the global (at, seq) minimum across
 		// the immediate lane and the cached shard-head minimum. The lane
@@ -423,7 +449,7 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 			if deadline > k.now {
 				k.now = deadline
 			}
-			return k.now
+			return nil
 		}
 		var fn func()
 		if src < 0 {
@@ -462,6 +488,10 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 			k.tickFn(b)
 		}
 		fn()
+		if p := k.next; p != nil {
+			k.next = nil
+			return p
+		}
 	}
 	if k.pending == 0 {
 		// The run drained: release the event storage. Callers routinely
@@ -475,7 +505,19 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 		k.immHead = 0
 		k.minAt, k.minSeq, k.minSrc = headSentinel, headSentinel, -1
 	}
-	return k.now
+	return nil
+}
+
+// handoff passes the baton from the calling goroutine to next, or back
+// to RunUntil's caller when next is nil. The caller must touch no
+// kernel state afterwards: the new holder may already be running.
+func (k *Kernel) handoff(next *Proc) {
+	k.switches++
+	if next == nil {
+		k.done <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
 }
 
 // SetTickListener registers fn to be called by the run loop each time
@@ -510,6 +552,11 @@ func (k *Kernel) Pending() int { return k.pending }
 // Executed returns the total number of events the kernel has run, the
 // denominator for events/sec throughput reporting.
 func (k *Kernel) Executed() uint64 { return k.executed }
+
+// Switches returns the number of baton passes between goroutines,
+// Run's caller included. A process woken by an event it dispatched
+// itself resumes in place and costs none.
+func (k *Kernel) Switches() uint64 { return k.switches }
 
 // LiveProcs returns the number of spawned processes that have not yet
 // finished (parked processes count). Useful for leak detection in tests.

@@ -14,10 +14,13 @@ type TraceContext struct {
 	SpanID  uint64
 }
 
-// Proc is a simulation process: a goroutine that runs in lockstep with
-// the kernel's event loop. At most one process runs at a time; a process
-// gives up control by calling a blocking operation (Sleep, Await, a
-// resource acquire) and is resumed by a scheduled event.
+// Proc is a simulation process: a goroutine that takes turns with the
+// other processes and Run's caller. At most one runs at a time; a
+// process gives up control by calling a blocking operation (Sleep,
+// Await, a resource acquire), which runs the event loop on the
+// process's goroutine until an event wakes a process. If that is the
+// process itself, the call returns without a goroutine switch;
+// otherwise the baton passes to the woken process.
 //
 // All Proc methods must be called from the process's own goroutine.
 type Proc struct {
@@ -31,6 +34,8 @@ type Proc struct {
 	// itself ignores it. Zero when tracing is disabled.
 	TraceCtx TraceContext
 
+	// resume receives the baton. One slot lets the sender move on to its
+	// own wait before a just-spawned process reaches its receive.
 	resume chan struct{}
 	dead   bool
 
@@ -43,7 +48,9 @@ type Proc struct {
 	// Future.AwaitTimeout bumps it and tags both the timer event and
 	// the future-completion entry with the new value; whichever fires
 	// first while the generation still matches bumps it again, turning
-	// the loser into a no-op. Closure-free timeout cancellation.
+	// the loser into a no-op. A timeout that wins also withdraws the
+	// completion entry, so a later Complete schedules nothing for it.
+	// Closure-free timeout cancellation.
 	awaitGen uint64
 
 	// shard is the process's event-partition affinity, fixed at spawn:
@@ -58,66 +65,55 @@ type Proc struct {
 // current virtual time. fn runs on its own goroutine under the kernel's
 // one-at-a-time discipline; when fn returns the process ends.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	k.procSeq++
-	p := &Proc{k: k, id: k.procSeq, name: name, resume: make(chan struct{})}
-	p.shard = uint32(mix64(uint64(p.id)))
-	p.unparkFn = p.unpark
-	k.live++
-	k.After(0, func() {
-		go func() {
-			<-p.resume
-			fn(p)
-			p.dead = true
-			k.live--
-			k.yield <- struct{}{}
-		}()
-		p.step()
-	})
-	return p
+	return k.SpawnAfter(0, name, fn)
 }
 
 // SpawnAfter is like Spawn but delays the start of the process by d.
 func (k *Kernel) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
 	k.procSeq++
-	p := &Proc{k: k, id: k.procSeq, name: name, resume: make(chan struct{})}
+	p := &Proc{k: k, id: k.procSeq, name: name, resume: make(chan struct{}, 1)}
 	p.shard = uint32(mix64(uint64(p.id)))
 	p.unparkFn = p.unpark
 	k.live++
 	k.After(d, func() {
-		go func() {
-			<-p.resume
-			fn(p)
-			p.dead = true
-			k.live--
-			k.yield <- struct{}{}
-		}()
-		p.step()
+		go p.run(fn)
+		p.unpark()
 	})
 	return p
 }
 
-// step transfers control to the process and blocks until it parks or
-// exits. It must be called from kernel (event-loop) context.
-func (p *Proc) step() {
-	p.resume <- struct{}{}
-	<-p.k.yield
+// run is the body of the process goroutine: it waits for its first
+// turn, runs fn, and then keeps dispatching events until it can pass
+// the baton on.
+func (p *Proc) run(fn func(p *Proc)) {
+	<-p.resume
+	fn(p)
+	p.dead = true
+	p.k.live--
+	p.k.handoff(p.k.dispatch())
 }
 
-// park suspends the process until something calls unpark on it. The
-// caller must have already arranged for a wake-up; parking with no
-// pending wake-up deadlocks the process (but not the kernel).
+// park suspends the process until an event unparks it, running the
+// event loop in the meantime. The caller must have already arranged
+// for a wake-up; parking with no pending wake-up leaves the process
+// parked for good while the run ends without it.
 func (p *Proc) park() {
-	p.k.yield <- struct{}{}
+	next := p.k.dispatch()
+	if next == p {
+		return
+	}
+	p.k.handoff(next)
 	<-p.resume
 }
 
-// unpark resumes a parked process. It must be called from kernel
-// (event-loop) context, i.e. from inside a scheduled event callback.
+// unpark makes p the next process to run. It must be called from an
+// event callback, at most once per event: the event loop passes the
+// baton to p as soon as the callback returns.
 func (p *Proc) unpark() {
 	if p.dead {
 		panic(fmt.Sprintf("sim: unpark of finished proc %q", p.name))
 	}
-	p.step()
+	p.k.next = p
 }
 
 // wake schedules the process to be resumed after d. Safe to call from
