@@ -8,9 +8,10 @@
 #            kernel's tests repeat ten times under it, because kernel
 #            state passes between process goroutines.
 # tier2    — tier1.5 plus the observability/chaos determinism gates,
-#            the coverage floor, and short fuzz smoke runs: full
-#            campaigns with tracing + metrics + fault injection on must
-#            render and export byte-identically at any worker count.
+#            the paper-scale output golden, the coverage floor, and
+#            short fuzz smoke runs: full campaigns with tracing +
+#            metrics + fault injection on must render and export
+#            byte-identically at any worker count.
 # cover    — library-package coverage with a checked-in floor.
 # fuzz     — short native-fuzzing smoke runs for the SFN JSONPath and
 #            Choice evaluators.
@@ -63,6 +64,7 @@ tier2:
 	$(MAKE) netherite-determinism
 	$(MAKE) flow-conformance
 	$(MAKE) optimizer-determinism
+	$(MAKE) golden
 	$(MAKE) fuzz
 	$(MAKE) cover
 

@@ -193,33 +193,19 @@ func main() {
 		}
 	}
 
-	ids := flag.Args()
-	if len(ids) == 0 {
-		reports, err := experiments.All(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "statebench:", err)
-			os.Exit(1)
-		}
-		for _, r := range reports {
-			if *csv {
-				fmt.Print(r.CSV())
-			} else {
-				fmt.Println(r)
+	// No IDs runs the paper's experiments. Otherwise resolve every
+	// requested ID first, then fan the selection out the same way.
+	runners := experiments.Registry()
+	if ids := flag.Args(); len(ids) > 0 {
+		runners = make([]experiments.Runner, 0, len(ids))
+		for _, id := range ids {
+			runner, err := experiments.Find(id)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "statebench:", err)
+				os.Exit(1)
 			}
+			runners = append(runners, runner)
 		}
-		flushMetrics()
-		return
-	}
-	// Resolve every requested ID first, then fan the selected
-	// experiments out across the pool like a full run.
-	runners := make([]experiments.Runner, 0, len(ids))
-	for _, id := range ids {
-		runner, err := experiments.Find(id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "statebench:", err)
-			os.Exit(1)
-		}
-		runners = append(runners, runner)
 	}
 	reports, err := experiments.RunAll(runners, opts)
 	if err != nil {

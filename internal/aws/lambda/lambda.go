@@ -14,7 +14,6 @@ import (
 	"statebench/internal/obs/tseries"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
-	"statebench/internal/trace"
 )
 
 // Handler is the user function body. It runs on the invoking process's
@@ -116,9 +115,6 @@ type Service struct {
 	rng    *sim.RNG
 	params platform.AWSParams
 	fns    map[string]*Function
-	// Logs, when non-nil, receives a CloudWatch-style record per
-	// invocation, cold start, and error.
-	Logs *trace.Collector
 	// Tracer, when non-nil, emits X-Ray-style spans per invocation:
 	// an invoke span wrapping queue/coldstart/exec child spans.
 	Tracer *span.Tracer
@@ -315,15 +311,6 @@ func (s *Service) Invoke(p *sim.Proc, name string, payload []byte) (*Invocation,
 			attrs = append(attrs, span.A("error", err.Error()))
 		}
 		invSpan.End(p.Now(), attrs...)
-	}
-	if s.Logs != nil {
-		s.Logs.Invocation(p.Now(), name, exec)
-		if inv.Cold {
-			s.Logs.ColdStart(p.Now(), name, inv.ColdStartDelay)
-		}
-		if err != nil {
-			s.Logs.Error(p.Now(), name, err.Error())
-		}
 	}
 	return inv, nil
 }

@@ -31,8 +31,9 @@ type classicStore struct {
 	history   *table.Table
 	instances *table.Table
 
-	kickers []*kicker
-	wiKick  *kicker
+	// listeners[i] polls control[i]; wiListener polls workItems.
+	listeners  []*queue.Listener
+	wiListener *queue.Listener
 }
 
 // newClassicStore builds the storage-queue backend. Construction order
@@ -49,9 +50,9 @@ func newClassicStore(k *sim.Kernel, name string, params platform.AzureParams) *c
 	}
 	for i := 0; i < params.ControlQueuePartitions; i++ {
 		s.control = append(s.control, queue.New(k, fmt.Sprintf("%s-control-%02d", name, i), durableQueueParams(params)))
-		s.kickers = append(s.kickers, newKicker(k))
+		s.listeners = append(s.listeners, queue.NewListener(k))
 	}
-	s.wiKick = newKicker(k)
+	s.wiListener = queue.NewListener(k)
 	return s
 }
 
@@ -68,28 +69,40 @@ func durableQueueParams(p platform.AzureParams) queue.Params {
 
 // Start implements Store: bind the hub and launch the polling
 // listeners. They poll with adaptive back-off — every poll is a billed
-// transaction, the idle-cost mechanism the paper highlights — and stop
-// with the host.
+// transaction, the idle-cost mechanism the paper highlights — reset it
+// whenever an HTTP trigger shows the app is active, and stop with the
+// host.
 func (s *classicStore) Start(h *Hub) {
 	s.h = h
-	stop := h.host.StopSignal()
+	h.host.OnHTTPActivity(s.kickAll)
+	stop, maxPoll := h.host.StopSignal(), s.params.DurableMaxPoll
 	for i := range s.control {
-		i := i
 		s.k.Spawn(fmt.Sprintf("durable/control-%d", i), func(p *sim.Proc) {
-			s.pollLoop(p, s.control[i], s.kickers[i], stop, h.handleControlMessage)
+			s.listeners[i].Run(p, s.control[i], maxPoll, stop, envelopes(h.handleControlMessage))
 		})
 	}
 	s.k.Spawn("durable/workitems", func(p *sim.Proc) {
-		s.pollLoop(p, s.workItems, s.wiKick, stop, h.handleWorkItem)
+		s.wiListener.Run(p, s.workItems, maxPoll, stop, envelopes(h.handleWorkItem))
 	})
 }
 
-// Kick implements Store: reset all listener poll back-offs.
-func (s *classicStore) Kick() {
-	for _, kk := range s.kickers {
-		kk.Kick()
+// kickAll resets every listener's poll back-off.
+func (s *classicStore) kickAll() {
+	for _, l := range s.listeners {
+		l.Kick()
 	}
-	s.wiKick.Kick()
+	s.wiListener.Kick()
+}
+
+// envelopes adapts an envelope handler to a queue listener; a body
+// that does not decode is dropped.
+func envelopes(handle func(Envelope)) func(*queue.Message) {
+	return func(m *queue.Message) {
+		var msg message
+		if err := json.Unmarshal(m.Body, &msg); err == nil {
+			handle(msg)
+		}
+	}
 }
 
 // partitionOf maps an instance ID onto a control-queue partition.
@@ -111,7 +124,7 @@ func (s *classicStore) SendControl(m Envelope) error {
 	if err := s.control[p].EnqueueFromKernelCtx(body, m.traceCtx()); err != nil {
 		return err
 	}
-	s.kickers[p].Kick()
+	s.listeners[p].Kick()
 	return nil
 }
 
@@ -126,7 +139,7 @@ func (s *classicStore) SendControlFromProc(p *sim.Proc, m Envelope) error {
 	if err := s.control[part].Enqueue(p, body); err != nil {
 		return err
 	}
-	s.kickers[part].Kick()
+	s.listeners[part].Kick()
 	return nil
 }
 
@@ -139,7 +152,7 @@ func (s *classicStore) SendWork(m Envelope) error {
 	if err := s.workItems.EnqueueFromKernelCtx(body, m.traceCtx()); err != nil {
 		return err
 	}
-	s.wiKick.Kick()
+	s.wiListener.Kick()
 	return nil
 }
 
@@ -240,35 +253,5 @@ func (s *classicStore) SetChaos(inj *chaos.Injector) {
 	s.workItems.Chaos = inj
 	for _, q := range s.control {
 		q.Chaos = inj
-	}
-}
-
-// pollLoop drains q, backing off while idle, waking early on kicks.
-func (s *classicStore) pollLoop(p *sim.Proc, q *queue.Queue, kk *kicker, stop *sim.Future[struct{}], handle func(Envelope)) {
-	interval := 100 * time.Millisecond
-	maxPoll := s.params.DurableMaxPoll
-	if maxPoll <= 0 {
-		maxPoll = 30 * time.Second
-	}
-	for {
-		if stop.Done() {
-			return
-		}
-		if m, ok := q.TryDequeue(p); ok {
-			interval = 100 * time.Millisecond
-			var msg message
-			if err := json.Unmarshal(m.Body, &msg); err == nil {
-				handle(msg)
-			}
-			continue
-		}
-		if kk.Wait(p, interval) {
-			interval = 100 * time.Millisecond
-		} else {
-			interval *= 2
-			if interval > maxPoll {
-				interval = maxPoll
-			}
-		}
 	}
 }

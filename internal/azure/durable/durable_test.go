@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"statebench/internal/azure/functions"
+	"statebench/internal/cloud/queue"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -378,6 +379,38 @@ func TestIdlePollingBillsTransactionsDuringTimer(t *testing.T) {
 	if emptyPolls < 50 {
 		t.Fatalf("idle empty polls = %d, want >= 50", emptyPolls)
 	}
+}
+
+func TestHTTPStartResetsIdleListenerBackoff(t *testing.T) {
+	// After a minute idle every listener polls once per DurableMaxPoll
+	// (1 s). The client's HTTP start must kick them all back to 100 ms,
+	// including the listeners whose queues get no message: polls end
+	// about 5, 110, 315, 720 and 1525 ms after the kick, so each queue
+	// books at least five empty polls in the next 2 s, where the 1 s
+	// cadence gives two to four.
+	k, host, hub, client := fixture()
+	if err := hub.RegisterOrchestrator("noop", 128, func(ctx *OrchestrationContext, input []byte) ([]byte, error) {
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	queues := append([]*queue.Queue{hub.WorkItemQueue()}, hub.ControlQueues()...)
+	before := make([]int64, len(queues))
+	drive(k, host, func(p *sim.Proc) {
+		p.Sleep(time.Minute)
+		for i, q := range queues {
+			before[i] = q.Stats().EmptyPolls
+		}
+		if _, err := client.StartOrchestration(p, "noop", nil); err != nil {
+			t.Errorf("start: %v", err)
+		}
+		p.Sleep(time.Minute + 2*time.Second - p.Now())
+		for i, q := range queues {
+			if n := q.Stats().EmptyPolls - before[i]; n < 5 {
+				t.Errorf("%s: %d empty polls in the 2 s after the start, want >= 5", q.Name(), n)
+			}
+		}
+	})
 }
 
 func TestPayloadLimitFailsOrchestration(t *testing.T) {

@@ -19,7 +19,6 @@ package durable
 
 import (
 	"fmt"
-	"time"
 
 	"statebench/internal/azure/functions"
 	"statebench/internal/chaos"
@@ -190,7 +189,6 @@ func NewHubWithStore(k *sim.Kernel, host *functions.Host, name string, store Sto
 		orchs:         make(map[string]*orchState),
 		ents:          make(map[string]*entityState),
 	}
-	host.OnHTTPActivity(h.KickAll)
 	store.Start(h)
 	return h
 }
@@ -273,9 +271,6 @@ func (h *Hub) StorageTransactions() int64 { return h.store.Transactions() }
 // ResetStorageStats zeroes the store's transaction counters.
 func (h *Hub) ResetStorageStats() { h.store.ResetStats() }
 
-// KickAll resets all listener poll back-offs (called on HTTP activity).
-func (h *Hub) KickAll() { h.store.Kick() }
-
 // RegisterOrchestrator adds an orchestrator function. Episodes are
 // billed as executions of a host function with the same name.
 func (h *Hub) RegisterOrchestrator(name string, consumedMemMB int, fn OrchestratorFn) error {
@@ -337,32 +332,3 @@ func (h *Hub) sendFromProc(p *sim.Proc, m message) error {
 
 // sendWorkItem enqueues an activity work item.
 func (h *Hub) sendWorkItem(m message) error { return h.store.SendWork(m) }
-
-// kicker lets a polling listener be woken early when a message is
-// enqueued locally, while idle polling still happens (and is billed) at
-// the adaptive interval.
-type kicker struct {
-	k   *sim.Kernel
-	fut *sim.Future[struct{}]
-}
-
-func newKicker(k *sim.Kernel) *kicker {
-	return &kicker{k: k, fut: sim.NewFuture[struct{}](k)}
-}
-
-// Kick wakes the current waiter (or makes the next wait return
-// immediately).
-func (kk *kicker) Kick() {
-	if !kk.fut.Done() {
-		kk.fut.Complete(struct{}{}, nil)
-	}
-}
-
-// Wait blocks up to d, returning true if kicked early.
-func (kk *kicker) Wait(p *sim.Proc, d time.Duration) bool {
-	_, _, kicked := kk.fut.AwaitTimeout(p, d)
-	if kicked {
-		kk.fut = sim.NewFuture[struct{}](kk.k)
-	}
-	return kicked
-}

@@ -66,12 +66,10 @@ const (
 // behavior — byte for byte.
 type Store interface {
 	// Start binds the store to its hub and launches any background
-	// listeners (the classic store's pollers). Called once from NewHub
-	// before any traffic.
+	// listeners (the classic store's pollers, which it also kicks on
+	// the host's HTTP activity). Called once from NewHub before any
+	// traffic.
 	Start(h *Hub)
-	// Kick resets listener poll back-offs on external activity; a
-	// push-based store ignores it.
-	Kick()
 
 	// SendControl enqueues a control envelope from kernel/callback
 	// context and wakes its consumer.

@@ -17,7 +17,6 @@ import (
 	"statebench/internal/obs/tseries"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
-	"statebench/internal/trace"
 )
 
 // Handler is a function body. Compute is modeled with ctx.Busy; I/O by
@@ -117,13 +116,10 @@ type Host struct {
 	// their queue-poll back-off when an HTTP trigger proves the app is
 	// active.
 	onHTTPActivity []func()
-	// onActivity fires on every Submit: an active app's listeners are
-	// scheduled eagerly, so queue-trigger pollers reset their back-off.
-	onActivity []func()
-
-	// Logs, when non-nil, receives an Application-Insights-style
-	// record per execution, cold start, and error.
-	Logs *trace.Collector
+	// listeners are the app's queue-trigger listeners. Every Submit
+	// kicks them: an active app's listeners are scheduled eagerly, so
+	// they reset their back-off.
+	listeners []*queue.Listener
 
 	// Tracer, when non-nil, emits spans per execution: scheduling
 	// delay (queue or coldstart) plus handler exec.
@@ -239,9 +235,6 @@ func (h *Host) Function(name string) (*Function, bool) {
 // reaches the app (used by the durable extension to reset poll back-off).
 func (h *Host) OnHTTPActivity(fn func()) { h.onHTTPActivity = append(h.onHTTPActivity, fn) }
 
-// OnActivity registers a callback fired on every execution submission.
-func (h *Host) OnActivity(fn func()) { h.onActivity = append(h.onActivity, fn) }
-
 // Submit enqueues an execution of fn and returns a future for its
 // result. It may be called from kernel or process context. Submitting
 // to an idle app triggers immediate scale-out of one instance (the
@@ -260,8 +253,8 @@ func (h *Host) SubmitCtx(fn string, payload []byte, ctx sim.TraceContext) (*sim.
 	}
 	wi := &workItem{fn: fn, payload: payload, submitted: h.k.Now(), done: sim.NewFuture[Result](h.k), ctx: ctx}
 	h.stats.Submitted++
-	for _, cb := range h.onActivity {
-		cb()
+	for _, l := range h.listeners {
+		l.Kick()
 	}
 	h.pending = append(h.pending, wi)
 	h.timeline.ObserveQueueDepth(h.k.Now(), int64(len(h.pending)))
@@ -367,15 +360,6 @@ func (h *Host) run(inst *platform.Container, wi *workItem) {
 		f.Execs++
 		if err != nil {
 			f.Errors++
-		}
-		if h.Logs != nil {
-			h.Logs.Invocation(p.Now(), wi.fn, exec)
-			if wi.cold {
-				h.Logs.ColdStart(p.Now(), wi.fn, sched)
-			}
-			if err != nil {
-				h.Logs.Error(p.Now(), wi.fn, err.Error())
-			}
 		}
 		h.stats.Completed++
 		wi.done.Complete(Result{Output: out, Err: err, SchedDelay: sched, Cold: wi.cold, ExecTime: exec}, nil)
@@ -512,51 +496,23 @@ func (h *Host) QueueTrigger(q *queue.Queue, fn string) error {
 	if _, ok := h.fns[fn]; !ok {
 		return fmt.Errorf("functions: no such function %q", fn)
 	}
-	kick := sim.NewFuture[struct{}](h.k)
-	h.OnActivity(func() {
-		if !kick.Done() {
-			kick.Complete(struct{}{}, nil)
-		}
-	})
-	qp := q // capture
+	l := queue.NewListener(h.k)
+	h.listeners = append(h.listeners, l)
 	h.k.Spawn(fmt.Sprintf("%s/listener/%s", h.name, q.Name()), func(p *sim.Proc) {
-		interval := 100 * time.Millisecond
-		maxPoll := h.params.TriggerMaxPoll
-		if maxPoll <= 0 {
-			maxPoll = 30 * time.Second
-		}
-		for {
-			if h.stop.Done() {
-				return
+		l.Run(p, q, h.params.TriggerMaxPoll, h.stop, func(m *queue.Message) {
+			coldApp := h.pool.Provisioning() == 0 ||
+				(h.everScaled && p.Now()-h.scaledFromZeroAt < time.Minute)
+			if coldApp {
+				// Scale-from-zero listener activation (the
+				// Az-Queue cold-start mechanism, Fig 10).
+				actStart := p.Now()
+				p.Sleep(h.params.ColdPollPhase.Sample(h.rng))
+				h.Tracer.Emit(span.KindCold, "func/activation/"+fn, actStart, p.Now(), m.Ctx)
 			}
-			if m, ok := qp.TryDequeue(p); ok {
-				interval = 100 * time.Millisecond
-				coldApp := h.pool.Provisioning() == 0 ||
-					(h.everScaled && p.Now()-h.scaledFromZeroAt < time.Minute)
-				if coldApp {
-					// Scale-from-zero listener activation (the
-					// Az-Queue cold-start mechanism, Fig 10).
-					actStart := p.Now()
-					p.Sleep(h.params.ColdPollPhase.Sample(h.rng))
-					h.Tracer.Emit(span.KindCold, "func/activation/"+fn, actStart, p.Now(), m.Ctx)
-				}
-				if _, err := h.SubmitCtx(fn, m.Body, m.Ctx); err != nil {
-					continue
-				}
-				continue
-			}
-			// Back off while idle; reset when the app shows activity
-			// (listeners are scheduled eagerly on a busy app).
-			if _, _, kicked := kick.AwaitTimeout(p, interval); kicked {
-				kick = sim.NewFuture[struct{}](h.k)
-				interval = 100 * time.Millisecond
-			} else {
-				interval *= 2
-				if interval > maxPoll {
-					interval = maxPoll
-				}
-			}
-		}
+			// SubmitCtx fails only for an unregistered function, and fn
+			// was checked above.
+			_, _ = h.SubmitCtx(fn, m.Body, m.Ctx)
+		})
 	})
 	return nil
 }

@@ -222,9 +222,7 @@ func TestQueueTriggerExecutesAndBillsPolls(t *testing.T) {
 		got = payload
 		return nil, nil
 	}})
-	qp := queue.DefaultParams()
-	qp.MaxPoll = time.Second
-	q := queue.New(k, "trigger", qp)
+	q := queue.New(k, "trigger", queue.DefaultParams())
 	if err := h.QueueTrigger(q, "f"); err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +238,34 @@ func TestQueueTriggerExecutesAndBillsPolls(t *testing.T) {
 	}
 	if q.Stats().EmptyPolls < 3 {
 		t.Fatalf("empty polls = %d; idle polling must be metered", q.Stats().EmptyPolls)
+	}
+}
+
+func TestQueueTriggerBackoffFollowsTriggerMaxPoll(t *testing.T) {
+	// A minute idle at 5 ms per poll. The waits double from 100 ms to
+	// the cap: with a 1 s cap, polls end at 5, 110, 315, 720 ms and then
+	// every 1.005 s from 1.525 s; with 10 s, at 5, 110, 315, 720 ms,
+	// 1.525, 3.13, 6.335, 12.74 s and then every 10.005 s.
+	for _, c := range []struct {
+		maxPoll time.Duration
+		want    int64
+	}{{time.Second, 63}, {10 * time.Second, 12}} {
+		k := sim.NewKernel(1)
+		params := fixedParams()
+		params.TriggerMaxPoll = c.maxPoll
+		h := NewHost(k, "app", params)
+		h.MustRegister(Config{Name: "f", Handler: busyFn(0)})
+		qp := queue.DefaultParams()
+		qp.OpLatency = sim.Fixed{D: 5 * time.Millisecond}
+		q := queue.New(k, "trigger", qp)
+		if err := h.QueueTrigger(q, "f"); err != nil {
+			t.Fatal(err)
+		}
+		k.At(time.Minute, h.Stop)
+		k.Run()
+		if got := q.Stats().EmptyPolls; got != c.want {
+			t.Errorf("TriggerMaxPoll %v: %d empty polls in a minute, want %d", c.maxPoll, got, c.want)
+		}
 	}
 }
 

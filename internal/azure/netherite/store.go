@@ -116,9 +116,6 @@ func NewStore(k *sim.Kernel, name string, n int) *Store {
 // processes, no polling transactions.
 func (s *Store) Start(h *durable.Hub) { s.hub = h }
 
-// Kick implements durable.Store: a push transport has no poll back-off.
-func (s *Store) Kick() {}
-
 // Partitions returns the partition count (structural accounting).
 func (s *Store) Partitions() int { return len(s.partitions) }
 

@@ -10,11 +10,8 @@ import (
 
 func fixedParams() Params {
 	return Params{
-		OpLatency:   sim.Fixed{D: 5 * time.Millisecond},
-		MaxPayload:  100,
-		MinPoll:     100 * time.Millisecond,
-		MaxPoll:     time.Second,
-		PollBackoff: 2,
+		OpLatency:  sim.Fixed{D: 5 * time.Millisecond},
+		MaxPayload: 100,
 	}
 }
 
@@ -97,59 +94,6 @@ func TestTransactionAccounting(t *testing.T) {
 	// 1 enqueue + 2 (get+delete) for the dequeue.
 	if st.Transactions() != 3 {
 		t.Fatalf("transactions = %d, want 3", st.Transactions())
-	}
-}
-
-func TestPollBacksOffExponentially(t *testing.T) {
-	k := sim.NewKernel(1)
-	q := New(k, "q", fixedParams())
-	var got *Message
-	var doneAt time.Duration
-	k.Spawn("poller", func(p *sim.Proc) {
-		m, ok := q.Poll(p, nil)
-		if !ok {
-			t.Error("poll aborted")
-		}
-		got = m
-		doneAt = p.Now()
-	})
-	// Message appears at t=10s; by then poll interval is capped at 1s.
-	k.At(10*time.Second, func() {
-		if err := q.EnqueueFromKernel([]byte("late")); err != nil {
-			t.Errorf("EnqueueFromKernel: %v", err)
-		}
-	})
-	k.Run()
-	if got == nil || string(got.Body) != "late" {
-		t.Fatalf("got %v", got)
-	}
-	// Polls at 0, then sleeps 100ms, 200, 400, 800, 1000, 1000, ...
-	// Must find the message within MaxPoll+opLatency of its arrival.
-	if doneAt > 10*time.Second+time.Second+100*time.Millisecond {
-		t.Fatalf("found at %v, exceeds max poll window", doneAt)
-	}
-	if q.Stats().EmptyPolls < 5 {
-		t.Fatalf("empty polls = %d, expected several while idle", q.Stats().EmptyPolls)
-	}
-}
-
-func TestPollStop(t *testing.T) {
-	k := sim.NewKernel(1)
-	q := New(k, "q", fixedParams())
-	stop := sim.NewFuture[struct{}](k)
-	var ok bool
-	ran := false
-	k.Spawn("poller", func(p *sim.Proc) {
-		_, ok = q.Poll(p, stop)
-		ran = true
-	})
-	k.At(3*time.Second, func() { stop.Complete(struct{}{}, nil) })
-	k.Run()
-	if !ran {
-		t.Fatal("poller never returned")
-	}
-	if ok {
-		t.Fatal("poll returned a message after stop")
 	}
 }
 

@@ -180,7 +180,6 @@ func Ablations() []Runner {
 		{"ablation-keepalive", single(AblationKeepAlive)},
 		{"ablation-mapconcurrency", single(AblationMapConcurrency)},
 		{"ablation-entity-inference", single(AblationEntityInference)},
-		{"ablation-netherite", single(AblationNetherite)},
 		{"reliability", single(Reliability)},
 	}
 }
