@@ -6,7 +6,9 @@
 # tier1.5  — adds static analysis and the race detector; the
 #            determinism test self-downscales under -race, and the
 #            kernel's tests repeat ten times under it, because kernel
-#            state passes between process goroutines.
+#            state passes between process goroutines. It also
+#            cross-builds for Windows, the only build of the non-Linux
+#            files (payload's heap-backed zero arena).
 # tier2    — tier1.5 plus the observability/chaos determinism gates,
 #            the paper-scale output golden, the coverage floor, and
 #            short fuzz smoke runs: full campaigns with tracing +
@@ -16,7 +18,8 @@
 # fuzz     — short native-fuzzing smoke runs for the SFN JSONPath and
 #            Choice evaluators.
 # bench    — kernel micro-benchmarks, the payload alloc benchmarks,
-#            the sequential-vs-parallel full-suite pair, the
+#            the mlkit forest-fit and k-NN predict pair, the
+#            sequential-vs-parallel full-suite pair, the
 #            sharded-kernel/traffic-engine suite, and the optimizer's
 #            cold-vs-shared sweep pair (the numbers behind the
 #            committed BENCH_*.json baselines).
@@ -28,7 +31,7 @@ GOFMT ?= gofmt
 # `make cover` fails below this.
 COVER_FLOOR ?= 75
 
-.PHONY: tier1 tier1.5 tier2 cover fuzz bench bench-kernel bench-payload bench-all bench-traffic bench-netherite bench-optimizer fmt-check golden golden-cache-off timeline-determinism netherite-determinism flow-conformance optimizer-determinism
+.PHONY: tier1 tier1.5 tier2 cover fuzz bench bench-kernel bench-payload bench-mlkit bench-all bench-traffic bench-netherite bench-optimizer fmt-check golden golden-cache-off timeline-determinism netherite-determinism flow-conformance optimizer-determinism
 
 # fmt-check fails (listing the offenders) if any file needs gofmt.
 fmt-check:
@@ -47,6 +50,7 @@ golden:
 tier1.5:
 	$(GO) vet ./... && $(GO) test -race -timeout 20m ./...
 	$(GO) test -race -count=10 ./internal/sim/
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
 	$(MAKE) golden-cache-off
 
 # golden-cache-off replays the quick-scale suite with the payload cache
@@ -132,6 +136,13 @@ bench-kernel:
 bench-payload:
 	$(GO) test -run - -bench 'BenchmarkPayload' -benchmem ./internal/workloads/mlpipe/ ./internal/video/
 
+# bench-mlkit times the two payload kernels that dominate large-dataset
+# ML training: the 24-tree forest fit and the k-NN validation predict,
+# each at that dataset's shape on synthetic data.
+bench-mlkit:
+	$(GO) test -run - -bench 'ForestFitLarge' -benchtime 3x -benchmem ./internal/mlkit/ensemble/
+	$(GO) test -run - -bench 'KNNPredictLarge' -benchtime 3x -benchmem ./internal/mlkit/neighbors/
+
 bench-all:
 	$(GO) test -run - -bench 'SequentialAll|ParallelAll' -benchtime 1x -benchmem .
 
@@ -167,4 +178,4 @@ bench-optimizer:
 	STATEBENCH_SWEEP_COLD=1 $(GO) test -run - -bench 'OptimizerSweep' -benchtime 1x -benchmem -timeout 30m ./internal/optimizer/
 	$(GO) test -run - -bench 'OptimizerSweep' -benchtime 1x -benchmem -timeout 30m ./internal/optimizer/
 
-bench: bench-kernel bench-payload bench-all bench-traffic bench-netherite bench-optimizer
+bench: bench-kernel bench-payload bench-mlkit bench-all bench-traffic bench-netherite bench-optimizer

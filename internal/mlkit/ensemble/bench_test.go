@@ -52,3 +52,18 @@ func BenchmarkTreeFit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkForestFitLarge fits the forest the large ML-training dataset
+// gets (7,500 training rows of 20 continuous features, 24 trees, depth
+// 13, MinSamplesLeaf 2) on synthetic data of the same shape.
+func BenchmarkForestFitLarge(b *testing.B) {
+	X, y := continuousData(7500, 20, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := &RandomForestRegressor{NumTrees: 24, MaxDepth: 13, MinSamplesLeaf: 2, Seed: 13}
+		if err := f.Fit(X, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -40,38 +40,26 @@ func (m *RandomForestRegressor) Fit(X [][]float64, y []float64) error {
 	rng := sim.NewRNG(m.Seed ^ 0x9e3779b97f4a7c15)
 	n := len(X)
 	m.Trees = m.Trees[:0]
-	// One bootstrap buffer and one rng closure serve every tree: Fit
-	// never retains bx/by (nodes store thresholds, not rows), so the
-	// next tree can overwrite them.
-	bx := make([][]float64, n)
-	by := make([]float64, n)
+	// One presort and one grower serve every tree: each bootstrap
+	// sample's sorted rows are derived from the presort, and a fitted
+	// tree keeps only its nodes, so the next tree can overwrite the rest.
+	pre := presort(X)
+	g := newGrower(n, d)
+	src := make([]int32, n)
 	pick := func(k int) int { return rng.Intn(k) }
-	var prev *RegressionTree
 	for t := 0; t < m.NumTrees; t++ {
-		for i := 0; i < n; i++ {
-			j := rng.Intn(n)
-			bx[i] = X[j]
-			by[i] = y[j]
+		for i := range src {
+			src[i] = int32(rng.Intn(n))
 		}
+		g.load(X, y, src, pre)
 		tree := &RegressionTree{
 			MaxDepth:       m.MaxDepth,
 			MinSamplesLeaf: m.MinSamplesLeaf,
 			MaxFeatures:    maxFeat,
 			rng:            pick,
 		}
-		if prev != nil {
-			// Hand the previous tree's split scratch forward; Fit grows
-			// it on demand, so the whole ensemble allocates it once.
-			tree.scratchFeats, tree.scratchVals, tree.scratchIdx = prev.scratchFeats, prev.scratchVals, prev.scratchIdx
-		}
-		if err := tree.Fit(bx, by); err != nil {
-			return fmt.Errorf("ensemble: tree %d: %w", t, err)
-		}
+		tree.fit(g)
 		m.Trees = append(m.Trees, tree)
-		prev = tree
-	}
-	for _, tree := range m.Trees {
-		tree.scratchFeats, tree.scratchVals, tree.scratchIdx = nil, nil, nil
 	}
 	return nil
 }

@@ -2,6 +2,15 @@
 // forest regressor — the heavyweight model in the paper's selection
 // search (sklearn's RandomForestRegressor analogue), trained via
 // bootstrap bagging with per-split feature subsampling.
+//
+// Split search is presorted: each fit sorts every feature's rows once,
+// and each node keeps them as sorted segments that a stable partition
+// splits after each decision, so no node sorts. The split scan visits a
+// node's rows in (value, source row) order, which a per-node sort by
+// value alone matches up to the order of equal values. Bootstrap copies
+// of one row agree on the target too, so the trees are bit-identical to
+// a per-node sort's whenever distinct rows that tie on a feature value
+// also tie on the target.
 package ensemble
 
 import (
@@ -38,84 +47,154 @@ type RegressionTree struct {
 	// rng returns pseudo-random ints for feature subsampling; injected
 	// by the forest for determinism. Nil means deterministic order.
 	rng func(n int) int
-
-	// Per-Fit scratch buffers, sized once in Fit and reused across every
-	// node's split search and partition. Unexported, so fitted trees
-	// gob-encode exactly as before.
-	scratchFeats []int
-	scratchVals  []splitPair
-	scratchIdx   []int
 }
 
-// splitPair is one (feature value, target) sample in a split scan.
-type splitPair struct{ x, y float64 }
+// grower is one fit's training view, indexed by row position. The
+// forest reuses one across its trees.
+type grower struct {
+	n, d int
+	// x[f*n+i] is feature f of row i; y[i] is row i's target.
+	x, y []float64
+	// sorted[f*n+lo : f*n+hi] holds a node's rows ordered by
+	// (x[f], source row); order[lo:hi] holds them ascending, the
+	// summation order of the node mean.
+	sorted, order []int32
+	// goLeft[i] is row i's side of the split being applied.
+	goLeft []bool
+	// Scratch: the right half of a stable partition, the shuffled
+	// feature order, and the counting sort by source row.
+	spill       []int32
+	feats       []int
+	byRow       []int32
+	start, next []int32
+}
+
+func newGrower(n, d int) *grower {
+	return &grower{
+		n: n, d: d,
+		x: make([]float64, n*d), y: make([]float64, n),
+		sorted: make([]int32, n*d), order: make([]int32, n),
+		goLeft: make([]bool, n), spill: make([]int32, 0, n), feats: make([]int, d),
+		byRow: make([]int32, n), start: make([]int32, n+1), next: make([]int32, n),
+	}
+}
+
+// presort returns, for each feature f of X, the rows of X ordered by
+// (X[row][f], row) in pre[f*n : (f+1)*n].
+func presort(X [][]float64) []int32 {
+	n, d := len(X), len(X[0])
+	pre := make([]int32, n*d)
+	for f := 0; f < d; f++ {
+		rows := pre[f*n : (f+1)*n]
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+		slices.SortFunc(rows, func(a, b int32) int {
+			xa, xb := X[a][f], X[b][f]
+			switch {
+			case xa < xb:
+				return -1
+			case xa > xb:
+				return 1
+			}
+			return int(a - b)
+		})
+	}
+	return pre
+}
+
+// load points g at the sample whose row i is source row src[i] of X, y,
+// deriving every feature's sorted rows from pre (see presort) by a
+// counting pass instead of a sort: copies of one source row sit
+// together, in ascending position.
+func (g *grower) load(X [][]float64, y []float64, src, pre []int32) {
+	n := g.n
+	clear(g.start)
+	for _, j := range src {
+		g.start[j+1]++
+	}
+	for j := 0; j < n; j++ {
+		g.start[j+1] += g.start[j]
+	}
+	copy(g.next, g.start[:n])
+	for i, j := range src {
+		g.byRow[g.next[j]] = int32(i)
+		g.next[j]++
+		g.y[i] = y[j]
+		g.order[i] = int32(i)
+	}
+	for f := 0; f < g.d; f++ {
+		xf := g.x[f*n : (f+1)*n]
+		for i, j := range src {
+			xf[i] = X[j][f]
+		}
+		rows := g.sorted[f*n : (f+1)*n]
+		k := 0
+		for _, j := range pre[f*n : (f+1)*n] {
+			k += copy(rows[k:], g.byRow[g.start[j]:g.start[j+1]])
+		}
+	}
+}
 
 // Fit grows the tree on X, y.
 func (t *RegressionTree) Fit(X [][]float64, y []float64) error {
 	if len(X) == 0 || len(X) != len(y) {
 		return fmt.Errorf("ensemble: bad training shapes %d/%d", len(X), len(y))
 	}
-	if t.MinSamplesLeaf <= 0 {
-		t.MinSamplesLeaf = 1
+	src := make([]int32, len(X))
+	for i := range src {
+		src[i] = int32(i)
 	}
-	t.NumFeatures = len(X[0])
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
-	}
-	if cap(t.scratchFeats) < t.NumFeatures {
-		t.scratchFeats = make([]int, t.NumFeatures)
-	}
-	if cap(t.scratchVals) < len(X) {
-		t.scratchVals = make([]splitPair, len(X))
-	}
-	if cap(t.scratchIdx) < len(X) {
-		t.scratchIdx = make([]int, len(X))
-	}
-	t.Nodes = t.Nodes[:0]
-	t.grow(X, y, idx, 0)
+	g := newGrower(len(X), len(X[0]))
+	g.load(X, y, src, presort(X))
+	t.fit(g)
 	return nil
 }
 
-// grow recursively builds the subtree over rows idx, returning its
-// node index.
-func (t *RegressionTree) grow(X [][]float64, y []float64, idx []int, depth int) int {
-	mean := meanOf(y, idx)
+// fit grows the tree on g's loaded sample.
+func (t *RegressionTree) fit(g *grower) {
+	if t.MinSamplesLeaf <= 0 {
+		t.MinSamplesLeaf = 1
+	}
+	t.NumFeatures = g.d
+	t.Nodes = t.Nodes[:0]
+	t.grow(g, 0, g.n, 0)
+}
+
+// grow recursively builds the subtree over the rows in [lo, hi) of g's
+// segments, returning its node index.
+func (t *RegressionTree) grow(g *grower, lo, hi, depth int) int {
+	idx := g.order[lo:hi]
+	mean := meanOf(g.y, idx)
 	node := treeNode{Feature: -1, Value: mean}
 	self := len(t.Nodes)
 	t.Nodes = append(t.Nodes, node)
 
-	if len(idx) < 2*t.MinSamplesLeaf || (t.MaxDepth > 0 && depth >= t.MaxDepth) || pure(y, idx) {
+	if len(idx) < 2*t.MinSamplesLeaf || (t.MaxDepth > 0 && depth >= t.MaxDepth) || pure(g.y, idx) {
 		return self
 	}
 
-	feat, thr, ok := t.bestSplit(X, y, idx)
+	feat, thr, ok := t.bestSplit(g, lo, hi)
 	if !ok {
 		return self
 	}
-	// Stable in-place partition of idx into [left | right] via the shared
-	// scratch: rows going right park in scratchIdx while left rows
-	// compact into the prefix, preserving relative order on both sides —
-	// the same order the old append-based split produced. The scratch is
-	// done before either recursive call, so one buffer serves all nodes.
-	right := t.scratchIdx[:0]
+	xf := g.x[feat*g.n : (feat+1)*g.n]
 	nl := 0
 	for _, i := range idx {
-		if X[i][feat] <= thr {
-			idx[nl] = i
+		g.goLeft[i] = xf[i] <= thr
+		if g.goLeft[i] {
 			nl++
-		} else {
-			right = append(right, i)
 		}
 	}
-	if nl < t.MinSamplesLeaf || len(right) < t.MinSamplesLeaf {
-		// The split is void; idx's prefix was already compacted, but no
-		// caller reads idx after grow returns, so no restore is needed.
+	if nl < t.MinSamplesLeaf || len(idx)-nl < t.MinSamplesLeaf {
 		return self
 	}
-	copy(idx[nl:], right)
-	l := t.grow(X, y, idx[:nl], depth+1)
-	r := t.grow(X, y, idx[nl:], depth+1)
+	g.partition(idx)
+	for f := 0; f < g.d; f++ {
+		g.partition(g.sorted[f*g.n+lo : f*g.n+hi])
+	}
+	l := t.grow(g, lo, lo+nl, depth+1)
+	r := t.grow(g, lo+nl, hi, depth+1)
 	t.Nodes[self].Feature = feat
 	t.Nodes[self].Threshold = thr
 	t.Nodes[self].Left = l
@@ -123,11 +202,26 @@ func (t *RegressionTree) grow(X [][]float64, y []float64, idx []int, depth int) 
 	return self
 }
 
+// partition stably reorders rows into [left | right] by goLeft.
+func (g *grower) partition(rows []int32) {
+	right := g.spill[:0]
+	nl := 0
+	for _, i := range rows {
+		if g.goLeft[i] {
+			rows[nl] = i
+			nl++
+		} else {
+			right = append(right, i)
+		}
+	}
+	copy(rows[nl:], right)
+}
+
 // bestSplit finds the (feature, threshold) minimizing weighted child
-// variance over a feature subsample.
-func (t *RegressionTree) bestSplit(X [][]float64, y []float64, idx []int) (int, float64, bool) {
-	d := len(X[0])
-	feats := t.scratchFeats[:d]
+// variance over a feature subsample of the rows in [lo, hi).
+func (t *RegressionTree) bestSplit(g *grower, lo, hi int) (int, float64, bool) {
+	d := g.d
+	feats := g.feats[:d]
 	for i := range feats {
 		feats[i] = i
 	}
@@ -144,36 +238,24 @@ func (t *RegressionTree) bestSplit(X [][]float64, y []float64, idx []int) (int, 
 	bestScore := math.Inf(1)
 	bestFeat, bestThr := -1, 0.0
 
-	vals := t.scratchVals[:len(idx)]
+	n := hi - lo
 	for _, f := range feats {
-		for i, row := range idx {
-			vals[i] = splitPair{x: X[row][f], y: y[row]}
-		}
-		// Manual comparator: feature values are never NaN, so this orders
-		// identically to cmp.Compare without its NaN branches.
-		slices.SortFunc(vals, func(a, b splitPair) int {
-			switch {
-			case a.x < b.x:
-				return -1
-			case a.x > b.x:
-				return 1
-			default:
-				return 0
-			}
-		})
+		rows := g.sorted[f*g.n+lo : f*g.n+hi]
+		xf := g.x[f*g.n : (f+1)*g.n]
 
 		// Prefix sums for O(n) split scan.
-		n := len(vals)
 		var totSum, totSq float64
-		for _, v := range vals {
-			totSum += v.y
-			totSq += v.y * v.y
+		for _, i := range rows {
+			totSum += g.y[i]
+			totSq += g.y[i] * g.y[i]
 		}
 		var lSum, lSq float64
 		for i := 0; i < n-1; i++ {
-			lSum += vals[i].y
-			lSq += vals[i].y * vals[i].y
-			if vals[i].x == vals[i+1].x {
+			yi := g.y[rows[i]]
+			lSum += yi
+			lSq += yi * yi
+			x0, x1 := xf[rows[i]], xf[rows[i+1]]
+			if x0 == x1 {
 				continue
 			}
 			nl, nr := float64(i+1), float64(n-i-1)
@@ -185,7 +267,7 @@ func (t *RegressionTree) bestSplit(X [][]float64, y []float64, idx []int) (int, 
 			if score < bestScore {
 				bestScore = score
 				bestFeat = f
-				bestThr = (vals[i].x + vals[i+1].x) / 2
+				bestThr = (x0 + x1) / 2
 			}
 		}
 	}
@@ -245,7 +327,7 @@ func (t *RegressionTree) Depth() int {
 	return walk(0, 0)
 }
 
-func meanOf(y []float64, idx []int) float64 {
+func meanOf(y []float64, idx []int32) float64 {
 	var s float64
 	for _, i := range idx {
 		s += y[i]
@@ -253,7 +335,7 @@ func meanOf(y []float64, idx []int) float64 {
 	return s / float64(len(idx))
 }
 
-func pure(y []float64, idx []int) bool {
+func pure(y []float64, idx []int32) bool {
 	first := y[idx[0]]
 	for _, i := range idx[1:] {
 		if y[i] != first {

@@ -7,7 +7,6 @@ package neighbors
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Weighting selects how neighbor targets are combined.
@@ -65,38 +64,41 @@ func (m *KNeighborsRegressor) Predict(X [][]float64) ([]float64, error) {
 		return nil, fmt.Errorf("neighbors: model not fitted")
 	}
 	out := make([]float64, len(X))
-	type cand struct {
+	// top holds the K nearest rows seen so far in (distance, row) order,
+	// the order a full sort of every candidate would give them whenever
+	// rows at equal distances carry equal targets.
+	type neighbor struct {
 		dist float64
-		y    float64
+		row  int
 	}
-	// One candidate buffer serves every query row: the sort consumes it
-	// before the next row refills it.
-	cands := make([]cand, len(m.XTrain))
+	top := make([]neighbor, 0, m.K)
 	for qi, q := range X {
 		if len(q) != len(m.XTrain[0]) {
 			return nil, fmt.Errorf("neighbors: query has %d features, model has %d", len(q), len(m.XTrain[0]))
 		}
+		top = top[:0]
 		for i, row := range m.XTrain {
 			var s float64
 			for j := range row {
 				d := row[j] - q[j]
 				s += d * d
 			}
-			cands[i] = cand{dist: math.Sqrt(s), y: m.YTrain[i]}
-		}
-		// Manual comparator: distances are never NaN, so this orders
-		// identically to cmp.Compare without its NaN branches.
-		slices.SortFunc(cands, func(a, b cand) int {
-			switch {
-			case a.dist < b.dist:
-				return -1
-			case a.dist > b.dist:
-				return 1
-			default:
-				return 0
+			dist := math.Sqrt(s)
+			if len(top) == m.K {
+				// A tie with the K-th loses: its row comes later.
+				if dist >= top[m.K-1].dist {
+					continue
+				}
+				top = top[:m.K-1]
 			}
-		})
-		top := cands[:m.K]
+			k := len(top)
+			top = append(top, neighbor{})
+			for k > 0 && top[k-1].dist > dist {
+				top[k] = top[k-1]
+				k--
+			}
+			top[k] = neighbor{dist: dist, row: i}
+		}
 		switch m.Weights {
 		case Distance:
 			var num, den float64
@@ -104,12 +106,12 @@ func (m *KNeighborsRegressor) Predict(X [][]float64) ([]float64, error) {
 			for _, c := range top {
 				if c.dist == 0 {
 					// Exact match dominates (sklearn semantics).
-					out[qi] = c.y
+					out[qi] = m.YTrain[c.row]
 					exact = true
 					break
 				}
 				w := 1 / c.dist
-				num += w * c.y
+				num += w * m.YTrain[c.row]
 				den += w
 			}
 			if !exact {
@@ -118,7 +120,7 @@ func (m *KNeighborsRegressor) Predict(X [][]float64) ([]float64, error) {
 		default:
 			var s float64
 			for _, c := range top {
-				s += c.y
+				s += m.YTrain[c.row]
 			}
 			out[qi] = s / float64(m.K)
 		}

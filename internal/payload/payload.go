@@ -332,8 +332,9 @@ func Annotate(sp *span.Active, hit bool) {
 	sp.Annotate(span.A("payload_cache", outcome))
 }
 
-// zeroArena backs Zeros: one shared all-zero allocation, grown to the
-// largest size ever requested.
+// zeroArena backs Zeros: one shared all-zero region, grown to the
+// largest size ever requested. A grown arena replaces the old one but
+// never frees it, because earlier slices still alias it.
 var (
 	zeroMu    sync.Mutex
 	zeroArena []byte
@@ -344,16 +345,18 @@ var (
 // payloads whose only meaningful property is their length (a 100 MB
 // video stand-in, a serialized intermediate dataframe); handing out
 // arena views instead of fresh allocations removes gigabytes of
-// allocate-and-clear per suite run. The capacity is clamped to n so an
-// append cannot write into the arena; callers must not modify the
-// returned bytes.
+// allocate-and-clear per suite run. On Linux the arena is read-only
+// memory outside the Go heap (see newArena), so a write into the
+// returned bytes faults; elsewhere it is an ordinary allocation. The
+// capacity is clamped to n so an append cannot write into the arena;
+// callers must not modify the returned bytes.
 func Zeros(n int) []byte {
 	if n <= 0 {
 		return nil
 	}
 	zeroMu.Lock()
 	if len(zeroArena) < n {
-		zeroArena = make([]byte, n)
+		zeroArena = newArena(n)
 	}
 	a := zeroArena
 	zeroMu.Unlock()
