@@ -1,8 +1,9 @@
 # statebench build/test entry points.
 #
-# tier1    — the gate every change must keep green: gofmt, vet,
-#            build, and the full unit suite (including the quick-scale
-#            output goldens).
+# tier1    — the gate every change must keep green: gofmt, vet (of
+#            the benchmark harness too, its own module, which
+#            `go build ./...` never compiles), build, and the full unit
+#            suite (including the quick-scale output goldens).
 # tier1.5  — adds static analysis and the race detector; the
 #            determinism test self-downscales under -race, and the
 #            kernel's tests repeat ten times under it, because kernel
@@ -20,7 +21,7 @@
 # bench    — kernel micro-benchmarks, the payload alloc benchmarks,
 #            the mlkit forest-fit and k-NN predict pair, the
 #            sequential-vs-parallel full-suite pair, the
-#            sharded-kernel/traffic-engine suite, and the optimizer's
+#            kernel/traffic-engine suite, and the optimizer's
 #            cold-vs-shared sweep pair (the numbers behind the
 #            committed BENCH_*.json baselines).
 
@@ -40,6 +41,7 @@ fmt-check:
 
 tier1: fmt-check
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 	$(GO) build ./... && $(GO) test ./...
 
 # golden replays the full paper-scale campaign and compares it byte for
@@ -72,13 +74,13 @@ tier2:
 	$(MAKE) fuzz
 	$(MAKE) cover
 
-# timeline-determinism is the windowed-telemetry gate: the per-window
-# CSV must be byte-identical across kernel shard counts {1,4,16}
-# (engine level), across -parallel {1,8} (campaign level, including the
+# timeline-determinism is the windowed-telemetry gate: recording must
+# not change the open-loop engine's results, the per-window CSV must be
+# byte-identical across -parallel {1,8} (campaign level, including the
 # anomaly log pinned by the timeline golden), and the -live endpoints
 # must serve the same bytes as the file exports.
 timeline-determinism:
-	$(GO) test -run 'TestTimelineShardInvariance|TestTimelineObservationOnly' -count=1 ./internal/traffic/
+	$(GO) test -run 'TestTimelineObservationOnly' -count=1 ./internal/traffic/
 	$(GO) test -run 'TestTimelineWorkersInvariant|TestMergeCommutative' -count=1 ./internal/experiments/ ./internal/obs/tseries/
 	$(GO) test -run 'TestTimelineQuickMatchesGolden' -count=1 ./cmd/statebench/
 	$(GO) test -run 'TestServeLive' -count=1 ./internal/obs/tseries/
@@ -146,7 +148,7 @@ bench-mlkit:
 bench-all:
 	$(GO) test -run - -bench 'SequentialAll|ParallelAll' -benchtime 1x -benchmem .
 
-# bench-traffic exercises the sharded kernel under the traffic-shaped
+# bench-traffic exercises the kernel under the traffic-shaped
 # standing-population workload plus one full million-tenant open-loop
 # run; every benchmark reports events/op so cmd/benchjson -compare can
 # derive events/sec across baselines.
@@ -155,7 +157,7 @@ bench-all:
 # traffic run must own the process so peak-RSS-MB is not inflated by
 # the cascade benchmarks' high-water mark.
 bench-traffic:
-	$(GO) test -run - -bench 'KernelSharded[0-9]' -benchtime 1x -benchmem -timeout 60m .
+	$(GO) test -run - -bench 'KernelStandingCascade' -benchtime 1x -benchmem -timeout 60m .
 	$(GO) test -run - -bench 'SameInstantStorm' -benchmem .
 	$(GO) test -run - -bench 'TrafficMillionTenants' -benchtime 1x -benchmem -timeout 60m .
 

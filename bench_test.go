@@ -115,17 +115,15 @@ func BenchmarkFig14(b *testing.B)  { runSingle(b, experiments.Fig14) }
 func BenchmarkFig15(b *testing.B)  { runSingle(b, experiments.Fig15) }
 func BenchmarkTable3(b *testing.B) { runSingle(b, experiments.Table3) }
 
-// kernelShardedBench is the traffic-shaped kernel workload behind the
-// BENCH_PR6.json baseline: a large standing population of
+// BenchmarkKernelStandingCascade is the traffic-shaped kernel workload
+// behind the BENCH_PR6.json baseline: a large standing population of
 // self-rescheduling timer events (every pop and push walks a heap
 // holding the full population) plus a same-instant continuation
 // cascade per firing (arrival -> record -> dispatch -> complete),
 // mirroring the open-loop engine's event mix. Closures are
 // preallocated per slot, as the traffic engine's arenas do, so the
-// measured cost is the kernel's, not the allocator's. The event order
-// — and thus the executed count — is byte-identical at every shard
-// count; only the storage layout changes.
-func kernelShardedBench(b *testing.B, shards int) {
+// measured cost is the kernel's, not the allocator's.
+func BenchmarkKernelStandingCascade(b *testing.B) {
 	const (
 		population = 1 << 21 // standing timers
 		horizon    = 1500 * time.Millisecond
@@ -134,7 +132,7 @@ func kernelShardedBench(b *testing.B, shards int) {
 	)
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		k := sim.NewKernelSharded(42, shards)
+		k := sim.NewKernel(42)
 		rngs := make([]uint64, population)
 		fires := make([]func(), population)
 		noop := func() {}
@@ -171,20 +169,16 @@ func kernelShardedBench(b *testing.B, shards int) {
 	b.ReportMetric(float64(total)/float64(b.N), "events/op")
 }
 
-func BenchmarkKernelSharded1(b *testing.B)  { kernelShardedBench(b, 1) }
-func BenchmarkKernelSharded4(b *testing.B)  { kernelShardedBench(b, 4) }
-func BenchmarkKernelSharded16(b *testing.B) { kernelShardedBench(b, 16) }
-
 // BenchmarkKernelSameInstantStorm measures the immediate-lane fast
 // path against a large standing heap: every event schedules a
 // same-instant follow-up (the wake(0)/After(0)/dispatch shape that
 // dominates live simulations) while a million future timers sit in
-// the shard heaps. On the pre-shard single-heap kernel each of these
-// paid two full O(log n) heap walks through the standing set; the
-// immediate lane serves them with an append and an index bump.
+// the heap. Without the lane each of these would pay two full
+// O(log n) heap walks through the standing set; the lane serves them
+// with an append and an index bump.
 func BenchmarkKernelSameInstantStorm(b *testing.B) {
 	const standing = 1 << 20
-	k := sim.NewKernelSharded(42, 16)
+	k := sim.NewKernel(42)
 	for j := 0; j < standing; j++ {
 		k.At(time.Hour+sim.Time(j), func() {})
 	}
@@ -231,7 +225,6 @@ func trafficMillionTenants(b *testing.B, timeline bool) {
 			Profile:    spec.Traffic(),
 			Book:       spec.DefaultBook(),
 			CodeSizeMB: 64,
-			Shards:     8,
 			Seed:       42,
 		}
 		if timeline {

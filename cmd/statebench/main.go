@@ -6,7 +6,7 @@
 //	statebench [flags] [experiment...]
 //	statebench trace -impl <style> -workflow <wf> [-runs N] [-o trace.json]
 //	statebench chaos -impl <style>|all -workflow <wf> [-seed N] [-faultrate R]
-//	statebench traffic [-tenants N] [-rate R] [-duration D] [-process P] [-shards S]
+//	statebench traffic [-tenants N] [-rate R] [-duration D] [-process P]
 //	statebench graph [-o FILE] <workflow>
 //	statebench optimize [-slo D] [-budget USD] [-csv FILE]
 //	statebench providers
@@ -48,7 +48,7 @@
 // bursty MMPP, diurnal) over a large tenant population — a million by
 // default — against every registered provider's serving model, and
 // reports tail latency, cold-start rate, scale-controller backlog, and
-// per-tenant cost. Rows are byte-identical at any -shards value.
+// per-tenant cost.
 //
 // Flags:
 //

@@ -21,9 +21,8 @@ import (
 // provider with a traffic profile, reporting tail latency, cold-start
 // rate, scale-controller backlog, and per-tenant cost. Unlike the
 // fixed-scale `traffic` experiment ID, this subcommand exposes the
-// engine's knobs (population, rate, process shape, shard count) — the
-// million-tenant runs in EXPERIMENTS.md go through here. Output rows
-// are byte-identical at any -shards value; only wall-clock changes.
+// engine's knobs (population, rate, process shape) — the
+// million-tenant runs in EXPERIMENTS.md go through here.
 func runTraffic(args []string) {
 	fs := flag.NewFlagSet("traffic", flag.ExitOnError)
 	tenants := fs.Int("tenants", 1_000_000, "simulated tenant population")
@@ -31,7 +30,6 @@ func runTraffic(args []string) {
 	rate := fs.Float64("rate", 50_000, "mean aggregate arrival rate (req/s)")
 	process := fs.String("process", "poisson", "arrival process: poisson|bursty|diurnal|all")
 	providerFlag := fs.String("provider", "all", "provider name or all")
-	shards := fs.Int("shards", 8, "kernel event partitions (results identical at any value)")
 	seed := fs.Uint64("seed", 42, "simulation seed")
 	codeMB := fs.Float64("codesize", 64, "deployment package size (MB), paid on per-request cold starts")
 	csv := fs.Bool("csv", false, "emit CSV instead of a text table")
@@ -98,8 +96,8 @@ func runTraffic(args []string) {
 
 	r := &experiments.Report{
 		ID: "traffic",
-		Title: fmt.Sprintf("Open-loop traffic: %d tenants × %.0f req/s over %v, %d shards, seed %d",
-			*tenants, *rate, *window, *shards, *seed),
+		Title: fmt.Sprintf("Open-loop traffic: %d tenants × %.0f req/s over %v, seed %d",
+			*tenants, *rate, *window, *seed),
 	}
 	r.Table.Header = []string{
 		"provider", "serving", "process", "arrivals", "events", "Mev/s",
@@ -117,7 +115,6 @@ func runTraffic(args []string) {
 				Profile:    spec.Traffic(),
 				Book:       spec.DefaultBook(),
 				CodeSizeMB: *codeMB,
-				Shards:     *shards,
 				Seed:       *seed + uint64(campaign),
 			}
 			if tlc != nil {

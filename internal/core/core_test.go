@@ -139,46 +139,3 @@ func TestEnvIsIndependentPerSeed(t *testing.T) {
 		t.Fatal("scratch not initialized")
 	}
 }
-
-// TestMeasureHistogramMirror: the Histogram option streams every
-// observation into fixed-resolution histograms that must agree with
-// the exact sample sets within obs.Hist's documented relative error
-// (≤ 1/128 per bucket), and the option must not change the exact
-// samples at all.
-func TestMeasureHistogramMirror(t *testing.T) {
-	wf := &fakeWorkflow{e2e: 800 * time.Millisecond}
-	opt := DefaultMeasureOptions()
-	opt.Iters = 50
-
-	plain, err := Measure(wf, AWSLambda, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.E2EHist.Count() != 0 || plain.ColdHist.Count() != 0 {
-		t.Fatal("histograms populated without the Histogram option")
-	}
-
-	opt.Histogram = true
-	s, err := Measure(wf, AWSLambda, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.E2EHist.Count() != uint64(opt.Iters) || s.ColdHist.Count() != uint64(opt.Iters) {
-		t.Fatalf("hist counts %d/%d, want %d", s.E2EHist.Count(), s.ColdHist.Count(), opt.Iters)
-	}
-	// The exact series is untouched by mirroring.
-	if s.E2E.Len() != plain.E2E.Len() || s.E2E.Median() != plain.E2E.Median() {
-		t.Fatal("Histogram option changed the exact samples")
-	}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		exact := float64(s.E2E.Quantile(q))
-		approx := float64(s.E2EHist.Quantile(q))
-		if exact == 0 {
-			continue
-		}
-		if rel := (approx - exact) / exact; rel > 1.0/128 || rel < -1.0/128 {
-			t.Fatalf("q%v: hist %v vs samples %v exceeds 1/128 relative error",
-				q, time.Duration(int64(approx)), time.Duration(int64(exact)))
-		}
-	}
-}

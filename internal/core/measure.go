@@ -27,14 +27,6 @@ type Series struct {
 	// E2E and Cold hold per-run latency and cold-start samples.
 	E2E  obs.Samples
 	Cold obs.Samples
-	// E2EHist and ColdHist are streaming mirrors of E2E/Cold,
-	// populated only when MeasureOptions.Histogram is set — the bridge
-	// between closed-loop campaigns and the open-loop traffic
-	// reports, and the in-tree cross-check that the fixed-resolution
-	// histograms track the exact sample sets within their documented
-	// error bound.
-	E2EHist  obs.Hist
-	ColdHist obs.Hist
 	// Breakdowns holds per-run queue/exec decompositions.
 	Breakdowns obs.BreakdownSet
 
@@ -126,13 +118,6 @@ type MeasureOptions struct {
 	// zero-overhead fast path: no injector is constructed and no
 	// simulated result changes.
 	Chaos *chaos.Plan
-	// Histogram additionally streams every E2E/cold observation into
-	// the Series' fixed-resolution histograms (E2EHist/ColdHist).
-	// Off by default: closed-loop campaigns retain exact samples, so
-	// the histograms are a cross-check and a bridge to the open-loop
-	// traffic reports, not a replacement. Never changes measured
-	// output.
-	Histogram bool
 	// Timeline, when non-nil, enables windowed telemetry: the campaign
 	// records into a private per-campaign tseries.Series (at the
 	// collector's window interval) and merges it into the collector when
@@ -161,19 +146,13 @@ func DefaultMeasureOptions() MeasureOptions {
 // invokes it opt.Iters times, collecting latency, breakdown, and cost
 // series.
 func Measure(wf Workflow, impl Impl, opt MeasureOptions) (*Series, error) {
-	return measureSharded(1, wf, impl, opt)
-}
-
-// measureSharded is Measure on a kernel with the given number of event
-// partitions, which tests vary: results must not depend on it.
-func measureSharded(shards int, wf Workflow, impl Impl, opt MeasureOptions) (*Series, error) {
 	if !SupportsImpl(wf, impl) {
 		return nil, &UnsupportedImplError{Workflow: wf.Name(), Impl: impl}
 	}
 	if opt.Iters <= 0 {
 		opt.Iters = 1
 	}
-	env := newEnv(sim.NewKernelSharded(opt.Seed, shards), platform.DefaultAWS(), platform.DefaultAzure())
+	env := newEnv(sim.NewKernel(opt.Seed), platform.DefaultAWS(), platform.DefaultAzure())
 	if opt.PayloadCache != nil {
 		env.Payload = opt.PayloadCache
 	}
@@ -263,10 +242,6 @@ func measureSharded(shards int, wf Workflow, impl Impl, opt MeasureOptions) (*Se
 			}
 			s.E2E.Add(stats.E2E)
 			s.Cold.Add(stats.ColdStart)
-			if opt.Histogram {
-				s.E2EHist.Record(stats.E2E)
-				s.ColdHist.Record(stats.ColdStart)
-			}
 			if stats.ExecTime == 0 {
 				stats.ExecTime = delta.Exec
 			}
@@ -297,7 +272,7 @@ func measureSharded(shards int, wf Workflow, impl Impl, opt MeasureOptions) (*Se
 	if tl != nil {
 		s.Timeline = tl
 		opt.Timeline.Merge(tl)
-		opt.Timeline.AddDone(0)
+		opt.Timeline.AddDone()
 	}
 	return s, nil
 }

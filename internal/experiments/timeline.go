@@ -26,11 +26,6 @@ import (
 // that evidence them. Like crosscloud and traffic it is not part of the
 // paper's output: run it with the `timeline` experiment ID.
 
-// timelineShards is the kernel partition count of the open-loop
-// scenario; results are byte-identical at every value (the determinism
-// test replays the scenario at 1 and 16).
-const timelineShards = 8
-
 // timelineScenario is one recorded run: a window series to detect
 // over, the spans to cross-link (nil for span-free producers), and the
 // scenario's detector tuning.
@@ -99,7 +94,7 @@ func Timeline(o Options) (*Report, error) {
 	}
 	r.Notes = append(r.Notes,
 		"rules: cold-surge and sched-spike flag vs a 30-window trailing median; backlog-growth flags sustained queue-depth climbs; slo-burn flags windows burning >=10x error budget",
-		"windows, anomalies, and trace links are byte-identical at any -parallel and kernel shard count")
+		"windows, anomalies, and trace links are byte-identical at any -parallel")
 	return r, nil
 }
 
@@ -168,14 +163,13 @@ func timelineBurstScenario(o Options) (timelineScenario, error) {
 		Profile:    spec.Traffic(),
 		Book:       spec.DefaultBook(),
 		CodeSizeMB: 64,
-		Shards:     timelineShards,
 		Seed:       o.Seed,
 		Timeline:   tl,
 	}
 	traffic.Run(cfg)
 	if o.Timeline != nil {
 		o.Timeline.Merge(tl)
-		o.Timeline.AddDone(0)
+		o.Timeline.AddDone()
 	}
 	return timelineScenario{
 		name:   "burst/Azure-traffic",

@@ -22,12 +22,7 @@ import (
 // platform keeps up, so cold-start amplification and scale-controller
 // backlog become visible as tail latency rather than per-iteration
 // means. All latency aggregates are streaming histograms; the report
-// is byte-identical at any Workers setting and any kernel shard count.
-
-// trafficShards is the kernel partition count used by the experiment's
-// runs. Results are byte-identical at every value; this one just keeps
-// the per-heap working set cache-sized at experiment scale.
-const trafficShards = 8
+// is byte-identical at any Workers setting.
 
 // trafficProcesses builds the arrival-process grid for a mean rate.
 // The burst/dwell and diurnal shapes are fixed so reports are
@@ -75,7 +70,6 @@ func TrafficSweep(o Options) (*Report, error) {
 					Profile:    spec.Traffic(),
 					Book:       spec.DefaultBook(),
 					CodeSizeMB: 64,
-					Shards:     trafficShards,
 					// Campaign seeds derive from o.Seed and the grid
 					// position alone, so Workers never changes results.
 					Seed: o.Seed + uint64(len(campaigns)),
@@ -123,7 +117,7 @@ func TrafficSweep(o Options) (*Report, error) {
 	r.Table.Rows = append(r.Table.Rows, rows...)
 	r.Notes = append(r.Notes,
 		"open-loop: arrivals keep coming whether or not the platform keeps up, so cold starts and controller backlog surface as tail latency",
-		"latency aggregates are streaming histograms (≤0.8% relative error); rows are byte-identical at any -parallel and kernel shard count",
+		"latency aggregates are streaming histograms (≤0.8% relative error); rows are byte-identical at any -parallel",
 		"campaign list is registry-derived: providers appear by publishing a traffic profile in their ProviderSpec")
 	return r, nil
 }

@@ -17,7 +17,7 @@ func trafficOpts(workers int) Options {
 // TestTrafficWorkersInvariance is the experiment-level half of the
 // determinism gate: the rendered traffic report is byte-identical at
 // -parallel 1 and 8 (campaign seeds derive from Seed and grid position
-// alone; each run's kernel is itself shard-invariant).
+// alone).
 func TestTrafficWorkersInvariance(t *testing.T) {
 	ref, err := TrafficSweep(trafficOpts(1))
 	if err != nil {

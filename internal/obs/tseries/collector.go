@@ -90,16 +90,12 @@ func (c *Collector) SetProgress(p Progress) {
 }
 
 // AddDone increments the completed-work counter for campaign-suite
-// progress, installing total as the denominator when positive (pass 0
-// to leave a previously published total untouched).
-func (c *Collector) AddDone(total int) {
+// progress; SetProgress publishes the total.
+func (c *Collector) AddDone() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	if total > 0 {
-		c.prog.Total = total
-	}
 	c.prog.Done++
 	c.mu.Unlock()
 }

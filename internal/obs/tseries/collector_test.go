@@ -23,6 +23,7 @@ func TestCollectorMergeAcrossGoroutines(t *testing.T) {
 
 	c := NewCollector(0)
 	const workers = 8
+	c.SetProgress(Progress{Total: workers})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -33,7 +34,7 @@ func TestCollectorMergeAcrossGoroutines(t *testing.T) {
 				recs[i].apply(local)
 			}
 			c.Merge(local)
-			c.AddDone(workers)
+			c.AddDone()
 		}(w)
 	}
 	wg.Wait()
@@ -62,7 +63,7 @@ func TestCollectorReplaceAndSnapshotIsolation(t *testing.T) {
 func TestCollectorProgress(t *testing.T) {
 	c := NewCollector(0)
 	c.SetProgress(Progress{Phase: "campaigns", Total: 10, VirtualTime: 5 * time.Second})
-	c.AddDone(0) // 0 leaves the published total alone
+	c.AddDone()
 	_, p := c.Snapshot()
 	if p.Phase != "campaigns" || p.Done != 1 || p.Total != 10 {
 		t.Fatalf("progress = %+v", p)
@@ -74,7 +75,7 @@ func TestNilCollectorSafe(t *testing.T) {
 	c.Merge(New(time.Second))
 	c.Replace(New(time.Second))
 	c.SetProgress(Progress{})
-	c.AddDone(1)
+	c.AddDone()
 	if c.Interval() != DefaultInterval {
 		t.Fatal("nil Interval")
 	}

@@ -28,24 +28,19 @@
 // orders one holder's writes before the next holder's reads. A panic
 // in an event callback unwinds whichever goroutine holds the baton.
 //
-// # Sharded event storage
+// # Event storage
 //
-// Internally the pending-event set is split across S per-partition
-// 4-ary heaps (S is a power of two, chosen at construction; NewKernel
-// uses one) plus an O(1) FIFO lane for events due at the current
-// instant. The event loop merges across partitions by scanning a flat
-// array of cached head keys and always executing the globally minimal
-// (at, seq) pair. Because seq is assigned from a single kernel-wide
-// counter and the merge compares full keys, the execution order is
-// exactly the single-heap order for every shard count: partitioning
-// affects only which backing array an event waits in, never when it
-// runs. See DESIGN.md §11 for the full determinism argument.
+// Pending events wait in one of two places: a 4-ary heap for events
+// queued for a later instant than the clock's, and an O(1) FIFO lane
+// for events queued for the current one. Each event draws its seq from
+// one kernel-wide counter, and the event loop always runs whichever of
+// the two heads has the smaller (at, seq) key, so the execution order
+// is the order a single heap would give. See DESIGN.md §11 for the
+// determinism argument.
 package sim
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"time"
 )
 
@@ -93,12 +88,6 @@ type eventQueue struct {
 	keys []eventKey
 	fns  []func()
 }
-
-// len returns the number of queued events.
-func (q *eventQueue) len() int { return len(q.keys) }
-
-// head returns the minimum key. Call only when len() > 0.
-func (q *eventQueue) head() eventKey { return q.keys[0] }
 
 // push appends e and restores the heap property.
 func (q *eventQueue) push(e event) {
@@ -167,20 +156,10 @@ func (q *eventQueue) pop() event {
 // release frees the backing arrays.
 func (q *eventQueue) release() { q.keys, q.fns = nil, nil }
 
-// headSentinel marks an empty shard in the cached head-key arrays. No
-// real event can carry it: at is clamped to the clock (≥ 0) and seq
-// starts at 1.
-const headSentinel = math.MaxInt64
-
-// maxShards bounds the shard count; beyond this the O(S) head scan per
-// pop costs more than the smaller heaps save.
-const maxShards = 1024
-
 // Kernel is a discrete-event simulation engine with a virtual clock.
-// Create one with NewKernel (single event partition) or
-// NewKernelSharded; it is not safe for concurrent use from multiple
-// host goroutines (all access must come from the goroutine holding the
-// baton — see the package comment's concurrency contract).
+// Create one with NewKernel; it is not safe for concurrent use from
+// multiple host goroutines (all access must come from the goroutine
+// holding the baton — see the package comment's concurrency contract).
 type Kernel struct {
 	now     Time
 	seq     int64
@@ -197,24 +176,9 @@ type Kernel struct {
 	deadline Time
 	switches uint64
 
-	// Sharded pending-event storage. shards holds the per-partition
-	// heaps; headAt/headSeq cache each shard's minimum key (headSentinel
-	// when empty) so the cross-partition merge scans two flat int64
-	// arrays instead of chasing heap backing arrays.
-	shards  []eventQueue
-	headAt  []Time
-	headSeq []int64
-	mask    uint32 // len(shards)-1; shard routing is hash & mask
-
-	// minAt/minSeq/minSrc cache the global minimum over the shard
-	// heads. A push can only lower its shard's head, so it refreshes
-	// the cache with one compare; only a heap pop (which changed the
-	// minimum shard's head) triggers the O(shards) rescan. Immediate-
-	// lane pops never touch shard heads, so the merge step for them is
-	// O(1) at any shard count.
-	minAt  Time
-	minSeq int64
-	minSrc int32
+	// heap holds every event queued for a later instant than the
+	// clock read when it was queued.
+	heap eventQueue
 
 	// imm is the immediate lane: a FIFO of events due at the current
 	// instant. Entries are appended with kernel-wide increasing seq, so
@@ -227,7 +191,6 @@ type Kernel struct {
 	imm     []event
 	immHead int
 
-	cur      uint32 // shard of the event being executed; routes At
 	pending  int
 	executed uint64
 
@@ -246,56 +209,9 @@ type Kernel struct {
 // NewKernel returns a kernel whose clock starts at zero. seed is the
 // master seed from which all component RNG streams are derived; the same
 // seed always reproduces the same run.
-func NewKernel(seed uint64) *Kernel { return NewKernelSharded(seed, 1) }
-
-// NewKernelSharded returns a kernel whose pending-event set is split
-// across shards partitions (rounded up to a power of two, clamped to
-// [1, 1024]). Sharding is purely an event-storage layout choice: the
-// execution order — and therefore every simulation result — is
-// byte-identical for every shard count. More shards mean smaller,
-// cache-friendlier heaps under very large pending sets (millions of
-// queued events) at the cost of an O(shards) head scan per pop.
-func NewKernelSharded(seed uint64, shards int) *Kernel {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > maxShards {
-		shards = maxShards
-	}
-	if shards&(shards-1) != 0 {
-		shards = 1 << bits.Len(uint(shards))
-	}
-	k := &Kernel{
-		done:    make(chan struct{}, 1),
-		seed:    seed,
-		shards:  make([]eventQueue, shards),
-		headAt:  make([]Time, shards),
-		headSeq: make([]int64, shards),
-		mask:    uint32(shards - 1),
-	}
-	for s := range k.headAt {
-		k.headAt[s] = headSentinel
-		k.headSeq[s] = headSentinel
-	}
-	k.minAt, k.minSeq, k.minSrc = headSentinel, headSentinel, -1
-	return k
+func NewKernel(seed uint64) *Kernel {
+	return &Kernel{done: make(chan struct{}, 1), seed: seed}
 }
-
-// rescanHeads recomputes the cached global minimum over the shard
-// heads. Called after a heap pop (the popped shard's head changed) and
-// on drain.
-func (k *Kernel) rescanHeads() {
-	at, seq, src := Time(headSentinel), int64(headSentinel), int32(-1)
-	for s, ha := range k.headAt {
-		if ha < at || (ha == at && k.headSeq[s] < seq) {
-			at, seq, src = ha, k.headSeq[s], int32(s)
-		}
-	}
-	k.minAt, k.minSeq, k.minSrc = at, seq, src
-}
-
-// ShardCount returns the number of event partitions.
-func (k *Kernel) ShardCount() int { return len(k.shards) }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -303,57 +219,26 @@ func (k *Kernel) Now() Time { return k.now }
 // Seed returns the master seed the kernel was created with.
 func (k *Kernel) Seed() uint64 { return k.seed }
 
-// push routes an event to the immediate lane if it is due at the
-// current instant, otherwise to the given shard's heap, refreshing the
-// cached head key.
-func (k *Kernel) push(shard uint32, e event) {
+// push queues an event: in the immediate lane if it is due at the
+// current instant, otherwise in the heap.
+func (k *Kernel) push(e event) {
 	k.pending++
 	if e.at == k.now {
 		k.imm = append(k.imm, e)
 		return
 	}
-	q := &k.shards[shard]
-	q.push(e)
-	if k.mask == 0 {
-		// Single-shard kernels skip the head/min caches entirely: the
-		// one heap's head is the global minimum, read directly by
-		// RunUntil's fast path. The cache arrays stay all-sentinel.
-		return
-	}
-	h := q.head()
-	k.headAt[shard] = h.at
-	k.headSeq[shard] = h.seq
-	// A push only lowers (or keeps) its shard's head, so the cached
-	// global minimum stays valid unless this head undercuts it.
-	if h.at < k.minAt || (h.at == k.minAt && h.seq < k.minSeq) {
-		k.minAt, k.minSeq, k.minSrc = h.at, h.seq, int32(shard)
-	}
+	k.heap.push(e)
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past (t < Now) runs the event at the current time, after already-queued
-// events for this instant. The event lands in the partition of the
-// event currently executing (partition 0 outside the loop); use AtKeyed
-// to pin related work to one partition.
+// events for this instant.
 func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		t = k.now
 	}
 	k.seq++
-	k.push(k.cur&k.mask, event{at: t, seq: k.seq, fn: fn})
-}
-
-// AtKeyed is At with an explicit partition affinity key: all events
-// scheduled under the same key share a shard heap, keeping a tenant's
-// (or a platform component's) timer footprint within one backing
-// array. The key changes only data layout — execution order is
-// independent of partition assignment.
-func (k *Kernel) AtKeyed(key uint64, t Time, fn func()) {
-	if t < k.now {
-		t = k.now
-	}
-	k.seq++
-	k.push(uint32(mix64(key))&k.mask, event{at: t, seq: k.seq, fn: fn})
+	k.push(event{at: t, seq: k.seq, fn: fn})
 }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
@@ -373,7 +258,7 @@ func (k *Kernel) pushUnpark(d time.Duration, p *Proc) {
 		d = 0
 	}
 	k.seq++
-	k.push(p.shard&k.mask, event{at: k.now + d, seq: k.seq, fn: p.unparkFn})
+	k.push(event{at: k.now + d, seq: k.seq, fn: p.unparkFn})
 }
 
 // pushCondUnpark schedules a conditional wake-up d from now: when the
@@ -388,7 +273,7 @@ func (k *Kernel) pushCondUnpark(d time.Duration, p *Proc, gen uint64) {
 		d = 0
 	}
 	k.seq++
-	k.push(p.shard&k.mask, event{at: k.now + d, seq: k.seq, fn: func() {
+	k.push(event{at: k.now + d, seq: k.seq, fn: func() {
 		if p.awaitGen == gen {
 			p.awaitGen++
 			k.pushUnpark(0, p)
@@ -418,32 +303,23 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 // (drained, stopped, or past the deadline). It returns the woken
 // process, or nil when the run ended.
 func (k *Kernel) dispatch() *Proc {
-	single, deadline := k.mask == 0, k.deadline
+	deadline := k.deadline
 	for k.pending > 0 && !k.stopped {
-		// Merge: the next event is the global (at, seq) minimum across
-		// the immediate lane and the cached shard-head minimum. The lane
-		// head is a candidate only on equal at (its at is always the
-		// current instant, never ahead of a shard head's), so ties fall
-		// to seq — and the whole step is O(1): the O(shards) rescan runs
-		// only after heap pops, inside rescanHeads. Single-shard kernels
-		// read the one heap's head directly and skip the caches (and the
-		// rescan) altogether — the pre-shard kernel's exact cost model.
-		var at Time
-		var seq int64
-		var src int
-		if single {
-			at, seq, src = headSentinel, headSentinel, 0
-			if q := &k.shards[0]; len(q.keys) > 0 {
-				at, seq = q.keys[0].at, q.keys[0].seq
-			}
-		} else {
-			at, seq, src = k.minAt, k.minSeq, int(k.minSrc)
-		}
-		if k.immHead < len(k.imm) {
+		// The next event is the smaller (at, seq) of the lane head and the
+		// heap head. The lane head's at is the current instant, never
+		// after the heap head's, so on equal at the seq decides: a heap
+		// event queued for this instant before the clock reached it runs
+		// before a lane event queued since.
+		lane := k.immHead < len(k.imm)
+		if lane && len(k.heap.keys) > 0 {
 			ie := &k.imm[k.immHead]
-			if ie.at < at || (ie.at == at && ie.seq < seq) {
-				at, seq, src = ie.at, ie.seq, -1
-			}
+			lane = eventKey{at: ie.at, seq: ie.seq}.before(k.heap.keys[0])
+		}
+		var at Time
+		if lane {
+			at = k.imm[k.immHead].at
+		} else {
+			at = k.heap.keys[0].at
 		}
 		if deadline >= 0 && at > deadline {
 			if deadline > k.now {
@@ -452,7 +328,7 @@ func (k *Kernel) dispatch() *Proc {
 			return nil
 		}
 		var fn func()
-		if src < 0 {
+		if lane {
 			fn = k.imm[k.immHead].fn
 			k.imm[k.immHead] = event{} // release the closure to the GC
 			k.immHead++
@@ -461,20 +337,7 @@ func (k *Kernel) dispatch() *Proc {
 				k.immHead = 0
 			}
 		} else {
-			q := &k.shards[src]
-			fn = q.pop().fn
-			if !single {
-				if q.len() > 0 {
-					h := q.head()
-					k.headAt[src] = h.at
-					k.headSeq[src] = h.seq
-				} else {
-					k.headAt[src] = headSentinel
-					k.headSeq[src] = headSentinel
-				}
-				k.cur = uint32(src)
-				k.rescanHeads()
-			}
+			fn = k.heap.pop().fn
 		}
 		k.pending--
 		k.executed++
@@ -497,13 +360,10 @@ func (k *Kernel) dispatch() *Proc {
 		// The run drained: release the event storage. Callers routinely
 		// keep the Env (and so the kernel) alive long after a campaign
 		// for drill-downs; the backing arrays should not be pinned with
-		// it. The head-key arrays already read all-sentinel and stay.
-		for s := range k.shards {
-			k.shards[s].release()
-		}
+		// it.
+		k.heap.release()
 		k.imm = nil
 		k.immHead = 0
-		k.minAt, k.minSeq, k.minSrc = headSentinel, headSentinel, -1
 	}
 	return nil
 }

@@ -475,18 +475,12 @@ func TestRunReleasesEventStorage(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		k.After(time.Duration(i)*time.Millisecond, func() {})
 	}
-	queued := 0
-	for s := range k.shards {
-		queued += cap(k.shards[s].keys)
-	}
-	if queued == 0 {
+	if cap(k.heap.keys) == 0 {
 		t.Fatal("queue unexpectedly empty before Run")
 	}
 	k.Run()
-	for s := range k.shards {
-		if k.shards[s].keys != nil || k.shards[s].fns != nil {
-			t.Fatalf("shard %d storage retained after drain: cap %d", s, cap(k.shards[s].keys))
-		}
+	if k.heap.keys != nil || k.heap.fns != nil {
+		t.Fatalf("heap storage retained after drain: cap %d", cap(k.heap.keys))
 	}
 	if k.imm != nil {
 		t.Fatalf("immediate-lane storage retained after drain: cap %d", cap(k.imm))
@@ -497,5 +491,53 @@ func TestRunReleasesEventStorage(t *testing.T) {
 	k.Run()
 	if !ran {
 		t.Fatal("kernel unusable after storage release")
+	}
+}
+
+// TestExecutedCounter checks the events/sec denominator.
+func TestExecutedCounter(t *testing.T) {
+	k := NewKernel(1)
+	const n = 100
+	for i := 0; i < n; i++ {
+		k.At(time.Duration(i%5)*time.Millisecond, func() {})
+	}
+	k.Run()
+	if k.Executed() != n {
+		t.Fatalf("Executed() = %d, want %d", k.Executed(), n)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("Pending() = %d after drain", k.Pending())
+	}
+}
+
+// TestShardedRunUntilDeadline checks that the deadline cut consults
+// both heads — the event at 0 waits in the immediate lane, the rest in
+// the heap — runs the events at the deadline itself, and that a later
+// Run resumes where the cut left off.
+func TestShardedRunUntilDeadline(t *testing.T) {
+	k := NewKernel(9)
+	var ran []int
+	for i := 0; i < 40; i++ {
+		i := i
+		k.At(time.Duration(i)*time.Second, func() { ran = append(ran, i) })
+	}
+	k.RunUntil(19 * time.Second)
+	if len(ran) != 20 {
+		t.Fatalf("ran %d events before deadline, want 20", len(ran))
+	}
+	for i, v := range ran {
+		if v != i {
+			t.Fatalf("slot %d ran event %d", i, v)
+		}
+	}
+	if k.Pending() != 20 {
+		t.Fatalf("Pending() = %d, want 20", k.Pending())
+	}
+	if k.Now() != 19*time.Second {
+		t.Fatalf("Now() = %v, want 19s", k.Now())
+	}
+	k.Run()
+	if len(ran) != 40 || k.Pending() != 0 {
+		t.Fatalf("resume after deadline: ran=%d pending=%d", len(ran), k.Pending())
 	}
 }

@@ -52,13 +52,6 @@ type Proc struct {
 	// completion entry, so a later Complete schedules nothing for it.
 	// Closure-free timeout cancellation.
 	awaitGen uint64
-
-	// shard is the process's event-partition affinity, fixed at spawn:
-	// every wake-up the process ever schedules lands in the same shard
-	// heap, so a long-lived process's timer churn stays within one
-	// backing array. Affinity is a layout choice only — execution order
-	// is independent of it (see the kernel's sharding comment).
-	shard uint32
 }
 
 // Spawn creates a process named name and schedules it to start at the
@@ -72,7 +65,6 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 func (k *Kernel) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
 	k.procSeq++
 	p := &Proc{k: k, id: k.procSeq, name: name, resume: make(chan struct{}, 1)}
-	p.shard = uint32(mix64(uint64(p.id)))
 	p.unparkFn = p.unpark
 	k.live++
 	k.After(d, func() {

@@ -70,7 +70,7 @@ func TestTickListenerRemoval(t *testing.T) {
 // lets telemetry ride along without perturbing results.
 func TestTickListenerDoesNotPerturbRun(t *testing.T) {
 	run := func(listen bool) ([]int, uint64, Time) {
-		k := NewKernelSharded(42, 4)
+		k := NewKernel(42)
 		if listen {
 			k.SetTickListener(time.Second, func(Time) {})
 		}

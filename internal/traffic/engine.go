@@ -24,15 +24,9 @@ type Config struct {
 	// streams are not simulated individually: the superposition of the
 	// population's independent Poisson streams is itself Poisson (and
 	// analogously for the modulated variants), so arrivals are drawn
-	// from one aggregate process and attributed to tenants by sampling
-	// the population mix at each arrival.
+	// from one aggregate process, and each arrival goes to a tenant drawn
+	// uniformly from the population.
 	Process ArrivalProcess
-	// HotTenantShare/HotTrafficShare skew the attribution: the first
-	// HotTenantShare of the population receives HotTrafficShare of the
-	// traffic (defaults 0.1/0.9 — the usual "10% of tenants are 90% of
-	// load"). Zero values mean uniform attribution.
-	HotTenantShare  float64
-	HotTrafficShare float64
 	// Profile is the provider's serving-model calibration, from the
 	// registry's ProviderSpec.Traffic.
 	Profile platform.TrafficProfile
@@ -43,9 +37,8 @@ type Config struct {
 	// CodeSizeMB adds deployment-package fetch time to per-request
 	// cold starts (profile.CodeFetchBW).
 	CodeSizeMB float64
-	// Shards is the kernel's event-partition count (0 = 1). Any value
-	// produces byte-identical results; more shards keep the per-heap
-	// working set cache-sized under millions of pending events.
+	// Shards is ignored: the kernel has one event heap. The field
+	// remains because perfbench still sets it; drop both together.
 	Shards int
 	// Seed drives every RNG stream of the run.
 	Seed uint64
@@ -56,8 +49,7 @@ type Config struct {
 	// backlog / warm-capacity max-gauges maintained incrementally (O(1)
 	// per event, never an O(Tenants) scan). Recording is pure
 	// observation — no events, no RNG draws — so results are
-	// byte-identical with it on or off, and the series itself is
-	// byte-identical at any shard count.
+	// byte-identical with it on or off.
 	Timeline *tseries.Series
 	// OnWindow, when non-nil (requires Timeline), is invoked by the run
 	// loop each time the virtual clock crosses a Timeline window
@@ -70,7 +62,7 @@ type Config struct {
 
 // Result is the outcome of one open-loop run. All latency aggregates
 // are streaming histograms (constant memory at any arrival count) and
-// are byte-identical for every shard count and worker layout.
+// are byte-identical for every worker layout.
 type Result struct {
 	Cloud   string
 	Style   platform.ServeStyle
@@ -163,8 +155,6 @@ type engine struct {
 	arrRNG *sim.RNG // arrival process + tenant attribution
 	svcRNG *sim.RNG // service-side draws (RTT, cold, exec)
 
-	hot int // tenants in the hot set
-
 	// Per-request (warm-entry) style, mirroring platform.Pool's
 	// warm-lease semantics in compact form: warmCnt idle containers,
 	// all conservatively sharing the newest lease expiry. Per-tenant
@@ -216,20 +206,14 @@ func Run(cfg Config) *Result {
 	if cfg.Tenants < 1 {
 		cfg.Tenants = 1
 	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
 	if cfg.Process == nil {
 		cfg.Process = Poisson{Rate: 100}
 	}
 	if cfg.ExecTime == nil {
 		cfg.ExecTime = sim.LogNormalDist{Median: 80 * time.Millisecond, Sigma: 0.5, Max: 10 * time.Second}
 	}
-	if cfg.HotTenantShare <= 0 || cfg.HotTenantShare >= 1 || cfg.HotTrafficShare <= 0 {
-		cfg.HotTenantShare, cfg.HotTrafficShare = 1, 1
-	}
 
-	k := sim.NewKernelSharded(cfg.Seed, cfg.Shards)
+	k := sim.NewKernel(cfg.Seed)
 	e := &engine{
 		cfg: cfg,
 		k:   k,
@@ -245,10 +229,6 @@ func Run(cfg Config) *Result {
 	}
 	if cfg.Timeline.Enabled() && cfg.OnWindow != nil {
 		k.SetTickListener(cfg.Timeline.Interval(), cfg.OnWindow)
-	}
-	e.hot = int(cfg.HotTenantShare * float64(cfg.Tenants))
-	if e.hot < 1 {
-		e.hot = 1
 	}
 	if cfg.Profile.CodeFetchBW > 0 {
 		e.coldFetch = sim.Time(cfg.CodeSizeMB * 1e6 / cfg.Profile.CodeFetchBW * 1e9)
@@ -278,11 +258,11 @@ func Run(cfg Config) *Result {
 	arrive = func() {
 		e.arrival()
 		if next := cfg.Process.Next(e.arrRNG, k.Now()); next < cfg.Duration {
-			k.AtKeyed(^uint64(0), next, arrive)
+			k.At(next, arrive)
 		}
 	}
 	if first := cfg.Process.Next(e.arrRNG, 0); first < cfg.Duration {
-		k.AtKeyed(^uint64(0), first, arrive)
+		k.At(first, arrive)
 	}
 
 	e.res.SimEnd = k.Run()
@@ -292,19 +272,6 @@ func Run(cfg Config) *Result {
 	}
 	e.bill()
 	return e.res
-}
-
-// sampleTenant attributes an arrival: hot-set tenants get
-// HotTrafficShare of the stream.
-func (e *engine) sampleTenant() int32 {
-	n := e.cfg.Tenants
-	if e.hot >= n {
-		return int32(e.arrRNG.Intn(n))
-	}
-	if e.arrRNG.Float64() < e.cfg.HotTrafficShare {
-		return int32(e.arrRNG.Intn(e.hot))
-	}
-	return int32(e.hot + e.arrRNG.Intn(n-e.hot))
 }
 
 // alloc takes an invocation record, installing the slot's completion
@@ -321,7 +288,7 @@ func (e *engine) alloc() (int32, *rec) {
 
 // arrival admits one invocation at the current instant.
 func (e *engine) arrival() {
-	t := e.sampleTenant()
+	t := int32(e.arrRNG.Intn(e.cfg.Tenants)) // uniform attribution
 	e.reqCnt[t]++
 	e.res.Arrivals++
 	now := e.k.Now()
@@ -353,7 +320,7 @@ func (e *engine) arrival() {
 			e.res.ColdWait.Record(entry)
 			e.tl.AddCold(now, entry)
 		}
-		e.k.AtKeyed(uint64(t), now+r.rtt+entry+r.exec, r.fire)
+		e.k.At(now+r.rtt+entry+r.exec, r.fire)
 		return
 	}
 
@@ -390,7 +357,7 @@ func (e *engine) dispatch(r *rec) {
 	e.res.QueueWait.Record(now - r.start)
 	e.tl.AddSched(now, now-r.start)
 	disp := e.cfg.Profile.WarmStart.Sample(e.svcRNG)
-	e.k.AtKeyed(uint64(t), now+disp+r.exec, r.fire)
+	e.k.At(now+disp+r.exec, r.fire)
 }
 
 // complete finishes an invocation: streaming aggregation, billing
@@ -445,7 +412,7 @@ func (e *engine) armTev(t int32, kind uint8, d sim.Time) {
 	}
 	ev.tenant = t
 	ev.kind = kind
-	e.k.AtKeyed(uint64(t), e.k.Now()+d, ev.fire)
+	e.k.At(e.k.Now()+d, ev.fire)
 }
 
 // control runs one per-tenant control event.

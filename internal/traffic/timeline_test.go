@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -9,46 +8,11 @@ import (
 	"statebench/internal/sim"
 )
 
-func timelineCSV(t *testing.T, cfg Config) string {
-	t.Helper()
-	cfg.Timeline = tseries.New(0)
-	Run(cfg)
-	var buf bytes.Buffer
-	if err := cfg.Timeline.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
-// TestTimelineShardInvariance is the engine-level half of the windowed
-// determinism gate: the per-window CSV — counters, gauges, and every
-// histogram quantile column — is byte-identical at kernel shard counts
-// {1, 4, 16} for both serving styles.
-func TestTimelineShardInvariance(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  func(shards int) Config
-	}{
-		{"per-request", perRequestCfg},
-		{"instance-pool", instancePoolCfg},
-	} {
-		ref := timelineCSV(t, tc.cfg(1))
-		if len(ref) < 100 {
-			t.Fatalf("%s: suspiciously empty timeline:\n%s", tc.name, ref)
-		}
-		for _, shards := range []int{4, 16} {
-			if got := timelineCSV(t, tc.cfg(shards)); got != ref {
-				t.Fatalf("%s: timeline CSV diverged at %d shards", tc.name, shards)
-			}
-		}
-	}
-}
-
 // The engine must book observable occupancy: a bursty instance-pool
 // run shows backlog (queue depth) and warm-pool gauges, and totals
 // that agree with the engine's own result counters.
 func TestTimelineContents(t *testing.T) {
-	cfg := instancePoolCfg(4)
+	cfg := instancePoolCfg()
 	tl := tseries.New(0)
 	cfg.Timeline = tl
 	res := Run(cfg)
@@ -81,9 +45,9 @@ func TestTimelineContents(t *testing.T) {
 // OnWindow fires at window boundaries in virtual-time order and — being
 // a passive tick listener — must not change the run's results.
 func TestTimelineOnWindowPassive(t *testing.T) {
-	base := Run(instancePoolCfg(4))
+	base := Run(instancePoolCfg())
 
-	cfg := instancePoolCfg(4)
+	cfg := instancePoolCfg()
 	cfg.Timeline = tseries.New(0)
 	var boundaries []sim.Time
 	cfg.OnWindow = func(b sim.Time) { boundaries = append(boundaries, b) }
@@ -106,8 +70,8 @@ func TestTimelineOnWindowPassive(t *testing.T) {
 // A disabled (nil) timeline leaves results identical to an enabled one
 // — telemetry observes, never steers.
 func TestTimelineObservationOnly(t *testing.T) {
-	plain := Run(perRequestCfg(4))
-	cfg := perRequestCfg(4)
+	plain := Run(perRequestCfg())
+	cfg := perRequestCfg()
 	cfg.Timeline = tseries.New(time.Second)
 	instrumented := Run(cfg)
 	assertIdentical(t, plain, instrumented, "timeline on vs off")
