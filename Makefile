@@ -6,8 +6,10 @@
 #            suite (including the quick-scale output goldens).
 # tier1.5  — adds static analysis and the race detector; the
 #            determinism test self-downscales under -race, and the
-#            kernel's tests repeat ten times under it, because kernel
-#            state passes between process goroutines. It also
+#            kernel's and the queue listener's tests repeat ten times
+#            under it, because kernel state passes between process
+#            goroutines and listener callbacks run on whichever
+#            goroutine holds the baton. It also
 #            cross-builds for Windows, the only build of the non-Linux
 #            files (payload's heap-backed zero arena).
 # tier2    — tier1.5 plus the observability/chaos determinism gates,
@@ -51,7 +53,7 @@ golden:
 
 tier1.5:
 	$(GO) vet ./... && $(GO) test -race -timeout 20m ./...
-	$(GO) test -race -count=10 ./internal/sim/
+	$(GO) test -race -count=10 ./internal/sim/ ./internal/cloud/queue/
 	GOOS=windows GOARCH=amd64 $(GO) build ./...
 	$(MAKE) golden-cache-off
 
@@ -131,9 +133,11 @@ fuzz:
 
 # bench-kernel reports at GOMAXPROCS 1 and 2: a baton pass between
 # process goroutines costs differently when the woken goroutine can run
-# on another core.
+# on another core. IdleListeners is four storage-queue listeners idle
+# for a virtual hour, reported per kernel event and in switches per op.
 bench-kernel:
 	$(GO) test -run - -bench 'Kernel|EventThroughput|ProcContextSwitch|ProcHandoff' -benchmem -cpu 1,2 ./internal/sim/
+	$(GO) test -run - -bench 'IdleListeners' -benchmem -cpu 1,2 ./internal/cloud/queue/
 
 bench-payload:
 	$(GO) test -run - -bench 'BenchmarkPayload' -benchmem ./internal/workloads/mlpipe/ ./internal/video/

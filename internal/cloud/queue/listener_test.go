@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -128,4 +129,147 @@ func TestPollStop(t *testing.T) {
 	if n := q.Stats().EmptyPolls; n != 6 {
 		t.Fatalf("empty polls = %d, want 6", n)
 	}
+}
+
+// TestListenerWaitEndsAtInterval stops a listener during its first
+// back-off wait: the wait still runs its full 100 ms, and the listener
+// returns when it ends, without polling again.
+func TestListenerWaitEndsAtInterval(t *testing.T) {
+	k := sim.NewKernel(1)
+	q := New(k, "q", fixedParams())
+	l := NewListener(k)
+	stop := sim.NewFuture[struct{}](k)
+	var returned time.Duration
+	k.Spawn("listener", func(p *sim.Proc) {
+		l.Run(p, q, time.Second, stop, func(*Message) {})
+		returned = p.Now()
+	})
+	k.At(50*time.Millisecond, func() { stop.Complete(struct{}{}, nil) })
+	k.Run()
+	if returned != 105*time.Millisecond || q.Stats().EmptyPolls != 1 {
+		t.Fatalf("returned at %v after %d empty polls, want 105ms after 1", returned, q.Stats().EmptyPolls)
+	}
+	// The spawn, the poll, the stop, the timer and the hop after it.
+	if k.Executed() != 5 || k.LiveProcs() != 0 {
+		t.Fatalf("Executed() = %d, LiveProcs() = %d; want 5, 0", k.Executed(), k.LiveProcs())
+	}
+}
+
+// TestListenerKickEndsWaitEarly kicks a stopped listener 25 ms into its
+// first 100 ms wait: it returns at the kick, and the timer the kick beat
+// fires at 105 ms as a no-op.
+func TestListenerKickEndsWaitEarly(t *testing.T) {
+	k := sim.NewKernel(1)
+	q := New(k, "q", fixedParams())
+	l := NewListener(k)
+	stop := sim.NewFuture[struct{}](k)
+	var returned time.Duration
+	k.Spawn("listener", func(p *sim.Proc) {
+		l.Run(p, q, time.Second, stop, func(*Message) {})
+		returned = p.Now()
+	})
+	k.At(30*time.Millisecond, func() {
+		stop.Complete(struct{}{}, nil)
+		l.Kick()
+	})
+	k.Run()
+	if returned != 30*time.Millisecond || q.Stats().EmptyPolls != 1 {
+		t.Fatalf("returned at %v after %d empty polls, want 30ms after 1", returned, q.Stats().EmptyPolls)
+	}
+	// The spawn, the poll, the kick, its wake-up and hop, and the
+	// beaten timer.
+	if k.Executed() != 6 || k.Now() != 105*time.Millisecond {
+		t.Fatalf("Executed() = %d, clock %v; want 6, 105ms", k.Executed(), k.Now())
+	}
+}
+
+// TestListenerTimedOutWaitsLeaveNoEvents lets four waits time out,
+// then kicks the fifth: the kick schedules only the live wait's
+// wake-up, beside that wait's own timer. A timed-out wait that left
+// anything behind would add an event here.
+func TestListenerTimedOutWaitsLeaveNoEvents(t *testing.T) {
+	k := sim.NewKernel(1)
+	q := New(k, "q", fixedParams())
+	l := NewListener(k)
+	stop := sim.NewFuture[struct{}](k)
+	var returned time.Duration
+	k.Spawn("listener", func(p *sim.Proc) {
+		// A 100 ms cap: the polls end at 5, 110, 215, 320 and 425 ms.
+		l.Run(p, q, 100*time.Millisecond, stop, func(*Message) {})
+		returned = p.Now()
+	})
+	pending := -1
+	k.At(480*time.Millisecond, func() {
+		stop.Complete(struct{}{}, nil)
+		l.Kick()
+		pending = k.Pending()
+	})
+	k.Run()
+	if pending != 2 {
+		t.Fatalf("Pending() after the kick = %d, want 2", pending)
+	}
+	if returned != 480*time.Millisecond || q.Stats().EmptyPolls != 5 {
+		t.Fatalf("returned at %v after %d empty polls, want 480ms after 5", returned, q.Stats().EmptyPolls)
+	}
+	// The spawn, five polls, four timers and their hops, the kick, its
+	// wake-up and hop, and the live wait's timer firing as a no-op.
+	if k.Executed() != 18 || k.Now() != 525*time.Millisecond {
+		t.Fatalf("Executed() = %d, clock %v; want 18, 525ms", k.Executed(), k.Now())
+	}
+}
+
+// idle starts n listeners, each on an empty queue of its own and capped
+// at 1 s like the Durable task hub's, and returns their stop signal.
+func idle(k *sim.Kernel, n int) *sim.Future[struct{}] {
+	stop := sim.NewFuture[struct{}](k)
+	for i := 0; i < n; i++ {
+		q := New(k, fmt.Sprintf("idle-%d", i), DefaultParams())
+		l := NewListener(k)
+		k.Spawn(q.Name(), func(p *sim.Proc) { l.Run(p, q, time.Second, stop, func(*Message) {}) })
+	}
+	return stop
+}
+
+// TestIdleSwitchesDoNotGrow pins that idle polling switches no
+// goroutine: four listeners idle for two virtual hours switch exactly
+// as often as for one (their starts and the baton's return to
+// RunUntil's caller) while executing about twice the events.
+func TestIdleSwitchesDoNotGrow(t *testing.T) {
+	var switches, events [2]uint64
+	for i, d := range []time.Duration{time.Hour, 2 * time.Hour} {
+		k := sim.NewKernel(1)
+		stop := idle(k, 4)
+		k.RunUntil(d)
+		switches[i], events[i] = k.Switches(), k.Executed()
+		stop.Complete(struct{}{}, nil)
+		k.Run()
+		if k.LiveProcs() != 0 {
+			t.Fatalf("%d listeners still live after stop", k.LiveProcs())
+		}
+	}
+	if switches[0] != switches[1] {
+		t.Fatalf("Switches() = %d after 1 h and %d after 2 h idle; want equal", switches[0], switches[1])
+	}
+	if events[1] < 2*events[0]-100 {
+		t.Fatalf("Executed() = %d after 1 h and %d after 2 h idle; want about twice", events[0], events[1])
+	}
+}
+
+// BenchmarkIdleListeners runs four listeners idle for one virtual hour
+// per op, the classic task hub's idle cost, and reports host time per
+// kernel event and goroutine switches per op.
+func BenchmarkIdleListeners(b *testing.B) {
+	b.ReportAllocs()
+	var events, switches uint64
+	for i := 0; i < b.N; i++ {
+		k := sim.NewKernel(1)
+		stop := idle(k, 4)
+		k.RunUntil(time.Hour)
+		stop.Complete(struct{}{}, nil)
+		k.Run()
+		events += k.Executed()
+		switches += k.Switches()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
 }

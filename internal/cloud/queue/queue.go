@@ -174,7 +174,17 @@ func (q *Queue) EnqueueFromKernelCtx(body []byte, ctx sim.TraceContext) error {
 // TryDequeue polls the queue once, consuming one operation latency.
 // An empty result is metered as an EmptyPoll (billable).
 func (q *Queue) TryDequeue(p *sim.Proc) (*Message, bool) {
-	p.Sleep(q.params.OpLatency.Sample(q.rng))
+	p.Sleep(q.pollLatency())
+	return q.take()
+}
+
+// pollLatency draws one poll's operation latency.
+func (q *Queue) pollLatency() time.Duration { return q.params.OpLatency.Sample(q.rng) }
+
+// take ends a poll whose latency has elapsed: it delivers the head
+// message, or books an empty poll or a chaos redelivery and returns
+// false. It never blocks, so it may run in an event callback.
+func (q *Queue) take() (*Message, bool) {
 	if len(q.msgs) == 0 {
 		q.stats.EmptyPolls++
 		return nil, false
@@ -202,7 +212,7 @@ func (q *Queue) TryDequeue(p *sim.Proc) (*Message, bool) {
 	m.Dequeues++
 	// The hop span is emitted retroactively at delivery: only now is the
 	// in-flight window (enqueue → dequeue) known.
-	q.Tracer.Emit(span.KindHop, "queue/"+q.name, m.EnqueuedAt, p.Now(), m.Ctx)
+	q.Tracer.Emit(span.KindHop, "queue/"+q.name, m.EnqueuedAt, q.k.Now(), m.Ctx)
 	if dup {
 		// Duplicate: the delivery succeeded but the delete was lost, so
 		// the visibility timeout lapses and the same message reappears

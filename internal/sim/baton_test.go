@@ -144,40 +144,34 @@ func TestExitingProcPassesBaton(t *testing.T) {
 	}
 }
 
-// TestTimedOutWaitsLeaveNoEvents times out n awaits on one future, then
-// completes it: Complete schedules the live waiter's wake-up only. An
-// entry left behind by a timed-out wait would cost a no-op event each.
-func TestTimedOutWaitsLeaveNoEvents(t *testing.T) {
+// TestUnparkFromCallback drives a parked process from event callbacks,
+// as a queue listener does: the process resumes in the event that
+// Unparks it, with no event of its own, and callbacks that leave it
+// parked run on its goroutine without a switch.
+func TestUnparkFromCallback(t *testing.T) {
 	k := NewKernel(1)
-	f := NewFuture[int](k)
-	const n = 5
-	timeouts, got := 0, 0
-	k.Spawn("poller", func(p *Proc) {
-		for {
-			v, _, ok := f.AwaitTimeout(p, time.Second)
-			if ok {
-				got = v
-				return
-			}
-			timeouts++
+	var resumed []Time
+	p := k.Spawn("parked", func(p *Proc) {
+		for i := 0; i < 2; i++ {
+			p.Park()
+			resumed = append(resumed, p.Now())
 		}
 	})
-	pending := -1
-	k.At(n*time.Second+time.Second/2, func() {
-		f.Complete(7, nil)
-		pending = k.Pending()
-	})
+	for i := 1; i <= 4; i++ {
+		unpark := i%2 == 0
+		k.At(time.Duration(i)*time.Second, func() {
+			if unpark {
+				p.Unpark()
+			}
+		})
+	}
 	k.Run()
-	if timeouts != n || got != 7 {
-		t.Fatalf("timeouts %d, value %d; want %d, 7", timeouts, got, n)
+	if len(resumed) != 2 || resumed[0] != 2*time.Second || resumed[1] != 4*time.Second {
+		t.Fatalf("resumed at %v, want [2s 4s]", resumed)
 	}
-	// The live waiter's wake-up and its own unexpired timer.
-	if pending != 2 {
-		t.Fatalf("Pending() after Complete = %d, want 2", pending)
-	}
-	// Spawn, a timer and an unpark per timeout, the kick, the live
-	// waiter's wake-up and unpark, and the last timer firing as a no-op.
-	if got, want := k.Executed(), uint64(1+2*n+4); got != want {
-		t.Fatalf("Executed() = %d, want %d", got, want)
+	// The start and the return to Run's caller; the callbacks ran on
+	// the parked process's goroutine.
+	if k.Executed() != 5 || k.Switches() != 2 {
+		t.Fatalf("Executed() = %d, Switches() = %d; want 5, 2", k.Executed(), k.Switches())
 	}
 }

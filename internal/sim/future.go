@@ -1,10 +1,5 @@
 package sim
 
-import (
-	"slices"
-	"time"
-)
-
 // Future is a single-assignment result that processes can await.
 // Complete may be called from kernel or process context; waiters are
 // woken through scheduled events so the one-at-a-time discipline holds.
@@ -14,19 +9,7 @@ type Future[T any] struct {
 	val     T
 	err     error
 	waiters []*Proc
-	cbs     []completion[T]
-}
-
-// completion is one registered completion action: a callback when fn
-// is non-nil, otherwise a timed waiter (AwaitTimeout) to be woken
-// through the kernel's conditional-unpark event — the closure-free
-// path. The two live in one ordered list so completion order between
-// callbacks and timed waiters is exactly registration order. A timed
-// waiter whose timeout wins removes its entry.
-type completion[T any] struct {
-	fn  func(T, error)
-	p   *Proc
-	gen uint64
+	cbs     []func(T, error)
 }
 
 // NewFuture returns an incomplete future bound to k.
@@ -53,13 +36,8 @@ func (f *Future[T]) Complete(v T, err error) {
 		w.wake(0)
 	}
 	f.waiters = nil
-	for _, c := range f.cbs {
-		if c.fn != nil {
-			cb := c.fn
-			f.k.After(0, func() { cb(v, err) })
-		} else {
-			f.k.pushCondUnpark(0, c.p, c.gen)
-		}
+	for _, cb := range f.cbs {
+		f.k.After(0, func() { cb(v, err) })
 	}
 	f.cbs = nil
 }
@@ -75,35 +53,9 @@ func (f *Future[T]) Fail(err error) {
 func (f *Future[T]) Await(p *Proc) (T, error) {
 	if !f.done {
 		f.waiters = append(f.waiters, p)
-		p.park()
+		p.Park()
 	}
 	return f.val, f.err
-}
-
-// AwaitTimeout is like Await but gives up after d, returning ok=false if
-// the timeout fired first. The future remains awaitable afterwards.
-func (f *Future[T]) AwaitTimeout(p *Proc, d time.Duration) (v T, err error, ok bool) {
-	if f.done {
-		return f.val, f.err, true
-	}
-	p.awaitGen++
-	gen := p.awaitGen
-	f.cbs = append(f.cbs, completion[T]{p: p, gen: gen})
-	p.k.pushCondUnpark(d, p, gen)
-	p.park()
-	if f.done {
-		return f.val, f.err, true
-	}
-	// The timeout won: withdraw the entry, or Complete would schedule a
-	// wake-up that finds the generation stale and does nothing. Idle
-	// pollers re-await one future many times; the entry is usually last.
-	for i := len(f.cbs) - 1; i >= 0; i-- {
-		if f.cbs[i].p == p && f.cbs[i].gen == gen {
-			f.cbs = slices.Delete(f.cbs, i, i+1)
-			break
-		}
-	}
-	return v, nil, false
 }
 
 // OnComplete registers cb to run (as a scheduled event) when the future
@@ -115,7 +67,7 @@ func (f *Future[T]) OnComplete(cb func(T, error)) {
 		f.k.After(0, func() { cb(v, err) })
 		return
 	}
-	f.cbs = append(f.cbs, completion[T]{fn: cb})
+	f.cbs = append(f.cbs, cb)
 }
 
 // CompletedFuture returns a future already resolved with v and err.
@@ -159,7 +111,7 @@ func AwaitAny[T any](p *Proc, fs []*Future[T]) int {
 			}
 		})
 	}
-	p.park()
+	p.Park()
 	for i, f := range fs {
 		if f.Done() {
 			return i

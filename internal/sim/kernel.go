@@ -261,26 +261,6 @@ func (k *Kernel) pushUnpark(d time.Duration, p *Proc) {
 	k.push(event{at: k.now + d, seq: k.seq, fn: p.unparkFn})
 }
 
-// pushCondUnpark schedules a conditional wake-up d from now: when the
-// event fires, p is resumed — through a second unpark event, keeping
-// the two-hop event shape (and therefore the sequence-number layout)
-// of the flag-based path it replaced — only if p's await generation
-// still equals gen. A stale generation means the other side of a
-// timeout race already woke the process, and the event is a no-op.
-// The one closure allocated here is per timed await, not per wake.
-func (k *Kernel) pushCondUnpark(d time.Duration, p *Proc, gen uint64) {
-	if d < 0 {
-		d = 0
-	}
-	k.seq++
-	k.push(event{at: k.now + d, seq: k.seq, fn: func() {
-		if p.awaitGen == gen {
-			p.awaitGen++
-			k.pushUnpark(0, p)
-		}
-	}})
-}
-
 // Run executes events until the queue is empty or Stop is called.
 // It returns the final virtual time.
 func (k *Kernel) Run() Time { return k.RunUntil(-1) }

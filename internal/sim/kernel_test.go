@@ -226,34 +226,6 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 	f.Complete(2, nil)
 }
 
-func TestAwaitTimeoutFires(t *testing.T) {
-	k := NewKernel(1)
-	f := NewFuture[int](k)
-	var ok bool
-	var at time.Duration
-	k.Spawn("reader", func(p *Proc) {
-		_, _, ok = f.AwaitTimeout(p, 3*time.Second)
-		at = p.Now()
-	})
-	k.Run()
-	if ok || at != 3*time.Second {
-		t.Fatalf("ok=%v at=%v, want timeout at 3s", ok, at)
-	}
-}
-
-func TestAwaitTimeoutBeatenByCompletion(t *testing.T) {
-	k := NewKernel(1)
-	f := NewFuture[int](k)
-	var v int
-	var ok bool
-	k.Spawn("reader", func(p *Proc) { v, _, ok = f.AwaitTimeout(p, 10*time.Second) })
-	k.At(time.Second, func() { f.Complete(7, nil) })
-	k.Run()
-	if !ok || v != 7 {
-		t.Fatalf("ok=%v v=%d, want completion 7", ok, v)
-	}
-}
-
 func TestAwaitAllOrderAndError(t *testing.T) {
 	k := NewKernel(1)
 	fs := []*Future[int]{NewFuture[int](k), NewFuture[int](k), NewFuture[int](k)}

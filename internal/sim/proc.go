@@ -39,19 +39,10 @@ type Proc struct {
 	resume chan struct{}
 	dead   bool
 
-	// unparkFn is unpark bound as a method value once at spawn, so that
+	// unparkFn is Unpark bound as a method value once at spawn, so that
 	// pushUnpark — the Sleep/wake hot path, millions of events per
 	// campaign — never allocates a closure per wake-up.
 	unparkFn func()
-
-	// awaitGen is the process's current timed-await generation. Each
-	// Future.AwaitTimeout bumps it and tags both the timer event and
-	// the future-completion entry with the new value; whichever fires
-	// first while the generation still matches bumps it again, turning
-	// the loser into a no-op. A timeout that wins also withdraws the
-	// completion entry, so a later Complete schedules nothing for it.
-	// Closure-free timeout cancellation.
-	awaitGen uint64
 }
 
 // Spawn creates a process named name and schedules it to start at the
@@ -65,11 +56,11 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 func (k *Kernel) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
 	k.procSeq++
 	p := &Proc{k: k, id: k.procSeq, name: name, resume: make(chan struct{}, 1)}
-	p.unparkFn = p.unpark
+	p.unparkFn = p.Unpark
 	k.live++
 	k.After(d, func() {
 		go p.run(fn)
-		p.unpark()
+		p.Unpark()
 	})
 	return p
 }
@@ -85,11 +76,15 @@ func (p *Proc) run(fn func(p *Proc)) {
 	p.k.handoff(p.k.dispatch())
 }
 
-// park suspends the process until an event unparks it, running the
-// event loop in the meantime. The caller must have already arranged
-// for a wake-up; parking with no pending wake-up leaves the process
-// parked for good while the run ends without it.
-func (p *Proc) park() {
+// Park suspends the process until an event callback Unparks it,
+// running the event loop in the meantime. The caller must have already
+// arranged for a wake-up; parking with no pending wake-up leaves the
+// process parked for good while the run ends without it.
+//
+// Park and Unpark let a component drive a parked process from event
+// callbacks: the callbacks run on whichever goroutine holds the baton,
+// and the process resumes only in the event that Unparks it.
+func (p *Proc) Park() {
 	next := p.k.dispatch()
 	if next == p {
 		return
@@ -98,10 +93,11 @@ func (p *Proc) park() {
 	<-p.resume
 }
 
-// unpark makes p the next process to run. It must be called from an
-// event callback, at most once per event: the event loop passes the
-// baton to p as soon as the callback returns.
-func (p *Proc) unpark() {
+// Unpark makes p the next process to run. It must be called from an
+// event callback, at most once per event, for a process that is
+// parked: the event loop passes the baton to p as soon as the callback
+// returns.
+func (p *Proc) Unpark() {
 	if p.dead {
 		panic(fmt.Sprintf("sim: unpark of finished proc %q", p.name))
 	}
@@ -130,7 +126,7 @@ func (p *Proc) Now() Time { return p.k.Now() }
 // yields control for one scheduling round at the current instant.
 func (p *Proc) Sleep(d Time) {
 	p.wake(d)
-	p.park()
+	p.Park()
 }
 
 // Yield gives other ready events/processes at the current instant a

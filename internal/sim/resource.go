@@ -48,7 +48,7 @@ func (r *Resource) Acquire(p *Proc) {
 		return
 	}
 	r.waiters = append(r.waiters, p)
-	p.park()
+	p.Park()
 }
 
 // TryAcquire takes a slot if one is free without blocking.
@@ -113,7 +113,7 @@ func (s *Store[T]) Put(v T) {
 func (s *Store[T]) Get(p *Proc) T {
 	for len(s.items) == 0 {
 		s.waiters = append(s.waiters, p)
-		p.park()
+		p.Park()
 	}
 	v := s.items[0]
 	s.items = s.items[1:]
