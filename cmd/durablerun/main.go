@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -23,10 +24,20 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 8, "parallel activities to fan out")
-	busy := flag.Duration("busy", 500*time.Millisecond, "simulated compute per activity")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "durablerun:", err)
+		os.Exit(1)
+	}
+}
+
+// run deploys and runs the demo with command-line args and writes the
+// metrics to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("durablerun", flag.ExitOnError)
+	workers := fs.Int("workers", 8, "parallel activities to fan out")
+	busy := fs.Duration("busy", 500*time.Millisecond, "simulated compute per activity")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	fs.Parse(args)
 
 	k := sim.NewKernel(*seed)
 	host := functions.NewHost(k, "demo", platform.DefaultAzure())
@@ -41,7 +52,7 @@ func main() {
 		}
 		return json.Marshal(n * n)
 	}); err != nil {
-		fatal(err)
+		return err
 	}
 
 	if err := hub.RegisterEntity("Sum", 128, func(ctx *durable.EntityContext, op string, input []byte) ([]byte, error) {
@@ -66,7 +77,7 @@ func main() {
 		}
 		return nil, fmt.Errorf("unknown op %q", op)
 	}); err != nil {
-		fatal(err)
+		return err
 	}
 
 	n := *workers
@@ -88,7 +99,7 @@ func main() {
 		}
 		return ctx.CallEntity(sum, "get", nil).Await()
 	}); err != nil {
-		fatal(err)
+		return err
 	}
 
 	var out []byte
@@ -100,19 +111,15 @@ func main() {
 	})
 	k.Run()
 	if runErr != nil {
-		fatal(runErr)
+		return runErr
 	}
 
-	fmt.Printf("result (sum of squares 1..%d): %s\n", n, out)
-	fmt.Printf("cold start (Pending->Running): %v\n", hd.ColdStart())
-	fmt.Printf("end-to-end (Running->Completed): %v\n", hd.E2E())
-	fmt.Printf("orchestrator episodes (replays): %d\n", hub.EpisodeCount)
-	fmt.Printf("history events re-processed:     %d\n", hub.ReplayEvents)
-	fmt.Printf("billed storage transactions:     %d\n", hub.StorageTransactions())
-	fmt.Printf("billed GB-s across functions:    %.4f\n", host.TotalMeter().BilledGBs)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "durablerun:", err)
-	os.Exit(1)
+	fmt.Fprintf(w, "result (sum of squares 1..%d): %s\n", n, out)
+	fmt.Fprintf(w, "cold start (Pending->Running): %v\n", hd.ColdStart())
+	fmt.Fprintf(w, "end-to-end (Running->Completed): %v\n", hd.E2E())
+	fmt.Fprintf(w, "orchestrator episodes (replays): %d\n", hub.EpisodeCount)
+	fmt.Fprintf(w, "history events re-processed:     %d\n", hub.ReplayEvents)
+	fmt.Fprintf(w, "billed storage transactions:     %d\n", hub.StorageTransactions())
+	fmt.Fprintf(w, "billed GB-s across functions:    %.4f\n", host.TotalMeter().BilledGBs)
+	return nil
 }

@@ -12,74 +12,88 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"statebench/internal/aws/lambda"
+	"statebench/internal/aws"
 	"statebench/internal/aws/sfn"
+	"statebench/internal/cloud/faas"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
 
+// usageError reports a bad invocation; the command exits with status 2.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
 func main() {
-	defPath := flag.String("definition", "", "path to ASL JSON definition (required)")
-	inputJSON := flag.String("input", "{}", "execution input (JSON)")
-	busy := flag.Duration("busy", 100*time.Millisecond, "simulated compute per task")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "sfnrun:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run executes the definition named by the command-line args and writes
+// the execution report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("sfnrun", flag.ExitOnError)
+	defPath := fs.String("definition", "", "path to ASL JSON definition (required)")
+	inputJSON := fs.String("input", "{}", "execution input (JSON)")
+	busy := fs.Duration("busy", 100*time.Millisecond, "simulated compute per task")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	fs.Parse(args)
 
 	if *defPath == "" {
-		fmt.Fprintln(os.Stderr, "sfnrun: -definition is required")
-		os.Exit(2)
+		return usageError("-definition is required")
 	}
 	data, err := os.ReadFile(*defPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfnrun:", err)
-		os.Exit(1)
+		return err
 	}
 	machine, err := sfn.ParseDefinition(data)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfnrun:", err)
-		os.Exit(1)
+		return err
 	}
 	var input any
 	if err := json.Unmarshal([]byte(*inputJSON), &input); err != nil {
-		fmt.Fprintln(os.Stderr, "sfnrun: bad -input:", err)
-		os.Exit(2)
+		return usageError("bad -input: " + err.Error())
 	}
 
 	k := sim.NewKernel(*seed)
-	params := platform.DefaultAWS()
-	lsvc := lambda.New(k, params)
-	svc := sfn.New(k, params, lsvc)
+	c := aws.New(k, platform.DefaultAWS())
 
 	// Register an echo function for every Task resource.
-	registerTasks(machine, lsvc, *busy)
-	if err := svc.CreateStateMachine("main", machine); err != nil {
-		fmt.Fprintln(os.Stderr, "sfnrun:", err)
-		os.Exit(1)
+	registerTasks(machine, c.Lambda, *busy)
+	if err := c.SFN.CreateStateMachine("main", machine); err != nil {
+		return err
 	}
 
 	var exec *sfn.Execution
 	k.Spawn("client", func(p *sim.Proc) {
-		exec, err = svc.StartExecution(p, "main", input)
+		exec, err = c.SFN.StartExecution(p, "main", input)
 	})
 	k.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfnrun:", err)
-		os.Exit(1)
+		return err
 	}
 	out, _ := json.MarshalIndent(exec.Output, "", "  ")
-	fmt.Printf("status:       %v\n", statusOf(exec))
-	fmt.Printf("duration:     %v\n", exec.Duration())
-	fmt.Printf("transitions:  %d\n", exec.Transitions)
-	fmt.Printf("output:       %s\n", out)
-	fmt.Println("history:")
+	fmt.Fprintf(w, "status:       %v\n", statusOf(exec))
+	fmt.Fprintf(w, "duration:     %v\n", exec.Duration())
+	fmt.Fprintf(w, "transitions:  %d\n", exec.Transitions)
+	fmt.Fprintf(w, "output:       %s\n", out)
+	fmt.Fprintln(w, "history:")
 	for _, ev := range exec.History {
-		fmt.Printf("  %-12v %-20s %s\n", ev.At, ev.Type, ev.State)
+		fmt.Fprintf(w, "  %-12v %-20s %s\n", ev.At, ev.Type, ev.State)
 	}
+	return nil
 }
 
 func statusOf(e *sfn.Execution) string {
@@ -91,14 +105,14 @@ func statusOf(e *sfn.Execution) string {
 
 // registerTasks walks the machine and registers an echo Lambda for each
 // distinct Task resource.
-func registerTasks(m *sfn.StateMachine, lsvc *lambda.Service, busy time.Duration) {
+func registerTasks(m *sfn.StateMachine, lsvc *faas.Service, busy time.Duration) {
 	for _, st := range m.States {
 		if st.Type == sfn.TypeTask {
 			name := st.Resource
 			if _, exists := lsvc.Function(name); !exists {
-				lsvc.MustRegister(lambda.Config{
+				lsvc.MustRegister(faas.Config{
 					Name: name, MemoryMB: 512,
-					Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+					Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 						ctx.Busy(busy)
 						return payload, nil
 					},

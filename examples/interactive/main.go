@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -20,9 +21,19 @@ import (
 )
 
 func main() {
-	approveAfter := flag.Duration("approveAfter", 2*time.Minute, "when the (simulated) human approves")
-	timeout := flag.Duration("timeout", 10*time.Minute, "approval deadline")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "interactive:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the approval scenario with command-line args and writes
+// the outcome to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("interactive", flag.ExitOnError)
+	approveAfter := fs.Duration("approveAfter", 2*time.Minute, "when the (simulated) human approves")
+	timeout := fs.Duration("timeout", 10*time.Minute, "approval deadline")
+	fs.Parse(args)
 
 	env := core.NewEnv(17)
 	hub := env.Azure.Hub
@@ -31,13 +42,13 @@ func main() {
 		ctx.Busy(3 * time.Second)
 		return []byte(`{"order":"#1042","total":"$1,299"}`), nil
 	}); err != nil {
-		fail(err)
+		return err
 	}
 	if err := hub.RegisterActivity("fulfil", 192, func(ctx *functions.Context, in []byte) ([]byte, error) {
 		ctx.Busy(5 * time.Second)
 		return []byte("shipped"), nil
 	}); err != nil {
-		fail(err)
+		return err
 	}
 
 	deadline := *timeout
@@ -65,17 +76,17 @@ func main() {
 		}
 		return []byte("order approved and shipped"), nil
 	}); err != nil {
-		fail(err)
+		return err
 	}
 
 	var outcome []byte
 	var hd *durable.Handle
+	var err error
 	env.K.Spawn("client", func(p *sim.Proc) {
 		defer env.Stop()
-		var err error
 		hd, err = env.Azure.Client.StartOrchestration(p, "purchase", nil)
 		if err != nil {
-			fail(err)
+			return
 		}
 		// The "human": approves after a while (or never, if the
 		// deadline is shorter).
@@ -86,21 +97,17 @@ func main() {
 			}
 		}
 		outcome, err = hd.Wait(p)
-		if err != nil {
-			fail(err)
-		}
 	})
 	env.K.Run()
+	if err != nil {
+		return err
+	}
 
-	fmt.Printf("outcome: %s\n", outcome)
-	fmt.Printf("end-to-end: %v (approval raised at %v, deadline %v)\n", hd.E2E(), *approveAfter, deadline)
-	fmt.Printf("orchestrator episodes (replays): %d\n", hub.EpisodeCount)
-	fmt.Println()
-	fmt.Println("while the orchestration waited, the task hub kept polling its")
-	fmt.Printf("queues: %d billable storage transactions accrued.\n", hub.StorageTransactions())
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "interactive:", err)
-	os.Exit(1)
+	fmt.Fprintf(w, "outcome: %s\n", outcome)
+	fmt.Fprintf(w, "end-to-end: %v (approval raised at %v, deadline %v)\n", hd.E2E(), *approveAfter, deadline)
+	fmt.Fprintf(w, "orchestrator episodes (replays): %d\n", hub.EpisodeCount)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "while the orchestration waited, the task hub kept polling its")
+	fmt.Fprintf(w, "queues: %d billable storage transactions accrued.\n", hub.StorageTransactions())
+	return nil
 }

@@ -7,13 +7,14 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"statebench/internal/aws/lambda"
 	"statebench/internal/aws/sfn"
 	"statebench/internal/azure/durable"
 	"statebench/internal/azure/functions"
+	"statebench/internal/cloud/faas"
 	"statebench/internal/core"
 	"statebench/internal/pricing"
 	"statebench/internal/sim"
@@ -23,13 +24,22 @@ import (
 const stepCost = 200 * time.Millisecond
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
+}
+
+// run deploys and runs the workflow on both clouds and writes the
+// comparison to w.
+func run(w io.Writer) error {
 	env := core.NewEnv(7)
 
 	// --- AWS deployment: three Lambdas chained by a state machine.
 	for _, name := range []string{"validate", "transform", "store"} {
-		env.AWS.Lambda.MustRegister(lambda.Config{
+		env.AWS.Lambda.MustRegister(faas.Config{
 			Name: name, MemoryMB: 512, ConsumedMemMB: 200,
-			Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+			Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 				ctx.Busy(stepCost)
 				return payload, nil
 			},
@@ -44,7 +54,7 @@ func main() {
 		},
 	}
 	if err := env.AWS.SFN.CreateStateMachine("quickstart", machine); err != nil {
-		fail(err)
+		return err
 	}
 
 	// --- Azure deployment: three activities chained by an orchestrator.
@@ -54,7 +64,7 @@ func main() {
 			ctx.Busy(stepCost)
 			return payload, nil
 		}); err != nil {
-			fail(err)
+			return err
 		}
 	}
 	if err := hub.RegisterOrchestrator("quickstart", 150, func(ctx *durable.OrchestrationContext, input []byte) ([]byte, error) {
@@ -68,40 +78,36 @@ func main() {
 		}
 		return ctx.CallActivity("store", t).Await()
 	}); err != nil {
-		fail(err)
+		return err
 	}
 
 	// --- Run both and compare.
 	var awsExec *sfn.Execution
 	var azHandle *durable.Handle
+	var err error
 	env.K.Spawn("client", func(p *sim.Proc) {
 		defer env.Stop()
-		var err error
 		awsExec, err = env.AWS.SFN.StartExecution(p, "quickstart", map[string]any{"order": float64(42)})
 		if err != nil {
-			fail(err)
+			return
 		}
 		_, azHandle, err = env.Azure.Client.Run(p, "quickstart", []byte(`{"order":42}`))
-		if err != nil {
-			fail(err)
-		}
 	})
 	env.K.Run()
+	if err != nil {
+		return err
+	}
 
 	awsMeter := env.AWS.Lambda.TotalMeter()
 	azMeter := env.Azure.Host.TotalMeter()
 	awsBill := pricing.DefaultAWS().AWSBill(awsMeter.BilledGBs, awsMeter.Invocations, env.AWS.SFN.TotalTransitions, 0)
 	azBill := pricing.DefaultAzure().AzureBill(azMeter.BilledGBs, azMeter.Invocations, env.Azure.StorageTransactions(), 0)
 
-	fmt.Println("three-step workflow, one run on each cloud:")
-	fmt.Printf("  AWS Step Functions: %-10v (%d transitions)  %v\n", awsExec.Duration(), awsExec.Transitions, awsBill)
-	fmt.Printf("  Azure Durable:      %-10v (cold start %v)    %v\n", azHandle.E2E(), azHandle.ColdStart(), azBill)
-	fmt.Println()
-	fmt.Println("the Azure bill includes the task hub's queue polling — the")
-	fmt.Println("stateful cost component the paper characterizes.")
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "quickstart:", err)
-	os.Exit(1)
+	fmt.Fprintln(w, "three-step workflow, one run on each cloud:")
+	fmt.Fprintf(w, "  AWS Step Functions: %-10v (%d transitions)  %v\n", awsExec.Duration(), awsExec.Transitions, awsBill)
+	fmt.Fprintf(w, "  Azure Durable:      %-10v (cold start %v)    %v\n", azHandle.E2E(), azHandle.ColdStart(), azBill)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "the Azure bill includes the task hub's queue polling — the")
+	fmt.Fprintln(w, "stateful cost component the paper characterizes.")
+	return nil
 }

@@ -12,18 +12,29 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"statebench/internal/aws/lambda"
 	"statebench/internal/aws/sfn"
+	"statebench/internal/cloud/faas"
 	"statebench/internal/core"
 	"statebench/internal/sim"
 	"statebench/internal/video"
 )
 
 func main() {
-	workers := flag.Int("workers", 8, "parallel face-detection workers")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "videoanalytics:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the pipeline with command-line args and writes the
+// report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("videoanalytics", flag.ExitOnError)
+	workers := fs.Int("workers", 8, "parallel face-detection workers")
+	fs.Parse(args)
 
 	// Real input: 96 frames of 160x120 with 3 moving faces.
 	opt := video.DefaultGenerateOptions()
@@ -33,9 +44,9 @@ func main() {
 	model := video.DefaultModel(1 << 20) // ~1 MB, like the paper's
 	modelBytes, err := video.EncodeModel(model)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("input video: %d frames, %d KB encoded; detector model %d KB\n",
+	fmt.Fprintf(w, "input video: %d frames, %d KB encoded; detector model %d KB\n",
 		len(clip.Frames), len(encoded)/1024, len(modelBytes)/1024)
 
 	env := core.NewEnv(3)
@@ -44,9 +55,9 @@ func main() {
 	s3.Preload("models/face", modelBytes)
 
 	// Split: decode, chunk, store each chunk.
-	env.AWS.Lambda.MustRegister(lambda.Config{
+	env.AWS.Lambda.MustRegister(faas.Config{
 		Name: "split", MemoryMB: 2048, ConsumedMemMB: 700,
-		Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+		Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 			p := ctx.Proc()
 			data, err := s3.Get(p, "videos/input")
 			if err != nil {
@@ -75,9 +86,9 @@ func main() {
 	})
 
 	// Detect: fetch chunk + model, run the REAL detector, store results.
-	env.AWS.Lambda.MustRegister(lambda.Config{
+	env.AWS.Lambda.MustRegister(faas.Config{
 		Name: "detect", MemoryMB: 2048, ConsumedMemMB: 900,
-		Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+		Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 			var key string
 			if err := json.Unmarshal(payload, &key); err != nil {
 				return nil, err
@@ -112,9 +123,9 @@ func main() {
 	})
 
 	// Merge: gather per-chunk detections in order.
-	env.AWS.Lambda.MustRegister(lambda.Config{
+	env.AWS.Lambda.MustRegister(faas.Config{
 		Name: "merge", MemoryMB: 2048, ConsumedMemMB: 760,
-		Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+		Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 			var in struct {
 				Results []string `json:"results"`
 			}
@@ -150,40 +161,35 @@ func main() {
 		},
 	}
 	if err := env.AWS.SFN.CreateStateMachine("video", machine); err != nil {
-		fail(err)
+		return err
 	}
 
 	var exec *sfn.Execution
 	env.K.Spawn("client", func(p *sim.Proc) {
 		defer env.Stop()
-		var err error
 		exec, err = env.AWS.SFN.StartExecution(p, "video", map[string]any{})
-		if err != nil {
-			fail(err)
-		}
 	})
 	env.K.Run()
+	if err != nil {
+		return err
+	}
 	if exec.Err != nil {
-		fail(exec.Err)
+		return exec.Err
 	}
 
 	// Validate against ground truth.
 	outJSON, _ := json.Marshal(exec.Output)
 	var dets [][]video.Detection
 	if err := json.Unmarshal(outJSON, &dets); err != nil {
-		fail(err)
+		return err
 	}
 	precision, recall := video.Evaluate(dets, truth, 0.3)
-	fmt.Printf("workflow: %d transitions, simulated e2e %v\n", exec.Transitions, exec.Duration())
-	fmt.Printf("detections across %d frames: precision %.2f, recall %.2f (IoU 0.3)\n",
+	fmt.Fprintf(w, "workflow: %d transitions, simulated e2e %v\n", exec.Transitions, exec.Duration())
+	fmt.Fprintf(w, "detections across %d frames: precision %.2f, recall %.2f (IoU 0.3)\n",
 		len(dets), precision, recall)
 	if recall < 0.6 {
-		fail(fmt.Errorf("recall %.2f too low — pipeline broken", recall))
+		return fmt.Errorf("recall %.2f too low — pipeline broken", recall)
 	}
-	fmt.Println("parallel chunked detection matches the paper's Fig 5 pipeline.")
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "videoanalytics:", err)
-	os.Exit(1)
+	fmt.Fprintln(w, "parallel chunked detection matches the paper's Fig 5 pipeline.")
+	return nil
 }

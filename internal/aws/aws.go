@@ -4,10 +4,10 @@
 package aws
 
 import (
-	"statebench/internal/aws/lambda"
 	"statebench/internal/aws/sfn"
 	"statebench/internal/chaos"
 	"statebench/internal/cloud/blob"
+	"statebench/internal/cloud/faas"
 	"statebench/internal/obs/span"
 	"statebench/internal/obs/tseries"
 	"statebench/internal/platform"
@@ -18,14 +18,14 @@ import (
 // Cloud is one simulated AWS region/account.
 type Cloud struct {
 	Params platform.AWSParams
-	Lambda *lambda.Service
+	Lambda *faas.Service
 	SFN    *sfn.Service
 	S3     *blob.Store
 }
 
 // New builds a Cloud with the given calibration parameters.
 func New(k *sim.Kernel, params platform.AWSParams) *Cloud {
-	lsvc := lambda.New(k, params)
+	lsvc := faas.New(k, "lambda", "aws/lambda", faas.MemoryStep(params.MemoryStepMB), params.FaaSParams)
 	return &Cloud{
 		Params: params,
 		Lambda: lsvc,

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"statebench/internal/aws/lambda"
+	"statebench/internal/cloud/faas"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -15,7 +15,7 @@ func TestCloudAssembly(t *testing.T) {
 	if c.Lambda == nil || c.SFN == nil || c.S3 == nil {
 		t.Fatal("cloud incomplete")
 	}
-	c.Lambda.MustRegister(lambda.Config{Name: "f", MemoryMB: 128, Handler: func(ctx *lambda.Context, p []byte) ([]byte, error) {
+	c.Lambda.MustRegister(faas.Config{Name: "f", MemoryMB: 128, Handler: func(ctx *faas.Context, p []byte) ([]byte, error) {
 		ctx.Busy(time.Second)
 		return p, nil
 	}})

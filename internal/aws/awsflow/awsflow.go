@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"statebench/internal/aws/lambda"
 	"statebench/internal/aws/sfn"
 	"statebench/internal/core"
 	"statebench/internal/flow"
@@ -51,20 +50,7 @@ func bind(env *core.Env, def *flow.Definition, impl core.Impl, class flow.Class)
 // registerTask installs one task node as a Lambda wrapping its bound
 // stage.
 func registerTask(env *core.Env, st *flow.Stages, n *flow.Node) error {
-	stage, err := st.Task(n.Stage)
-	if err != nil {
-		return err
-	}
-	_, err = env.AWS.Lambda.Register(lambda.Config{
-		Name:          n.Fn,
-		MemoryMB:      memoryMB(n),
-		ConsumedMemMB: n.ConsumedMemMB,
-		CodeSizeMB:    n.CodeSizeMB,
-		Handler: func(ctx *lambda.Context, input []byte) ([]byte, error) {
-			return stage(ctx, input)
-		},
-	})
-	return err
+	return flow.RegisterFunction(env.AWS.Lambda, st, n, memoryMB(n))
 }
 
 // --- Mono: single-Lambda monolith (AWS-Lambda) ---
@@ -91,7 +77,7 @@ func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment,
 		return nil, err
 	}
 	return &core.Deployment{
-		Runner:     &lambdaRunner{env: env, fn: n.Fn},
+		Runner:     flow.FunctionRunner(env.AWS.Lambda, n.Fn),
 		FuncCount:  g.FuncCount,
 		CodeSizeMB: g.DeployCodeSizeMB(providerName),
 	}, nil
@@ -102,27 +88,6 @@ func (monoLowerer) Program(def *flow.Definition) (string, error) {
 	n := g.Node(g.Start)
 	return fmt.Sprintf("lambda %s memory=%dMB consumed=%dMB code=%.1fMB stage=%s\n",
 		n.Fn, memoryMB(n), n.ConsumedMemMB, n.CodeSizeMB, n.Stage), nil
-}
-
-// lambdaRunner invokes a single Lambda synchronously.
-type lambdaRunner struct {
-	env *core.Env
-	fn  string
-}
-
-// Invoke implements core.Runner.
-func (r *lambdaRunner) Invoke(p *sim.Proc, _ []byte) (core.RunStats, error) {
-	inv, err := r.env.AWS.Lambda.Invoke(p, r.fn, nil)
-	if err != nil {
-		return core.RunStats{}, err
-	}
-	return core.RunStats{
-		E2E:       inv.Total,
-		ColdStart: inv.ColdStartDelay,
-		ExecTime:  inv.ExecTime,
-		Output:    inv.Output,
-		Err:       inv.Err,
-	}, nil
 }
 
 // --- Machine: Step Functions state machine (AWS-Step) ---

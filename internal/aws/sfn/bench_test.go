@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"statebench/internal/aws/lambda"
+	"statebench/internal/cloud/faas"
 	"statebench/internal/sim"
 )
 
@@ -13,7 +13,7 @@ import (
 func BenchmarkStateMachineRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k, lsvc, s := fixture()
-		lsvc.MustRegister(lambda.Config{Name: "w", MemoryMB: 128, Handler: func(ctx *lambda.Context, p []byte) ([]byte, error) {
+		lsvc.MustRegister(faas.Config{Name: "w", MemoryMB: 128, Handler: func(ctx *faas.Context, p []byte) ([]byte, error) {
 			ctx.Busy(10 * time.Millisecond)
 			return p, nil
 		}})

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"time"
 
-	"statebench/internal/aws/lambda"
 	"statebench/internal/chaos"
+	"statebench/internal/cloud/faas"
 	"statebench/internal/obs/span"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
@@ -19,7 +19,7 @@ type Service struct {
 	k        *sim.Kernel
 	rng      *sim.RNG
 	params   platform.AWSParams
-	lambda   *lambda.Service
+	lambda   *faas.Service
 	machines map[string]*StateMachine
 	// TotalTransitions aggregates billable transitions across all
 	// executions since the last reset.
@@ -33,7 +33,7 @@ type Service struct {
 }
 
 // New creates a Step Functions service bound to a Lambda service.
-func New(k *sim.Kernel, params platform.AWSParams, lsvc *lambda.Service) *Service {
+func New(k *sim.Kernel, params platform.AWSParams, lsvc *faas.Service) *Service {
 	return &Service{k: k, rng: k.Stream("aws/sfn"), params: params, lambda: lsvc, machines: make(map[string]*StateMachine)}
 }
 

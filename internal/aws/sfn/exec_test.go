@@ -6,13 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"statebench/internal/aws/lambda"
+	"statebench/internal/cloud/faas"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
 
 // fixture builds a kernel + lambda + sfn with deterministic latencies.
-func fixture() (*sim.Kernel, *lambda.Service, *Service) {
+func fixture() (*sim.Kernel, *faas.Service, *Service) {
 	k := sim.NewKernel(1)
 	params := platform.DefaultAWS()
 	params.InvokeRTT = sim.Fixed{D: time.Millisecond}
@@ -21,13 +21,13 @@ func fixture() (*sim.Kernel, *lambda.Service, *Service) {
 	params.WarmStart = sim.Fixed{D: time.Millisecond}
 	params.StepTransition = sim.Fixed{D: 10 * time.Millisecond}
 	params.StepTaskDispatch = sim.Fixed{D: 20 * time.Millisecond}
-	lsvc := lambda.New(k, params)
+	lsvc := faas.New(k, "lambda", "aws/lambda", faas.MemoryStep(params.MemoryStepMB), params.FaaSParams)
 	return k, lsvc, New(k, params, lsvc)
 }
 
 // regDouble registers a lambda that doubles {"n": x}.
-func regDouble(lsvc *lambda.Service, name string, busy time.Duration) {
-	lsvc.MustRegister(lambda.Config{Name: name, MemoryMB: 128, Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+func regDouble(lsvc *faas.Service, name string, busy time.Duration) {
+	lsvc.MustRegister(faas.Config{Name: name, MemoryMB: 128, Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 		var in map[string]any
 		if err := json.Unmarshal(payload, &in); err != nil {
 			return nil, err
@@ -93,7 +93,7 @@ func TestFirstTaskDelayIsColdStartMetric(t *testing.T) {
 
 func TestMapFanOutAndOrder(t *testing.T) {
 	k, lsvc, s := fixture()
-	lsvc.MustRegister(lambda.Config{Name: "inc", MemoryMB: 128, Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+	lsvc.MustRegister(faas.Config{Name: "inc", MemoryMB: 128, Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 		var n float64
 		if err := json.Unmarshal(payload, &n); err != nil {
 			return nil, err
@@ -133,7 +133,7 @@ func TestMapFanOutAndOrder(t *testing.T) {
 
 func TestMapMaxConcurrencyLimitsParallelism(t *testing.T) {
 	k, lsvc, s := fixture()
-	lsvc.MustRegister(lambda.Config{Name: "sleep1s", MemoryMB: 128, Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+	lsvc.MustRegister(faas.Config{Name: "sleep1s", MemoryMB: 128, Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 		ctx.Busy(time.Second)
 		return []byte("1"), nil
 	}})
@@ -157,7 +157,7 @@ func TestMapMaxConcurrencyLimitsParallelism(t *testing.T) {
 	}
 	e1, _ := run(k, s, "unbounded", map[string]any{"items": items})
 	k2, lsvc2, s2 := fixture()
-	lsvc2.MustRegister(lambda.Config{Name: "sleep1s", MemoryMB: 128, Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+	lsvc2.MustRegister(faas.Config{Name: "sleep1s", MemoryMB: 128, Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 		ctx.Busy(time.Second)
 		return []byte("1"), nil
 	}})

@@ -6,13 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"statebench/internal/aws/lambda"
+	"statebench/internal/cloud/faas"
 )
 
 // flakyLambda fails the first n invocations, then succeeds.
-func regFlaky(lsvc *lambda.Service, name string, failures int) *int {
+func regFlaky(lsvc *faas.Service, name string, failures int) *int {
 	calls := 0
-	lsvc.MustRegister(lambda.Config{Name: name, MemoryMB: 128, Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+	lsvc.MustRegister(faas.Config{Name: name, MemoryMB: 128, Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 		calls++
 		ctx.Busy(10 * time.Millisecond)
 		if calls <= failures {

@@ -1,11 +1,12 @@
 // Package chaos is a deterministic, seed-driven fault injector for the
 // simulated platforms. A Plan declares fault rules keyed by component,
 // resource name, and invocation index; an Injector evaluates them at
-// instrumented points inside the Lambda service, the SFN interpreter,
-// the storage queue, the Azure Functions host, and the Durable task
-// hub. Faults model the failure classes the real platforms are built
-// to survive — transient function errors, container crashes, timeout
-// spikes, at-least-once queue delivery (visibility-timeout redelivery,
+// instrumented points inside the function service (Lambda, Cloud
+// Functions), the SFN and Workflows interpreters, the storage queue,
+// the Azure Functions host, and the Durable task hubs. Faults model
+// the failure classes the real platforms are built to survive —
+// transient function errors, container crashes, timeout spikes,
+// at-least-once queue delivery (visibility-timeout redelivery,
 // duplicates, poison-message dead-lettering), and orchestrator host
 // crashes before and after history persistence.
 //
@@ -71,7 +72,8 @@ const (
 // Rule is one fault clause in a Plan. Empty Component or Name matches
 // any component or resource.
 type Rule struct {
-	// Component selects an injection site: "lambda", "sfn", "queue",
+	// Component selects an injection site: "lambda", "gcf" (GCP Cloud
+	// Functions), "sfn", "gwf" (GCP Workflows call steps), "queue",
 	// "azfunc", "durable", "netherite" (commit-batch loss), or
 	// "netherite-transport" (duplicate ghost deliveries). "" matches all.
 	Component string

@@ -1,8 +1,12 @@
-// Package lambda simulates AWS Lambda: per-request container scaling
-// with cold/warm starts, configurable memory in 128 MB steps, a 256 KB
-// synchronous payload limit, the 15-minute execution cap, and billing
-// on configured memory with 100 ms duration rounding.
-package lambda
+// Package faas simulates a per-request function service, the execution
+// model AWS Lambda and Cloud Functions gen 1 share: every invocation
+// takes a warm container or pays a sampled cold start plus code fetch,
+// released containers stay warm for a keep-alive lease, a burst limit
+// queues invocations beyond it, and billing uses the configured memory
+// with the duration rounded up to 100 ms. Each provider builds one
+// Service with its own name, RNG stream, memory rule and calibration
+// (platform.FaaSParams); internal/aws and internal/gcp are the callers.
+package faas
 
 import (
 	"fmt"
@@ -23,8 +27,7 @@ type Handler func(ctx *Context, payload []byte) ([]byte, error)
 
 // Context is passed to handlers.
 type Context struct {
-	p  *sim.Proc
-	fn *Function
+	p *sim.Proc
 }
 
 // Proc returns the simulation process executing this invocation; pass
@@ -34,20 +37,14 @@ func (c *Context) Proc() *sim.Proc { return c.p }
 // Busy consumes d of virtual compute time.
 func (c *Context) Busy(d time.Duration) { c.p.Sleep(d) }
 
-// FunctionName returns the executing function's name.
-func (c *Context) FunctionName() string { return c.fn.cfg.Name }
-
-// MemoryMB returns the configured memory size.
-func (c *Context) MemoryMB() int { return c.fn.cfg.MemoryMB }
-
-// Config describes one Lambda function.
+// Config describes one function.
 type Config struct {
 	Name string
-	// MemoryMB is the configured memory; must be a multiple of the
-	// platform's memory step (128 MB). Billing uses this value.
+	// MemoryMB is the configured memory; it must satisfy the service's
+	// memory rule. Billing uses this value.
 	MemoryMB int
 	// ConsumedMemMB models the memory the function actually uses
-	// (reported, not billed, on AWS).
+	// (reported, not billed).
 	ConsumedMemMB int
 	// CodeSizeMB is the deployment-package size; it lengthens cold
 	// starts (Table II packages are 63–271 MB).
@@ -80,13 +77,11 @@ type Stats struct {
 	ColdDelays []time.Duration
 }
 
-// Function is a registered Lambda function. Container lifecycle —
-// warm reuse, keep-alive expiry, cold-start stats — lives in the
-// shared platform.Pool; this package keeps the per-request scaling
-// policy (every invocation acquires its own container).
+// Function is a registered function. Container lifecycle — warm
+// reuse, keep-alive expiry, cold-start stats — lives in its
+// platform.Pool; every invocation acquires its own container.
 type Function struct {
 	cfg   Config
-	svc   *Service
 	pool  platform.Pool
 	slots *sim.Resource
 	Meter platform.Meter
@@ -109,11 +104,41 @@ func (f *Function) Config() Config { return f.cfg }
 // WarmContainers returns how many idle warm containers exist now.
 func (f *Function) WarmContainers(now sim.Time) int { return f.pool.WarmCount(now) }
 
-// Service is the simulated Lambda control plane.
+// MemoryRule validates a configured memory size; a non-nil error
+// rejects the registration.
+type MemoryRule func(memoryMB int) error
+
+// MemoryStep accepts positive multiples of step MB (Lambda's 128 MB
+// granularity).
+func MemoryStep(step int) MemoryRule {
+	return func(mb int) error {
+		if mb <= 0 || mb%step != 0 {
+			return fmt.Errorf("memory %d MB must be a positive multiple of %d", mb, step)
+		}
+		return nil
+	}
+}
+
+// MemoryTiers accepts only the listed sizes (Cloud Functions gen 1's
+// fixed tiers).
+func MemoryTiers(tiers []int) MemoryRule {
+	return func(mb int) error {
+		for _, t := range tiers {
+			if t == mb {
+				return nil
+			}
+		}
+		return fmt.Errorf("memory %d MB is not a configurable tier %v", mb, tiers)
+	}
+}
+
+// Service is one provider's simulated function control plane.
 type Service struct {
 	k      *sim.Kernel
+	name   string
 	rng    *sim.RNG
-	params platform.AWSParams
+	memory MemoryRule
+	params platform.FaaSParams
 	fns    map[string]*Function
 	// Tracer, when non-nil, emits X-Ray-style spans per invocation:
 	// an invoke span wrapping queue/coldstart/exec child spans.
@@ -127,13 +152,13 @@ type Service struct {
 	timeline *tseries.Series
 }
 
-// New creates a Lambda service with the given calibration parameters.
-func New(k *sim.Kernel, params platform.AWSParams) *Service {
-	return &Service{k: k, rng: k.Stream("aws/lambda"), params: params, fns: make(map[string]*Function)}
+// New creates a function service. name prefixes its span names, error
+// messages and chaos component ("lambda", "gcf"); stream names the
+// kernel RNG stream its latencies are drawn from; memory validates
+// each function's configured memory.
+func New(k *sim.Kernel, name, stream string, memory MemoryRule, params platform.FaaSParams) *Service {
+	return &Service{k: k, name: name, rng: k.Stream(stream), memory: memory, params: params, fns: make(map[string]*Function)}
 }
-
-// Params returns the service's calibration parameters.
-func (s *Service) Params() platform.AWSParams { return s.params }
 
 // SetTimeline enables per-window warm-pool occupancy gauges on every
 // registered function's container pool, existing and future.
@@ -147,16 +172,16 @@ func (s *Service) SetTimeline(tl *tseries.Series) {
 // Register adds a function. It validates the memory configuration.
 func (s *Service) Register(cfg Config) (*Function, error) {
 	if cfg.Name == "" {
-		return nil, fmt.Errorf("lambda: function name required")
+		return nil, fmt.Errorf("%s: function name required", s.name)
 	}
 	if _, dup := s.fns[cfg.Name]; dup {
-		return nil, fmt.Errorf("lambda: function %q already registered", cfg.Name)
+		return nil, fmt.Errorf("%s: function %q already registered", s.name, cfg.Name)
 	}
-	if cfg.MemoryMB <= 0 || cfg.MemoryMB%s.params.MemoryStepMB != 0 {
-		return nil, fmt.Errorf("lambda: memory %d MB must be a positive multiple of %d", cfg.MemoryMB, s.params.MemoryStepMB)
+	if err := s.memory(cfg.MemoryMB); err != nil {
+		return nil, fmt.Errorf("%s: %w", s.name, err)
 	}
 	if cfg.Handler == nil {
-		return nil, fmt.Errorf("lambda: function %q has no handler", cfg.Name)
+		return nil, fmt.Errorf("%s: function %q has no handler", s.name, cfg.Name)
 	}
 	if cfg.ConsumedMemMB <= 0 {
 		cfg.ConsumedMemMB = cfg.MemoryMB
@@ -164,7 +189,7 @@ func (s *Service) Register(cfg Config) (*Function, error) {
 	if cfg.Timeout <= 0 || cfg.Timeout > s.params.TimeLimit {
 		cfg.Timeout = s.params.TimeLimit
 	}
-	f := &Function{cfg: cfg, svc: s, slots: sim.NewResource(s.k, s.params.BurstConcurrency)}
+	f := &Function{cfg: cfg, slots: sim.NewResource(s.k, s.params.BurstConcurrency)}
 	f.pool.KeepAlive = s.params.KeepAlive
 	f.pool.Timeline = s.timeline
 	s.fns[cfg.Name] = f
@@ -189,23 +214,25 @@ func (s *Service) Function(name string) (*Function, bool) {
 
 // TimeoutError reports an execution that exceeded its time limit.
 type TimeoutError struct {
+	Service  string
 	Function string
 	Limit    time.Duration
 }
 
 func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("lambda: %s timed out after %v", e.Function, e.Limit)
+	return fmt.Sprintf("%s: %s timed out after %v", e.Service, e.Function, e.Limit)
 }
 
 // PayloadTooLargeError reports an oversized synchronous payload.
 type PayloadTooLargeError struct {
+	Service  string
 	Function string
 	Size     int
 	Limit    int
 }
 
 func (e *PayloadTooLargeError) Error() string {
-	return fmt.Sprintf("lambda: payload for %s is %d bytes, limit %d", e.Function, e.Size, e.Limit)
+	return fmt.Sprintf("%s: payload for %s is %d bytes, limit %d", e.Service, e.Function, e.Size, e.Limit)
 }
 
 // Invoke synchronously invokes a function from process p, blocking until
@@ -215,14 +242,14 @@ func (e *PayloadTooLargeError) Error() string {
 func (s *Service) Invoke(p *sim.Proc, name string, payload []byte) (*Invocation, error) {
 	f, ok := s.fns[name]
 	if !ok {
-		return nil, fmt.Errorf("lambda: no such function %q", name)
+		return nil, fmt.Errorf("%s: no such function %q", s.name, name)
 	}
 	if s.params.PayloadLimit > 0 && len(payload) > s.params.PayloadLimit {
-		return nil, &PayloadTooLargeError{Function: name, Size: len(payload), Limit: s.params.PayloadLimit}
+		return nil, &PayloadTooLargeError{Service: s.name, Function: name, Size: len(payload), Limit: s.params.PayloadLimit}
 	}
 	start := p.Now()
 	caller := p.TraceCtx
-	invSpan := s.Tracer.Start(start, span.KindInvoke, "lambda/"+name, caller)
+	invSpan := s.Tracer.Start(start, span.KindInvoke, s.name+"/"+name, caller)
 	invCtx := invSpan.Context()
 	p.Sleep(s.params.InvokeRTT.Sample(s.rng))
 
@@ -231,7 +258,7 @@ func (s *Service) Invoke(p *sim.Proc, name string, payload []byte) (*Invocation,
 	f.slots.Acquire(p)
 	queueDelay := p.Now() - qStart
 	if queueDelay > 0 {
-		s.Tracer.Emit(span.KindQueue, "lambda/admission/"+name, qStart, p.Now(), invCtx)
+		s.Tracer.Emit(span.KindQueue, s.name+"/admission/"+name, qStart, p.Now(), invCtx)
 	}
 
 	inv := &Invocation{QueueDelay: queueDelay}
@@ -250,17 +277,17 @@ func (s *Service) Invoke(p *sim.Proc, name string, payload []byte) (*Invocation,
 		f.pool.RecordCold(delay)
 		coldStart := p.Now()
 		p.Sleep(delay)
-		s.Tracer.Emit(span.KindCold, "lambda/cold/"+name, coldStart, p.Now(), invCtx)
+		s.Tracer.Emit(span.KindCold, s.name+"/cold/"+name, coldStart, p.Now(), invCtx)
 	}
 
 	var fault chaos.Fault
 	faulted := false
 	if s.Chaos != nil {
-		fault, faulted = s.Chaos.Next(invCtx, "lambda", name)
+		fault, faulted = s.Chaos.Next(invCtx, s.name, name)
 	}
 
 	execStart := p.Now()
-	execSpan := s.Tracer.Start(execStart, span.KindExec, "lambda/exec/"+name, invCtx)
+	execSpan := s.Tracer.Start(execStart, span.KindExec, s.name+"/exec/"+name, invCtx)
 	crashed := false
 	var out []byte
 	var err error
@@ -268,7 +295,7 @@ func (s *Service) Invoke(p *sim.Proc, name string, payload []byte) (*Invocation,
 		// The handler runs partially, then the error (or the container
 		// death) cuts it short. Partial execution is still billed.
 		p.Sleep(fault.Delay)
-		err = &chaos.FaultError{Kind: fault.Kind, Component: "lambda", Name: name}
+		err = &chaos.FaultError{Kind: fault.Kind, Component: s.name, Name: name}
 		crashed = fault.Kind == chaos.Crash
 	} else {
 		if faulted && fault.Kind == chaos.TimeoutSpike {
@@ -277,13 +304,13 @@ func (s *Service) Invoke(p *sim.Proc, name string, payload []byte) (*Invocation,
 			p.Sleep(fault.Delay)
 		}
 		p.TraceCtx = execSpan.Context()
-		out, err = f.cfg.Handler(&Context{p: p, fn: f}, payload)
+		out, err = f.cfg.Handler(&Context{p: p}, payload)
 		p.TraceCtx = caller
 	}
 	exec := p.Now() - execStart
 	if exec > f.cfg.Timeout {
 		exec = f.cfg.Timeout
-		err = &TimeoutError{Function: name, Limit: f.cfg.Timeout}
+		err = &TimeoutError{Service: s.name, Function: name, Limit: f.cfg.Timeout}
 		out = nil
 	}
 	// The exec span ends at the *billed* duration so span-derived

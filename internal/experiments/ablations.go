@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"statebench/internal/aws/lambda"
+	"statebench/internal/cloud/faas"
 	"statebench/internal/core"
 	"statebench/internal/obs"
 	"statebench/internal/parallel"
@@ -42,9 +42,9 @@ func AblationMemory(o Options) (*Report, error) {
 		speed := float64(memMB) / 1536
 		costs := mlpipe.NewCosts(env.K, fmt.Sprintf("mem-%d", memMB), speed)
 		fn := fmt.Sprintf("mono-%d", memMB)
-		env.AWS.Lambda.MustRegister(lambda.Config{
+		env.AWS.Lambda.MustRegister(faas.Config{
 			Name: fn, MemoryMB: memMB, ConsumedMemMB: mlpipe.MemMonolith,
-			Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+			Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 				p := ctx.Proc()
 				if _, err := s3.Get(p, "dataset"); err != nil {
 					return nil, err

@@ -1,8 +1,16 @@
+// Package gcp assembles the third simulated provider: Cloud Functions
+// (gen 1) with per-request instance scaling, a Workflows-style
+// code-first orchestrator on top of them, and a GCS-like object store.
+// GCP is not part of the paper's measurement — it exists to prove the
+// provider-registry seam: the package registers itself with core from
+// init and is never imported by core, pricing, or the experiment
+// drivers' paper figures.
 package gcp
 
 import (
 	"statebench/internal/chaos"
 	"statebench/internal/cloud/blob"
+	"statebench/internal/cloud/faas"
 	"statebench/internal/core"
 	"statebench/internal/obs/span"
 	"statebench/internal/obs/tseries"
@@ -28,14 +36,14 @@ const (
 // Cloud is one simulated GCP project/region.
 type Cloud struct {
 	Params    platform.GCPParams
-	Functions *Functions
+	Functions *faas.Service
 	Workflows *Workflows
 	GCS       *blob.Store
 }
 
 // New builds a Cloud with the given calibration parameters.
 func New(k *sim.Kernel, params platform.GCPParams) *Cloud {
-	fsvc := NewFunctions(k, params)
+	fsvc := faas.New(k, "gcf", "gcp/functions", faas.MemoryTiers(params.MemoryTiersMB), params.FaaSParams)
 	return &Cloud{
 		Params:    params,
 		Functions: fsvc,

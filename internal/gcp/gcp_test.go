@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"statebench/internal/chaos"
+	"statebench/internal/cloud/faas"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -24,124 +25,17 @@ func fixedParams() platform.GCPParams {
 	return p
 }
 
-func echo(ctx *Context, payload []byte) ([]byte, error) {
+func echo(ctx *faas.Context, payload []byte) ([]byte, error) {
 	ctx.Busy(100 * time.Millisecond)
 	return payload, nil
-}
-
-func TestRegisterValidation(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := NewFunctions(k, fixedParams())
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 300, Handler: echo}); err == nil {
-		t.Fatal("non-tier memory accepted")
-	}
-	if _, err := s.Register(Config{Name: "", MemoryMB: 256, Handler: echo}); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 256}); err == nil {
-		t.Fatal("nil handler accepted")
-	}
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 256, Handler: echo}); err != nil {
-		t.Fatalf("valid register failed: %v", err)
-	}
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 256, Handler: echo}); err == nil {
-		t.Fatal("duplicate register accepted")
-	}
-}
-
-func TestColdThenWarm(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := NewFunctions(k, fixedParams())
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 256, CodeSizeMB: 50, Handler: echo}); err != nil {
-		t.Fatal(err)
-	}
-	var first, second *Invocation
-	k.Spawn("client", func(p *sim.Proc) {
-		first, _ = s.Invoke(p, "f", []byte("a"))
-		second, _ = s.Invoke(p, "f", []byte("b"))
-	})
-	k.Run()
-	if !first.Cold {
-		t.Fatal("first invoke should be cold")
-	}
-	// 500 ms base + 50 MB / 50 MBps = 1 s fetch => 1.5 s cold start.
-	if first.ColdStartDelay != 1500*time.Millisecond {
-		t.Fatalf("cold start = %v, want 1.5s", first.ColdStartDelay)
-	}
-	if second.Cold {
-		t.Fatal("second invoke should reuse the warm instance")
-	}
-	// Warm total: 10ms RTT + 5ms warm start + 100ms exec.
-	if second.Total != 115*time.Millisecond {
-		t.Fatalf("warm total = %v, want 115ms", second.Total)
-	}
-}
-
-func TestTimeoutClampsBilling(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := NewFunctions(k, fixedParams())
-	if _, err := s.Register(Config{Name: "h", MemoryMB: 256, Timeout: time.Second, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
-		ctx.Busy(10 * time.Second)
-		return []byte("never"), nil
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	var inv *Invocation
-	k.Spawn("client", func(p *sim.Proc) { inv, _ = s.Invoke(p, "h", nil) })
-	k.Run()
-	var te *TimeoutError
-	if !errors.As(inv.Err, &te) {
-		t.Fatalf("err = %v, want TimeoutError", inv.Err)
-	}
-	if inv.Output != nil {
-		t.Fatal("timed-out invoke returned output")
-	}
-	if inv.ExecTime != time.Second {
-		t.Fatalf("billed exec = %v, want capped at 1s", inv.ExecTime)
-	}
-}
-
-func TestTimeLimitCapsConfiguredTimeout(t *testing.T) {
-	k := sim.NewKernel(1)
-	params := fixedParams()
-	s := NewFunctions(k, params)
-	f, err := s.Register(Config{Name: "f", MemoryMB: 256, Timeout: time.Hour, Handler: echo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Config().Timeout != params.TimeLimit {
-		t.Fatalf("timeout = %v, want clamped to the %v gen-1 limit", f.Config().Timeout, params.TimeLimit)
-	}
-}
-
-func TestBillingRoundsTo100msOnConfiguredTier(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := NewFunctions(k, fixedParams())
-	f, err := s.Register(Config{Name: "f", MemoryMB: 2048, ConsumedMemMB: 400, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
-		ctx.Busy(110 * time.Millisecond)
-		return nil, nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Spawn("client", func(p *sim.Proc) {
-		if _, err := s.Invoke(p, "f", nil); err != nil {
-			t.Errorf("invoke: %v", err)
-		}
-	})
-	k.Run()
-	want := 0.2 * 2048.0 / 1024 // 200 ms at 2 GB
-	if d := f.Meter.BilledGBs - want; d > 1e-9 || d < -1e-9 {
-		t.Fatalf("BilledGBs = %v, want %v", f.Meter.BilledGBs, want)
-	}
 }
 
 func TestWorkflowStepsAndFirstCallDelay(t *testing.T) {
 	k := sim.NewKernel(1)
 	params := fixedParams()
-	fns := NewFunctions(k, params)
-	wfs := NewWorkflows(k, params, fns)
-	if _, err := fns.Register(Config{Name: "f", MemoryMB: 256, Handler: echo}); err != nil {
+	gc := New(k, params)
+	fns, wfs := gc.Functions, gc.Workflows
+	if _, err := fns.Register(faas.Config{Name: "f", MemoryMB: 256, Handler: echo}); err != nil {
 		t.Fatal(err)
 	}
 	err := wfs.Create("wf", func(ctx *Ctx, input map[string]any) (map[string]any, error) {
@@ -182,9 +76,9 @@ func TestWorkflowParallelOverlaps(t *testing.T) {
 	k := sim.NewKernel(1)
 	params := fixedParams()
 	params.BurstConcurrency = 8
-	fns := NewFunctions(k, params)
-	wfs := NewWorkflows(k, params, fns)
-	if _, err := fns.Register(Config{Name: "slow", MemoryMB: 256, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
+	gc := New(k, params)
+	fns, wfs := gc.Functions, gc.Workflows
+	if _, err := fns.Register(faas.Config{Name: "slow", MemoryMB: 256, Handler: func(ctx *faas.Context, _ []byte) ([]byte, error) {
 		ctx.Busy(time.Second)
 		return nil, nil
 	}}); err != nil {
@@ -219,14 +113,14 @@ func TestWorkflowParallelOverlaps(t *testing.T) {
 func TestWorkflowRetryRecoversInjectedFault(t *testing.T) {
 	k := sim.NewKernel(1)
 	params := fixedParams()
-	fns := NewFunctions(k, params)
-	wfs := NewWorkflows(k, params, fns)
+	gc := New(k, params)
+	fns, wfs := gc.Functions, gc.Workflows
 	inj := chaos.NewInjector(k, &chaos.Plan{Rules: []chaos.Rule{
 		{Component: "gwf", Kind: chaos.TransientError, Rate: 1, MaxFaults: 1},
 	}})
 	wfs.Chaos = inj
 	fns.Chaos = inj
-	if _, err := fns.Register(Config{Name: "f", MemoryMB: 256, Handler: echo}); err != nil {
+	if _, err := fns.Register(faas.Config{Name: "f", MemoryMB: 256, Handler: echo}); err != nil {
 		t.Fatal(err)
 	}
 	if err := wfs.Create("wf", func(ctx *Ctx, _ map[string]any) (map[string]any, error) {
@@ -260,10 +154,10 @@ func TestWorkflowRetryRecoversInjectedFault(t *testing.T) {
 func TestWorkflowCallExhaustsRetries(t *testing.T) {
 	k := sim.NewKernel(1)
 	params := fixedParams()
-	fns := NewFunctions(k, params)
-	wfs := NewWorkflows(k, params, fns)
+	gc := New(k, params)
+	fns, wfs := gc.Functions, gc.Workflows
 	boom := errors.New("boom")
-	if _, err := fns.Register(Config{Name: "f", MemoryMB: 256, Handler: func(*Context, []byte) ([]byte, error) {
+	if _, err := fns.Register(faas.Config{Name: "f", MemoryMB: 256, Handler: func(*faas.Context, []byte) ([]byte, error) {
 		return nil, boom
 	}}); err != nil {
 		t.Fatal(err)
@@ -291,7 +185,7 @@ func TestWorkflowCallExhaustsRetries(t *testing.T) {
 func TestUsageAggregatesAcrossServices(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(k, fixedParams())
-	if _, err := c.Functions.Register(Config{Name: "f", MemoryMB: 256, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
+	if _, err := c.Functions.Register(faas.Config{Name: "f", MemoryMB: 256, Handler: func(ctx *faas.Context, _ []byte) ([]byte, error) {
 		ctx.Busy(50 * time.Millisecond)
 		c.GCS.Put(ctx.Proc(), "k", []byte("v"))
 		return nil, nil

@@ -48,20 +48,7 @@ func memoryMB(n *flow.Node) int {
 // registerTask installs one task node as a Cloud Function wrapping its
 // bound stage.
 func registerTask(gc *gcp.Cloud, st *flow.Stages, n *flow.Node) error {
-	stage, err := st.Task(n.Stage)
-	if err != nil {
-		return err
-	}
-	_, err = gc.Functions.Register(gcp.Config{
-		Name:          n.Fn,
-		MemoryMB:      memoryMB(n),
-		ConsumedMemMB: n.ConsumedMemMB,
-		CodeSizeMB:    n.CodeSizeMB,
-		Handler: func(ctx *gcp.Context, input []byte) ([]byte, error) {
-			return stage(ctx, input)
-		},
-	})
-	return err
+	return flow.RegisterFunction(gc.Functions, st, n, memoryMB(n))
 }
 
 // --- Mono: single Cloud Function (GCP-Func) ---
@@ -88,7 +75,7 @@ func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment,
 		return nil, err
 	}
 	return &core.Deployment{
-		Runner:     &gcfRunner{gc: gc, fn: n.Fn},
+		Runner:     flow.FunctionRunner(gc.Functions, n.Fn),
 		FuncCount:  g.FuncCount,
 		CodeSizeMB: g.DeployCodeSizeMB(providerName),
 	}, nil
@@ -99,27 +86,6 @@ func (monoLowerer) Program(def *flow.Definition) (string, error) {
 	n := g.Node(g.Start)
 	return fmt.Sprintf("function %s memory=%dMB consumed=%dMB code=%.1fMB stage=%s\n",
 		n.Fn, memoryMB(n), n.ConsumedMemMB, n.CodeSizeMB, n.Stage), nil
-}
-
-// gcfRunner invokes a single Cloud Function synchronously.
-type gcfRunner struct {
-	gc *gcp.Cloud
-	fn string
-}
-
-// Invoke implements core.Runner.
-func (r *gcfRunner) Invoke(p *sim.Proc, _ []byte) (core.RunStats, error) {
-	inv, err := r.gc.Functions.Invoke(p, r.fn, nil)
-	if err != nil {
-		return core.RunStats{}, err
-	}
-	return core.RunStats{
-		E2E:       inv.Total,
-		ColdStart: inv.ColdStartDelay,
-		ExecTime:  inv.ExecTime,
-		Output:    inv.Output,
-		Err:       inv.Err,
-	}, nil
 }
 
 // --- Machine: GCP Workflows program (GCP-Wflow) ---

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"statebench/internal/chaos"
+	"statebench/internal/cloud/faas"
 	"statebench/internal/obs/span"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
@@ -19,7 +20,7 @@ type Workflows struct {
 	k      *sim.Kernel
 	rng    *sim.RNG
 	params platform.GCPParams
-	fns    *Functions
+	fns    *faas.Service
 	wfs    map[string]Definition
 	// TotalSteps aggregates billable executed steps across all
 	// executions since the last reset (retried steps bill again).
@@ -36,8 +37,8 @@ type Workflows struct {
 // virtual-time context; all platform effects go through ctx.
 type Definition func(ctx *Ctx, input map[string]any) (map[string]any, error)
 
-// NewWorkflows creates a Workflows engine bound to a Functions service.
-func NewWorkflows(k *sim.Kernel, params platform.GCPParams, fns *Functions) *Workflows {
+// NewWorkflows creates a Workflows engine bound to a Cloud Functions service.
+func NewWorkflows(k *sim.Kernel, params platform.GCPParams, fns *faas.Service) *Workflows {
 	return &Workflows{k: k, rng: k.Stream("gcp/workflows"), params: params, fns: fns, wfs: make(map[string]Definition)}
 }
 

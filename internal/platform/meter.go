@@ -37,8 +37,10 @@ func RoundUp(d, step time.Duration) time.Duration {
 	return d
 }
 
-// RecordAWS meters one Lambda execution: billed on configured memory,
-// duration rounded up to 100 ms.
+// RecordAWS meters one per-request execution (AWS Lambda, and Cloud
+// Functions gen 1, which bills the same way): billed on configured
+// memory, duration rounded up to 100 ms. GCP's tier-coupled GHz-s
+// charge is applied by its price book, not here.
 func (m *Meter) RecordAWS(exec time.Duration, configuredMemMB, consumedMemMB int) {
 	m.Invocations++
 	m.ExecTime += exec
@@ -59,13 +61,6 @@ func (m *Meter) RecordAzure(exec time.Duration, consumedMemMB int) {
 	}
 	m.BilledGBs += d.Seconds() * float64(billedMem) / 1024
 	m.ConsumedGBs += exec.Seconds() * float64(consumedMemMB) / 1024
-}
-
-// RecordGCP meters one Cloud Functions (gen-1) execution: like AWS,
-// billed on configured memory with 100 ms duration round-up; the
-// tier-coupled GHz-s charge is applied by the price book, not here.
-func (m *Meter) RecordGCP(exec time.Duration, configuredMemMB, consumedMemMB int) {
-	m.RecordAWS(exec, configuredMemMB, consumedMemMB)
 }
 
 // Add merges another meter into m.

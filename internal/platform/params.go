@@ -12,13 +12,15 @@ import (
 // result holds (see EXPERIMENTS.md for paper-vs-measured numbers);
 // experiments may copy and perturb them for ablations.
 
-// AWSParams calibrates the simulated AWS platform (Lambda + Step
-// Functions), Table I row "AWS".
-type AWSParams struct {
-	// Region-ish invoke round trip from the client/state machine to the
-	// Lambda front end.
+// FaaSParams calibrates a per-request function service (AWS Lambda,
+// Cloud Functions gen 1): every invocation takes a warm container or
+// pays its own cold start. AWSParams and GCPParams embed it; the
+// service itself is internal/cloud/faas.
+type FaaSParams struct {
+	// InvokeRTT is the front-end round trip of one invocation (from
+	// the client, state machine or workflow engine).
 	InvokeRTT sim.Dist
-	// ColdStartBase is the sandbox provisioning time excluding code
+	// ColdStartBase is the container provisioning time excluding code
 	// fetch; CodeFetchBW (bytes/s) converts deployment-package size to
 	// extra cold-start time (the paper's packages are 63–271 MB).
 	ColdStartBase sim.Dist
@@ -27,16 +29,24 @@ type AWSParams struct {
 	WarmStart sim.Dist
 	// KeepAlive is how long an idle container stays warm.
 	KeepAlive time.Duration
-	// BurstConcurrency caps simultaneous containers per function; AWS
-	// offers ~3000 burst in large regions, effectively unlimited for
-	// the paper's workloads.
+	// BurstConcurrency caps simultaneous containers per function.
 	BurstConcurrency int
+	// TimeLimit aborts executions.
+	TimeLimit time.Duration
+	// PayloadLimit caps the synchronous request payload (0 = none).
+	PayloadLimit int
+}
+
+// AWSParams calibrates the simulated AWS platform (Lambda + Step
+// Functions), Table I row "AWS".
+type AWSParams struct {
+	// FaaSParams is Lambda's calibration. BurstConcurrency is ~3000 in
+	// large regions, effectively unlimited for the paper's workloads;
+	// TimeLimit is 15 min; PayloadLimit, the synchronous invoke / Step
+	// data cap, is 256 KB.
+	FaaSParams
 	// MemoryStepMB is the configurable memory granularity (128 MB).
 	MemoryStepMB int
-	// TimeLimit aborts executions (15 min).
-	TimeLimit time.Duration
-	// PayloadLimit is the synchronous invoke / Step data cap (256 KB).
-	PayloadLimit int
 	// StepTransition is the state-machine overhead per state transition.
 	StepTransition sim.Dist
 	// StepTaskDispatch is the extra latency for a Task state to invoke
@@ -47,15 +57,17 @@ type AWSParams struct {
 // DefaultAWS returns the calibrated AWS parameters.
 func DefaultAWS() AWSParams {
 	return AWSParams{
-		InvokeRTT:        sim.LogNormalDist{Median: 20 * time.Millisecond, Sigma: 0.3, Max: time.Second},
-		ColdStartBase:    sim.LogNormalDist{Median: 250 * time.Millisecond, Sigma: 0.35, Max: 5 * time.Second},
-		CodeFetchBW:      24e6, // ~24 MB/s package fetch+unpack
-		WarmStart:        sim.LogNormalDist{Median: 6 * time.Millisecond, Sigma: 0.3, Max: 200 * time.Millisecond},
-		KeepAlive:        8 * time.Minute,
-		BurstConcurrency: 3000,
+		FaaSParams: FaaSParams{
+			InvokeRTT:        sim.LogNormalDist{Median: 20 * time.Millisecond, Sigma: 0.3, Max: time.Second},
+			ColdStartBase:    sim.LogNormalDist{Median: 250 * time.Millisecond, Sigma: 0.35, Max: 5 * time.Second},
+			CodeFetchBW:      24e6, // ~24 MB/s package fetch+unpack
+			WarmStart:        sim.LogNormalDist{Median: 6 * time.Millisecond, Sigma: 0.3, Max: 200 * time.Millisecond},
+			KeepAlive:        8 * time.Minute,
+			BurstConcurrency: 3000,
+			TimeLimit:        15 * time.Minute,
+			PayloadLimit:     256 * 1024,
+		},
 		MemoryStepMB:     128,
-		TimeLimit:        15 * time.Minute,
-		PayloadLimit:     256 * 1024,
 		StepTransition:   sim.LogNormalDist{Median: 25 * time.Millisecond, Sigma: 0.4, Max: 2 * time.Second},
 		StepTaskDispatch: sim.LogNormalDist{Median: 60 * time.Millisecond, Sigma: 0.5, Max: 5 * time.Second},
 	}
@@ -160,27 +172,14 @@ func DefaultAzure() AzureParams {
 // methodology as Table I so the third provider exercises the
 // provider-registry seam with plausible numbers.
 type GCPParams struct {
-	// InvokeRTT is the front-end round trip for an HTTPS function call.
-	InvokeRTT sim.Dist
-	// ColdStartBase is instance provisioning excluding code fetch;
-	// gen-1 Cloud Functions cold starts are markedly slower than
-	// Lambda's. CodeFetchBW (bytes/s) converts source size to extra
-	// cold-start time.
-	ColdStartBase sim.Dist
-	CodeFetchBW   float64
-	// WarmStart is the per-invocation overhead on a warm instance.
-	WarmStart sim.Dist
-	// KeepAlive is how long an idle instance stays warm.
-	KeepAlive time.Duration
-	// BurstConcurrency caps simultaneous instances per function.
-	BurstConcurrency int
+	// FaaSParams is Cloud Functions' calibration. Gen-1 cold starts are
+	// markedly slower than Lambda's and keep-alive is longer; TimeLimit
+	// is 540 s for HTTP functions and PayloadLimit caps request and
+	// response bodies at 10 MB.
+	FaaSParams
 	// MemoryTiersMB lists the configurable memory sizes (gen 1 offers
 	// fixed tiers, not a step); billing uses the configured tier.
 	MemoryTiersMB []int
-	// TimeLimit aborts executions (540 s for gen-1 HTTP functions).
-	TimeLimit time.Duration
-	// PayloadLimit caps request/response bodies (10 MB).
-	PayloadLimit int
 	// StepOverhead is the Workflows engine's per-step scheduling time.
 	StepOverhead sim.Dist
 	// CallDispatch is the extra latency for a workflow call step to
@@ -191,16 +190,18 @@ type GCPParams struct {
 // DefaultGCP returns the calibrated GCP parameters.
 func DefaultGCP() GCPParams {
 	return GCPParams{
-		InvokeRTT:        sim.LogNormalDist{Median: 25 * time.Millisecond, Sigma: 0.35, Max: time.Second},
-		ColdStartBase:    sim.LogNormalDist{Median: 1400 * time.Millisecond, Sigma: 0.45, Max: 20 * time.Second},
-		CodeFetchBW:      20e6, // ~20 MB/s source fetch+build cache restore
-		WarmStart:        sim.LogNormalDist{Median: 7 * time.Millisecond, Sigma: 0.3, Max: 200 * time.Millisecond},
-		KeepAlive:        15 * time.Minute,
-		BurstConcurrency: 1000,
-		MemoryTiersMB:    []int{128, 256, 512, 1024, 2048, 4096, 8192},
-		TimeLimit:        540 * time.Second,
-		PayloadLimit:     10 << 20,
-		StepOverhead:     sim.LogNormalDist{Median: 35 * time.Millisecond, Sigma: 0.4, Max: 2 * time.Second},
-		CallDispatch:     sim.LogNormalDist{Median: 80 * time.Millisecond, Sigma: 0.5, Max: 5 * time.Second},
+		FaaSParams: FaaSParams{
+			InvokeRTT:        sim.LogNormalDist{Median: 25 * time.Millisecond, Sigma: 0.35, Max: time.Second},
+			ColdStartBase:    sim.LogNormalDist{Median: 1400 * time.Millisecond, Sigma: 0.45, Max: 20 * time.Second},
+			CodeFetchBW:      20e6, // ~20 MB/s source fetch+build cache restore
+			WarmStart:        sim.LogNormalDist{Median: 7 * time.Millisecond, Sigma: 0.3, Max: 200 * time.Millisecond},
+			KeepAlive:        15 * time.Minute,
+			BurstConcurrency: 1000,
+			TimeLimit:        540 * time.Second,
+			PayloadLimit:     10 << 20,
+		},
+		MemoryTiersMB: []int{128, 256, 512, 1024, 2048, 4096, 8192},
+		StepOverhead:  sim.LogNormalDist{Median: 35 * time.Millisecond, Sigma: 0.4, Max: 2 * time.Second},
+		CallDispatch:  sim.LogNormalDist{Median: 80 * time.Millisecond, Sigma: 0.5, Max: 5 * time.Second},
 	}
 }

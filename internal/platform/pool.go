@@ -8,18 +8,19 @@ import (
 	"statebench/internal/sim"
 )
 
-// Pool is the shared container-lifecycle substrate both simulated
-// compute planes (and any registered third provider) are built on. It
-// owns the bookkeeping every FaaS runtime needs — warm-container
-// reuse with keep-alive expiry, instance provisioning counters, idle
-// tracking, reaping, and cold-start statistics — while the *policy*
-// (when to start containers, how fast to scale, which RNG stream to
-// sample cold-start delays from) stays with the provider:
+// Pool is the shared container-lifecycle substrate both compute
+// services are built on. It owns the bookkeeping every FaaS runtime
+// needs — warm-container reuse with keep-alive expiry, instance
+// provisioning counters, idle tracking, reaping, and cold-start
+// statistics — while the *policy* (when to start containers, how fast
+// to scale, which RNG stream to sample cold-start delays from) stays
+// with the service that owns the pool:
 //
-//   - AWS Lambda and GCP Cloud Functions scale per-request: every
-//     invocation either takes a warm entry (TakeWarm) or pays a cold
-//     start (RecordCold), then returns the container with a fresh
-//     keep-alive lease (Release).
+//   - The per-request function service (internal/cloud/faas, behind
+//     AWS Lambda and GCP Cloud Functions): every invocation either
+//     takes a warm entry (TakeWarm) or pays a cold start (RecordCold),
+//     then returns the container with a fresh keep-alive lease
+//     (Release).
 //   - The Azure Functions host provisions long-lived worker instances
 //     through a rate-limited scale controller: BeginStart/FinishStart
 //     track the provisioning pipeline, PopIdle/PushIdle pair work with
@@ -222,14 +223,15 @@ func (p *Pool) Retire(c *Container) {
 	p.ready--
 }
 
-// ReapIdle retires instances idle since before cutoff, never dropping
-// below one ready instance per reap pass — the consumption-plan idle
-// eviction policy. It returns the number reaped.
+// ReapIdle retires every instance idle since before cutoff — the
+// consumption-plan idle eviction policy, which scales an idle app to
+// zero ready instances (the next request pays an instance start). It
+// returns the number reaped.
 func (p *Pool) ReapIdle(cutoff sim.Time) int {
 	reaped := 0
 	keep := p.idle[:0]
 	for _, c := range p.idle {
-		if c.IdleSince < cutoff && p.ready > 0 {
+		if c.IdleSince < cutoff {
 			p.Retire(c)
 			reaped++
 		} else {

@@ -73,9 +73,10 @@ type TrafficProfile struct {
 	MemoryMB int
 }
 
-// Traffic returns the AWS traffic profile, derived from the same
-// calibration the closed-loop Lambda service uses.
-func (p AWSParams) Traffic() TrafficProfile {
+// Traffic returns the per-request traffic profile (AWS Lambda, GCP
+// Cloud Functions), derived from the same calibration the closed-loop
+// function service uses.
+func (p FaaSParams) Traffic() TrafficProfile {
 	return TrafficProfile{
 		Style:            ServePerRequest,
 		InvokeRTT:        p.InvokeRTT,
@@ -102,20 +103,5 @@ func (p AzureParams) Traffic() TrafficProfile {
 		ConcurrencyPerInstance: p.ConcurrencyPerInstance,
 		IdleInstanceTimeout:    p.IdleInstanceTimeout,
 		MemoryMB:               1024,
-	}
-}
-
-// Traffic returns the GCP traffic profile (per-request, slower cold
-// starts, longer keep-alive — see GCPParams).
-func (p GCPParams) Traffic() TrafficProfile {
-	return TrafficProfile{
-		Style:            ServePerRequest,
-		InvokeRTT:        p.InvokeRTT,
-		ColdStart:        p.ColdStartBase,
-		CodeFetchBW:      p.CodeFetchBW,
-		WarmStart:        p.WarmStart,
-		KeepAlive:        p.KeepAlive,
-		BurstConcurrency: p.BurstConcurrency,
-		MemoryMB:         1024,
 	}
 }
