@@ -21,7 +21,8 @@
 # fuzz     — short native-fuzzing smoke runs for the SFN JSONPath and
 #            Choice evaluators.
 # bench    — kernel micro-benchmarks, the payload alloc benchmarks,
-#            the mlkit forest-fit and k-NN predict pair, the
+#            the mlkit forest-fit and k-NN predict pair, the classic
+#            Durable orchestration pair, the
 #            sequential-vs-parallel full-suite pair, the
 #            kernel/traffic-engine suite, and the optimizer's
 #            cold-vs-shared sweep pair (the numbers behind the
@@ -34,7 +35,7 @@ GOFMT ?= gofmt
 # `make cover` fails below this.
 COVER_FLOOR ?= 75
 
-.PHONY: tier1 tier1.5 tier2 cover fuzz bench bench-kernel bench-payload bench-mlkit bench-all bench-traffic bench-netherite bench-optimizer fmt-check golden golden-cache-off timeline-determinism netherite-determinism flow-conformance optimizer-determinism
+.PHONY: tier1 tier1.5 tier2 cover fuzz bench bench-kernel bench-payload bench-mlkit bench-durable bench-all bench-traffic bench-netherite bench-optimizer fmt-check golden golden-cache-off timeline-determinism netherite-determinism flow-conformance optimizer-determinism
 
 # fmt-check fails (listing the offenders) if any file needs gofmt.
 fmt-check:
@@ -149,6 +150,12 @@ bench-mlkit:
 	$(GO) test -run - -bench 'ForestFitLarge' -benchtime 3x -benchmem ./internal/mlkit/ensemble/
 	$(GO) test -run - -bench 'KNNPredictLarge' -benchtime 3x -benchmem ./internal/mlkit/neighbors/
 
+# bench-durable times one orchestration run on the classic task hub,
+# replays and history loads included: a 3-activity chain, and Fig 14's
+# widest fan-out (80 activities joined by WaitAll).
+bench-durable:
+	$(GO) test -run - -bench 'OrchestrationChain|OrchestrationFanOut' -benchmem ./internal/azure/durable/
+
 bench-all:
 	$(GO) test -run - -bench 'SequentialAll|ParallelAll' -benchtime 1x -benchmem .
 
@@ -184,4 +191,4 @@ bench-optimizer:
 	STATEBENCH_SWEEP_COLD=1 $(GO) test -run - -bench 'OptimizerSweep' -benchtime 1x -benchmem -timeout 30m ./internal/optimizer/
 	$(GO) test -run - -bench 'OptimizerSweep' -benchtime 1x -benchmem -timeout 30m ./internal/optimizer/
 
-bench: bench-kernel bench-payload bench-mlkit bench-all bench-traffic bench-netherite bench-optimizer
+bench: bench-kernel bench-payload bench-mlkit bench-durable bench-all bench-traffic bench-netherite bench-optimizer

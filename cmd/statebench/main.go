@@ -98,7 +98,10 @@ func main() {
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "traffic" {
-		runTraffic(os.Args[2:])
+		if err := runTraffic(os.Args[2:], os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "statebench traffic:", err)
+			os.Exit(1)
+		}
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "graph" {

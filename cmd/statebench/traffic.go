@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -22,8 +23,11 @@ import (
 // rate, scale-controller backlog, and per-tenant cost. Unlike the
 // fixed-scale `traffic` experiment ID, this subcommand exposes the
 // engine's knobs (population, rate, process shape) — the
-// million-tenant runs in EXPERIMENTS.md go through here.
-func runTraffic(args []string) {
+// million-tenant runs in EXPERIMENTS.md go through here. The report
+// goes to w; a CSV report depends only on the flags and the seed,
+// while the text report's notes add each run's host event rate and
+// the peak RSS.
+func runTraffic(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("traffic", flag.ExitOnError)
 	tenants := fs.Int("tenants", 1_000_000, "simulated tenant population")
 	window := fs.Duration("duration", 2*time.Minute, "arrival window (virtual time); the run then drains")
@@ -50,8 +54,7 @@ func runTraffic(args []string) {
 	if *liveAddr != "" {
 		live, err := tseries.ServeLive(*liveAddr, tlc.Snapshot)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "statebench traffic:", err)
-			os.Exit(1)
+			return err
 		}
 		defer live.Close()
 		fmt.Fprintf(os.Stderr, "statebench traffic: live telemetry on http://%s/\n", live.Addr())
@@ -73,8 +76,7 @@ func runTraffic(args []string) {
 	procNames := []string{"poisson", "bursty", "diurnal"}
 	if *process != "all" {
 		if _, ok := procs[*process]; !ok {
-			fmt.Fprintf(os.Stderr, "statebench traffic: unknown process %q (want poisson|bursty|diurnal|all)\n", *process)
-			os.Exit(1)
+			return fmt.Errorf("unknown process %q (want poisson|bursty|diurnal|all)", *process)
 		}
 		procNames = []string{*process}
 	}
@@ -90,8 +92,7 @@ func runTraffic(args []string) {
 		specs = append(specs, spec)
 	}
 	if len(specs) == 0 {
-		fmt.Fprintf(os.Stderr, "statebench traffic: no registered provider matches %q (see `statebench providers`)\n", *providerFlag)
-		os.Exit(1)
+		return fmt.Errorf("no registered provider matches %q (see `statebench providers`)", *providerFlag)
 	}
 
 	r := &experiments.Report{
@@ -100,11 +101,12 @@ func runTraffic(args []string) {
 			*tenants, *rate, *window, *seed),
 	}
 	r.Table.Header = []string{
-		"provider", "serving", "process", "arrivals", "events", "Mev/s",
+		"provider", "serving", "process", "arrivals", "events",
 		"cold", "p50", "p99", "p99.9", "sched p99", "peak backlog",
 		"tenant cost p99", "total cost",
 	}
 	var totalEvents uint64
+	var rates []string
 	campaign := 0
 	for _, spec := range specs {
 		for _, name := range procNames {
@@ -147,14 +149,13 @@ func runTraffic(args []string) {
 			}
 			res.Cloud = spec.Name
 			totalEvents += res.Events
-			mevs := float64(res.Events) / 1e6 / wall.Seconds()
+			rates = append(rates, fmt.Sprintf("%s/%s %.1f", spec.Name, res.Process, float64(res.Events)/1e6/wall.Seconds()))
 			r.Table.AddRow(
 				spec.Name,
 				res.Style.String(),
 				res.Process,
 				fmt.Sprintf("%d", res.Arrivals),
 				fmt.Sprintf("%d", res.Events),
-				fmt.Sprintf("%.1f", mevs),
 				fmt.Sprintf("%.1f%%", 100*res.ColdRate()),
 				obs.FormatDuration(res.E2E.Median()),
 				obs.FormatDuration(res.E2E.P99()),
@@ -167,21 +168,20 @@ func runTraffic(args []string) {
 		}
 	}
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("%d kernel events total; Mev/s is wall-clock millions of events per second per run", totalEvents))
+		fmt.Sprintf("%d kernel events total; host rate per run, millions of events per wall-clock second: %s",
+			totalEvents, strings.Join(rates, ", ")))
 	if rss, ok := peakRSSMB(); ok {
 		r.Notes = append(r.Notes, fmt.Sprintf("peak RSS %d MB", rss))
 	}
 	if *csv {
-		fmt.Print(r.CSV())
+		fmt.Fprint(w, r.CSV())
 	} else {
-		fmt.Println(r)
+		fmt.Fprintln(w, r)
 	}
 	if tlc != nil && *timelineOut != "" {
-		if err := writeTimelineFile(*timelineOut, tlc); err != nil {
-			fmt.Fprintln(os.Stderr, "statebench traffic:", err)
-			os.Exit(1)
-		}
+		return writeTimelineFile(*timelineOut, tlc)
 	}
+	return nil
 }
 
 // peakRSSMB reads the process high-water resident set from

@@ -39,3 +39,37 @@ func BenchmarkOrchestrationChain(b *testing.B) {
 		k.Run()
 	}
 }
+
+// BenchmarkOrchestrationFanOut measures one orchestration that fans out
+// 80 activities (Fig 14's widest width) and joins them with WaitAll:
+// every completion episode replays the whole growing history, so the
+// history load and the replay's context build dominate.
+func BenchmarkOrchestrationFanOut(b *testing.B) {
+	const width = 80
+	for i := 0; i < b.N; i++ {
+		k, host, hub, client := fixture()
+		if err := hub.RegisterActivity("w", 128, func(ctx *functions.Context, in []byte) ([]byte, error) {
+			ctx.Busy(10 * time.Millisecond)
+			return in, nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if err := hub.RegisterOrchestrator("o", 128, func(ctx *OrchestrationContext, input []byte) ([]byte, error) {
+			tasks := make([]*Task, width)
+			for j := range tasks {
+				tasks[j] = ctx.CallActivity("w", input)
+			}
+			_, err := ctx.WaitAll(tasks...)
+			return nil, err
+		}); err != nil {
+			b.Fatal(err)
+		}
+		k.Spawn("client", func(p *sim.Proc) {
+			defer host.Stop()
+			if _, _, err := client.Run(p, "o", []byte(`"frame"`)); err != nil {
+				b.Error(err)
+			}
+		})
+		k.Run()
+	}
+}

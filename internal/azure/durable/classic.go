@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"time"
 
 	"statebench/internal/chaos"
@@ -31,6 +32,12 @@ type classicStore struct {
 	history   *table.Table
 	instances *table.Table
 
+	// records is each instance's committed history, decoded. The
+	// history table holds one keyed row per record and bills every
+	// access; replay reads the records from here, as Netherite's
+	// materialized history does.
+	records map[string][]Record
+
 	// listeners[i] polls control[i]; wiListener polls workItems.
 	listeners  []*queue.Listener
 	wiListener *queue.Listener
@@ -47,6 +54,7 @@ func newClassicStore(k *sim.Kernel, name string, params platform.AzureParams) *c
 		workItems: queue.New(k, name+"-workitems", durableQueueParams(params)),
 		history:   table.New(k, name+"-history", table.DefaultParams()),
 		instances: table.New(k, name+"-instances", table.DefaultParams()),
+		records:   make(map[string][]Record),
 	}
 	for i := 0; i < params.ControlQueuePartitions; i++ {
 		s.control = append(s.control, queue.New(k, fmt.Sprintf("%s-control-%02d", name, i), durableQueueParams(params)))
@@ -156,41 +164,50 @@ func (s *classicStore) SendWork(m Envelope) error {
 	return nil
 }
 
-// LoadHistory implements Store: a billed table query every episode.
+// LoadHistory implements Store: a billed table query every episode,
+// which draws the query latency whatever the partition holds. The
+// records are a copy of the committed slice; their Data is shared and
+// read-only.
 func (s *classicStore) LoadHistory(p *sim.Proc, instance string) []Record {
-	rows := s.history.Query(p, instance)
-	events := make([]Record, 0, len(rows))
-	for _, r := range rows {
-		var ev Record
-		if err := json.Unmarshal(r.Data, &ev); err == nil {
-			events = append(events, ev)
-		}
-	}
-	return events
+	s.history.Query(p, instance)
+	recs := s.records[instance]
+	out := make([]Record, len(recs))
+	copy(out, recs)
+	return out
 }
 
-// CommitEpisode implements Store: one synchronous billed batch write;
-// the classic hub never loses a written batch, and the write is
-// durable the moment WriteBatch returns (zero settle delay).
+// CommitEpisode implements Store: one synchronous billed batch write of
+// one keyed row per record; the classic hub never loses a written
+// batch, and the write is durable the moment WriteBatch returns (zero
+// settle delay). The records are then appended to the instance's
+// decoded history with their Data copied once, nil when empty, so the
+// caller's buffers never reach a later load.
 func (s *classicStore) CommitEpisode(p *sim.Proc, instance, orchestrator string, tctx sim.TraceContext, recs []Record) (CommitVerdict, time.Duration) {
 	if len(recs) == 0 {
 		return CommitOK, 0
 	}
 	ents := make([]table.Entity, len(recs))
 	for i, ev := range recs {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			continue
-		}
-		ents[i] = table.Entity{PK: instance, RK: fmt.Sprintf("%06d", ev.Seq), Data: data}
+		ents[i] = table.Entity{PK: instance, RK: fmt.Sprintf("%06d", ev.Seq)}
 	}
 	s.history.WriteBatch(p, instance, ents)
+	hist := s.records[instance]
+	for _, ev := range recs {
+		if len(ev.Data) == 0 {
+			ev.Data = nil
+		} else {
+			ev.Data = slices.Clip(slices.Clone(ev.Data))
+		}
+		hist = append(hist, ev)
+	}
+	s.records[instance] = hist
 	return CommitOK, 0
 }
 
 // PurgeHistory implements Store (ContinueAsNew).
 func (s *classicStore) PurgeHistory(p *sim.Proc, instance string) {
 	s.history.DeletePartition(p, instance)
+	delete(s.records, instance)
 }
 
 // ReadEntityState implements Store: a billed table read plus the

@@ -6,16 +6,16 @@ import (
 )
 
 // histEvent is one event-sourcing history record. The full event list
-// for an orchestration instance is stored in the history table and
-// re-read on every episode, exactly like the Durable Task Framework.
+// for an orchestration instance is persisted by the store and loaded
+// on every episode, exactly like the Durable Task Framework.
 type histEvent struct {
-	Seq    int    `json:"seq"`
-	Kind   string `json:"kind"`
-	TaskID int    `json:"taskId,omitempty"`
-	Name   string `json:"name,omitempty"`
-	Op     string `json:"op,omitempty"`
-	Data   []byte `json:"data,omitempty"`
-	Error  string `json:"error,omitempty"`
+	Seq    int
+	Kind   string
+	TaskID int
+	Name   string
+	Op     string
+	Data   []byte
+	Error  string
 }
 
 // History event kinds.
@@ -94,7 +94,8 @@ type Task struct {
 // Await returns the task's result. If the result has not arrived yet,
 // the episode ends (the orchestrator unloads) and the function will be
 // replayed when it does — callers just see Await return on a later
-// replay.
+// replay. A replayed result is the stored history record's Data,
+// shared by every later replay: read it, never write into it.
 func (t *Task) Await() ([]byte, error) {
 	if ev, ok := t.ctx.results[t.id]; ok {
 		if ev.Error != "" {
@@ -113,7 +114,9 @@ func (t *Task) Done() bool {
 
 // OrchestrationContext is the API surface available to orchestrator
 // functions. All scheduling goes through it so that replays are
-// deterministic.
+// deterministic. Results and inputs replayed from history (Await,
+// WaitAll, the orchestrator's input) share their bytes with the store
+// and with every later replay, so they are read-only.
 type OrchestrationContext struct {
 	hub      *Hub
 	instance string
@@ -129,12 +132,18 @@ type OrchestrationContext struct {
 	raisedPool map[string][]histEvent
 }
 
-func newOrchContext(h *Hub, instance string, events []histEvent) *OrchestrationContext {
+// newOrchContext builds an episode's context from its event list: the
+// persisted history, then the events folded from this episode's
+// arrived messages.
+func newOrchContext(h *Hub, instance string, history, arrived []histEvent) *OrchestrationContext {
+	// Every result in the history follows its task's schedule, so each
+	// map holds about half of the events.
+	n := (len(history) + len(arrived)) / 2
 	ctx := &OrchestrationContext{
 		hub:       h,
 		instance:  instance,
-		scheduled: make(map[int]histEvent),
-		results:   make(map[int]histEvent),
+		scheduled: make(map[int]histEvent, n),
+		results:   make(map[int]histEvent, n),
 	}
 	// External events are matched by NAME in arrival order: raised
 	// events queue up per name and waiter tasks claim them in creation
@@ -142,21 +151,23 @@ func newOrchContext(h *Hub, instance string, events []histEvent) *OrchestrationC
 	ctx.raisedPool = map[string][]histEvent{}
 	raised := ctx.raisedPool
 	var waiters []histEvent
-	for _, ev := range events {
-		switch ev.Kind {
-		case evExecutionStarted:
-			ctx.input = ev.Data
-		case evTaskScheduled, evTimerCreated, evEntityCalled, evSubOrchCreated:
-			ctx.scheduled[ev.TaskID] = ev
-			ctx.replayed = true
-		case evEventWaited:
-			ctx.scheduled[ev.TaskID] = ev
-			ctx.replayed = true
-			waiters = append(waiters, ev)
-		case evEventRaised:
-			raised[ev.Name] = append(raised[ev.Name], ev)
-		case evTaskCompleted, evTaskFailed, evTimerFired, evEntityResponded, evSubOrchCompleted, evSubOrchFailed:
-			ctx.results[ev.TaskID] = ev
+	for _, events := range [2][]histEvent{history, arrived} {
+		for _, ev := range events {
+			switch ev.Kind {
+			case evExecutionStarted:
+				ctx.input = ev.Data
+			case evTaskScheduled, evTimerCreated, evEntityCalled, evSubOrchCreated:
+				ctx.scheduled[ev.TaskID] = ev
+				ctx.replayed = true
+			case evEventWaited:
+				ctx.scheduled[ev.TaskID] = ev
+				ctx.replayed = true
+				waiters = append(waiters, ev)
+			case evEventRaised:
+				raised[ev.Name] = append(raised[ev.Name], ev)
+			case evTaskCompleted, evTaskFailed, evTimerFired, evEntityResponded, evSubOrchCompleted, evSubOrchFailed:
+				ctx.results[ev.TaskID] = ev
+			}
 		}
 	}
 	for _, w := range waiters {

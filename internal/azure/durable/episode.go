@@ -128,15 +128,15 @@ func (h *Hub) episodeHandler(name string) functions.Handler {
 
 		// 1. Load persisted history (a billed table query per episode on
 		// the classic store; an in-memory read on Netherite).
-		events := h.store.LoadHistory(p, instance)
-		h.ReplayEvents += int64(len(events))
-		replayed = len(events)
+		history := h.store.LoadHistory(p, instance)
+		h.ReplayEvents += int64(len(history))
+		replayed = len(history)
 
-		// 2. Fold arrived messages into new history events.
+		// 2. Fold arrived messages into new history events, numbered on
+		// from the persisted ones.
 		var newEvents []histEvent
 		addEvent := func(ev histEvent) {
-			ev.Seq = len(events)
-			events = append(events, ev)
+			ev.Seq = len(history) + len(newEvents)
 			newEvents = append(newEvents, ev)
 		}
 		for _, m := range msgs {
@@ -163,10 +163,10 @@ func (h *Hub) episodeHandler(name string) functions.Handler {
 
 		// 3. Replay cost: the function re-executes from the start,
 		// processing the whole event list.
-		p.Sleep(5*time.Millisecond + h.params.HistoryReplayPerEvent*time.Duration(len(events)))
+		p.Sleep(5*time.Millisecond + h.params.HistoryReplayPerEvent*time.Duration(len(history)+len(newEvents)))
 
 		// 4. Run the orchestrator with replay semantics.
-		octx := newOrchContext(h, instance, events)
+		octx := newOrchContext(h, instance, history, newEvents)
 		var out []byte
 		var runErr error
 		completed := true

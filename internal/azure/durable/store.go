@@ -81,7 +81,8 @@ type Store interface {
 	SendWork(m Envelope) error
 
 	// LoadHistory returns the instance's persisted history in sequence
-	// order, charging any read cost to p.
+	// order, charging any read cost to p. The slice is the caller's;
+	// the records' Data is shared with the store and read-only.
 	LoadHistory(p *sim.Proc, instance string) []Record
 	// CommitEpisode persists one episode's new records and returns the
 	// commit verdict plus the settle delay: how long after now the

@@ -5,8 +5,6 @@
 package table
 
 import (
-	"slices"
-	"strings"
 	"time"
 
 	"statebench/internal/sim"
@@ -154,21 +152,13 @@ func (t *Table) WriteBatch(p *sim.Proc, pk string, entities []Entity) {
 	}
 }
 
-// Query returns all rows in partition pk in row-key order, consuming
-// one operation latency. It is how an orchestration's history is loaded.
-func (t *Table) Query(p *sim.Proc, pk string) []Entity {
+// Query reads partition pk, consuming one operation latency: one
+// billed transaction (one page) whatever the partition holds. It is
+// how an orchestration's history load is billed; the caller keeps
+// the history decoded, so the rows themselves are not returned.
+func (t *Table) Query(p *sim.Proc, pk string) {
 	t.stats.Queries++
 	p.Sleep(t.params.OpLatency.Sample(t.rng))
-	var out []Entity
-	for k, v := range t.rows {
-		if k.pk == pk {
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			out = append(out, Entity{PK: k.pk, RK: k.rk, Data: cp})
-		}
-	}
-	slices.SortFunc(out, func(a, b Entity) int { return strings.Compare(a.RK, b.RK) })
-	return out
 }
 
 // DeletePartition removes every row in pk as batched deletes (one

@@ -36,24 +36,40 @@ func TestWriteReadDelete(t *testing.T) {
 	}
 }
 
-func TestQueryOrderedByRowKey(t *testing.T) {
-	k := sim.NewKernel(1)
-	tb := New(k, "history", fixedParams())
-	var got []Entity
+// TestQueryBillsOneTransaction pins Query's contract: one billed
+// query, one latency drawn from the table's own stream, whatever the
+// partition holds, and the rows left as they were.
+func TestQueryBillsOneTransaction(t *testing.T) {
+	params := DefaultParams()
+	k := sim.NewKernel(7)
+	tb := New(k, "history", params)
+	draws := sim.NewKernel(7).Stream("table/history")
+	var elapsed []time.Duration
 	k.Spawn("c", func(p *sim.Proc) {
-		tb.Write(p, "inst1", "0003", []byte("c"))
-		tb.Write(p, "inst1", "0001", []byte("a"))
-		tb.Write(p, "inst1", "0002", []byte("b"))
-		tb.Write(p, "other", "0001", []byte("x"))
-		got = tb.Query(p, "inst1")
+		for i := 0; i < 3; i++ {
+			tb.Preload("inst1", fmt.Sprintf("%04d", i), []byte{byte(i)})
+		}
+		for _, pk := range []string{"inst1", "empty", "inst1"} {
+			start := p.Now()
+			tb.Query(p, pk)
+			elapsed = append(elapsed, time.Duration(p.Now()-start))
+		}
 	})
 	k.Run()
-	if len(got) != 3 {
-		t.Fatalf("query returned %d rows", len(got))
+	for i, got := range elapsed {
+		if want := params.OpLatency.Sample(draws); got != want {
+			t.Fatalf("query %d took %v, want the stream's draw %d, %v", i, got, i, want)
+		}
 	}
-	for i, want := range []string{"a", "b", "c"} {
-		if string(got[i].Data) != want {
-			t.Fatalf("row %d = %q, want %q", i, got[i].Data, want)
+	if st := tb.Stats(); st != (Stats{Queries: 3}) {
+		t.Fatalf("stats = %+v, want 3 queries and nothing else", st)
+	}
+	if tb.Len() != 3 {
+		t.Fatalf("rows = %d, want 3", tb.Len())
+	}
+	for i := 0; i < 3; i++ {
+		if v, ok := tb.Peek("inst1", fmt.Sprintf("%04d", i)); !ok || len(v) != 1 || v[0] != byte(i) {
+			t.Fatalf("row %d = %v %v after queries", i, v, ok)
 		}
 	}
 }
