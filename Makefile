@@ -3,7 +3,9 @@
 # tier1    — the gate every change must keep green: gofmt, vet (of
 #            the benchmark harness too, its own module, which
 #            `go build ./...` never compiles), build, and the full unit
-#            suite (including the quick-scale output goldens).
+#            suite (including the quick-scale output goldens and
+#            TestEveryFunctionIsReachable, which links every binary and
+#            fails on a function none of them contains).
 # tier1.5  — adds static analysis and the race detector; the
 #            determinism test self-downscales under -race, and the
 #            kernel's and the queue listener's tests repeat ten times
@@ -90,8 +92,9 @@ timeline-determinism:
 
 # netherite-determinism is the task-hub backend gate: every conformance
 # scenario must produce identical results on the classic and Netherite
-# hubs, and Netherite transcripts must be byte-identical across
-# partition counts {1,4,8} (fault-free and under the default chaos
+# hubs, and Netherite transcripts must match, byte for byte, the ones
+# the partitioned store recorded at partition counts {1,4,8}
+# (testdata/transcripts.txt, fault-free and under the default chaos
 # plan), across repeated runs, and at -parallel {1,8} — including the
 # campaign-level reports at any worker count.
 netherite-determinism:

@@ -55,7 +55,7 @@ func runAll(b *testing.B, workers int) {
 	o := benchOpts()
 	o.Workers = workers
 	for i := 0; i < b.N; i++ {
-		rs, err := experiments.All(o)
+		rs, err := experiments.RunAll(experiments.Registry(), o)
 		if err != nil {
 			b.Fatal(err)
 		}

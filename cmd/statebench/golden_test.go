@@ -29,7 +29,7 @@ func golden(t *testing.T, name string) string {
 // experiment in order, text tables, one blank line between reports.
 func render(t *testing.T, opts experiments.Options) string {
 	t.Helper()
-	reports, err := experiments.All(opts)
+	reports, err := experiments.RunAll(experiments.Registry(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestQuickMetricsMatchGolden(t *testing.T) {
 	opts := quickOpts(1)
 	reg := metrics.NewRegistry()
 	opts.Metrics = reg
-	if _, err := experiments.All(opts); err != nil {
+	if _, err := experiments.RunAll(experiments.Registry(), opts); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -20,7 +20,7 @@ import (
 func renderAll(t *testing.T, o experiments.Options, workers int) string {
 	t.Helper()
 	o.Workers = workers
-	reports, err := experiments.All(o)
+	reports, err := experiments.RunAll(experiments.Registry(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestChaosPreservesDeterminism(t *testing.T) {
 				impl, s.SuccessRate, s.Errors, s.Faults, s.E2E.Median(), s.E2E.P99(),
 				s.MeanBill.Total(), s.MeanTxns)
 			var buf bytes.Buffer
-			if err := span.WriteChromeTrace(&buf, s.Trace.Spans()); err != nil {
+			if err := span.WriteChromeTraceWith(&buf, s.Trace.Spans(), nil); err != nil {
 				t.Fatal(err)
 			}
 			sb.Write(buf.Bytes())

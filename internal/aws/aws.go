@@ -52,14 +52,6 @@ func (c *Cloud) SetTimeline(s *tseries.Series) {
 	c.Lambda.SetTimeline(s)
 }
 
-// ResetMeters zeroes billing meters and storage stats across services,
-// keeping deployed functions and warm containers.
-func (c *Cloud) ResetMeters() {
-	c.Lambda.ResetMeters()
-	c.SFN.ResetMeters()
-	c.S3.ResetStats()
-}
-
 // Usage reports cumulative billable consumption (the core.Backend
 // seam). AWS bills Step transitions whether or not the style is
 // stateful — a stateless deployment simply produces none.

@@ -16,13 +16,12 @@ import (
 // Service is the simulated Step Functions control plane. Task states
 // invoke functions on the attached Lambda service.
 type Service struct {
-	k        *sim.Kernel
 	rng      *sim.RNG
 	params   platform.AWSParams
 	lambda   *faas.Service
 	machines map[string]*StateMachine
 	// TotalTransitions aggregates billable transitions across all
-	// executions since the last reset.
+	// executions.
 	TotalTransitions int64
 	// Tracer, when non-nil, emits an orchestration span per execution
 	// and a transition span per billable state transition.
@@ -34,7 +33,7 @@ type Service struct {
 
 // New creates a Step Functions service bound to a Lambda service.
 func New(k *sim.Kernel, params platform.AWSParams, lsvc *faas.Service) *Service {
-	return &Service{k: k, rng: k.Stream("aws/sfn"), params: params, lambda: lsvc, machines: make(map[string]*StateMachine)}
+	return &Service{rng: k.Stream("aws/sfn"), params: params, lambda: lsvc, machines: make(map[string]*StateMachine)}
 }
 
 // CreateStateMachine validates and registers a machine under name.
@@ -51,15 +50,6 @@ func (s *Service) CreateStateMachine(name string, sm *StateMachine) error {
 	s.machines[name] = sm
 	return nil
 }
-
-// Machine returns a registered machine.
-func (s *Service) Machine(name string) (*StateMachine, bool) {
-	m, ok := s.machines[name]
-	return m, ok
-}
-
-// ResetMeters zeroes the aggregate transition counter.
-func (s *Service) ResetMeters() { s.TotalTransitions = 0 }
 
 // HistoryEvent is one recorded execution event.
 type HistoryEvent struct {
@@ -452,7 +442,7 @@ func (s *Service) fanOut(p *sim.Proc, exec *Execution, n, maxConc int, pick func
 	k := p.Kernel()
 	var sem *sim.Resource
 	if maxConc > 0 {
-		sem = sim.NewResource(k, maxConc)
+		sem = sim.NewResource(maxConc)
 	}
 	futures := make([]*sim.Future[any], n)
 	branchCtx := p.TraceCtx

@@ -103,16 +103,6 @@ func (c *Cloud) ManualQueueTransactions() int64 {
 	return total
 }
 
-// ResetMeters zeroes compute meters and storage transaction counters.
-func (c *Cloud) ResetMeters() {
-	c.Host.ResetMeters()
-	c.Hub.ResetStorageStats()
-	for _, q := range c.ManualQueues {
-		q.ResetStats()
-	}
-	c.Blob.ResetStats()
-}
-
 // Stop terminates listeners and the scale controller so a finished
 // simulation's kernel can drain.
 func (c *Cloud) Stop() { c.Host.Stop() }

@@ -37,8 +37,4 @@ func TestCloudAssembly(t *testing.T) {
 	if c.StorageTransactions() < c.ManualQueueTransactions() {
 		t.Fatal("hub transactions missing from total")
 	}
-	c.ResetMeters()
-	if c.StorageTransactions() != 0 || c.Host.TotalMeter().Invocations != 0 {
-		t.Fatal("reset incomplete")
-	}
 }

@@ -204,12 +204,6 @@ func (s *classicStore) CommitEpisode(p *sim.Proc, instance, orchestrator string,
 	return CommitOK, 0
 }
 
-// PurgeHistory implements Store (ContinueAsNew).
-func (s *classicStore) PurgeHistory(p *sim.Proc, instance string) {
-	s.history.DeletePartition(p, instance)
-	delete(s.records, instance)
-}
-
 // ReadEntityState implements Store: a billed table read plus the
 // calibrated state-access latency.
 func (s *classicStore) ReadEntityState(p *sim.Proc, instance string) ([]byte, bool) {
@@ -229,11 +223,6 @@ func (s *classicStore) QueryEntityState(p *sim.Proc, instance string) ([]byte, b
 	return s.instances.Read(p, instance, "state")
 }
 
-// PeekEntityState implements Store: unbilled inspection.
-func (s *classicStore) PeekEntityState(instance string) ([]byte, bool) {
-	return s.instances.Peek(instance, "state")
-}
-
 // Transactions implements Store: billable storage transactions across
 // the hub's queues and tables — the stateful cost component of Azure.
 func (s *classicStore) Transactions() int64 {
@@ -244,16 +233,6 @@ func (s *classicStore) Transactions() int64 {
 	total += s.history.Stats().Transactions()
 	total += s.instances.Stats().Transactions()
 	return total
-}
-
-// ResetStats implements Store.
-func (s *classicStore) ResetStats() {
-	s.workItems.ResetStats()
-	for _, q := range s.control {
-		q.ResetStats()
-	}
-	s.history.ResetStats()
-	s.instances.ResetStats()
 }
 
 // SetTracer implements Store: queue hops emit their own spans.

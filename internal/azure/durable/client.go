@@ -34,8 +34,6 @@ type Handle struct {
 	CompletedAt sim.Time
 
 	status Status
-	output []byte
-	err    error
 	done   *sim.Future[[]byte]
 }
 
@@ -57,8 +55,6 @@ func (hd *Handle) markRunning(now sim.Time) {
 // complete finishes the orchestration.
 func (hd *Handle) complete(now sim.Time, out []byte, err error) {
 	hd.CompletedAt = now
-	hd.output = out
-	hd.err = err
 	if err != nil {
 		hd.status = StatusFailed
 	} else {
@@ -77,9 +73,6 @@ func (hd *Handle) ColdStart() time.Duration { return hd.RunningAt - hd.CreatedAt
 // E2E returns the Running→Completed latency — the paper's end-to-end
 // metric for durable workflows.
 func (hd *Handle) E2E() time.Duration { return hd.CompletedAt - hd.RunningAt }
-
-// Total returns the client-observed Pending→Completed time.
-func (hd *Handle) Total() time.Duration { return hd.CompletedAt - hd.CreatedAt }
 
 // starterFunction is the HTTP-triggered client function that schedules
 // orchestrations (a real, billed function execution, as in Azure).
@@ -190,13 +183,4 @@ func (c *Client) SignalEntity(p *sim.Proc, e EntityID, op string, input []byte) 
 // API cost.
 func (c *Client) ReadEntityState(p *sim.Proc, e EntityID) ([]byte, bool) {
 	return c.hub.store.QueryEntityState(p, e.instanceID())
-}
-
-// Handle returns the handle for an instance ID, if known.
-func (c *Client) Handle(id string) (*Handle, bool) {
-	st, ok := c.hub.orchs[id]
-	if !ok {
-		return nil, false
-	}
-	return st.handle, true
 }

@@ -46,9 +46,6 @@ type pendingSentinel struct{}
 // inside context calls (payload limits, nondeterminism).
 type orchFailure struct{ err error }
 
-// continueAsNew restarts the orchestration with fresh history.
-type continueAsNew struct{ input []byte }
-
 // EntityID addresses a durable entity instance (class name + key).
 type EntityID struct {
 	Name string
@@ -81,7 +78,6 @@ type action struct {
 	input  []byte
 	entity EntityID
 	delay  time.Duration
-	signal bool
 }
 
 // Task is a durable task handle (activity call, entity call, timer, or
@@ -106,27 +102,19 @@ func (t *Task) Await() ([]byte, error) {
 	panic(pendingSentinel{})
 }
 
-// Done reports whether the task has completed (never unloads).
-func (t *Task) Done() bool {
-	_, ok := t.ctx.results[t.id]
-	return ok
-}
-
 // OrchestrationContext is the API surface available to orchestrator
 // functions. All scheduling goes through it so that replays are
 // deterministic. Results and inputs replayed from history (Await,
 // WaitAll, the orchestrator's input) share their bytes with the store
 // and with every later replay, so they are read-only.
 type OrchestrationContext struct {
-	hub      *Hub
-	instance string
+	hub *Hub
 
 	input     []byte
 	counter   int
 	scheduled map[int]histEvent // by task ID, from history or this episode
 	results   map[int]histEvent // completions by task ID
 	actions   []action
-	replayed  bool // true if prior episodes existed (IsReplaying)
 	// raisedPool holds external events not yet claimed by a waiter,
 	// queued per name in arrival order.
 	raisedPool map[string][]histEvent
@@ -135,13 +123,12 @@ type OrchestrationContext struct {
 // newOrchContext builds an episode's context from its event list: the
 // persisted history, then the events folded from this episode's
 // arrived messages.
-func newOrchContext(h *Hub, instance string, history, arrived []histEvent) *OrchestrationContext {
+func newOrchContext(h *Hub, history, arrived []histEvent) *OrchestrationContext {
 	// Every result in the history follows its task's schedule, so each
 	// map holds about half of the events.
 	n := (len(history) + len(arrived)) / 2
 	ctx := &OrchestrationContext{
 		hub:       h,
-		instance:  instance,
 		scheduled: make(map[int]histEvent, n),
 		results:   make(map[int]histEvent, n),
 	}
@@ -158,10 +145,8 @@ func newOrchContext(h *Hub, instance string, history, arrived []histEvent) *Orch
 				ctx.input = ev.Data
 			case evTaskScheduled, evTimerCreated, evEntityCalled, evSubOrchCreated:
 				ctx.scheduled[ev.TaskID] = ev
-				ctx.replayed = true
 			case evEventWaited:
 				ctx.scheduled[ev.TaskID] = ev
-				ctx.replayed = true
 				waiters = append(waiters, ev)
 			case evEventRaised:
 				raised[ev.Name] = append(raised[ev.Name], ev)
@@ -179,13 +164,6 @@ func newOrchContext(h *Hub, instance string, history, arrived []histEvent) *Orch
 	}
 	return ctx
 }
-
-// InstanceID returns this orchestration's instance ID.
-func (c *OrchestrationContext) InstanceID() string { return c.instance }
-
-// IsReplaying reports whether any prior episode has run; user code uses
-// it to suppress duplicated side effects such as logging.
-func (c *OrchestrationContext) IsReplaying() bool { return c.replayed }
 
 // fail aborts the orchestration with err (recovered by the episode
 // runner and recorded as ExecutionFailed).
@@ -239,19 +217,6 @@ func (c *OrchestrationContext) CallEntity(entity EntityID, op string, input []by
 	return &Task{ctx: c, id: id}
 }
 
-// SignalEntity sends a one-way entity operation (fire and forget).
-func (c *OrchestrationContext) SignalEntity(entity EntityID, op string, input []byte) {
-	c.checkPayload("entity "+entity.String()+" signal "+op, len(input))
-	id, inHistory := c.nextID(evEntityCalled, entity.instanceID())
-	if !inHistory {
-		ev := histEvent{Kind: evEntityCalled, TaskID: id, Name: entity.instanceID(), Op: op, Data: input}
-		c.scheduled[id] = ev
-		// A signal is immediately "completed" — nothing to await.
-		c.results[id] = histEvent{Kind: evEntityResponded, TaskID: id}
-		c.actions = append(c.actions, action{kind: actEntity, taskID: id, entity: entity, op: op, input: input, signal: true})
-	}
-}
-
 // CallSubOrchestrator starts a child orchestration and returns its task.
 func (c *OrchestrationContext) CallSubOrchestrator(name string, input []byte) *Task {
 	c.checkPayload("sub-orchestration "+name+" input", len(input))
@@ -295,14 +260,6 @@ func (c *OrchestrationContext) WaitForExternalEvent(name string) *Task {
 		}
 	}
 	return &Task{ctx: c, id: id}
-}
-
-// ContinueAsNew restarts this orchestration from scratch with the given
-// input, discarding its history — the eternal-orchestration pattern
-// that keeps replay cost bounded. It does not return.
-func (c *OrchestrationContext) ContinueAsNew(input []byte) {
-	c.checkPayload("continue-as-new input", len(input))
-	panic(continueAsNew{input: input})
 }
 
 // WaitAll awaits every task (fan-in barrier) and returns their payloads

@@ -222,18 +222,19 @@ func TestEntityStatePersistsAcrossOperations(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var out []byte
+	var out, state []byte
 	drive(k, host, func(p *sim.Proc) {
 		var err error
 		out, _, err = client.Run(p, "useCounter", nil)
 		if err != nil {
 			t.Errorf("run: %v", err)
 		}
+		state, _ = client.ReadEntityState(p, EntityID{Name: "Counter", Key: "c1"})
 	})
 	if string(out) != "12" {
 		t.Fatalf("counter = %s, want 12", out)
 	}
-	if hub.EntityStateSize(EntityID{Name: "Counter", Key: "c1"}) <= 0 {
+	if len(state) == 0 {
 		t.Fatal("entity state not persisted")
 	}
 }

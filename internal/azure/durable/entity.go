@@ -13,9 +13,7 @@ import (
 // handlers. State is a byte payload (typically JSON or gob) persisted
 // in the instances table between operation batches.
 type EntityContext struct {
-	hub    *Hub
 	fctx   *functions.Context
-	id     EntityID
 	state  []byte
 	exists bool
 	dirty  bool
@@ -26,9 +24,6 @@ func (c *EntityContext) Proc() *sim.Proc { return c.fctx.Proc() }
 
 // Busy consumes d of virtual compute time.
 func (c *EntityContext) Busy(d time.Duration) { c.fctx.Busy(d) }
-
-// ID returns the entity's identity.
-func (c *EntityContext) ID() EntityID { return c.id }
 
 // HasState reports whether the entity has been initialized.
 func (c *EntityContext) HasState() bool { return c.exists }
@@ -44,28 +39,12 @@ func (c *EntityContext) SetState(s []byte) {
 	c.dirty = true
 }
 
-// Signal sends a one-way operation to another entity (paper §II-B:
-// "one entity can invoke an operation on another entity"). Signals are
-// fire-and-forget, the only entity-to-entity communication the Durable
-// Task Framework allows without deadlocking the serialized executors.
-func (c *EntityContext) Signal(target EntityID, op string, input []byte) error {
-	if limit := c.hub.params.DurablePayloadLimit; limit > 0 && len(input) > limit {
-		return &PayloadTooLargeError{What: "entity signal " + op, Size: len(input), Limit: limit}
-	}
-	if target.instanceID() == c.id.instanceID() {
-		return fmt.Errorf("durable: entity %s cannot signal itself", c.id)
-	}
-	return c.hub.sendFromProc(c.fctx.Proc(), message{
-		Kind: kindEntityOp, Instance: target.instanceID(), Op: op, Input: input, Signal: true,
-	})
-}
-
 // handleEntityMessage queues an operation on the target entity and
 // activates its executor. Operations on one entity key are strictly
 // serialized — the property that makes entities a bottleneck for
 // high-throughput read paths (paper §IV).
 func (h *Hub) handleEntityMessage(m message) {
-	name, key, ok := splitEntityInstance(m.Instance)
+	name, ok := entityClass(m.Instance)
 	if !ok {
 		return
 	}
@@ -78,7 +57,7 @@ func (h *Hub) handleEntityMessage(m message) {
 	}
 	est, found := h.ents[m.Instance]
 	if !found {
-		est = &entityState{id: m.Instance, name: name, key: key}
+		est = &entityState{id: m.Instance, name: name}
 		h.ents[m.Instance] = est
 	}
 	est.inbox = append(est.inbox, m)
@@ -124,7 +103,7 @@ func (h *Hub) entityEpisodeHandler(name string) functions.Handler {
 		// Rehydrate state (store-specific read cost + access latency).
 		stateRow, exists := h.store.ReadEntityState(p, id)
 
-		ectx := &EntityContext{hub: h, fctx: fctx, id: EntityID{Name: est.name, Key: est.key}, state: stateRow, exists: exists}
+		ectx := &EntityContext{fctx: fctx, state: stateRow, exists: exists}
 		for _, m := range ops {
 			// Entity operations carry serialization/rehydration overhead
 			// compared to plain activities (paper: entity ops ~8% slower).
@@ -166,25 +145,15 @@ func (h *Hub) entityEpisodeHandler(name string) functions.Handler {
 	}
 }
 
-// splitEntityInstance parses "@Name@key" into its parts.
-func splitEntityInstance(id string) (name, key string, ok bool) {
+// entityClass parses the class name out of "@Name@key".
+func entityClass(id string) (name string, ok bool) {
 	if len(id) < 3 || id[0] != '@' {
-		return "", "", false
+		return "", false
 	}
 	for i := 1; i < len(id); i++ {
 		if id[i] == '@' {
-			return id[1:i], id[i+1:], true
+			return id[1:i], true
 		}
 	}
-	return "", "", false
-}
-
-// EntityStateSize returns the persisted state size of an entity, or -1
-// if the entity has no state. Control-plane helper for tests/reports.
-func (h *Hub) EntityStateSize(e EntityID) int {
-	row, ok := h.store.PeekEntityState(e.instanceID())
-	if !ok {
-		return -1
-	}
-	return len(row)
+	return "", false
 }

@@ -166,12 +166,10 @@ func (h *Hub) episodeHandler(name string) functions.Handler {
 		p.Sleep(5*time.Millisecond + h.params.HistoryReplayPerEvent*time.Duration(len(history)+len(newEvents)))
 
 		// 4. Run the orchestrator with replay semantics.
-		octx := newOrchContext(h, instance, history, newEvents)
+		octx := newOrchContext(h, history, newEvents)
 		var out []byte
 		var runErr error
 		completed := true
-		restarted := false
-		var restartInput []byte
 		func() {
 			defer func() {
 				r := recover()
@@ -181,26 +179,12 @@ func (h *Hub) episodeHandler(name string) functions.Handler {
 					completed = false
 				case orchFailure:
 					runErr = f.err
-				case continueAsNew:
-					completed = false
-					restarted = true
-					restartInput = f.input
 				default:
 					panic(r)
 				}
 			}()
 			out, runErr = h.orchestrators[name](octx, octx.input)
 		}()
-
-		// ContinueAsNew: purge history, restart with fresh input.
-		if restarted {
-			h.store.PurgeHistory(p, instance)
-			st.inbox = append([]message{stamped(message{Kind: kindExecutionStarted, Instance: instance, Input: restartInput}, st.tctx)}, st.inbox...)
-			if _, err := h.host.SubmitCtx(st.name, []byte(st.id), st.tctx); err != nil {
-				st.active = false
-			}
-			return nil, nil
-		}
 
 		// 5. Persist this episode's new events (messages + schedules).
 		for _, act := range octx.actions {
@@ -339,7 +323,7 @@ func (h *Hub) dispatchAction(instance string, act action) {
 	case actEntity:
 		_ = h.send(stamped(message{
 			Kind: kindEntityOp, Instance: act.entity.instanceID(), Op: act.op, Input: act.input,
-			Caller: instance, CallerTask: act.taskID, Signal: act.signal,
+			Caller: instance, CallerTask: act.taskID,
 		}, octx))
 	case actEventWait:
 		// Waiting is passive: the event arrives via Client.RaiseEvent.

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -134,50 +133,4 @@ func TestRaiseEventUnknownInstance(t *testing.T) {
 			t.Error("raise on unknown instance succeeded")
 		}
 	})
-}
-
-func TestContinueAsNewResetsHistory(t *testing.T) {
-	// An eternal-style orchestration counts down through ContinueAsNew;
-	// each generation starts with fresh history, so the history table
-	// stays bounded.
-	k, host, hub, client := fixture()
-	if err := hub.RegisterActivity("tick", 128, func(ctx *functions.Context, in []byte) ([]byte, error) {
-		ctx.Busy(10 * time.Millisecond)
-		return in, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := hub.RegisterOrchestrator("countdown", 128, func(ctx *OrchestrationContext, input []byte) ([]byte, error) {
-		var n int
-		if err := json.Unmarshal(input, &n); err != nil {
-			return nil, err
-		}
-		if _, err := ctx.CallActivity("tick", input).Await(); err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			next, _ := json.Marshal(n - 1)
-			ctx.ContinueAsNew(next)
-		}
-		return []byte("done"), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var out []byte
-	drive(k, host, func(p *sim.Proc) {
-		start, _ := json.Marshal(3)
-		var err error
-		out, _, err = client.Run(p, "countdown", start)
-		if err != nil {
-			t.Errorf("run: %v", err)
-		}
-	})
-	if string(out) != "done" {
-		t.Fatalf("out = %s", out)
-	}
-	// After completion, history holds only the LAST generation:
-	// ExecutionStarted + TaskScheduled + TaskCompleted + ExecutionCompleted.
-	if got := hub.HistoryTable().Len(); got != 4 {
-		t.Fatalf("history rows = %d, want 4 (fresh per generation)", got)
-	}
 }

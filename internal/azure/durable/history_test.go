@@ -90,12 +90,6 @@ func (c *checkedStore) CommitEpisode(p *sim.Proc, instance, orchestrator string,
 	return v, settle
 }
 
-func (c *checkedStore) PurgeHistory(p *sim.Proc, instance string) {
-	c.classicStore.PurgeHistory(p, instance)
-	delete(c.ref, instance)
-	c.reload(p, "purge", instance)
-}
-
 // reload loads instance twice, compares the first load, appends to
 // both loads' slices and Data, and compares a third load. The two
 // appends to one record's Data must not land in shared capacity.
@@ -126,8 +120,8 @@ func (c *checkedStore) compare(what, instance string, got []Record) {
 
 // TestClassicHistoryMatchesJSONCodec requires the classic store's
 // history to read back exactly as the JSON codec's did: the same
-// records in the same order, nil for empty Data, through ContinueAsNew
-// purges and crash-after-persist redeliveries, over scripted and
+// records in the same order, nil for empty Data, through
+// crash-after-persist redeliveries, over scripted and
 // seeded record sequences, and unchanged by whatever a caller does to a
 // loaded slice short of writing into a record's Data bytes.
 //
@@ -155,12 +149,6 @@ func TestClassicHistoryMatchesJSONCodec(t *testing.T) {
 				Record{Seq: 3, Kind: evTaskCompleted, TaskID: 1, Name: "w", Data: []byte{0, 1, 2}},
 				Record{Seq: 4, Kind: evTaskFailed, TaskID: 0, Name: "w", Error: "boom <&> \"quoted\""},
 				Record{Seq: 5, Kind: evEntityCalled, TaskID: 2, Name: "@Sum@k", Op: "add", Data: []byte("1")})
-			// ContinueAsNew: the purge empties the instance, and the
-			// next generation restarts at Seq 0.
-			s.PurgeHistory(p, "a")
-			commit(p, "a", Record{Seq: 0, Kind: evExecutionStarted, Data: []byte("gen2")})
-			// A purge of an instance that has no history.
-			s.PurgeHistory(p, "never")
 			// More than one 100-row batch in one commit.
 			big := make([]Record, 250)
 			for i := range big {
@@ -177,7 +165,7 @@ func TestClassicHistoryMatchesJSONCodec(t *testing.T) {
 	t.Run("hub", func(t *testing.T) {
 		// A chain under one crash before and one after persistence (the
 		// redelivered episode re-folds its messages onto the persisted
-		// rows), then a ContinueAsNew countdown on the same hub.
+		// rows), then a two-activity fan-out on the same hub.
 		k := sim.NewKernel(1)
 		params := platform.DefaultAzure()
 		params.HistoryReplayPerEvent = 5 * time.Millisecond
@@ -199,17 +187,9 @@ func TestClassicHistoryMatchesJSONCodec(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := hub.RegisterOrchestrator("countdown", 128, func(ctx *OrchestrationContext, input []byte) ([]byte, error) {
-			var n int
-			if err := json.Unmarshal(input, &n); err != nil {
-				return nil, err
-			}
+		if err := hub.RegisterOrchestrator("fanout", 128, func(ctx *OrchestrationContext, _ []byte) ([]byte, error) {
 			if _, err := ctx.WaitAll(ctx.CallActivity("tick", nil), ctx.CallActivity("tick", []byte{})); err != nil {
 				return nil, err
-			}
-			if n > 0 {
-				next, _ := json.Marshal(n - 1)
-				ctx.ContinueAsNew(next)
 			}
 			return []byte("done"), nil
 		}); err != nil {
@@ -220,8 +200,8 @@ func TestClassicHistoryMatchesJSONCodec(t *testing.T) {
 			if out, _, err := client.Run(p, "chain", []byte("0")); err != nil || string(out) != "3" {
 				t.Errorf("chain = %s, %v; want 3", out, err)
 			}
-			if out, _, err := client.Run(p, "countdown", []byte("2")); err != nil || string(out) != "done" {
-				t.Errorf("countdown = %s, %v; want done", out, err)
+			if out, _, err := client.Run(p, "fanout", nil); err != nil || string(out) != "done" {
+				t.Errorf("fanout = %s, %v; want done", out, err)
 			}
 		})
 		if st := inj.Stats(); st.Crashes != 2 {
@@ -270,11 +250,6 @@ func TestClassicHistoryMatchesJSONCodec(t *testing.T) {
 			k.Spawn("seeded", func(p *sim.Proc) {
 				for step := 0; step < 40; step++ {
 					inst := instances[rng.Intn(len(instances))]
-					if rng.Intn(8) == 0 {
-						s.PurgeHistory(p, inst)
-						next[inst] = 0
-						continue
-					}
 					n := rng.Intn(8)
 					if rng.Intn(10) == 0 {
 						n = 95 + rng.Intn(20)

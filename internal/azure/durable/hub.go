@@ -128,7 +128,6 @@ type orchState struct {
 type entityState struct {
 	id     string
 	name   string
-	key    string
 	inbox  []message
 	active bool
 }
@@ -208,18 +207,6 @@ func (h *Hub) SetChaos(inj *chaos.Injector) {
 	h.store.SetChaos(inj)
 }
 
-// Host returns the function app this hub runs on.
-func (h *Hub) Host() *functions.Host { return h.host }
-
-// Kernel returns the simulation kernel the hub runs on.
-func (h *Hub) Kernel() *sim.Kernel { return h.k }
-
-// Params returns the hub's platform calibration.
-func (h *Hub) Params() platform.AzureParams { return h.params }
-
-// Store returns the hub's storage/transport backend.
-func (h *Hub) Store() Store { return h.store }
-
 // classic returns the classic store, or nil when the hub runs on a
 // different Store implementation (the table/queue accessors below are
 // classic-only surfaces kept for transaction-accounting tests).
@@ -267,9 +254,6 @@ func (h *Hub) WorkItemQueue() *queue.Queue {
 // StorageTransactions sums billable storage transactions across the
 // hub's store — the stateful cost component of Azure.
 func (h *Hub) StorageTransactions() int64 { return h.store.Transactions() }
-
-// ResetStorageStats zeroes the store's transaction counters.
-func (h *Hub) ResetStorageStats() { h.store.ResetStats() }
 
 // RegisterOrchestrator adds an orchestrator function. Episodes are
 // billed as executions of a host function with the same name.

@@ -30,17 +30,6 @@ type Envelope = message
 // Alias of the internal history event type for the same reason.
 type Record = histEvent
 
-// Exported message-kind constants for Store implementations that need
-// to inspect envelopes (e.g. to dedup redelivered ExecutionStarted
-// messages).
-const (
-	KindExecutionStarted = kindExecutionStarted
-	KindTaskCompleted    = kindTaskCompleted
-	KindTimerFired       = kindTimerFired
-	KindEntityOp         = kindEntityOp
-	KindEventRaised      = kindEventRaised
-)
-
 // CommitVerdict is the outcome of persisting one episode's new history
 // records.
 type CommitVerdict int
@@ -90,8 +79,6 @@ type Store interface {
 	// The hub defers client-visible completion by the settle delay;
 	// internal progress is speculative and proceeds immediately.
 	CommitEpisode(p *sim.Proc, instance, orchestrator string, tctx sim.TraceContext, recs []Record) (CommitVerdict, time.Duration)
-	// PurgeHistory deletes the instance's history (ContinueAsNew).
-	PurgeHistory(p *sim.Proc, instance string)
 
 	// ReadEntityState rehydrates an entity's persisted state at the
 	// start of an operation batch, including the store's state-access
@@ -101,13 +88,9 @@ type Store interface {
 	WriteEntityState(p *sim.Proc, instance string, data []byte)
 	// QueryEntityState is the client's status-query read path.
 	QueryEntityState(p *sim.Proc, instance string) ([]byte, bool)
-	// PeekEntityState inspects state without billing (tests/reports).
-	PeekEntityState(instance string) ([]byte, bool)
 
 	// Transactions sums billable storage transactions so far.
 	Transactions() int64
-	// ResetStats zeroes the transaction counters.
-	ResetStats()
 
 	// SetTracer enables span emission on the store's transports.
 	SetTracer(tr *span.Tracer)

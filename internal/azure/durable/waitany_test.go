@@ -78,31 +78,3 @@ func TestTimerRacesActivity(t *testing.T) {
 		t.Fatalf("orchestration waited for the slow activity: %v", hd.E2E())
 	}
 }
-
-func TestTaskDone(t *testing.T) {
-	k, host, hub, client := fixture()
-	if err := hub.RegisterActivity("a", 128, func(ctx *functions.Context, in []byte) ([]byte, error) {
-		ctx.Busy(time.Second)
-		return in, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sawNotDone := false
-	if err := hub.RegisterOrchestrator("o", 128, func(ctx *OrchestrationContext, input []byte) ([]byte, error) {
-		task := ctx.CallActivity("a", nil)
-		if !task.Done() {
-			sawNotDone = true
-		}
-		return task.Await()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	drive(k, host, func(p *sim.Proc) {
-		if _, _, err := client.Run(p, "o", nil); err != nil {
-			t.Errorf("run: %v", err)
-		}
-	})
-	if !sawNotDone {
-		t.Fatal("Done() never reported pending")
-	}
-}

@@ -25,9 +25,7 @@ type Handler func(ctx *Context, payload []byte) ([]byte, error)
 
 // Context is passed to executing handlers.
 type Context struct {
-	p    *sim.Proc
-	host *Host
-	fn   *Function
+	p *sim.Proc
 }
 
 // Proc returns the simulation process executing this invocation.
@@ -35,12 +33,6 @@ func (c *Context) Proc() *sim.Proc { return c.p }
 
 // Busy consumes d of virtual compute time.
 func (c *Context) Busy(d time.Duration) { c.p.Sleep(d) }
-
-// FunctionName returns the executing function's name.
-func (c *Context) FunctionName() string { return c.fn.cfg.Name }
-
-// Host returns the function app hosting this execution.
-func (c *Context) Host() *Host { return c.host }
 
 // Config describes one function in the app.
 type Config struct {
@@ -55,13 +47,9 @@ type Config struct {
 type Function struct {
 	cfg   Config
 	Meter platform.Meter
-	// Execs counts completed executions; Errors counts handler errors.
-	Execs  int64
-	Errors int64
+	// Execs counts completed executions.
+	Execs int64
 }
-
-// Config returns the function's configuration.
-func (f *Function) Config() Config { return f.cfg }
 
 // Result is the outcome of one execution.
 type Result struct {
@@ -88,7 +76,6 @@ type workItem struct {
 
 // Stats aggregates host-level scheduling behavior.
 type Stats struct {
-	Submitted   int64
 	Completed   int64
 	ColdStarts  int64
 	SchedDelays []time.Duration
@@ -167,9 +154,6 @@ func (h *Host) Name() string { return h.name }
 // Params returns the calibration parameters.
 func (h *Host) Params() platform.AzureParams { return h.params }
 
-// Kernel returns the simulation kernel.
-func (h *Host) Kernel() *sim.Kernel { return h.k }
-
 // Stats returns a snapshot of scheduling statistics, merging the
 // host's submission counters with the instance pool's lifecycle stats.
 func (h *Host) Stats() Stats {
@@ -187,12 +171,6 @@ func (h *Host) SetTimeline(tl *tseries.Series) {
 	h.timeline = tl
 	h.pool.Timeline = tl
 }
-
-// ReadyInstances returns the number of started instances.
-func (h *Host) ReadyInstances() int { return h.pool.Ready() }
-
-// PendingWork returns the dispatch-queue length.
-func (h *Host) PendingWork() int { return len(h.pending) }
 
 // Register adds a function to the app.
 func (h *Host) Register(cfg Config) (*Function, error) {
@@ -235,24 +213,16 @@ func (h *Host) Function(name string) (*Function, bool) {
 // reaches the app (used by the durable extension to reset poll back-off).
 func (h *Host) OnHTTPActivity(fn func()) { h.onHTTPActivity = append(h.onHTTPActivity, fn) }
 
-// Submit enqueues an execution of fn and returns a future for its
-// result. It may be called from kernel or process context. Submitting
-// to an idle app triggers immediate scale-out of one instance (the
-// HTTP-style activation path); further growth is up to the controller.
-func (h *Host) Submit(fn string, payload []byte) (*sim.Future[Result], error) {
-	return h.SubmitCtx(fn, payload, sim.TraceContext{})
-}
-
-// SubmitCtx is Submit with an explicit trace context for the execution's
-// spans, for callers that have one to propagate (HTTP triggers, queue
-// listeners, the durable task hub). Submit may be called from kernel
-// context, where there is no process to read the context from.
+// SubmitCtx queues one execution of fn and returns its result future.
+// ctx is the trace context for the execution's spans, for callers that
+// have one to propagate (HTTP triggers, queue listeners, the durable
+// task hub). SubmitCtx may be called from kernel context, where there
+// is no process to read the context from.
 func (h *Host) SubmitCtx(fn string, payload []byte, ctx sim.TraceContext) (*sim.Future[Result], error) {
 	if _, ok := h.fns[fn]; !ok {
 		return nil, fmt.Errorf("functions: no such function %q", fn)
 	}
 	wi := &workItem{fn: fn, payload: payload, submitted: h.k.Now(), done: sim.NewFuture[Result](h.k), ctx: ctx}
-	h.stats.Submitted++
 	for _, l := range h.listeners {
 		l.Kick()
 	}
@@ -346,7 +316,7 @@ func (h *Host) run(inst *platform.Container, wi *workItem) {
 		execStart := p.Now()
 		execSpan := h.Tracer.Start(execStart, span.KindExec, "func/exec/"+wi.fn, wi.ctx)
 		p.TraceCtx = execSpan.Context()
-		out, err := f.cfg.Handler(&Context{p: p, host: h, fn: f}, wi.payload)
+		out, err := f.cfg.Handler(&Context{p: p}, wi.payload)
 		p.TraceCtx = wi.ctx
 		exec := p.Now() - execStart
 		if exec > h.params.TimeLimit {
@@ -358,9 +328,6 @@ func (h *Host) run(inst *platform.Container, wi *workItem) {
 		execSpan.End(execStart + exec)
 		f.Meter.RecordAzure(exec, f.cfg.ConsumedMemMB)
 		f.Execs++
-		if err != nil {
-			f.Errors++
-		}
 		h.stats.Completed++
 		wi.done.Complete(Result{Output: out, Err: err, SchedDelay: sched, Cold: wi.cold, ExecTime: exec}, nil)
 
@@ -474,16 +441,6 @@ func (h *Host) TotalMeter() platform.Meter {
 		m.Add(h.fns[name].Meter)
 	}
 	return m
-}
-
-// ResetMeters zeroes meters, execution counters, and scheduling stats.
-func (h *Host) ResetMeters() {
-	for _, f := range h.fns {
-		f.Meter.Reset()
-		f.Execs, f.Errors = 0, 0
-	}
-	h.stats = Stats{}
-	h.pool.ResetStats()
 }
 
 // QueueTrigger binds fn to a billed storage queue: a listener polls q

@@ -89,7 +89,7 @@ func TestScaleControllerAddsInstancesGradually(t *testing.T) {
 	futs := make([]*sim.Future[Result], 4)
 	k.Spawn("client", func(p *sim.Proc) {
 		for i := range futs {
-			f, err := h.Submit("slow", nil)
+			f, err := h.SubmitCtx("slow", nil, sim.TraceContext{})
 			if err != nil {
 				t.Errorf("submit: %v", err)
 				return
@@ -131,7 +131,7 @@ func TestMaxInstancesCap(t *testing.T) {
 	k.Spawn("client", func(pr *sim.Proc) {
 		var futs []*sim.Future[Result]
 		for i := 0; i < 6; i++ {
-			f, _ := h.Submit("slow", nil)
+			f, _ := h.SubmitCtx("slow", nil, sim.TraceContext{})
 			futs = append(futs, f)
 		}
 		for _, f := range futs {
@@ -160,7 +160,7 @@ func TestInstanceReuseDrainsQueueWithoutNewColdStarts(t *testing.T) {
 	k.Spawn("client", func(pr *sim.Proc) {
 		var futs []*sim.Future[Result]
 		for i := 0; i < 5; i++ {
-			f, _ := h.Submit("f", nil)
+			f, _ := h.SubmitCtx("f", nil, sim.TraceContext{})
 			futs = append(futs, f)
 		}
 		for _, f := range futs {
@@ -189,8 +189,8 @@ func TestIdleInstancesReaped(t *testing.T) {
 		}
 	})
 	k.Run() // runs until idle reaping completes and no events remain
-	if h.ReadyInstances() != 0 {
-		t.Fatalf("ready = %d after idle timeout, want 0", h.ReadyInstances())
+	if n := h.pool.Provisioning(); n != 0 {
+		t.Fatalf("provisioned instances = %d after idle timeout, want 0", n)
 	}
 }
 
@@ -227,7 +227,7 @@ func TestQueueTriggerExecutesAndBillsPolls(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.At(5*time.Second, func() {
-		if err := q.EnqueueFromKernel([]byte("msg")); err != nil {
+		if err := q.EnqueueFromKernelCtx([]byte("msg"), sim.TraceContext{}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -282,7 +282,7 @@ func TestQueueTriggerColdPollPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.At(time.Second, func() {
-		if err := q.EnqueueFromKernel([]byte("m")); err != nil {
+		if err := q.EnqueueFromKernelCtx([]byte("m"), sim.TraceContext{}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -306,25 +306,5 @@ func TestStopTerminatesListeners(t *testing.T) {
 	end := k.Run() // must terminate
 	if end > 2*time.Minute {
 		t.Fatalf("kernel ran to %v after Stop", end)
-	}
-}
-
-func TestResetMeters(t *testing.T) {
-	k := sim.NewKernel(1)
-	h := NewHost(k, "app", fixedParams())
-	h.MustRegister(Config{Name: "f", Handler: busyFn(time.Second)})
-	k.Spawn("client", func(p *sim.Proc) {
-		if _, err := h.InvokeHTTP(p, "f", nil); err != nil {
-			t.Errorf("invoke: %v", err)
-		}
-	})
-	h.Stop()
-	k.Run()
-	if h.TotalMeter().Invocations != 1 {
-		t.Fatal("meter empty before reset")
-	}
-	h.ResetMeters()
-	if h.TotalMeter().Invocations != 0 || len(h.Stats().SchedDelays) != 0 {
-		t.Fatal("reset incomplete")
 	}
 }

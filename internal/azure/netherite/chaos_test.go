@@ -57,12 +57,12 @@ func runChain(t *testing.T, e *env) (string, *durable.Handle, []byte) {
 // replayed, and the final output and committed history byte-identical
 // to a fault-free run.
 func TestCrashBeforeCommitAbortsAndReplays(t *testing.T) {
-	faultFreeOut, faultFreeHd, faultFreeHist := runChain(t, netheriteEnv(1, 4, nil))
+	faultFreeOut, faultFreeHd, faultFreeHist := runChain(t, netheriteEnv(1, nil))
 	if faultFreeOut != "3" {
 		t.Fatalf("fault-free output = %q, want 3", faultFreeOut)
 	}
 
-	e := netheriteEnv(1, 4, &chaos.Plan{
+	e := netheriteEnv(1, &chaos.Plan{
 		RedeliveryDelay: 2 * time.Second,
 		Rules: []chaos.Rule{
 			{Component: "netherite", Kind: chaos.Crash, Rate: 1, MaxFaults: 1},
@@ -110,9 +110,9 @@ func TestCrashBeforeCommitAbortsAndReplays(t *testing.T) {
 // classic hub, by contrast, re-inboxes the unacknowledged messages and
 // leans on TaskID-keyed replay to absorb the re-folded rows.)
 func TestCrashAfterCommitRehydratesWithoutRedelivery(t *testing.T) {
-	_, ffHd, faultFreeHist := runChain(t, netheriteEnv(1, 4, nil))
+	_, ffHd, faultFreeHist := runChain(t, netheriteEnv(1, nil))
 
-	e := netheriteEnv(1, 4, &chaos.Plan{
+	e := netheriteEnv(1, &chaos.Plan{
 		RedeliveryDelay: 2 * time.Second,
 		Rules: []chaos.Rule{
 			{Component: "netherite", Kind: chaos.CrashAfterPersist, Rate: 1, MaxFaults: 1},
@@ -150,7 +150,7 @@ func TestCrashAfterCommitRehydratesWithoutRedelivery(t *testing.T) {
 // dead-lettered, no recovery delay is booked, and the result is
 // exactly-once.
 func TestTransportDuplicatesDroppedBySeqDedup(t *testing.T) {
-	e := netheriteEnv(1, 4, &chaos.Plan{
+	e := netheriteEnv(1, &chaos.Plan{
 		RedeliveryDelay: time.Second,
 		Rules: []chaos.Rule{
 			{Component: "netherite-transport", Kind: chaos.Duplicate, Rate: 0.5},
@@ -185,7 +185,7 @@ func TestTransportDuplicatesDroppedBySeqDedup(t *testing.T) {
 // statebench_chaos_wasted_speculation_total metric prices.
 func TestSpeculationWastesRealWork(t *testing.T) {
 	billedGBs := func(plan *chaos.Plan) float64 {
-		e := netheriteEnv(1, 4, plan)
+		e := netheriteEnv(1, plan)
 		out, _, _ := runChain(t, e)
 		if out != "3" {
 			t.Fatalf("output = %q, want 3", out)

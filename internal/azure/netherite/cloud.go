@@ -41,11 +41,10 @@ type Cloud struct {
 	Store  *Store
 }
 
-// New builds a Cloud whose task hub runs on a Netherite store with
-// partitions partitions (DefaultPartitions if <= 0).
-func New(k *sim.Kernel, params platform.AzureParams, partitions int) *Cloud {
+// New builds a Cloud whose task hub runs on a Netherite store.
+func New(k *sim.Kernel, params platform.AzureParams) *Cloud {
 	host := functions.NewHost(k, "netherite-app", params)
-	store := NewStore(k, "netherite-hub", partitions)
+	store := NewStore(k, "netherite-hub")
 	hub := durable.NewHubWithStore(k, host, "netherite-hub", store)
 	return &Cloud{
 		Params: params,
@@ -76,13 +75,6 @@ func (c *Cloud) SetChaos(inj *chaos.Injector) {
 // SetTimeline enables per-window telemetry gauges on the function app.
 func (c *Cloud) SetTimeline(s *tseries.Series) {
 	c.Host.SetTimeline(s)
-}
-
-// ResetMeters zeroes compute meters and storage transaction counters.
-func (c *Cloud) ResetMeters() {
-	c.Host.ResetMeters()
-	c.Hub.ResetStorageStats()
-	c.Blob.ResetStats()
 }
 
 // Stop terminates the scale controller so a finished kernel can drain
@@ -118,7 +110,7 @@ func init() {
 			{Impl: Dorch, Stateful: true, Description: "Durable orchestrators on a Netherite task hub: partitioned, group-committed, speculative commit logs instead of storage queues."},
 			{Impl: Dent, Stateful: true, Description: "Durable entities on a Netherite task hub; entity state lives in the partition logs."},
 		},
-		NewBackend:  func(e *core.Env) core.Backend { return New(e.K, platform.DefaultAzure(), DefaultPartitions) },
+		NewBackend:  func(e *core.Env) core.Backend { return New(e.K, platform.DefaultAzure()) },
 		DefaultBook: func() pricing.Book { return pricing.DefaultAzure() },
 		// No Traffic profile: the traffic experiment's provider sweep is
 		// calibrated per cloud, not per task-hub backend; the netherite

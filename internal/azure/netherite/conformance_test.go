@@ -9,7 +9,6 @@ import (
 
 	"statebench/internal/azure/durable"
 	"statebench/internal/azure/functions"
-	"statebench/internal/azure/netherite"
 	"statebench/internal/sim"
 )
 
@@ -277,31 +276,6 @@ func conformanceScenarios() []scenario {
 			run:  runOrch("parent", nil),
 			want: "ABCD",
 		},
-		{
-			name: "continue-as-new",
-			register: func(t *testing.T, hub *durable.Hub) {
-				mustRegActivity(t, hub, "tick", func(ctx *functions.Context, in []byte) ([]byte, error) {
-					ctx.Busy(10 * time.Millisecond)
-					return in, nil
-				})
-				mustRegOrch(t, hub, "countdown", func(ctx *durable.OrchestrationContext, input []byte) ([]byte, error) {
-					var n int
-					if err := json.Unmarshal(input, &n); err != nil {
-						return nil, err
-					}
-					if _, err := ctx.CallActivity("tick", input).Await(); err != nil {
-						return nil, err
-					}
-					if n > 0 {
-						next, _ := json.Marshal(n - 1)
-						ctx.ContinueAsNew(next)
-					}
-					return []byte("done"), nil
-				})
-			},
-			run:  runOrch("countdown", []byte("3")),
-			want: "done",
-		},
 	}
 }
 
@@ -324,9 +298,8 @@ func runScenario(t *testing.T, e *env, sc scenario) (out, state []byte) {
 }
 
 // TestConformanceAcrossHubs runs every scenario against the classic
-// storage task hub and against Netherite hubs at one and at the default
-// partition count, asserting identical orchestration outputs and final
-// entity state everywhere.
+// storage task hub and against a Netherite hub, asserting identical
+// orchestration outputs and final entity state on both.
 func TestConformanceAcrossHubs(t *testing.T) {
 	for _, sc := range conformanceScenarios() {
 		sc := sc
@@ -336,23 +309,21 @@ func TestConformanceAcrossHubs(t *testing.T) {
 			if string(cOut) != sc.want {
 				t.Fatalf("classic output = %q, want %q", cOut, sc.want)
 			}
-			for _, parts := range []int{1, netherite.DefaultPartitions} {
-				ne := netheriteEnv(1, parts, nil)
-				nOut, nState := runScenario(t, ne, sc)
-				if string(nOut) != string(cOut) {
-					t.Fatalf("netherite(p=%d) output = %q, classic = %q: hubs diverged", parts, nOut, cOut)
+			ne := netheriteEnv(1, nil)
+			nOut, nState := runScenario(t, ne, sc)
+			if string(nOut) != string(cOut) {
+				t.Fatalf("netherite output = %q, classic = %q: hubs diverged", nOut, cOut)
+			}
+			if sc.entity != nil {
+				if string(nState) != sc.wantState {
+					t.Fatalf("netherite entity state = %q, want %q", nState, sc.wantState)
 				}
-				if sc.entity != nil {
-					if string(nState) != sc.wantState {
-						t.Fatalf("netherite(p=%d) entity state = %q, want %q", parts, nState, sc.wantState)
-					}
-					if string(nState) != string(cState) {
-						t.Fatalf("entity state diverged: netherite(p=%d) %q vs classic %q", parts, nState, cState)
-					}
+				if string(nState) != string(cState) {
+					t.Fatalf("entity state diverged: netherite %q vs classic %q", nState, cState)
 				}
-				if ne.store.Transactions() == 0 {
-					t.Fatalf("netherite(p=%d) billed no group commits; the store was bypassed", parts)
-				}
+			}
+			if ne.store.Transactions() == 0 {
+				t.Fatal("netherite billed no group commits; the store was bypassed")
 			}
 		})
 	}

@@ -3,6 +3,8 @@ package netherite_test
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -17,9 +19,9 @@ import (
 // observable — outputs, handle timings, billed commits, log and chaos
 // accounting — into one string. Byte-equality of transcripts is the
 // determinism property the tier-2 gate enforces.
-func runTranscript(t *testing.T, seed uint64, partitions int, plan *chaos.Plan) string {
+func runTranscript(t *testing.T, seed uint64, plan *chaos.Plan) string {
 	t.Helper()
-	e := netheriteEnv(seed, partitions, plan)
+	e := netheriteEnv(seed, plan)
 	registerChain(t, e.hub)
 	registerCounter(t, e.hub)
 
@@ -48,11 +50,7 @@ func runTranscript(t *testing.T, seed uint64, partitions int, plan *chaos.Plan) 
 
 	fmt.Fprintf(&b, "store txns=%d appended=%d lost=%d droppedDup=%d\n",
 		e.store.Transactions(), e.store.AppendedRecords(), e.store.LostRecords(), e.store.DroppedDuplicates())
-	var total int64
-	for _, n := range e.store.PartitionRecords() {
-		total += n
-	}
-	fmt.Fprintf(&b, "log total=%d\n", total)
+	fmt.Fprintf(&b, "log total=%d\n", e.store.AppendedRecords())
 	if e.inj != nil {
 		st := e.inj.Stats()
 		fmt.Fprintf(&b, "chaos injected=%d crashes=%d dups=%d wasted=%d recovery=%v\n",
@@ -65,21 +63,45 @@ func runTranscript(t *testing.T, seed uint64, partitions int, plan *chaos.Plan) 
 // the netherite commit-crash and transport-duplicate rules.
 func netheritePlan() *chaos.Plan { return chaos.DefaultPlan(0.05) }
 
-// TestByteIdenticalAcrossPartitionCounts is the tentpole determinism
-// property: for any seed, partition counts 1, 4, and 8 must produce
-// byte-identical transcripts — partitioning shards the log, it never
-// changes results, timings, or billing.
+// transcriptSeeds are the seeds testdata/transcripts.txt records.
+var transcriptSeeds = []uint64{1, 7, 9, 42}
+
+// recordedTranscript returns the section of testdata/transcripts.txt
+// for seed, fault-free or under netheritePlan. The file was recorded
+// from the partitioned store at 8 partitions, which produced the same
+// bytes at 1 and 4.
+func recordedTranscript(t *testing.T, seed uint64, chaos bool) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "transcripts.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := fmt.Sprintf("--- seed %d, fault-free ---\n", seed)
+	if chaos {
+		header = fmt.Sprintf("--- seed %d, DefaultPlan(0.05) ---\n", seed)
+	}
+	_, rest, ok := strings.Cut(string(data), header)
+	if !ok {
+		t.Fatalf("testdata/transcripts.txt has no section %q", header)
+	}
+	if i := strings.Index(rest, "--- seed "); i >= 0 {
+		rest = rest[:i]
+	}
+	return rest
+}
+
+// TestByteIdenticalAcrossPartitionCounts is the determinism property
+// of the one-log store: for every recorded seed, the fault-free
+// transcript equals, byte for byte, the one the partitioned store
+// produced at every partition count — one log changes no result,
+// timing, billed commit or log count.
 func TestByteIdenticalAcrossPartitionCounts(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 42} {
+	for _, seed := range transcriptSeeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			ref := runTranscript(t, seed, 1, nil)
-			for _, parts := range []int{4, 8} {
-				got := runTranscript(t, seed, parts, nil)
-				if got != ref {
-					t.Fatalf("partitions=%d diverged from partitions=1:\n--- p=1 ---\n%s--- p=%d ---\n%s", parts, ref, parts, got)
-				}
+			if got, want := runTranscript(t, seed, nil), recordedTranscript(t, seed, false); got != want {
+				t.Fatalf("transcript diverged from the recorded partitioned store:\n--- recorded ---\n%s--- one log ---\n%s", want, got)
 			}
 		})
 	}
@@ -87,42 +109,53 @@ func TestByteIdenticalAcrossPartitionCounts(t *testing.T) {
 
 // TestByteIdenticalAcrossPartitionCountsUnderChaos repeats the property
 // with the full default fault plan active: chaos decisions key on
-// instance and orchestrator names, never partition identity, so even
-// fault schedules are partition-count invariant.
+// instance and orchestrator names, so fault schedules match the
+// partitioned store's too.
 func TestByteIdenticalAcrossPartitionCountsUnderChaos(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 42} {
+	for _, seed := range transcriptSeeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			ref := runTranscript(t, seed, 1, netheritePlan())
-			if !strings.Contains(ref, "chaos injected=") {
+			got := runTranscript(t, seed, netheritePlan())
+			if !strings.Contains(got, "chaos injected=") {
 				t.Fatal("chaos transcript missing injector stats")
 			}
-			for _, parts := range []int{4, 8} {
-				got := runTranscript(t, seed, parts, netheritePlan())
-				if got != ref {
-					t.Fatalf("under chaos, partitions=%d diverged from partitions=1:\n--- p=1 ---\n%s--- p=%d ---\n%s", parts, ref, parts, got)
-				}
+			if want := recordedTranscript(t, seed, true); got != want {
+				t.Fatalf("under chaos, transcript diverged from the recorded partitioned store:\n--- recorded ---\n%s--- one log ---\n%s", want, got)
 			}
 		})
 	}
 }
 
-// TestRepeatedRunsByteIdentical pins run-to-run determinism at a fixed
-// partition count — the property that makes the cross-partition
-// comparisons above meaningful. The parallel subtests also make the
-// suite itself exercise -parallel sensitivity: transcripts computed
-// concurrently must equal transcripts computed alone.
+// TestRepeatedRunsByteIdentical pins run-to-run determinism under the
+// default chaos plan: for every recorded seed, two runs produce the
+// recorded transcript. Seed 9 runs as partitions-1, -4 and -8, the
+// partitioned store's repeat-run check: each compares with the
+// transcript that store recorded at that partition count (testdata
+// holds it once, as the three were byte-identical). The parallel
+// subtests also make the suite itself exercise -parallel sensitivity:
+// transcripts computed concurrently must equal transcripts computed
+// alone.
 func TestRepeatedRunsByteIdentical(t *testing.T) {
-	for _, parts := range []int{1, 4, 8} {
-		parts := parts
-		t.Run(fmt.Sprintf("partitions-%d", parts), func(t *testing.T) {
+	repeat := func(name string, seed uint64) {
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			a := runTranscript(t, 9, parts, netheritePlan())
-			b := runTranscript(t, 9, parts, netheritePlan())
+			a := runTranscript(t, seed, netheritePlan())
+			b := runTranscript(t, seed, netheritePlan())
 			if a != b {
-				t.Fatalf("same seed, same partitions, different transcripts:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
+				t.Fatalf("same seed, different transcripts:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
+			}
+			if want := recordedTranscript(t, seed, true); a != want {
+				t.Fatalf("repeated runs diverged from the recorded transcript:\n--- recorded ---\n%s--- one log ---\n%s", want, a)
 			}
 		})
+	}
+	for _, seed := range transcriptSeeds {
+		if seed != 9 {
+			repeat(fmt.Sprintf("seed-%d", seed), seed)
+		}
+	}
+	for _, parts := range []int{1, 4, 8} {
+		repeat(fmt.Sprintf("partitions-%d", parts), 9)
 	}
 }

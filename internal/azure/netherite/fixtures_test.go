@@ -64,11 +64,10 @@ func classicEnv(seed uint64, plan *chaos.Plan) *env {
 	})
 }
 
-// netheriteEnv builds the hub on a Netherite store with the given
-// partition count.
-func netheriteEnv(seed uint64, partitions int, plan *chaos.Plan) *env {
+// netheriteEnv builds the hub on a Netherite store.
+func netheriteEnv(seed uint64, plan *chaos.Plan) *env {
 	return newEnv(seed, plan, func(k *sim.Kernel, h *functions.Host) (*durable.Hub, *netherite.Store) {
-		store := netherite.NewStore(k, "hub", partitions)
+		store := netherite.NewStore(k, "hub")
 		return durable.NewHubWithStore(k, h, "hub", store), store
 	})
 }

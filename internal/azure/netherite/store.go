@@ -2,28 +2,26 @@
 // Task Framework ("Serverless Workflows with Durable Functions and
 // Netherite", Burckhardt et al.): the vendor's shipped replacement for
 // the classic Azure Storage task hub. Instead of billed queues polled
-// by listeners and a history table written per episode, work is routed
-// to N partitions, each partition appends events to a commit log whose
-// writes are batched — group commits amortize one storage round trip
-// over every event that arrived in the same commit window — and
-// execution is speculative: episodes run against uncommitted state and
-// are deterministically aborted and replayed if a crash loses an
-// uncommitted batch.
+// by listeners and a history table written per episode, events are
+// appended to a commit log whose writes are batched — group commits
+// amortize one storage round trip over every event that arrived in the
+// same commit window — and execution is speculative: episodes run
+// against uncommitted state and are deterministically aborted and
+// replayed if a crash loses an uncommitted batch.
+//
+// The store keeps one log. Netherite shards its log across partitions,
+// but commit windows are hub-wide (one group commit per window, modeling
+// the shared storage-account batch ingress) and delivery latency is the
+// same for every partition, so partitioning would shard accounting only:
+// it changes neither when anything happens nor what anything costs.
 //
 // Determinism contract (the property the tier-2 gate enforces): the
 // store draws NOTHING from the kernel's RNG streams and all latencies
-// are fixed constants, so results are byte-identical for a given seed.
-// Stronger, they are byte-identical across partition counts: delivery
-// latency is partition-independent, commit windows are global
-// wall-clock-aligned (one group commit per window hub-wide, modeling
-// the shared storage-account batch ingress), and chaos decisions key on
-// instance/orchestrator names — never on partition identity. Partition
-// count changes how records are sharded across logs, not when anything
-// happens or what anything costs.
+// are fixed constants, and chaos decisions key on instance and
+// orchestrator names, so results are byte-identical for a given seed.
 package netherite
 
 import (
-	"hash/fnv"
 	"time"
 
 	"statebench/internal/azure/durable"
@@ -45,37 +43,24 @@ const (
 	DeliverLatency = 1 * time.Millisecond
 	// SubmitLatency is the send cost charged to a client process.
 	SubmitLatency = 200 * time.Microsecond
-	// StateAccessLatency is the in-memory (partition-cached) entity
-	// state and history access cost.
+	// StateAccessLatency is the in-memory (cached) entity state and
+	// history access cost.
 	StateAccessLatency = 100 * time.Microsecond
 )
 
-// DefaultPartitions matches the Netherite paper's default task-hub
-// layout. Any count yields byte-identical results (see package doc).
-const DefaultPartitions = 8
+// Store implements durable.Store as a group-committed, speculative
+// commit log.
+type Store struct {
+	k    *sim.Kernel
+	name string
+	hub  *durable.Hub
 
-// partition is one commit log. Envelope routing, history records, and
-// entity state shard across partitions by instance key; the per-
-// partition fields exist for structural accounting (logs, dedup
-// tables), never for timing.
-type partition struct {
 	// nextSeq stamps outbound envelopes for exactly-once delivery.
 	nextSeq int64
 	// applied records delivered sequence numbers: a redelivered ghost
 	// with a seen seq is dropped, which is why Netherite needs no
 	// MaxDequeueCount/poison-message carve-out.
 	applied map[int64]bool
-	// records counts log records appended (committed) to this partition.
-	records int64
-}
-
-// Store implements durable.Store as a partitioned, group-committed,
-// speculative commit log.
-type Store struct {
-	k          *sim.Kernel
-	name       string
-	hub        *durable.Hub
-	partitions []*partition
 
 	// hist and entState are the speculative materialized state: reads
 	// see appended-but-uncommitted records, which is what lets episodes
@@ -83,10 +68,10 @@ type Store struct {
 	hist     map[string][]durable.Record
 	entState map[string][]byte
 
-	// Hub-wide commit-window accounting (partition-count invariant).
+	// Hub-wide commit-window accounting.
 	lastWindow int64 // last window index with a billed group commit
 	txns       int64 // billed storage transactions (group commits)
-	appended   int64 // committed records across all partitions
+	appended   int64 // committed log records
 	lost       int64 // records discarded by lost batches
 	droppedDup int64 // ghost deliveries dropped by seq dedup
 
@@ -94,41 +79,24 @@ type Store struct {
 	chaos  *chaos.Injector
 }
 
-// NewStore builds a Netherite store with n partitions
-// (DefaultPartitions if n <= 0). Pass it to durable.NewHubWithStore.
-func NewStore(k *sim.Kernel, name string, n int) *Store {
-	if n <= 0 {
-		n = DefaultPartitions
-	}
-	s := &Store{
+// NewStore builds a Netherite store. Pass it to
+// durable.NewHubWithStore.
+func NewStore(k *sim.Kernel, name string) *Store {
+	return &Store{
 		k:        k,
 		name:     name,
+		applied:  make(map[int64]bool),
 		hist:     make(map[string][]durable.Record),
 		entState: make(map[string][]byte),
 	}
-	for i := 0; i < n; i++ {
-		s.partitions = append(s.partitions, &partition{applied: make(map[int64]bool)})
-	}
-	return s
 }
 
 // Start implements durable.Store. Delivery is push-based: no listener
 // processes, no polling transactions.
 func (s *Store) Start(h *durable.Hub) { s.hub = h }
 
-// Partitions returns the partition count (structural accounting).
-func (s *Store) Partitions() int { return len(s.partitions) }
-
-// partitionOf shards an instance onto a partition (same FNV routing as
-// the classic store's control-queue partitioning).
-func (s *Store) partitionOf(instance string) *partition {
-	f := fnv.New32a()
-	_, _ = f.Write([]byte(instance))
-	return s.partitions[int(f.Sum32())%len(s.partitions)]
-}
-
-// SendControl implements durable.Store: push the envelope to its
-// partition after the fixed transport latency.
+// SendControl implements durable.Store: push the envelope after the
+// fixed transport latency.
 func (s *Store) SendControl(m durable.Envelope) error {
 	s.transport(m, false)
 	return nil
@@ -143,39 +111,37 @@ func (s *Store) SendControlFromProc(p *sim.Proc, m durable.Envelope) error {
 }
 
 // SendWork implements durable.Store: activity work items ride the same
-// partitioned transport.
+// transport.
 func (s *Store) SendWork(m durable.Envelope) error {
 	s.transport(m, true)
 	return nil
 }
 
-// transport stamps the envelope with a partition sequence number and
-// schedules delivery. Chaos can inject a duplicate ghost: the same
-// envelope, same seq, redelivered after the visibility window — the
-// dedup table drops it on arrival. Fault decisions key on the instance
-// name, so schedules are partition-count independent.
+// transport stamps the envelope with a sequence number and schedules
+// delivery. Chaos can inject a duplicate ghost: the same envelope, same
+// seq, redelivered after the visibility window — the dedup table drops
+// it on arrival. Fault decisions key on the instance name.
 func (s *Store) transport(m durable.Envelope, work bool) {
-	part := s.partitionOf(m.Instance)
-	seq := part.nextSeq
-	part.nextSeq++
+	seq := s.nextSeq
+	s.nextSeq++
 	start := s.k.Now()
-	s.deliver(DeliverLatency, part, seq, m, work, start)
+	s.deliver(DeliverLatency, seq, m, work, start)
 	if s.chaos != nil {
 		if flt, ok := s.chaos.Next(m.TraceCtx(), "netherite-transport", m.Instance); ok && flt.Kind == chaos.Duplicate {
-			s.deliver(DeliverLatency+s.chaos.RedeliveryDelay(), part, seq, m, work, start)
+			s.deliver(DeliverLatency+s.chaos.RedeliveryDelay(), seq, m, work, start)
 		}
 	}
 }
 
 // deliver routes one (possibly duplicate) envelope copy into the hub
 // after delay, dropping it if its sequence number was already applied.
-func (s *Store) deliver(delay time.Duration, part *partition, seq int64, m durable.Envelope, work bool, start sim.Time) {
+func (s *Store) deliver(delay time.Duration, seq int64, m durable.Envelope, work bool, start sim.Time) {
 	s.k.After(delay, func() {
-		if part.applied[seq] {
+		if s.applied[seq] {
 			s.droppedDup++
 			return
 		}
-		part.applied[seq] = true
+		s.applied[seq] = true
 		if s.tracer.Enabled() {
 			s.tracer.Emit(span.KindHop, "netherite/"+s.name, start, s.k.Now(), m.TraceCtx())
 		}
@@ -187,8 +153,8 @@ func (s *Store) deliver(delay time.Duration, part *partition, seq int64, m durab
 	})
 }
 
-// LoadHistory implements durable.Store: an in-memory partition-cache
-// read — speculative records included — at fixed cost.
+// LoadHistory implements durable.Store: an in-memory cache read —
+// speculative records included — at fixed cost.
 func (s *Store) LoadHistory(p *sim.Proc, instance string) []durable.Record {
 	p.Sleep(StateAccessLatency)
 	recs := s.hist[instance]
@@ -198,7 +164,7 @@ func (s *Store) LoadHistory(p *sim.Proc, instance string) []durable.Record {
 }
 
 // CommitEpisode implements durable.Store. The episode's new records
-// are appended to the partition log and become immediately visible to
+// are appended to the log and become immediately visible to
 // subsequent episodes (speculation); durability arrives at the next
 // global commit-window boundary plus one append round trip, which is
 // the settle delay the hub applies to client-visible completion. One
@@ -208,10 +174,10 @@ func (s *Store) LoadHistory(p *sim.Proc, instance string) []durable.Record {
 // loses the uncommitted batch — the just-appended records are rolled
 // back, counted as wasted speculative work, and the hub aborts and
 // replays the episode from durable state. A CrashAfterPersist crashes
-// the partition after the batch committed; because the commit log
+// the store after the batch committed; because the commit log
 // integrates state AND message cursors, the triggering messages were
 // acknowledged atomically with the batch, so nothing redelivers — the
-// crash costs one partition-rehydration delay on the settle path
+// crash costs one rehydration delay on the settle path
 // instead of the classic hub's redeliver-and-deduplicate replay. That
 // asymmetry is the design point the dead-letter audit pins down:
 // exactly-once falls out of the log, not out of visibility-timeout or
@@ -229,7 +195,7 @@ func (s *Store) CommitEpisode(p *sim.Proc, instance, orchestrator string, tctx s
 				return durable.CommitLost, 0
 			case chaos.CrashAfterPersist:
 				s.append(instance, recs)
-				// The partition is down until it rehydrates from the
+				// The store is down until it rehydrates from the
 				// committed log; the episode's worker stalls with it, so
 				// the delay propagates to every downstream dispatch.
 				rehydrate := s.chaos.RedeliveryDelay()
@@ -245,12 +211,9 @@ func (s *Store) CommitEpisode(p *sim.Proc, instance, orchestrator string, tctx s
 	return durable.CommitOK, settle
 }
 
-// append materializes recs into the speculative history and partition
-// log.
+// append materializes recs into the speculative history and the log.
 func (s *Store) append(instance string, recs []durable.Record) {
 	s.hist[instance] = append(s.hist[instance], recs...)
-	part := s.partitionOf(instance)
-	part.records += int64(len(recs))
 	s.appended += int64(len(recs))
 }
 
@@ -267,13 +230,7 @@ func (s *Store) commitWindow(now sim.Time) (int64, time.Duration) {
 	return window, time.Duration(boundary-now) + AppendRTT
 }
 
-// PurgeHistory implements durable.Store (ContinueAsNew).
-func (s *Store) PurgeHistory(p *sim.Proc, instance string) {
-	p.Sleep(StateAccessLatency)
-	delete(s.hist, instance)
-}
-
-// ReadEntityState implements durable.Store: a partition-cache read.
+// ReadEntityState implements durable.Store: an in-memory cache read.
 func (s *Store) ReadEntityState(p *sim.Proc, instance string) ([]byte, bool) {
 	p.Sleep(StateAccessLatency)
 	data, ok := s.entState[instance]
@@ -284,8 +241,6 @@ func (s *Store) ReadEntityState(p *sim.Proc, instance string) ([]byte, bool) {
 // record, group-committed with everything else in its window.
 func (s *Store) WriteEntityState(p *sim.Proc, instance string, data []byte) {
 	s.entState[instance] = data
-	part := s.partitionOf(instance)
-	part.records++
 	s.appended++
 	s.commitWindow(p.Now())
 }
@@ -297,29 +252,12 @@ func (s *Store) QueryEntityState(p *sim.Proc, instance string) ([]byte, bool) {
 	return data, ok
 }
 
-// PeekEntityState implements durable.Store (unbilled inspection).
-func (s *Store) PeekEntityState(instance string) ([]byte, bool) {
-	data, ok := s.entState[instance]
-	return data, ok
-}
-
 // Transactions implements durable.Store: group commits billed so far —
 // the order-of-magnitude reduction vs. the classic hub's per-operation
 // queue and table traffic.
 func (s *Store) Transactions() int64 { return s.txns }
 
-// ResetStats implements durable.Store.
-func (s *Store) ResetStats() {
-	s.txns = 0
-	s.appended = 0
-	s.lost = 0
-	s.droppedDup = 0
-	for _, part := range s.partitions {
-		part.records = 0
-	}
-}
-
-// AppendedRecords returns committed log records across all partitions.
+// AppendedRecords returns committed log records.
 func (s *Store) AppendedRecords() int64 { return s.appended }
 
 // LostRecords returns speculative records discarded by lost batches.
@@ -337,15 +275,6 @@ func (s *Store) History(instance string) []durable.Record {
 	recs := s.hist[instance]
 	out := make([]durable.Record, len(recs))
 	copy(out, recs)
-	return out
-}
-
-// PartitionRecords returns the committed record count per partition.
-func (s *Store) PartitionRecords() []int64 {
-	out := make([]int64, len(s.partitions))
-	for i, part := range s.partitions {
-		out[i] = part.records
-	}
 	return out
 }
 

@@ -147,25 +147,14 @@ type Fault struct {
 	Delay time.Duration
 }
 
-// Event records one injected fault for reliability reporting.
-type Event struct {
-	At        sim.Time
-	Component string
-	Name      string
-	Index     int64
-	Kind      Kind
-}
-
 // Stats aggregates injector activity over a campaign.
 type Stats struct {
 	// Injected is the total number of faults injected (all kinds).
 	Injected int64
 	// Per-kind injection counts. CrashAfterPersist counts into Crashes.
-	TransientErrors int64
-	Crashes         int64
-	TimeoutSpikes   int64
-	Redeliveries    int64
-	Duplicates      int64
+	Crashes      int64
+	Redeliveries int64
+	Duplicates   int64
 	// DeadLetters counts poison messages moved to a dead-letter queue.
 	DeadLetters int64
 	// Retries counts platform-level retries observed in response to
@@ -205,7 +194,6 @@ type Injector struct {
 	counts map[string]int64 // per component/name invocation index
 	fired  []int64          // per-rule firing count (MaxFaults)
 	stats  Stats
-	events []Event
 
 	// Tracer, when non-nil, receives a zero-length span.KindFault span
 	// per injected fault, annotated onto the victim's trace.
@@ -239,9 +227,6 @@ func NewInjector(k *sim.Kernel, plan *Plan) *Injector {
 		fired:  make([]int64, len(p.Rules)),
 	}
 }
-
-// Enabled reports whether the injector can inject faults.
-func (in *Injector) Enabled() bool { return in != nil && len(in.plan.Rules) > 0 }
 
 // RedeliveryDelay is the plan's crash-redelivery visibility timeout.
 func (in *Injector) RedeliveryDelay() time.Duration {
@@ -327,30 +312,25 @@ func (in *Injector) Next(ctx sim.TraceContext, component, name string) (Fault, b
 		if d == 0 {
 			d = defaultDelay(r.Kind)
 		}
-		in.record(ctx, component, name, idx, r.Kind)
+		in.record(ctx, component, name, r.Kind)
 		return Fault{Kind: r.Kind, Delay: d}, true
 	}
 	return Fault{}, false
 }
 
-// record books an injected fault: stats, event log, trace annotation,
+// record books an injected fault: stats, timeline, trace annotation,
 // and the metrics counter.
-func (in *Injector) record(ctx sim.TraceContext, component, name string, idx int64, k Kind) {
+func (in *Injector) record(ctx sim.TraceContext, component, name string, k Kind) {
 	in.stats.Injected++
 	switch k {
-	case TransientError:
-		in.stats.TransientErrors++
 	case Crash, CrashAfterPersist:
 		in.stats.Crashes++
-	case TimeoutSpike:
-		in.stats.TimeoutSpikes++
 	case Redeliver:
 		in.stats.Redeliveries++
 	case Duplicate:
 		in.stats.Duplicates++
 	}
 	now := in.k.Now()
-	in.events = append(in.events, Event{At: now, Component: component, Name: name, Index: idx, Kind: k})
 	in.Timeline.AddFault(now)
 	if in.Tracer.Enabled() {
 		in.Tracer.Emit(span.KindFault, "chaos/"+component+"/"+name, now, now, ctx,
@@ -418,13 +398,4 @@ func (in *Injector) Stats() Stats {
 		return Stats{}
 	}
 	return in.stats
-}
-
-// Events returns the injected-fault log in injection order. The slice
-// is owned by the injector; callers must not mutate it.
-func (in *Injector) Events() []Event {
-	if in == nil {
-		return nil
-	}
-	return in.events
 }

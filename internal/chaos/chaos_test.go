@@ -127,9 +127,6 @@ func TestMaxFaultsAndAfter(t *testing.T) {
 	if st.Injected != 2 || st.Crashes != 2 {
 		t.Fatalf("stats = %+v, want 2 injected crashes", st)
 	}
-	if len(in.Events()) != 2 {
-		t.Fatalf("event log has %d entries, want 2", len(in.Events()))
-	}
 }
 
 func TestFirstMatchingRuleWins(t *testing.T) {
@@ -146,9 +143,6 @@ func TestFirstMatchingRuleWins(t *testing.T) {
 
 func TestNilInjectorIsSafe(t *testing.T) {
 	var in *Injector
-	if in.Enabled() {
-		t.Fatal("nil injector reports Enabled")
-	}
 	if _, ok := in.Next(sim.TraceContext{}, "lambda", "fn"); ok {
 		t.Fatal("nil injector injected a fault")
 	}
@@ -161,9 +155,6 @@ func TestNilInjectorIsSafe(t *testing.T) {
 	}
 	if st := in.Stats(); st != (Stats{}) {
 		t.Fatalf("nil injector stats = %+v, want zero", st)
-	}
-	if in.Events() != nil {
-		t.Fatal("nil injector has events")
 	}
 	if NewInjector(sim.NewKernel(1), nil) != nil {
 		t.Fatal("NewInjector(nil plan) != nil")

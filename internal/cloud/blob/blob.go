@@ -38,16 +38,15 @@ func DefaultParams() Params {
 type Stats struct {
 	Gets         int64
 	Puts         int64
-	Deletes      int64
 	Misses       int64
 	BytesRead    int64
 	BytesWritten int64
 }
 
 // Transactions returns the number of billable storage operations.
-func (s Stats) Transactions() int64 { return s.Gets + s.Puts + s.Deletes + s.Misses }
+func (s Stats) Transactions() int64 { return s.Gets + s.Puts + s.Misses }
 
-// NotFoundError reports a Get or Delete of a missing key.
+// NotFoundError reports a Get of a missing key.
 type NotFoundError struct{ Key string }
 
 func (e *NotFoundError) Error() string { return fmt.Sprintf("blob: key %q not found", e.Key) }
@@ -65,7 +64,6 @@ type object struct {
 // Store is a simulated object store. All methods that take a *sim.Proc
 // consume virtual time on that process.
 type Store struct {
-	k       *sim.Kernel
 	rng     *sim.RNG
 	name    string
 	params  Params
@@ -77,7 +75,6 @@ type Store struct {
 // stores in one simulation stay independent.
 func New(k *sim.Kernel, name string, params Params) *Store {
 	return &Store{
-		k:       k,
 		rng:     k.Stream("blob/" + name),
 		name:    name,
 		params:  params,
@@ -90,9 +87,6 @@ func (s *Store) Name() string { return s.name }
 
 // Stats returns a snapshot of the operation counters.
 func (s *Store) Stats() Stats { return s.stats }
-
-// ResetStats zeroes the operation counters (objects are kept).
-func (s *Store) ResetStats() { s.stats = Stats{} }
 
 // transfer returns the time to move n bytes at bw bytes/sec.
 func transfer(n int, bw float64) time.Duration {
@@ -145,14 +139,6 @@ func (s *Store) Get(p *sim.Proc, key string) ([]byte, error) {
 	return cp, nil
 }
 
-// Delete removes key. Deleting a missing key is not an error (matching
-// S3 semantics) but still costs a round-trip.
-func (s *Store) Delete(p *sim.Proc, key string) {
-	s.stats.Deletes++
-	p.Sleep(s.params.PutRTT.Sample(s.rng))
-	delete(s.objects, key)
-}
-
 // Preload stores data under key without consuming virtual time or
 // metering transactions — for staging inputs that exist before the
 // measured window (e.g. the paper's datasets already resident in S3).
@@ -166,23 +152,6 @@ func (s *Store) Preload(key string, data []byte) {
 // caller's immutable bytes (see PutShared for the contract).
 func (s *Store) PreloadShared(key string, data []byte) {
 	s.objects[key] = object{data: data[:len(data):len(data)], shared: true}
-}
-
-// Exists reports whether key is stored, without consuming virtual time
-// (a zero-cost control-plane check used by tests and tooling).
-func (s *Store) Exists(key string) bool {
-	_, ok := s.objects[key]
-	return ok
-}
-
-// Size returns the stored size of key, or -1 if absent. Control-plane
-// only; consumes no virtual time.
-func (s *Store) Size(key string) int {
-	obj, ok := s.objects[key]
-	if !ok {
-		return -1
-	}
-	return len(obj.data)
 }
 
 // Len returns the number of stored objects.

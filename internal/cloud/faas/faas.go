@@ -68,15 +68,6 @@ type Invocation struct {
 	Err   error
 }
 
-// Stats aggregates per-function invoke outcomes.
-type Stats struct {
-	Invokes    int64
-	ColdStarts int64
-	Errors     int64
-	// ColdDelays holds each cold start's delay (for Fig 10/13).
-	ColdDelays []time.Duration
-}
-
 // Function is a registered function. Container lifecycle — warm
 // reuse, keep-alive expiry, cold-start stats — lives in its
 // platform.Pool; every invocation acquires its own container.
@@ -85,24 +76,7 @@ type Function struct {
 	pool  platform.Pool
 	slots *sim.Resource
 	Meter platform.Meter
-	stats Stats
 }
-
-// Stats returns a snapshot of invoke outcomes, merging the function's
-// invoke counters with the container pool's cold-start statistics.
-func (f *Function) Stats() Stats {
-	s := f.stats
-	ps := f.pool.Stats()
-	s.ColdStarts = ps.ColdStarts
-	s.ColdDelays = ps.ColdDelays
-	return s
-}
-
-// Config returns the function's configuration.
-func (f *Function) Config() Config { return f.cfg }
-
-// WarmContainers returns how many idle warm containers exist now.
-func (f *Function) WarmContainers(now sim.Time) int { return f.pool.WarmCount(now) }
 
 // MemoryRule validates a configured memory size; a non-nil error
 // rejects the registration.
@@ -134,7 +108,6 @@ func MemoryTiers(tiers []int) MemoryRule {
 
 // Service is one provider's simulated function control plane.
 type Service struct {
-	k      *sim.Kernel
 	name   string
 	rng    *sim.RNG
 	memory MemoryRule
@@ -157,7 +130,7 @@ type Service struct {
 // kernel RNG stream its latencies are drawn from; memory validates
 // each function's configured memory.
 func New(k *sim.Kernel, name, stream string, memory MemoryRule, params platform.FaaSParams) *Service {
-	return &Service{k: k, name: name, rng: k.Stream(stream), memory: memory, params: params, fns: make(map[string]*Function)}
+	return &Service{name: name, rng: k.Stream(stream), memory: memory, params: params, fns: make(map[string]*Function)}
 }
 
 // SetTimeline enables per-window warm-pool occupancy gauges on every
@@ -189,7 +162,7 @@ func (s *Service) Register(cfg Config) (*Function, error) {
 	if cfg.Timeout <= 0 || cfg.Timeout > s.params.TimeLimit {
 		cfg.Timeout = s.params.TimeLimit
 	}
-	f := &Function{cfg: cfg, slots: sim.NewResource(s.k, s.params.BurstConcurrency)}
+	f := &Function{cfg: cfg, slots: sim.NewResource(s.params.BurstConcurrency)}
 	f.pool.KeepAlive = s.params.KeepAlive
 	f.pool.Timeline = s.timeline
 	s.fns[cfg.Name] = f
@@ -262,7 +235,6 @@ func (s *Service) Invoke(p *sim.Proc, name string, payload []byte) (*Invocation,
 	}
 
 	inv := &Invocation{QueueDelay: queueDelay}
-	f.stats.Invokes++
 
 	// Container acquisition: reuse a warm container or cold start.
 	if _, ok := f.pool.TakeWarm(p.Now()); ok {
@@ -327,9 +299,6 @@ func (s *Service) Invoke(p *sim.Proc, name string, payload []byte) (*Invocation,
 
 	inv.Output = out
 	inv.Err = err
-	if err != nil {
-		f.stats.Errors++
-	}
 	inv.ExecTime = exec
 	inv.Total = p.Now() - start
 	if invSpan.Live() {
@@ -364,13 +333,4 @@ func (s *Service) TotalMeter() platform.Meter {
 		m.Add(s.fns[name].Meter)
 	}
 	return m
-}
-
-// ResetMeters zeroes all function meters and stats (warm pools are kept).
-func (s *Service) ResetMeters() {
-	for _, f := range s.fns {
-		f.Meter.Reset()
-		f.stats = Stats{}
-		f.pool.ResetStats()
-	}
 }

@@ -150,14 +150,11 @@ func TestColdThenWarm(t *testing.T) {
 func TestKeepAliveExpiry(t *testing.T) {
 	forEach(t, func(t *testing.T, c calibration) {
 		k, s := c.service() // 1 min keep-alive
-		f := s.MustRegister(faas.Config{Name: "f", MemoryMB: c.mem, Handler: echo})
+		s.MustRegister(faas.Config{Name: "f", MemoryMB: c.mem, Handler: echo})
 		var again *faas.Invocation
 		k.Spawn("client", func(p *sim.Proc) {
 			if _, err := s.Invoke(p, "f", nil); err != nil {
 				t.Errorf("invoke: %v", err)
-			}
-			if f.WarmContainers(p.Now()) != 1 {
-				t.Errorf("warm containers = %d, want 1", f.WarmContainers(p.Now()))
 			}
 			p.Sleep(2 * time.Minute)
 			again, _ = s.Invoke(p, "f", nil)
@@ -285,13 +282,20 @@ func TestTimeoutClampsBilling(t *testing.T) {
 
 func TestTimeLimitCapsConfiguredTimeout(t *testing.T) {
 	forEach(t, func(t *testing.T, c calibration) {
-		_, s := c.service()
-		f, err := s.Register(faas.Config{Name: "f", MemoryMB: c.mem, Timeout: time.Hour, Handler: echo})
+		k, s := c.service()
+		_, err := s.Register(faas.Config{Name: "f", MemoryMB: c.mem, Timeout: time.Hour, Handler: func(ctx *faas.Context, _ []byte) ([]byte, error) {
+			ctx.Busy(c.params.TimeLimit + time.Minute)
+			return nil, nil
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Config().Timeout != c.params.TimeLimit {
-			t.Fatalf("timeout = %v, want clamped to the %v platform limit", f.Config().Timeout, c.params.TimeLimit)
+		var inv *faas.Invocation
+		k.Spawn("client", func(p *sim.Proc) { inv, _ = s.Invoke(p, "f", nil) })
+		k.Run()
+		var te *faas.TimeoutError
+		if !errors.As(inv.Err, &te) || te.Limit != c.params.TimeLimit || inv.ExecTime != c.params.TimeLimit {
+			t.Fatalf("err = %v, exec %v; want the hour timeout clamped to the %v platform limit", inv.Err, inv.ExecTime, c.params.TimeLimit)
 		}
 	})
 }
@@ -341,10 +345,6 @@ func TestHandlerErrorReported(t *testing.T) {
 		if !errors.Is(inv.Err, boom) {
 			t.Fatalf("err = %v", inv.Err)
 		}
-		f, _ := s.Function("f")
-		if f.Stats().Errors != 1 {
-			t.Fatal("error not counted")
-		}
 	})
 }
 
@@ -352,28 +352,22 @@ func TestStatsAndMeters(t *testing.T) {
 	forEach(t, func(t *testing.T, c calibration) {
 		k, s := c.service()
 		s.MustRegister(faas.Config{Name: "f", MemoryMB: c.mem, Handler: echo})
+		var invs []*faas.Invocation
 		k.Spawn("client", func(p *sim.Proc) {
 			for i := 0; i < 3; i++ {
-				if _, err := s.Invoke(p, "f", nil); err != nil {
+				inv, err := s.Invoke(p, "f", nil)
+				if err != nil {
 					t.Errorf("invoke: %v", err)
 				}
+				invs = append(invs, inv)
 			}
 		})
 		k.Run()
-		f, _ := s.Function("f")
-		st := f.Stats()
-		if st.Invokes != 3 || st.ColdStarts != 1 {
-			t.Fatalf("stats = %+v", st)
-		}
-		if len(st.ColdDelays) != 1 {
-			t.Fatalf("cold delays = %v", st.ColdDelays)
+		if len(invs) != 3 || !invs[0].Cold || invs[0].ColdStartDelay <= 0 || invs[1].Cold || invs[2].Cold {
+			t.Fatalf("invocations = %+v, want one cold start then two warm", invs)
 		}
 		if s.TotalMeter().Invocations != 3 {
 			t.Fatal("total meter wrong")
-		}
-		s.ResetMeters()
-		if s.TotalMeter().Invocations != 0 || f.Stats().Invokes != 0 {
-			t.Fatal("reset did not clear")
 		}
 	})
 }

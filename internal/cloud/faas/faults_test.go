@@ -22,14 +22,12 @@ func (c calibration) faultedService(rule chaos.Rule) (*sim.Kernel, *faas.Service
 
 // runFaulted invokes f three times with a 40 ms fault of kind on the
 // second invoke, checks what a partial execution returns and bills, and
-// returns the three invocations, f, and f's warm containers right after
-// the faulted invoke.
-func runFaulted(t *testing.T, c calibration, kind chaos.Kind) ([]*faas.Invocation, *faas.Function, int) {
+// returns the three invocations.
+func runFaulted(t *testing.T, c calibration, kind chaos.Kind) []*faas.Invocation {
 	t.Helper()
 	k, s := c.faultedService(chaos.Rule{Kind: kind, Rate: 1, Delay: 40 * time.Millisecond, MaxFaults: 1, After: 1})
 	f := s.MustRegister(faas.Config{Name: "f", MemoryMB: c.mem, Handler: echo})
 	var invs []*faas.Invocation
-	warm := -1
 	k.Spawn("client", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			inv, err := s.Invoke(p, "f", []byte("x"))
@@ -38,9 +36,6 @@ func runFaulted(t *testing.T, c calibration, kind chaos.Kind) ([]*faas.Invocatio
 				return
 			}
 			invs = append(invs, inv)
-			if i == 1 {
-				warm = f.WarmContainers(p.Now())
-			}
 		}
 	})
 	k.Run()
@@ -58,28 +53,25 @@ func runFaulted(t *testing.T, c calibration, kind chaos.Kind) ([]*faas.Invocatio
 	if m := billed(c.mem, 100*time.Millisecond, 40*time.Millisecond, 100*time.Millisecond); f.Meter != m {
 		t.Fatalf("meter = %+v, want %+v (the partial execution billed)", f.Meter, m)
 	}
-	if st := f.Stats(); st.Invokes != 3 || st.Errors != 1 {
-		t.Fatalf("stats = %+v, want 3 invokes and 1 error", st)
-	}
-	return invs, f, warm
+	return invs
 }
 
 func TestCrashLosesContainer(t *testing.T) {
 	forEach(t, func(t *testing.T, c calibration) {
-		invs, f, warm := runFaulted(t, c, chaos.Crash)
-		if invs[1].Cold || warm != 0 || !invs[2].Cold || f.Stats().ColdStarts != 2 {
-			t.Fatalf("warm after crash %d, cold %v/%v/%v, cold starts %d; want the crashed container lost and the next invoke cold",
-				warm, invs[0].Cold, invs[1].Cold, invs[2].Cold, f.Stats().ColdStarts)
+		invs := runFaulted(t, c, chaos.Crash)
+		if !invs[0].Cold || invs[1].Cold || !invs[2].Cold {
+			t.Fatalf("cold %v/%v/%v; want the crashed container lost and the next invoke cold",
+				invs[0].Cold, invs[1].Cold, invs[2].Cold)
 		}
 	})
 }
 
 func TestTransientErrorKeepsContainer(t *testing.T) {
 	forEach(t, func(t *testing.T, c calibration) {
-		invs, f, warm := runFaulted(t, c, chaos.TransientError)
-		if invs[1].Cold || warm != 1 || invs[2].Cold || f.Stats().ColdStarts != 1 {
-			t.Fatalf("warm after error %d, cold %v/%v/%v, cold starts %d; want the container kept warm",
-				warm, invs[0].Cold, invs[1].Cold, invs[2].Cold, f.Stats().ColdStarts)
+		invs := runFaulted(t, c, chaos.TransientError)
+		if !invs[0].Cold || invs[1].Cold || invs[2].Cold {
+			t.Fatalf("cold %v/%v/%v; want the container kept warm",
+				invs[0].Cold, invs[1].Cold, invs[2].Cold)
 		}
 	})
 }

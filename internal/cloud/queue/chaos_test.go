@@ -37,17 +37,19 @@ func TestAtLeastOnceProperty(t *testing.T) {
 
 			seen := map[int64]int{}
 			lastNow := sim.Time(0)
-			coveredCount := func() int {
-				// A message counts once whether it was delivered,
-				// dead-lettered, or (duplicate ghost gone poison) both.
-				covered := map[int64]bool{}
-				for id := range seen {
-					covered[id] = true
+			// all holds every enqueued message. One never delivered
+			// whose attempts are exhausted was dead-lettered: a failed
+			// attempt at MaxDequeueCount poisons it, and nothing
+			// brings it back.
+			var all []*Message
+			deadLettered := func() int {
+				n := 0
+				for _, m := range all {
+					if seen[m.ID] == 0 && m.Dequeues >= 4 {
+						n++
+					}
 				}
-				for _, m := range q.DeadLetters() {
-					covered[m.ID] = true
-				}
-				return len(covered)
+				return n
 			}
 			k.Spawn("driver", func(p *sim.Proc) {
 				for i := 0; i < msgs; i++ {
@@ -56,7 +58,8 @@ func TestAtLeastOnceProperty(t *testing.T) {
 						return
 					}
 				}
-				for coveredCount() < msgs {
+				all = append(all, q.msgs...)
+				for len(seen)+deadLettered() < msgs {
 					if p.Now() < lastNow {
 						t.Error("virtual time went backward")
 						return
@@ -72,15 +75,16 @@ func TestAtLeastOnceProperty(t *testing.T) {
 			})
 			k.Run()
 
-			if got := coveredCount(); got != msgs {
+			if len(all) != msgs {
+				t.Fatalf("%d messages enqueued, want %d", len(all), msgs)
+			}
+			if got := len(seen) + deadLettered(); got != msgs {
 				t.Fatalf("%d of %d messages accounted for (delivered or dead-lettered)", got, msgs)
 			}
-			for _, m := range q.DeadLetters() {
-				if seen[m.ID] == 0 && m.Dequeues < 4 {
-					t.Errorf("message %d dead-lettered after only %d attempts", m.ID, m.Dequeues)
-				}
-			}
 			st := q.Stats()
+			if int(st.DeadLettered) < deadLettered() {
+				t.Fatalf("queue dead-lettered %d messages, but %d were never delivered", st.DeadLettered, deadLettered())
+			}
 			if st.Redeliveries > 0 && inj.Stats().Redeliveries == 0 {
 				t.Fatal("queue booked redeliveries the injector never injected")
 			}
@@ -99,12 +103,14 @@ func TestPoisonMessageDeadLetters(t *testing.T) {
 	q := New(k, "poison", chaosParams(3))
 	q.Chaos = inj
 	delivered := 0
+	var poison *Message
 	k.Spawn("driver", func(p *sim.Proc) {
 		if err := q.Enqueue(p, []byte("bad")); err != nil {
 			t.Errorf("Enqueue: %v", err)
 			return
 		}
-		for i := 0; i < 20 && len(q.DeadLetters()) == 0; i++ {
+		poison = q.msgs[0]
+		for i := 0; i < 20 && q.Stats().DeadLettered == 0; i++ {
 			if _, ok := q.TryDequeue(p); ok {
 				delivered++
 			}
@@ -115,12 +121,11 @@ func TestPoisonMessageDeadLetters(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("poison message was delivered %d times", delivered)
 	}
-	dl := q.DeadLetters()
-	if len(dl) != 1 {
-		t.Fatalf("dead-letter queue has %d messages, want 1", len(dl))
+	if len(q.msgs) != 0 {
+		t.Fatal("poison message still queued")
 	}
-	if dl[0].Dequeues != 3 {
-		t.Fatalf("poison message dead-lettered after %d attempts, want MaxDequeueCount=3", dl[0].Dequeues)
+	if poison.Dequeues != 3 {
+		t.Fatalf("poison message dead-lettered after %d attempts, want MaxDequeueCount=3", poison.Dequeues)
 	}
 	st := q.Stats()
 	if st.DeadLettered != 1 || st.Redeliveries != 3 || st.Dequeues != 0 {
@@ -158,7 +163,7 @@ func TestUnlimitedRedeliveryNeverPoisons(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("message delivered %d times, want 1 after redelivery budget drained", delivered)
 	}
-	if len(q.DeadLetters()) != 0 {
+	if q.Stats().DeadLettered != 0 {
 		t.Fatal("MaxDequeueCount=0 queue dead-lettered a message")
 	}
 	if q.Stats().Redeliveries != 7 {
@@ -185,7 +190,7 @@ func TestTransactionsCountsChaosOps(t *testing.T) {
 			t.Errorf("Enqueue: %v", err)
 			return
 		}
-		for i := 0; i < 10 && len(q.DeadLetters()) == 0; i++ {
+		for i := 0; i < 10 && q.Stats().DeadLettered == 0; i++ {
 			if _, ok := q.TryDequeue(p); ok {
 				t.Error("poison message was delivered")
 			}

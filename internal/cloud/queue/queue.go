@@ -73,7 +73,6 @@ type Stats struct {
 	Enqueues   int64
 	Dequeues   int64
 	EmptyPolls int64
-	Bytes      int64
 	// Redeliveries counts failed delivery attempts (the consumer
 	// crashed before acknowledging): the get happened, the delete
 	// never did, and the message reappeared after the visibility
@@ -103,7 +102,6 @@ type Queue struct {
 	name   string
 	params Params
 	msgs   []*Message
-	dead   []*Message
 	nextID int64
 	stats  Stats
 
@@ -131,9 +129,6 @@ func (q *Queue) Len() int { return len(q.msgs) }
 // Stats returns a snapshot of the operation counters.
 func (q *Queue) Stats() Stats { return q.stats }
 
-// ResetStats zeroes the operation counters.
-func (q *Queue) ResetStats() { q.stats = Stats{} }
-
 // Enqueue appends body, consuming one operation latency. It fails if
 // body exceeds the payload limit.
 func (q *Queue) Enqueue(p *sim.Proc, body []byte) error {
@@ -141,28 +136,21 @@ func (q *Queue) Enqueue(p *sim.Proc, body []byte) error {
 		return &PayloadTooLargeError{Queue: q.name, Size: len(body), Limit: q.params.MaxPayload}
 	}
 	q.stats.Enqueues++
-	q.stats.Bytes += int64(len(body))
 	p.Sleep(q.params.OpLatency.Sample(q.rng))
 	q.nextID++
 	q.msgs = append(q.msgs, &Message{ID: q.nextID, Body: body, EnqueuedAt: p.Now(), Ctx: p.TraceCtx})
 	return nil
 }
 
-// EnqueueFromKernel appends body from event-loop context (no process to
-// sleep); the message becomes visible after one mean op latency.
-func (q *Queue) EnqueueFromKernel(body []byte) error {
-	return q.EnqueueFromKernelCtx(body, sim.TraceContext{})
-}
-
-// EnqueueFromKernelCtx is EnqueueFromKernel with an explicit trace
-// context for the hop span, for senders that have no process (e.g. the
-// Durable hub completing a task from event-loop context).
+// EnqueueFromKernelCtx appends body from event-loop context: the
+// message becomes visible one operation latency later. ctx is the
+// trace context for the hop span, for senders that have no process
+// (e.g. the Durable hub completing a task from event-loop context).
 func (q *Queue) EnqueueFromKernelCtx(body []byte, ctx sim.TraceContext) error {
 	if q.params.MaxPayload > 0 && len(body) > q.params.MaxPayload {
 		return &PayloadTooLargeError{Queue: q.name, Size: len(body), Limit: q.params.MaxPayload}
 	}
 	q.stats.Enqueues++
-	q.stats.Bytes += int64(len(body))
 	d := q.params.OpLatency.Sample(q.rng)
 	q.k.After(d, func() {
 		q.nextID++
@@ -231,7 +219,6 @@ func (q *Queue) settleInvisible(m *Message, delivered bool) {
 	if q.params.MaxDequeueCount > 0 && m.Dequeues >= q.params.MaxDequeueCount {
 		if !delivered {
 			q.stats.DeadLettered++
-			q.dead = append(q.dead, m)
 			q.Chaos.NoteDeadLetter(m.Ctx, q.name)
 		}
 		return
@@ -250,18 +237,4 @@ func (q *Queue) settleInvisible(m *Message, delivered bool) {
 	q.k.After(vt, func() {
 		q.msgs = append(q.msgs, m)
 	})
-}
-
-// DeadLetters returns the poison messages moved off the queue, in
-// move order. The slice is owned by the queue.
-func (q *Queue) DeadLetters() []*Message { return q.dead }
-
-// PeekAge returns the age of the oldest message, or 0 if empty.
-// Control-plane only (used by autoscalers, which in the real systems
-// read queue-length metrics out of band).
-func (q *Queue) PeekAge(now sim.Time) time.Duration {
-	if len(q.msgs) == 0 {
-		return 0
-	}
-	return now - q.msgs[0].EnqueuedAt
 }

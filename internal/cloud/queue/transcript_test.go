@@ -93,7 +93,7 @@ func (r *rig) listen(i int, maxPoll time.Duration, stop *sim.Future[struct{}], t
 // from event-loop context.
 func (r *rig) enqueue(t *testing.T, i int, body string) func() {
 	return func() {
-		if err := r.qs[i].EnqueueFromKernel([]byte(body)); err != nil {
+		if err := r.qs[i].EnqueueFromKernelCtx([]byte(body), sim.TraceContext{}); err != nil {
 			t.Error(err)
 		}
 	}

@@ -41,19 +41,17 @@ type Stats struct {
 	Writes  int64
 	Queries int64
 	Batches int64
-	Deletes int64
 }
 
 // Transactions returns the billable transaction count. A batch counts
 // as one transaction (entity-group transaction), a query as one per
 // returned page (pages modeled as one here).
-func (s Stats) Transactions() int64 { return s.Reads + s.Writes + s.Queries + s.Batches + s.Deletes }
+func (s Stats) Transactions() int64 { return s.Reads + s.Writes + s.Queries + s.Batches }
 
 type rowKey struct{ pk, rk string }
 
 // Table is a simulated NoSQL table.
 type Table struct {
-	k      *sim.Kernel
 	rng    *sim.RNG
 	name   string
 	params Params
@@ -63,7 +61,7 @@ type Table struct {
 
 // New creates an empty table named name.
 func New(k *sim.Kernel, name string, params Params) *Table {
-	return &Table{k: k, rng: k.Stream("table/" + name), name: name, params: params, rows: make(map[rowKey][]byte)}
+	return &Table{rng: k.Stream("table/" + name), name: name, params: params, rows: make(map[rowKey][]byte)}
 }
 
 // Name returns the table name.
@@ -71,9 +69,6 @@ func (t *Table) Name() string { return t.name }
 
 // Stats returns a snapshot of the operation counters.
 func (t *Table) Stats() Stats { return t.stats }
-
-// ResetStats zeroes the operation counters.
-func (t *Table) ResetStats() { t.stats = Stats{} }
 
 // Len returns the number of rows (control-plane; free).
 func (t *Table) Len() int { return len(t.rows) }
@@ -107,20 +102,6 @@ func (t *Table) Preload(pk, rk string, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	t.rows[rowKey{pk, rk}] = cp
-}
-
-// Peek reads one row without consuming virtual time or metering a
-// transaction (control-plane helper for tests and reports).
-func (t *Table) Peek(pk, rk string) ([]byte, bool) {
-	data, ok := t.rows[rowKey{pk, rk}]
-	return data, ok
-}
-
-// Delete removes one row (idempotent), consuming one operation latency.
-func (t *Table) Delete(p *sim.Proc, pk, rk string) {
-	t.stats.Deletes++
-	p.Sleep(t.params.OpLatency.Sample(t.rng))
-	delete(t.rows, rowKey{pk, rk})
 }
 
 // WriteBatch upserts entities as entity-group transactions of up to
@@ -159,28 +140,4 @@ func (t *Table) WriteBatch(p *sim.Proc, pk string, entities []Entity) {
 func (t *Table) Query(p *sim.Proc, pk string) {
 	t.stats.Queries++
 	p.Sleep(t.params.OpLatency.Sample(t.rng))
-}
-
-// DeletePartition removes every row in pk as batched deletes (one
-// transaction per MaxBatch rows), used when purging orchestration
-// history.
-func (t *Table) DeletePartition(p *sim.Proc, pk string) int {
-	var keys []rowKey
-	for k := range t.rows {
-		if k.pk == pk {
-			keys = append(keys, k)
-		}
-	}
-	max := t.params.MaxBatch
-	if max <= 0 {
-		max = len(keys)
-	}
-	for start := 0; start < len(keys); start += max {
-		t.stats.Batches++
-		p.Sleep(t.params.OpLatency.Sample(t.rng))
-	}
-	for _, k := range keys {
-		delete(t.rows, k)
-	}
-	return len(keys)
 }

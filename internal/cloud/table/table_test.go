@@ -24,14 +24,10 @@ func TestWriteReadDelete(t *testing.T) {
 		if _, ok := tb.Read(p, "inst1", "9999"); ok {
 			t.Error("read of missing row succeeded")
 		}
-		tb.Delete(p, "inst1", "0001")
-		if _, ok := tb.Read(p, "inst1", "0001"); ok {
-			t.Error("read after delete succeeded")
-		}
 	})
 	k.Run()
 	st := tb.Stats()
-	if st.Writes != 1 || st.Reads != 3 || st.Deletes != 1 {
+	if st.Writes != 1 || st.Reads != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -68,7 +64,7 @@ func TestQueryBillsOneTransaction(t *testing.T) {
 		t.Fatalf("rows = %d, want 3", tb.Len())
 	}
 	for i := 0; i < 3; i++ {
-		if v, ok := tb.Peek("inst1", fmt.Sprintf("%04d", i)); !ok || len(v) != 1 || v[0] != byte(i) {
+		if v, ok := tb.rows[rowKey{"inst1", fmt.Sprintf("%04d", i)}]; !ok || len(v) != 1 || v[0] != byte(i) {
 			t.Fatalf("row %d = %v %v after queries", i, v, ok)
 		}
 	}
@@ -112,30 +108,6 @@ func TestWriteBatchRejectsMixedPartitions(t *testing.T) {
 	}
 }
 
-func TestDeletePartition(t *testing.T) {
-	k := sim.NewKernel(1)
-	tb := New(k, "history", fixedParams())
-	var removed int
-	k.Spawn("c", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			tb.Write(p, "purge", fmt.Sprintf("%04d", i), []byte("x"))
-		}
-		tb.Write(p, "keep", "0001", []byte("y"))
-		removed = tb.DeletePartition(p, "purge")
-	})
-	k.Run()
-	if removed != 5 {
-		t.Fatalf("removed = %d", removed)
-	}
-	if tb.Len() != 1 {
-		t.Fatalf("rows left = %d, want 1", tb.Len())
-	}
-	// 5 rows at MaxBatch=3 => 2 batch transactions.
-	if tb.Stats().Batches != 2 {
-		t.Fatalf("batches = %d, want 2", tb.Stats().Batches)
-	}
-}
-
 func TestReadReturnsCopy(t *testing.T) {
 	k := sim.NewKernel(1)
 	tb := New(k, "history", fixedParams())
@@ -158,11 +130,10 @@ func TestTransactionsTotal(t *testing.T) {
 		tb.Write(p, "p", "1", nil)                          // 1 write
 		tb.Read(p, "p", "1")                                // 1 read
 		tb.Query(p, "p")                                    // 1 query
-		tb.Delete(p, "p", "1")                              // 1 delete
 		tb.WriteBatch(p, "p", []Entity{{PK: "p", RK: "2"}}) // 1 batch
 	})
 	k.Run()
-	if got := tb.Stats().Transactions(); got != 5 {
-		t.Fatalf("transactions = %d, want 5", got)
+	if got := tb.Stats().Transactions(); got != 4 {
+		t.Fatalf("transactions = %d, want 4", got)
 	}
 }

@@ -27,15 +27,6 @@ func TestImplProperties(t *testing.T) {
 		if c.impl.Cloud() != c.cloud || c.impl.Stateful() != c.stateful {
 			t.Errorf("%s: cloud=%v stateful=%v", c.impl, c.impl.Cloud(), c.impl.Stateful())
 		}
-		if !c.impl.Valid() {
-			t.Errorf("%s not valid", c.impl)
-		}
-		if c.impl.Description() == "unknown" {
-			t.Errorf("%s has no description", c.impl)
-		}
-	}
-	if Impl("nope").Valid() {
-		t.Fatal("bogus impl valid")
 	}
 	if AWS.String() != "AWS" || Azure.String() != "Azure" {
 		t.Fatal("cloud names")
@@ -120,7 +111,7 @@ func TestBreakdownClampsParallelExec(t *testing.T) {
 
 func TestColdStartCampaignCount(t *testing.T) {
 	wf := &fakeWorkflow{e2e: time.Second}
-	samples, err := ColdStartCampaign(wf, AzFunc, 6, 1, nil)
+	samples, err := ColdStartCampaignCached(wf, AzFunc, 6, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

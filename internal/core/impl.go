@@ -65,20 +65,6 @@ func (i Impl) Cloud() CloudKind {
 // (Table II's "Stateful" column).
 func (i Impl) Stateful() bool { return styleRegistry[i].Stateful }
 
-// Valid reports whether i is a registered style.
-func (i Impl) Valid() bool {
-	_, ok := styleRegistry[i]
-	return ok
-}
-
-// Description returns the style's registered description text.
-func (i Impl) Description() string {
-	if info, ok := styleRegistry[i]; ok {
-		return info.Description
-	}
-	return "unknown"
-}
-
 // UnsupportedImplError reports a workflow/style combination with no
 // implementation (Table II has gaps, e.g. Az-Queue video processing).
 type UnsupportedImplError struct {

@@ -277,18 +277,13 @@ func Measure(wf Workflow, impl Impl, opt MeasureOptions) (*Series, error) {
 	return s, nil
 }
 
-// ColdStartCampaign reproduces the paper's cold-start methodology: a
-// fresh deployment receives one request per hour for the given number
-// of hours (the paper: 4 days), and each request's cold-start delay is
-// recorded. Keep-alive windows are far below an hour, so every request
-// lands cold.
-func ColdStartCampaign(wf Workflow, impl Impl, hours int, seed uint64, input func(iter int) []byte) (*obs.Samples, error) {
-	return ColdStartCampaignCached(wf, impl, hours, seed, input, nil)
-}
-
-// ColdStartCampaignCached is ColdStartCampaign with an explicit
-// payload engine (nil keeps the Env default), so suite runs share one
-// engine across warm and cold campaigns.
+// ColdStartCampaignCached reproduces the paper's cold-start
+// methodology: a fresh deployment receives one request per hour for the
+// given number of hours (the paper: 4 days), and each request's
+// cold-start delay is recorded. Keep-alive windows are far below an
+// hour, so every request lands cold. cache is the payload engine (nil
+// keeps the Env default), so suite runs share one engine across warm
+// and cold campaigns.
 func ColdStartCampaignCached(wf Workflow, impl Impl, hours int, seed uint64, input func(iter int) []byte, cache *payload.Engine) (*obs.Samples, error) {
 	if !SupportsImpl(wf, impl) {
 		return nil, &UnsupportedImplError{Workflow: wf.Name(), Impl: impl}

@@ -40,16 +40,16 @@ func TestCampaignWorkCounts(t *testing.T) {
 
 // TestClassicHistoryWorkCounts pins the classic hub's history-table
 // work for one fig14-shaped campaign, an 80-wide cold fan-out on
-// Az-Dorch: the billed queries, batch writes and deletes, the episodes
+// Az-Dorch: the billed queries and batch writes, the episodes
 // and the history records they replay, and the kernel's events. The
 // history codec moves none of them, because a query bills one
 // transaction and one latency whatever it returns; a change that
 // re-reads history, splits a batch or replays more events moves them.
 func TestClassicHistoryWorkCounts(t *testing.T) {
 	const (
-		queries, batches, deletes = 19, 19, 0
-		episodes, replayed        = 19, 2513
-		executed                  = 7785
+		queries, batches   = 19, 19
+		episodes, replayed = 19, 2513
+		executed           = 7785
 	)
 	wf := videoproc.New(80)
 	opt := core.DefaultMeasureOptions()
@@ -64,11 +64,11 @@ func TestClassicHistoryWorkCounts(t *testing.T) {
 		}
 		hub := s.Env.Azure.Hub
 		st := hub.HistoryTable().Stats()
-		got := [6]int64{st.Queries, st.Batches, st.Deletes, hub.EpisodeCount, hub.ReplayEvents, int64(s.Env.K.Executed())}
-		want := [6]int64{queries, batches, deletes, episodes, replayed, executed}
+		got := [5]int64{st.Queries, st.Batches, hub.EpisodeCount, hub.ReplayEvents, int64(s.Env.K.Executed())}
+		want := [5]int64{queries, batches, episodes, replayed, executed}
 		if got != want {
-			t.Errorf("Workers %d: history Queries, Batches, Deletes = %d, %d, %d; EpisodeCount %d, ReplayEvents %d, Executed() %d; want %v",
-				workers, got[0], got[1], got[2], got[3], got[4], got[5], want)
+			t.Errorf("Workers %d: history Queries, Batches = %d, %d; EpisodeCount %d, ReplayEvents %d, Executed() %d; want %v",
+				workers, got[0], got[1], got[2], got[3], got[4], want)
 		}
 	}
 }

@@ -104,6 +104,3 @@ func RunAll(runners []Runner, o Options) ([]*Report, error) {
 	}
 	return out, nil
 }
-
-// All runs every experiment and returns the reports in paper order.
-func All(o Options) ([]*Report, error) { return RunAll(Registry(), o) }

@@ -194,7 +194,7 @@ func runOpenLoopChains(seed uint64, useNetherite bool, process traffic.ArrivalPr
 	var hub *durable.Hub
 	if useNetherite {
 		hub = durable.NewHubWithStore(k, host, "openloop-hub",
-			netherite.NewStore(k, "openloop-hub", netherite.DefaultPartitions))
+			netherite.NewStore(k, "openloop-hub"))
 	} else {
 		hub = durable.NewHub(k, host, "openloop-hub")
 	}

@@ -101,10 +101,10 @@ func Fig14(o Options) (*Report, error) {
 	for delays.Len() < o.Fig14Target {
 		// One round = one cold fan-out per width. The campaigns are
 		// independent (seed depends only on the campaign number), so a
-		// round runs in parallel; shards are merged in campaign order
+		// round runs in parallel; shards are added in campaign order
 		// and consumption stops at the target, so the collected sample
 		// set matches the sequential loop byte for byte.
-		shards, err := parallel.Map(o.Workers, len(videoWorkerCounts), func(i int) (*obs.Samples, error) {
+		shards, err := parallel.Map(o.Workers, len(videoWorkerCounts), func(i int) ([]time.Duration, error) {
 			wf := videoproc.New(videoWorkerCounts[i])
 			opt := core.DefaultMeasureOptions()
 			opt.Iters = 1 // cold scale-out, as each of the paper's fan-outs was
@@ -117,9 +117,7 @@ func Fig14(o Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			shard := &obs.Samples{}
-			shard.AddAll(videoproc.WorkerSchedDelays(s.Env))
-			return shard, nil
+			return videoproc.WorkerSchedDelays(s.Env), nil
 		})
 		if err != nil {
 			return nil, err
@@ -128,7 +126,7 @@ func Fig14(o Options) (*Report, error) {
 			if delays.Len() >= o.Fig14Target {
 				break
 			}
-			delays.Merge(shard)
+			delays.AddAll(shard)
 			iter++
 		}
 	}

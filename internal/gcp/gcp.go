@@ -74,14 +74,6 @@ func (c *Cloud) SetTimeline(s *tseries.Series) {
 	c.Functions.SetTimeline(s)
 }
 
-// ResetMeters zeroes billing meters and storage stats across services,
-// keeping deployed functions and warm instances.
-func (c *Cloud) ResetMeters() {
-	c.Functions.ResetMeters()
-	c.Workflows.ResetMeters()
-	c.GCS.ResetStats()
-}
-
 // Usage reports cumulative billable consumption (the core.Backend
 // seam). Like AWS, GCP bills workflow steps whether or not the style
 // is stateful — a functions-only deployment simply produces none.

@@ -169,7 +169,7 @@ func TestWorkflowCallExhaustsRetries(t *testing.T) {
 	}
 	var err error
 	k.Spawn("client", func(p *sim.Proc) {
-		ctx := &Ctx{p: p, exec: &Execution{svc: wfs}, svc: wfs}
+		ctx := &Ctx{p: p, exec: &Execution{}, svc: wfs}
 		_, err = ctx.Call("f", nil)
 	})
 	k.Run()
@@ -213,10 +213,5 @@ func TestUsageAggregatesAcrossServices(t *testing.T) {
 	}
 	if u.BlobTxns == 0 {
 		t.Fatal("GCS transactions missing from usage")
-	}
-	c.ResetMeters()
-	u = c.Usage(true)
-	if u.Requests != 0 || u.StatefulTxns != 0 || u.BlobTxns != 0 {
-		t.Fatalf("usage after reset = %+v", u)
 	}
 }

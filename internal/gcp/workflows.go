@@ -17,13 +17,12 @@ import (
 // executed step is billed — steps are GCP's analogue of AWS's state
 // transitions and the StatefulTxns of the GCP price book.
 type Workflows struct {
-	k      *sim.Kernel
 	rng    *sim.RNG
 	params platform.GCPParams
 	fns    *faas.Service
 	wfs    map[string]Definition
 	// TotalSteps aggregates billable executed steps across all
-	// executions since the last reset (retried steps bill again).
+	// executions (retried steps bill again).
 	TotalSteps int64
 	// Tracer, when non-nil, emits an orchestration span per execution
 	// and a transition span per billable step.
@@ -39,7 +38,7 @@ type Definition func(ctx *Ctx, input map[string]any) (map[string]any, error)
 
 // NewWorkflows creates a Workflows engine bound to a Cloud Functions service.
 func NewWorkflows(k *sim.Kernel, params platform.GCPParams, fns *faas.Service) *Workflows {
-	return &Workflows{k: k, rng: k.Stream("gcp/workflows"), params: params, fns: fns, wfs: make(map[string]Definition)}
+	return &Workflows{rng: k.Stream("gcp/workflows"), params: params, fns: fns, wfs: make(map[string]Definition)}
 }
 
 // Create registers a workflow definition under name.
@@ -57,9 +56,6 @@ func (s *Workflows) Create(name string, def Definition) error {
 	return nil
 }
 
-// ResetMeters zeroes the aggregate step counter.
-func (s *Workflows) ResetMeters() { s.TotalSteps = 0 }
-
 // Execution records one workflow run.
 type Execution struct {
 	Workflow  string
@@ -74,7 +70,6 @@ type Execution struct {
 	Output         map[string]any
 	Err            error
 
-	svc          *Workflows
 	firstCallAt  sim.Time
 	sawFirstCall bool
 }
@@ -99,7 +94,7 @@ func (s *Workflows) Execute(p *sim.Proc, name string, input map[string]any) (*Ex
 	if !ok {
 		return nil, fmt.Errorf("gwf: no such workflow %q", name)
 	}
-	exec := &Execution{Workflow: name, StartedAt: p.Now(), FirstCallDelay: -1, svc: s}
+	exec := &Execution{Workflow: name, StartedAt: p.Now(), FirstCallDelay: -1}
 	caller := p.TraceCtx
 	execSpan := s.Tracer.Start(p.Now(), span.KindOrchestration, "gwf/"+name, caller)
 	p.TraceCtx = execSpan.Context()

@@ -134,9 +134,3 @@ func GenerateCars(n int, seed uint64) *DataFrame {
 	}
 	return df
 }
-
-// SmallCars returns the paper's 200-row dataset.
-func SmallCars(seed uint64) *DataFrame { return GenerateCars(200, seed) }
-
-// LargeCars returns the paper's 10,000-row dataset.
-func LargeCars(seed uint64) *DataFrame { return GenerateCars(10000, seed) }

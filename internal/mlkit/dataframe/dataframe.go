@@ -77,18 +77,6 @@ func (df *DataFrame) NumRows() int {
 	return df.cols[0].Len()
 }
 
-// NumCols returns the column count.
-func (df *DataFrame) NumCols() int { return len(df.cols) }
-
-// Names returns the column names in order.
-func (df *DataFrame) Names() []string {
-	out := make([]string, len(df.cols))
-	for i, c := range df.cols {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // Column returns a column by name.
 func (df *DataFrame) Column(name string) (*Column, bool) {
 	i, ok := df.index[name]
@@ -131,55 +119,6 @@ func (df *DataFrame) Drop(name string) (*DataFrame, error) {
 			continue
 		}
 		if err := out.add(cloneColumn(c)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Slice returns rows [lo, hi) as a new frame.
-func (df *DataFrame) Slice(lo, hi int) (*DataFrame, error) {
-	if lo < 0 || hi > df.NumRows() || lo > hi {
-		return nil, fmt.Errorf("dataframe: slice [%d,%d) out of range (rows=%d)", lo, hi, df.NumRows())
-	}
-	out := New()
-	for _, c := range df.cols {
-		nc := &Column{Name: c.Name, Type: c.Type}
-		if c.Type == Numeric {
-			nc.Nums = append([]float64(nil), c.Nums[lo:hi]...)
-		} else {
-			nc.Cats = append([]string(nil), c.Cats[lo:hi]...)
-		}
-		if err := out.add(nc); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// TakeRows returns a new frame with the given row indices, in order.
-func (df *DataFrame) TakeRows(rows []int) (*DataFrame, error) {
-	n := df.NumRows()
-	for _, r := range rows {
-		if r < 0 || r >= n {
-			return nil, fmt.Errorf("dataframe: row %d out of range", r)
-		}
-	}
-	out := New()
-	for _, c := range df.cols {
-		nc := &Column{Name: c.Name, Type: c.Type}
-		if c.Type == Numeric {
-			nc.Nums = make([]float64, len(rows))
-			for i, r := range rows {
-				nc.Nums[i] = c.Nums[r]
-			}
-		} else {
-			nc.Cats = make([]string, len(rows))
-			for i, r := range rows {
-				nc.Cats[i] = c.Cats[r]
-			}
-		}
-		if err := out.add(nc); err != nil {
 			return nil, err
 		}
 	}
@@ -248,65 +187,6 @@ func (df *DataFrame) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV decodes a frame written by WriteCSV (typed header prefixes).
-func ReadCSV(r io.Reader) (*DataFrame, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataframe: read header: %w", err)
-	}
-	type colSpec struct {
-		name string
-		typ  ColumnType
-	}
-	specs := make([]colSpec, len(header))
-	for i, h := range header {
-		switch {
-		case strings.HasPrefix(h, "n:"):
-			specs[i] = colSpec{name: h[2:], typ: Numeric}
-		case strings.HasPrefix(h, "c:"):
-			specs[i] = colSpec{name: h[2:], typ: Categorical}
-		default:
-			return nil, fmt.Errorf("dataframe: header %q missing type prefix", h)
-		}
-	}
-	nums := make([][]float64, len(header))
-	cats := make([][]string, len(header))
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range rec {
-			if specs[i].typ == Numeric {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					return nil, fmt.Errorf("dataframe: column %q: %w", specs[i].name, err)
-				}
-				nums[i] = append(nums[i], f)
-			} else {
-				cats[i] = append(cats[i], v)
-			}
-		}
-	}
-	df := New()
-	for i, s := range specs {
-		var err error
-		if s.typ == Numeric {
-			err = df.AddNumeric(s.name, nums[i])
-		} else {
-			err = df.AddCategorical(s.name, cats[i])
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return df, nil
-}
-
 // CSVBytes serializes the frame to CSV in memory (used to measure the
 // payload sizes flowing through the workflows).
 func (df *DataFrame) CSVBytes() ([]byte, error) {
@@ -315,9 +195,4 @@ func (df *DataFrame) CSVBytes() ([]byte, error) {
 		return nil, err
 	}
 	return []byte(sb.String()), nil
-}
-
-// FromCSVBytes parses a frame from CSVBytes output.
-func FromCSVBytes(data []byte) (*DataFrame, error) {
-	return ReadCSV(strings.NewReader(string(data)))
 }

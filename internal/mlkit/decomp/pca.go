@@ -21,7 +21,9 @@ type PCA struct {
 	Mean []float64
 	// ExplainedVariance holds the eigenvalue of each kept component.
 	ExplainedVariance []float64
-	// TotalVariance is the sum of all eigenvalues (for ratios).
+	// TotalVariance is the sum of all eigenvalues. Nothing reads it
+	// back, but it is part of the gob-serialized transformer, so it
+	// counts toward the payload bytes the workflows move.
 	TotalVariance float64
 }
 
@@ -120,19 +122,6 @@ func (p *PCA) Transform(X [][]float64) ([][]float64, error) {
 		out[i] = proj
 	}
 	return out, nil
-}
-
-// ExplainedVarianceRatio returns each kept component's share of the
-// total variance.
-func (p *PCA) ExplainedVarianceRatio() []float64 {
-	out := make([]float64, len(p.ExplainedVariance))
-	if p.TotalVariance == 0 {
-		return out
-	}
-	for i, v := range p.ExplainedVariance {
-		out[i] = v / p.TotalVariance
-	}
-	return out
 }
 
 // jacobiEigen diagonalizes a symmetric matrix with cyclic Jacobi

@@ -85,12 +85,3 @@ func (m *RandomForestRegressor) Predict(X [][]float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// NodeCount sums nodes across trees (model size proxy).
-func (m *RandomForestRegressor) NodeCount() int {
-	n := 0
-	for _, t := range m.Trees {
-		n += len(t.Nodes)
-	}
-	return n
-}

@@ -307,26 +307,6 @@ func (t *RegressionTree) predictInto(X [][]float64, out []float64) error {
 	return nil
 }
 
-// Depth returns the tree's maximum depth.
-func (t *RegressionTree) Depth() int {
-	var walk func(n, d int) int
-	walk = func(n, d int) int {
-		if t.Nodes[n].Feature < 0 {
-			return d
-		}
-		l := walk(t.Nodes[n].Left, d+1)
-		r := walk(t.Nodes[n].Right, d+1)
-		if l > r {
-			return l
-		}
-		return r
-	}
-	if len(t.Nodes) == 0 {
-		return 0
-	}
-	return walk(0, 0)
-}
-
 func meanOf(y []float64, idx []int32) float64 {
 	var s float64
 	for _, i := range idx {

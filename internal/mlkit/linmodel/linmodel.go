@@ -1,7 +1,6 @@
-// Package linmodel implements linear regression models from scratch:
-// ordinary least squares via Gaussian elimination on the normal
-// equations, ridge regression, and Lasso via cyclic coordinate descent
-// — the paper's model-selection search includes Lasso.
+// Package linmodel implements Lasso regression from scratch, via
+// cyclic coordinate descent — the paper's model-selection search
+// includes Lasso.
 package linmodel
 
 import (
@@ -33,137 +32,6 @@ func validate(X [][]float64, y []float64) (features int, err error) {
 		return 0, fmt.Errorf("linmodel: zero features")
 	}
 	return d, nil
-}
-
-// LinearRegression is ordinary least squares with an intercept.
-type LinearRegression struct {
-	Coef      []float64
-	Intercept float64
-}
-
-// Fit solves the normal equations (XᵀX)w = Xᵀy with a small ridge
-// jitter for numerical stability on collinear one-hot features.
-func (m *LinearRegression) Fit(X [][]float64, y []float64) error {
-	return fitLeastSquares(m, X, y, 1e-8)
-}
-
-// Predict returns Xw + b.
-func (m *LinearRegression) Predict(X [][]float64) ([]float64, error) {
-	return predictLinear(m.Coef, m.Intercept, X)
-}
-
-// Ridge is L2-regularized least squares.
-type Ridge struct {
-	Alpha     float64
-	Coef      []float64
-	Intercept float64
-}
-
-// Fit solves (XᵀX + αI)w = Xᵀy.
-func (m *Ridge) Fit(X [][]float64, y []float64) error {
-	lr := &LinearRegression{}
-	if err := fitLeastSquares(lr, X, y, math.Max(m.Alpha, 1e-8)); err != nil {
-		return err
-	}
-	m.Coef, m.Intercept = lr.Coef, lr.Intercept
-	return nil
-}
-
-// Predict returns Xw + b.
-func (m *Ridge) Predict(X [][]float64) ([]float64, error) {
-	return predictLinear(m.Coef, m.Intercept, X)
-}
-
-// fitLeastSquares centers the data, builds the normal equations with an
-// L2 term, and solves by Gaussian elimination with partial pivoting.
-func fitLeastSquares(m *LinearRegression, X [][]float64, y []float64, l2 float64) error {
-	d, err := validate(X, y)
-	if err != nil {
-		return err
-	}
-	n := len(X)
-	xMean := make([]float64, d)
-	for i := range X {
-		for j, v := range X[i] {
-			xMean[j] += v
-		}
-	}
-	for j := range xMean {
-		xMean[j] /= float64(n)
-	}
-	var yMean float64
-	for _, v := range y {
-		yMean += v
-	}
-	yMean /= float64(n)
-
-	// A = XcᵀXc + l2*I, b = Xcᵀyc.
-	a := make([][]float64, d)
-	for i := range a {
-		a[i] = make([]float64, d+1)
-	}
-	for r := 0; r < n; r++ {
-		yc := y[r] - yMean
-		for i := 0; i < d; i++ {
-			xi := X[r][i] - xMean[i]
-			for j := i; j < d; j++ {
-				a[i][j] += xi * (X[r][j] - xMean[j])
-			}
-			a[i][d] += xi * yc
-		}
-	}
-	for i := 0; i < d; i++ {
-		a[i][i] += l2
-		for j := 0; j < i; j++ {
-			a[i][j] = a[j][i]
-		}
-	}
-
-	w, err := solveGaussian(a, d)
-	if err != nil {
-		return err
-	}
-	m.Coef = w
-	m.Intercept = yMean
-	for j := 0; j < d; j++ {
-		m.Intercept -= w[j] * xMean[j]
-	}
-	return nil
-}
-
-// solveGaussian solves the augmented system a (d x d+1) in place.
-func solveGaussian(a [][]float64, d int) ([]float64, error) {
-	for col := 0; col < d; col++ {
-		// Partial pivot.
-		pivot := col
-		for r := col + 1; r < d; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(a[pivot][col]) < 1e-12 {
-			return nil, fmt.Errorf("linmodel: singular system at column %d", col)
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		inv := 1 / a[col][col]
-		for r := 0; r < d; r++ {
-			if r == col {
-				continue
-			}
-			f := a[r][col] * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c <= d; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-		}
-	}
-	w := make([]float64, d)
-	for i := 0; i < d; i++ {
-		w[i] = a[i][d] / a[i][i]
-	}
-	return w, nil
 }
 
 func predictLinear(coef []float64, intercept float64, X [][]float64) ([]float64, error) {
@@ -288,17 +156,6 @@ func (m *Lasso) Fit(X [][]float64, y []float64) error {
 // Predict returns Xw + b.
 func (m *Lasso) Predict(X [][]float64) ([]float64, error) {
 	return predictLinear(m.Coef, m.Intercept, X)
-}
-
-// NonZero returns the count of active (non-zero) coefficients.
-func (m *Lasso) NonZero() int {
-	n := 0
-	for _, w := range m.Coef {
-		if w != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 func softThreshold(x, lam float64) float64 {

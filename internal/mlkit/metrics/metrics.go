@@ -1,10 +1,9 @@
-// Package metrics provides the regression quality measures used by the
-// model-selection step: MSE, RMSE, MAE, and R².
+// Package metrics provides the regression quality measure used by the
+// model-selection step: MSE.
 package metrics
 
 import (
 	"fmt"
-	"math"
 )
 
 func check(yTrue, yPred []float64) error {
@@ -28,52 +27,4 @@ func MSE(yTrue, yPred []float64) (float64, error) {
 		s += d * d
 	}
 	return s / float64(len(yTrue)), nil
-}
-
-// RMSE returns the root mean squared error.
-func RMSE(yTrue, yPred []float64) (float64, error) {
-	m, err := MSE(yTrue, yPred)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(m), nil
-}
-
-// MAE returns the mean absolute error.
-func MAE(yTrue, yPred []float64) (float64, error) {
-	if err := check(yTrue, yPred); err != nil {
-		return 0, err
-	}
-	var s float64
-	for i := range yTrue {
-		s += math.Abs(yTrue[i] - yPred[i])
-	}
-	return s / float64(len(yTrue)), nil
-}
-
-// R2 returns the coefficient of determination (1 = perfect; can be
-// negative for models worse than predicting the mean).
-func R2(yTrue, yPred []float64) (float64, error) {
-	if err := check(yTrue, yPred); err != nil {
-		return 0, err
-	}
-	var mean float64
-	for _, v := range yTrue {
-		mean += v
-	}
-	mean /= float64(len(yTrue))
-	var ssRes, ssTot float64
-	for i := range yTrue {
-		d := yTrue[i] - yPred[i]
-		ssRes += d * d
-		t := yTrue[i] - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	return 1 - ssRes/ssTot, nil
 }

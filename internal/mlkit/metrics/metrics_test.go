@@ -13,60 +13,18 @@ func TestMSEAndRMSE(t *testing.T) {
 	if err != nil || math.Abs(mse-4.0/3) > 1e-12 {
 		t.Fatalf("mse = %v, %v", mse, err)
 	}
-	rmse, err := RMSE(yt, yp)
-	if err != nil || math.Abs(rmse-math.Sqrt(4.0/3)) > 1e-12 {
-		t.Fatalf("rmse = %v", rmse)
-	}
-}
-
-func TestMAE(t *testing.T) {
-	mae, err := MAE([]float64{1, -1}, []float64{2, 1})
-	if err != nil || mae != 1.5 {
-		t.Fatalf("mae = %v, %v", mae, err)
-	}
-}
-
-func TestR2(t *testing.T) {
-	yt := []float64{1, 2, 3, 4}
-	perfect, _ := R2(yt, yt)
-	if perfect != 1 {
-		t.Fatalf("perfect R2 = %v", perfect)
-	}
-	meanPred := []float64{2.5, 2.5, 2.5, 2.5}
-	zero, _ := R2(yt, meanPred)
-	if math.Abs(zero) > 1e-12 {
-		t.Fatalf("mean-predictor R2 = %v", zero)
-	}
-	worse, _ := R2(yt, []float64{4, 3, 2, 1})
-	if worse >= 0 {
-		t.Fatalf("reversed R2 = %v, want negative", worse)
-	}
-}
-
-func TestR2ConstantTarget(t *testing.T) {
-	r, err := R2([]float64{5, 5}, []float64{5, 5})
-	if err != nil || r != 1 {
-		t.Fatalf("constant exact R2 = %v", r)
-	}
-	r, err = R2([]float64{5, 5}, []float64{4, 6})
-	if err != nil || r != 0 {
-		t.Fatalf("constant inexact R2 = %v", r)
-	}
 }
 
 func TestErrorCases(t *testing.T) {
 	if _, err := MSE(nil, nil); err == nil {
 		t.Fatal("empty accepted")
 	}
-	if _, err := MAE([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("mismatch accepted")
-	}
-	if _, err := R2([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := MSE([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("mismatch accepted")
 	}
 }
 
-// Property: MSE >= 0, zero iff identical; RMSE² == MSE.
+// Property: MSE >= 0, and zero for identical inputs.
 func TestPropertyMSE(t *testing.T) {
 	f := func(a, b []float64) bool {
 		n := len(a)
@@ -86,8 +44,8 @@ func TestPropertyMSE(t *testing.T) {
 		if err != nil || mse < 0 {
 			return false
 		}
-		rmse, _ := RMSE(yt, yp)
-		return math.Abs(rmse*rmse-mse) <= 1e-9*(1+mse)
+		self, err := MSE(yt, yt)
+		return err == nil && self == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

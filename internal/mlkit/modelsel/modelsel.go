@@ -1,17 +1,12 @@
 // Package modelsel implements the model-selection machinery of the
-// paper's training workflow: train/test splitting, K-fold cross
-// validation, and grid search over candidate regressors, selecting the
+// paper's training workflow: train/test splitting, and selecting the
 // best fit by validation MSE (the role of the paper's "ModelSelection"
 // collector entity).
 package modelsel
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
-	"statebench/internal/mlkit/linmodel"
-	"statebench/internal/mlkit/metrics"
 	"statebench/internal/sim"
 )
 
@@ -41,96 +36,6 @@ func Split(X [][]float64, y []float64, testFrac float64, seed uint64) (trainX []
 	return trainX, trainY, testX, testY, nil
 }
 
-// KFold yields k (train, validation) index partitions.
-type KFold struct {
-	K    int
-	Seed uint64
-}
-
-// Folds returns the index sets for n rows.
-func (kf KFold) Folds(n int) ([][]int, [][]int, error) {
-	if kf.K < 2 || kf.K > n {
-		return nil, nil, fmt.Errorf("modelsel: K=%d invalid for %d rows", kf.K, n)
-	}
-	perm := sim.NewRNG(kf.Seed).Perm(n)
-	trains := make([][]int, kf.K)
-	vals := make([][]int, kf.K)
-	for f := 0; f < kf.K; f++ {
-		lo := f * n / kf.K
-		hi := (f + 1) * n / kf.K
-		vals[f] = append(vals[f], perm[lo:hi]...)
-		trains[f] = append(trains[f], perm[:lo]...)
-		trains[f] = append(trains[f], perm[hi:]...)
-	}
-	return trains, vals, nil
-}
-
-// Candidate is one (name, constructor) grid-search entry; the
-// constructor returns a fresh unfitted model so folds don't share
-// state.
-type Candidate struct {
-	Name string
-	New  func() linmodel.Regressor
-}
-
-// Result is a scored candidate.
-type Result struct {
-	Name string
-	MSE  float64
-	R2   float64
-}
-
-// CrossValidate scores one candidate by K-fold mean validation MSE.
-func CrossValidate(c Candidate, X [][]float64, y []float64, k int, seed uint64) (Result, error) {
-	trains, vals, err := KFold{K: k, Seed: seed}.Folds(len(X))
-	if err != nil {
-		return Result{}, err
-	}
-	var mseSum, r2Sum float64
-	for f := range trains {
-		tx, ty := take(X, y, trains[f])
-		vx, vy := take(X, y, vals[f])
-		model := c.New()
-		if err := model.Fit(tx, ty); err != nil {
-			return Result{}, fmt.Errorf("modelsel: %s fold %d: %w", c.Name, f, err)
-		}
-		pred, err := model.Predict(vx)
-		if err != nil {
-			return Result{}, err
-		}
-		mse, err := metrics.MSE(vy, pred)
-		if err != nil {
-			return Result{}, err
-		}
-		r2, err := metrics.R2(vy, pred)
-		if err != nil {
-			return Result{}, err
-		}
-		mseSum += mse
-		r2Sum += r2
-	}
-	kf := float64(len(trains))
-	return Result{Name: c.Name, MSE: mseSum / kf, R2: r2Sum / kf}, nil
-}
-
-// GridSearch cross-validates every candidate and returns results sorted
-// by ascending MSE (best first).
-func GridSearch(cands []Candidate, X [][]float64, y []float64, k int, seed uint64) ([]Result, error) {
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("modelsel: no candidates")
-	}
-	var out []Result
-	for _, c := range cands {
-		r, err := CrossValidate(c, X, y, k, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	slices.SortFunc(out, func(a, b Result) int { return cmp.Compare(a.MSE, b.MSE) })
-	return out, nil
-}
-
 // BestFit is the accumulator the paper implements as the
 // "ModelSelection" entity: it keeps the lowest-error model reported so
 // far.
@@ -152,17 +57,4 @@ func (b *BestFit) Report(name string, mse float64, model []byte) bool {
 		return true
 	}
 	return false
-}
-
-// HasModel reports whether any candidate has been accepted.
-func (b *BestFit) HasModel() bool { return b.set }
-
-func take(X [][]float64, y []float64, idx []int) ([][]float64, []float64) {
-	tx := make([][]float64, len(idx))
-	ty := make([]float64, len(idx))
-	for i, r := range idx {
-		tx[i] = X[r]
-		ty[i] = y[r]
-	}
-	return tx, ty
 }

@@ -3,8 +3,6 @@ package modelsel
 import (
 	"testing"
 
-	"statebench/internal/mlkit/linmodel"
-	"statebench/internal/mlkit/neighbors"
 	"statebench/internal/sim"
 )
 
@@ -53,75 +51,8 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 }
 
-func TestKFoldPartitions(t *testing.T) {
-	kf := KFold{K: 4, Seed: 3}
-	trains, vals, err := kf.Folds(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trains) != 4 || len(vals) != 4 {
-		t.Fatal("fold count")
-	}
-	seen := map[int]int{}
-	for f := range vals {
-		if len(vals[f]) != 5 || len(trains[f]) != 15 {
-			t.Fatalf("fold %d sizes %d/%d", f, len(vals[f]), len(trains[f]))
-		}
-		for _, i := range vals[f] {
-			seen[i]++
-		}
-		// train ∩ val = ∅
-		inVal := map[int]bool{}
-		for _, i := range vals[f] {
-			inVal[i] = true
-		}
-		for _, i := range trains[f] {
-			if inVal[i] {
-				t.Fatalf("fold %d overlaps", f)
-			}
-		}
-	}
-	// Every row appears in exactly one validation fold.
-	for i := 0; i < 20; i++ {
-		if seen[i] != 1 {
-			t.Fatalf("row %d in %d validation folds", i, seen[i])
-		}
-	}
-	if _, _, err := (KFold{K: 1}).Folds(10); err == nil {
-		t.Fatal("K=1 accepted")
-	}
-}
-
-func TestGridSearchPicksRightModel(t *testing.T) {
-	// Linear data: linear regression must beat 1-NN.
-	X, y := linData(200, 4)
-	cands := []Candidate{
-		{Name: "knn1", New: func() linmodel.Regressor { return &neighbors.KNeighborsRegressor{K: 1} }},
-		{Name: "linear", New: func() linmodel.Regressor { return &linmodel.LinearRegression{} }},
-	}
-	results, err := GridSearch(cands, X, y, 5, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Name != "linear" {
-		t.Fatalf("grid search picked %s (mse %v) over linear", results[0].Name, results[0].MSE)
-	}
-	if results[0].MSE >= results[1].MSE {
-		t.Fatal("results not sorted by MSE")
-	}
-	if results[0].R2 < 0.9 {
-		t.Fatalf("winner R2 = %v", results[0].R2)
-	}
-	if _, err := GridSearch(nil, X, y, 5, 1); err == nil {
-		t.Fatal("empty grid accepted")
-	}
-}
-
 func TestBestFitKeepsMinimum(t *testing.T) {
 	var b BestFit
-	if b.HasModel() {
-		t.Fatal("empty best fit has model")
-	}
 	if !b.Report("a", 10, []byte("ma")) {
 		t.Fatal("first report rejected")
 	}

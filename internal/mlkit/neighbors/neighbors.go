@@ -127,6 +127,3 @@ func (m *KNeighborsRegressor) Predict(X [][]float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// TrainingSize returns the memorized row count (model size proxy).
-func (m *KNeighborsRegressor) TrainingSize() int { return len(m.XTrain) }

@@ -83,8 +83,8 @@ func TestKNNValidation(t *testing.T) {
 	if _, err := m.Predict([][]float64{{1, 2}}); err == nil {
 		t.Fatal("wide query accepted")
 	}
-	if m.TrainingSize() != 2 {
-		t.Fatalf("training size = %d", m.TrainingSize())
+	if len(m.XTrain) != 2 || len(m.YTrain) != 2 {
+		t.Fatalf("training set = %d/%d rows", len(m.XTrain), len(m.YTrain))
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package preprocess implements the feature-engineering stages of the
 // paper's ML pipeline: one-hot encoding of categorical columns and
-// numeric scaling (standard and min-max), with gob-serializable fitted
+// standard scaling of numeric columns, with gob-serializable fitted
 // state so the fitted transformers can live in durable entities or blob
 // storage like the paper's "Encoding" and "Scalar" entities.
 package preprocess
@@ -83,16 +83,6 @@ func (e *OneHotEncoder) Transform(df *dataframe.DataFrame) (*dataframe.DataFrame
 	return out, nil
 }
 
-// FeatureCount returns the encoded feature count (indicators + numerics
-// of a frame with the given numeric column count).
-func (e *OneHotEncoder) FeatureCount(numericCols int) int {
-	n := numericCols
-	for _, v := range e.Vocab {
-		n += len(v)
-	}
-	return n
-}
-
 // StandardScaler standardizes each column to zero mean, unit variance.
 type StandardScaler struct {
 	Mean []float64
@@ -145,57 +135,6 @@ func (s *StandardScaler) Transform(X [][]float64) ([][]float64, error) {
 	return out, nil
 }
 
-// MinMaxScaler rescales each column into [0, 1].
-type MinMaxScaler struct {
-	Min []float64
-	Max []float64
-}
-
-// FitMinMax learns per-column min/max.
-func FitMinMax(X [][]float64) *MinMaxScaler {
-	if len(X) == 0 {
-		return &MinMaxScaler{}
-	}
-	cols := len(X[0])
-	s := &MinMaxScaler{Min: make([]float64, cols), Max: make([]float64, cols)}
-	for j := 0; j < cols; j++ {
-		lo, hi := X[0][j], X[0][j]
-		for i := range X {
-			if X[i][j] < lo {
-				lo = X[i][j]
-			}
-			if X[i][j] > hi {
-				hi = X[i][j]
-			}
-		}
-		s.Min[j], s.Max[j] = lo, hi
-	}
-	return s
-}
-
-// Transform returns the rescaled copy of X (constant columns map to 0).
-func (s *MinMaxScaler) Transform(X [][]float64) ([][]float64, error) {
-	out := make([][]float64, len(X))
-	cols := len(s.Min)
-	// Flat backing array: identical values, two allocations total.
-	backing := make([]float64, len(X)*cols)
-	for i := range X {
-		if len(X[i]) != cols {
-			return nil, fmt.Errorf("preprocess: row has %d features, scaler fitted on %d", len(X[i]), cols)
-		}
-		out[i] = backing[i*cols : (i+1)*cols : (i+1)*cols]
-		for j := range X[i] {
-			span := s.Max[j] - s.Min[j]
-			if span == 0 {
-				out[i][j] = 0
-				continue
-			}
-			out[i][j] = (X[i][j] - s.Min[j]) / span
-		}
-	}
-	return out, nil
-}
-
 func sqrt(x float64) float64 {
 	if x <= 0 {
 		return 0
@@ -212,9 +151,4 @@ func Encode(v any) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// Decode deserializes into out (a pointer).
-func Decode(data []byte, out any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(out)
 }

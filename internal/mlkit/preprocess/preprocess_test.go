@@ -1,6 +1,8 @@
 package preprocess
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -26,8 +28,8 @@ func TestOneHotTransform(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 3 indicator columns + 1 numeric.
-	if out.NumCols() != 4 {
-		t.Fatalf("cols = %d, want 4", out.NumCols())
+	if got := len(out.NumericNames()); got != 4 || len(out.CategoricalNames()) != 0 {
+		t.Fatalf("numeric cols = %d, want 4 and no categoricals", got)
 	}
 	red, ok := out.Column("color=red")
 	if !ok {
@@ -38,9 +40,6 @@ func TestOneHotTransform(t *testing.T) {
 		if red.Nums[i] != want[i] {
 			t.Fatalf("red indicator = %v", red.Nums)
 		}
-	}
-	if enc.FeatureCount(1) != 4 {
-		t.Fatalf("FeatureCount = %d", enc.FeatureCount(1))
 	}
 }
 
@@ -121,25 +120,6 @@ func TestScalerShapeMismatch(t *testing.T) {
 	if _, err := s.Transform([][]float64{{1}}); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
-	mm := FitMinMax([][]float64{{1, 2}})
-	if _, err := mm.Transform([][]float64{{1, 2, 3}}); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
-func TestMinMaxScaler(t *testing.T) {
-	X := [][]float64{{0, 100}, {5, 200}, {10, 300}}
-	s := FitMinMax(X)
-	out, err := s.Transform(X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0][0] != 0 || out[2][0] != 1 || out[1][0] != 0.5 {
-		t.Fatalf("minmax col0 = %v", [][]float64{out[0], out[1], out[2]})
-	}
-	if out[1][1] != 0.5 {
-		t.Fatalf("minmax col1 mid = %v", out[1][1])
-	}
 }
 
 func TestEncodeDecodeTransformers(t *testing.T) {
@@ -152,7 +132,7 @@ func TestEncodeDecodeTransformers(t *testing.T) {
 		t.Fatal("empty encoding")
 	}
 	var back OneHotEncoder
-	if err := Decode(data, &back); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Vocab["color"]) != 3 {
@@ -160,7 +140,7 @@ func TestEncodeDecodeTransformers(t *testing.T) {
 	}
 	// Decoded encoder must transform identically.
 	out, err := back.Transform(frame())
-	if err != nil || out.NumCols() != 4 {
-		t.Fatalf("decoded transform: %v cols=%d", err, out.NumCols())
+	if err != nil || len(out.NumericNames()) != 4 {
+		t.Fatalf("decoded transform: %v cols=%v", err, out.NumericNames())
 	}
 }

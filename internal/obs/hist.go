@@ -27,8 +27,8 @@ import (
 // A bucket at scale e spans 2^e ns starting at or above 64*2^e ns, so
 // a bucket's width is at most 1/64 of the values in it. Quantile
 // reads return the bucket midpoint (clamped to the exact observed
-// [Min, Max]), giving a relative error of at most 1/128 (~0.8%) for
-// any quantile; Count, Sum, Mean, Min and Max are exact. The
+// minimum and maximum), giving a relative error of at most 1/128
+// (~0.8%) for any quantile; Count and Max are exact. The
 // streaming-vs-exact cross-check tests pin this bound.
 //
 // # Determinism
@@ -44,7 +44,6 @@ import (
 type Hist struct {
 	counts []uint64 // histBuckets entries, lazily allocated
 	count  uint64
-	sum    int64
 	min    time.Duration
 	max    time.Duration
 }
@@ -89,7 +88,6 @@ func (h *Hist) Record(d time.Duration) {
 		h.max = d
 	}
 	h.count++
-	h.sum += int64(d)
 	h.counts[histIdx(int64(d))]++
 }
 
@@ -110,7 +108,6 @@ func (h *Hist) Merge(o *Hist) {
 		h.max = o.max
 	}
 	h.count += o.count
-	h.sum += o.sum
 	for i, c := range o.counts {
 		if c != 0 {
 			h.counts[i] += c
@@ -120,25 +117,6 @@ func (h *Hist) Merge(o *Hist) {
 
 // Count returns the number of observations (exact).
 func (h *Hist) Count() uint64 { return h.count }
-
-// Sum returns the summed observations (exact).
-func (h *Hist) Sum() time.Duration { return time.Duration(h.sum) }
-
-// Mean returns the arithmetic mean (exact up to integer division).
-func (h *Hist) Mean() time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / int64(h.count))
-}
-
-// Min returns the smallest observation (exact).
-func (h *Hist) Min() time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
 
 // Max returns the largest observation (exact).
 func (h *Hist) Max() time.Duration {

@@ -1,7 +1,6 @@
 // Package metrics is a lightweight metrics registry for the simulator:
-// counters, gauges, and histograms keyed by name + labels, with
-// deterministic (sorted) iteration order and a Prometheus text-format
-// exporter.
+// counters and histograms keyed by name + labels, with deterministic
+// (sorted) iteration order and a Prometheus text-format exporter.
 //
 // The registry is the simulated analogue of the CloudWatch / Application
 // Insights metric stores the paper read its results from. It is fed by
@@ -10,10 +9,10 @@
 //
 // Determinism contract: a Registry may be shared by several concurrently
 // running campaigns (guarded by an internal mutex), so every write
-// operation is commutative — counters and histogram buckets add, gauges
-// merge by max. The final exported state therefore does not depend on
-// the interleaving of campaign goroutines, which keeps `-metrics` output
-// byte-identical at any `-parallel` worker count.
+// operation is commutative — counters and histogram buckets add. The
+// final exported state therefore does not depend on the interleaving
+// of campaign goroutines, which keeps `-metrics` output byte-identical
+// at any `-parallel` worker count.
 package metrics
 
 import (
@@ -40,7 +39,6 @@ type kind uint8
 
 const (
 	kindCounter kind = iota
-	kindGauge
 	kindHistogram
 )
 
@@ -63,8 +61,7 @@ type series struct {
 	name   string
 	labels string // rendered `k="v",...` with keys sorted; "" if none
 	kind   kind
-	val    float64 // gauge max
-	cntU   int64   // counter total in micro-units (1e-6)
+	cntU   int64 // counter total in micro-units (1e-6)
 
 	// histogram state (kind == kindHistogram)
 	buckets []uint64 // cumulative-at-export; stored per-bucket counts
@@ -99,21 +96,6 @@ func (r *Registry) Inc(name string, v float64, labels ...Label) {
 	r.mu.Lock()
 	s := r.get(name, kindCounter, labels)
 	s.cntU += toMicro(v)
-	r.mu.Unlock()
-}
-
-// SetMax raises the gauge name{labels...} to v if v exceeds its current
-// value. Max-merge (rather than last-write) keeps concurrent campaign
-// writers commutative.
-func (r *Registry) SetMax(name string, v float64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	s := r.get(name, kindGauge, labels)
-	if v > s.val {
-		s.val = v
-	}
 	r.mu.Unlock()
 }
 
@@ -159,42 +141,6 @@ func (r *Registry) SpanFinished(kind, name string, seconds float64) {
 	}
 	r.Inc("statebench_spans_total", 1, L("kind", kind))
 	r.Observe("statebench_span_duration_seconds", seconds, L("kind", kind), L("name", name))
-}
-
-// Merge folds o's series into r. Counters and histograms add, gauges
-// merge by max, so merge order does not matter.
-func (r *Registry) Merge(o *Registry) {
-	if r == nil || o == nil {
-		return
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for key, os := range o.series {
-		s, ok := r.series[key]
-		if !ok {
-			s = &series{name: os.name, labels: os.labels, kind: os.kind}
-			r.series[key] = s
-		}
-		switch os.kind {
-		case kindCounter:
-			s.cntU += os.cntU
-		case kindGauge:
-			if os.val > s.val {
-				s.val = os.val
-			}
-		case kindHistogram:
-			if s.buckets == nil && os.buckets != nil {
-				s.buckets = make([]uint64, len(defBuckets))
-			}
-			for i, c := range os.buckets {
-				s.buckets[i] += c
-			}
-			s.count += os.count
-			s.sumU += os.sumU
-		}
-	}
 }
 
 // Len returns the number of series.
@@ -251,8 +197,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch s.kind {
 		case kindCounter:
 			fmt.Fprintf(&sb, "%s%s %s\n", s.name, wrapLabels(s.labels, ""), formatFloat(fromMicro(s.cntU)))
-		case kindGauge:
-			fmt.Fprintf(&sb, "%s%s %s\n", s.name, wrapLabels(s.labels, ""), formatFloat(s.val))
 		case kindHistogram:
 			cum := uint64(0)
 			for i, c := range s.buckets {
@@ -273,8 +217,6 @@ func typeName(k kind) string {
 	switch k {
 	case kindCounter:
 		return "counter"
-	case kindGauge:
-		return "gauge"
 	default:
 		return "histogram"
 	}

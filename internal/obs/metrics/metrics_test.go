@@ -14,11 +14,9 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if got := r.CounterValue("runs_total", L("impl", "AWS-Step")); got != 3 {
 		t.Fatalf("counter = %v", got)
 	}
-	r.SetMax("peak_workers", 7)
-	r.SetMax("peak_workers", 3) // max-merge keeps 7
 	r.Observe("latency_seconds", 0.5)
 	r.Observe("latency_seconds", 90)
-	if r.Len() != 4 {
+	if r.Len() != 3 {
 		t.Fatalf("series = %d", r.Len())
 	}
 }
@@ -26,7 +24,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
 	r.Inc("x", 1)
-	r.SetMax("y", 2)
 	r.Observe("z", 3)
 	r.SpanFinished("exec", "f", 0.1)
 	if r.Len() != 0 {
@@ -42,16 +39,17 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 // relies on: interleaving order of writes never changes the export.
 func TestMergeCommutative(t *testing.T) {
 	build := func(order []int) string {
-		shards := [3]*Registry{NewRegistry(), NewRegistry(), NewRegistry()}
-		shards[0].Inc("spans_total", 2, L("kind", "exec"))
-		shards[0].Observe("dur_seconds", 0.4, L("kind", "exec"))
-		shards[1].Inc("spans_total", 1, L("kind", "exec"))
-		shards[1].SetMax("peak", 5)
-		shards[2].Observe("dur_seconds", 12, L("kind", "exec"))
-		shards[2].SetMax("peak", 9)
+		writes := [3]func(r *Registry){
+			func(r *Registry) {
+				r.Inc("spans_total", 2, L("kind", "exec"))
+				r.Observe("dur_seconds", 0.4, L("kind", "exec"))
+			},
+			func(r *Registry) { r.Inc("spans_total", 1, L("kind", "exec")) },
+			func(r *Registry) { r.Observe("dur_seconds", 12, L("kind", "exec")) },
+		}
 		total := NewRegistry()
 		for _, i := range order {
-			total.Merge(shards[i])
+			writes[i](total)
 		}
 		var buf bytes.Buffer
 		if err := total.WritePrometheus(&buf); err != nil {
@@ -63,7 +61,7 @@ func TestMergeCommutative(t *testing.T) {
 	b := build([]int{2, 0, 1})
 	c := build([]int{1, 2, 0})
 	if a != b || b != c {
-		t.Fatalf("merge order changed export:\n%s\nvs\n%s", a, b)
+		t.Fatalf("write order changed export:\n%s\nvs\n%s", a, b)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 
 // Samples is a collection of duration observations. The zero value is
 // an empty, ready-to-use collection. Samples are not safe for
-// concurrent mutation; parallel campaigns collect into per-worker
-// shards and combine them with Merge.
+// concurrent mutation; parallel campaigns collect per-worker shards
+// and add them with AddAll.
 type Samples struct {
 	vals   []time.Duration
 	sorted bool
@@ -55,48 +55,8 @@ func (s *Samples) AddAll(ds []time.Duration) {
 	s.sorted = stillSorted
 }
 
-// Merge unions o's observations into s. Both sides are sorted once and
-// then combined in a single linear pass — cheaper than append plus a
-// full re-sort, which is what makes combining per-worker sample shards
-// cheap. o is left intact (sorted, same observations).
-func (s *Samples) Merge(o *Samples) {
-	if o == nil || len(o.vals) == 0 {
-		return
-	}
-	if len(s.vals) == 0 {
-		o.ensureSorted()
-		s.vals = append(s.vals, o.vals...)
-		s.sorted = true
-		return
-	}
-	s.ensureSorted()
-	o.ensureSorted()
-	merged := make([]time.Duration, 0, len(s.vals)+len(o.vals))
-	i, j := 0, 0
-	for i < len(s.vals) && j < len(o.vals) {
-		if s.vals[i] <= o.vals[j] {
-			merged = append(merged, s.vals[i])
-			i++
-		} else {
-			merged = append(merged, o.vals[j])
-			j++
-		}
-	}
-	merged = append(merged, s.vals[i:]...)
-	merged = append(merged, o.vals[j:]...)
-	s.vals = merged
-	s.sorted = true
-}
-
 // Len returns the number of observations.
 func (s *Samples) Len() int { return len(s.vals) }
-
-// Values returns a copy of the raw observations.
-func (s *Samples) Values() []time.Duration {
-	cp := make([]time.Duration, len(s.vals))
-	copy(cp, s.vals)
-	return cp
-}
 
 func (s *Samples) ensureSorted() {
 	if !s.sorted {
@@ -152,10 +112,6 @@ func (s *Samples) Median() time.Duration { return s.Quantile(0.5) }
 // P99 returns the 99th percentile.
 func (s *Samples) P99() time.Duration { return s.Quantile(0.99) }
 
-// P999 returns the 99.9th percentile, the deep-tail statistic the
-// open-loop traffic reports lead with.
-func (s *Samples) P999() time.Duration { return s.Quantile(0.999) }
-
 // Mean returns the arithmetic mean.
 func (s *Samples) Mean() time.Duration {
 	if len(s.vals) == 0 {
@@ -166,15 +122,6 @@ func (s *Samples) Mean() time.Duration {
 		sum += float64(v)
 	}
 	return time.Duration(sum / float64(len(s.vals)))
-}
-
-// Min returns the smallest observation.
-func (s *Samples) Min() time.Duration {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.vals[0]
 }
 
 // Max returns the largest observation.

@@ -12,8 +12,8 @@ func TestQuantilesAndStats(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		s.Add(time.Duration(i) * time.Millisecond)
 	}
-	if s.Min() != time.Millisecond || s.Max() != 100*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
+	if s.Quantile(0) != time.Millisecond || s.Max() != 100*time.Millisecond {
+		t.Fatalf("min/max = %v/%v", s.Quantile(0), s.Max())
 	}
 	med := s.Median()
 	if med < 50*time.Millisecond || med > 51*time.Millisecond {
@@ -35,8 +35,8 @@ func TestAddInterleavedWithQueries(t *testing.T) {
 		t.Fatal("single-sample median")
 	}
 	s.Add(time.Second) // after a query; must re-sort
-	if s.Min() != time.Second {
-		t.Fatalf("min after re-add = %v", s.Min())
+	if s.Quantile(0) != time.Second {
+		t.Fatalf("min after re-add = %v", s.Quantile(0))
 	}
 }
 
@@ -145,7 +145,7 @@ func TestPropertyQuantileMonotonic(t *testing.T) {
 		prev := time.Duration(-1)
 		for q := 0.0; q <= 1.0; q += 0.1 {
 			v := s.Quantile(q)
-			if v < prev || v < s.Min() || v > s.Max() {
+			if v < prev || v < s.Quantile(0) || v > s.Max() {
 				return false
 			}
 			prev = v
@@ -171,53 +171,8 @@ func TestAddAllKeepsSortedFastPath(t *testing.T) {
 	if s.sorted {
 		t.Fatal("out-of-order extension must clear the sorted flag")
 	}
-	if s.Min() != 1 || s.Max() != 9 || s.Len() != 7 {
-		t.Fatalf("min/max/len = %v/%v/%d", s.Min(), s.Max(), s.Len())
-	}
-}
-
-func TestMergeMatchesAddAll(t *testing.T) {
-	a := []time.Duration{5, 1, 9, 3, 3, 7}
-	b := []time.Duration{2, 8, 1, 6}
-
-	var merged, appended Samples
-	var shard Samples
-	merged.AddAll(a)
-	shard.AddAll(b)
-	merged.Merge(&shard)
-
-	appended.AddAll(a)
-	appended.AddAll(b)
-
-	if merged.Len() != appended.Len() {
-		t.Fatalf("len %d != %d", merged.Len(), appended.Len())
-	}
-	for q := 0.0; q <= 1.0; q += 0.05 {
-		if merged.Quantile(q) != appended.Quantile(q) {
-			t.Fatalf("quantile %.2f: merge %v, append %v", q, merged.Quantile(q), appended.Quantile(q))
-		}
-	}
-	if !merged.sorted {
-		t.Fatal("merge must leave the union sorted")
-	}
-	// The merged-in shard must be intact (sorted, same observations).
-	if shard.Len() != len(b) || shard.Min() != 1 || shard.Max() != 8 {
-		t.Fatalf("shard mutated: len %d min %v max %v", shard.Len(), shard.Min(), shard.Max())
-	}
-}
-
-func TestMergeIntoEmptyAndFromEmpty(t *testing.T) {
-	var empty, full Samples
-	full.AddAll([]time.Duration{4, 2, 6})
-	empty.Merge(&full)
-	if empty.Len() != 3 || empty.Median() != 4 {
-		t.Fatalf("merge into empty: len %d median %v", empty.Len(), empty.Median())
-	}
-	var none Samples
-	full.Merge(&none)
-	full.Merge(nil)
-	if full.Len() != 3 {
-		t.Fatalf("merging empty/nil changed len to %d", full.Len())
+	if s.Quantile(0) != 1 || s.Max() != 9 || s.Len() != 7 {
+		t.Fatalf("min/max/len = %v/%v/%d", s.Quantile(0), s.Max(), s.Len())
 	}
 }
 

@@ -41,48 +41,6 @@ func BreakdownOf(spans []Span, traceID uint64) obs.Breakdown {
 	return b
 }
 
-// CriticalPath returns the straggler chain of a trace: starting at the
-// root span, repeatedly descend into the child whose End is latest.
-// For fan-out workflows this follows the slowest branch — the chain
-// that determines end-to-end latency.
-func CriticalPath(spans []Span, traceID uint64) []Span {
-	var root Span
-	found := false
-	children := make(map[uint64][]Span)
-	for _, s := range spans {
-		if s.TraceID != traceID {
-			continue
-		}
-		if s.Parent == 0 && s.SpanID == s.TraceID {
-			root = s
-			found = true
-		} else {
-			children[s.Parent] = append(children[s.Parent], s)
-		}
-	}
-	if !found {
-		return nil
-	}
-	path := []Span{root}
-	cur := root
-	for {
-		kids := children[cur.SpanID]
-		if len(kids) == 0 {
-			return path
-		}
-		// Ties keep the earlier-emitted child; emit order is itself
-		// deterministic, so the path is too.
-		last := kids[0]
-		for _, k := range kids[1:] {
-			if k.End > last.End {
-				last = k
-			}
-		}
-		path = append(path, last)
-		cur = last
-	}
-}
-
 // TotalByKind sums span durations per kind over one trace — the raw
 // material for summaries and tests. traceID 0 sums across all traces.
 func TotalByKind(spans []Span, traceID uint64) map[Kind]time.Duration {

@@ -47,20 +47,15 @@ type CounterTrack struct {
 	Points []CounterPoint
 }
 
-// WriteChromeTrace renders spans as Chrome trace-event JSON. Each trace
-// ID becomes one pid lane, so every run of a campaign gets its own
-// group; within a lane, tid 0 carries the span tree in emit order.
+// WriteChromeTraceWith renders spans as Chrome trace-event JSON. Each
+// trace ID becomes one pid lane, so every run of a campaign gets its
+// own group; within a lane, tid 0 carries the span tree in emit order.
 // Span IDs, parents, kinds, and attrs are preserved in args. Output is
 // deterministic: spans render in the order given and args keys are
-// sorted by the JSON encoder.
-func WriteChromeTrace(w io.Writer, spans []Span) error {
-	return WriteChromeTraceWith(w, spans, nil)
-}
-
-// WriteChromeTraceWith is WriteChromeTrace plus counter tracks: each
-// track renders as a "ph":"C" series on pid 0 (above the per-trace
-// lanes), one event per point. Counter values are emitted through
-// chromeEvent's numeric-args variant so the viewer graphs them.
+// sorted by the JSON encoder. Each counter track renders as a "ph":"C"
+// series on pid 0 (above the per-trace lanes), one event per point;
+// counter values are emitted through chromeEvent's numeric-args
+// variant so the viewer graphs them.
 func WriteChromeTraceWith(w io.Writer, spans []Span, tracks []CounterTrack) error {
 	n := len(spans)
 	for _, t := range tracks {

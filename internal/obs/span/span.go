@@ -162,20 +162,6 @@ func (t *Tracer) Since(mark int) []Span {
 	return t.spans[mark:]
 }
 
-// Trace returns the spans belonging to traceID, in emit order.
-func (t *Tracer) Trace(traceID uint64) []Span {
-	if t == nil {
-		return nil
-	}
-	var out []Span
-	for _, s := range t.spans {
-		if s.TraceID == traceID {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Reset drops all recorded spans (ID allocation continues, so span IDs
 // stay unique across a reset).
 func (t *Tracer) Reset() {
@@ -258,17 +244,6 @@ func (a Active) Live() bool { return a.t != nil }
 // (zero when tracing is disabled).
 func (a Active) Context() sim.TraceContext {
 	return sim.TraceContext{TraceID: a.s.TraceID, SpanID: a.s.SpanID}
-}
-
-// Annotate attaches attributes to the span before it ends — a
-// zero-cost bookkeeping write, consuming no virtual time. No-op on a
-// disabled handle; callers should guard attr construction on Live()
-// to keep the disabled path allocation-free.
-func (a *Active) Annotate(attrs ...Attr) {
-	if a.t == nil {
-		return
-	}
-	a.s.Attrs = append(a.s.Attrs, attrs...)
 }
 
 // End finishes the span at now and records it, with optional

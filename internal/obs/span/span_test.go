@@ -70,9 +70,6 @@ func TestTreeStructureAndIDs(t *testing.T) {
 	if id2 <= id {
 		t.Fatalf("second trace id %d not after %d", id2, id)
 	}
-	if got := len(tr.Trace(id)); got != 5 {
-		t.Fatalf("Trace(first) = %d spans", got)
-	}
 	if got := len(tr.Since(5)); got != 5 {
 		t.Fatalf("Since(5) = %d spans", got)
 	}
@@ -96,26 +93,6 @@ func TestBreakdownOf(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	tr := New()
-	run := tr.StartTrace(0, KindRun, "wf")
-	ctx := run.Context()
-	// Two branches; the second ends later and has a nested child.
-	tr.Emit(KindExec, "fast", 0, 10*time.Millisecond, ctx)
-	slow := tr.Start(0, KindExec, "slow", ctx)
-	tr.Emit(KindStage, "inner", 5*time.Millisecond, 38*time.Millisecond, slow.Context())
-	slow.End(40 * time.Millisecond)
-	run.End(40 * time.Millisecond)
-
-	path := CriticalPath(tr.Spans(), ctx.TraceID)
-	if len(path) != 3 {
-		t.Fatalf("path len = %d: %+v", len(path), path)
-	}
-	if path[0].Kind != KindRun || path[1].Name != "slow" || path[2].Name != "inner" {
-		t.Fatalf("path = %s -> %s -> %s", path[0].Name, path[1].Name, path[2].Name)
-	}
-}
-
 func TestTotalByKindAllTraces(t *testing.T) {
 	tr := New()
 	buildTrace(tr)
@@ -134,7 +111,7 @@ func TestChromeExportDeterministic(t *testing.T) {
 		tr := New()
 		buildTrace(tr)
 		var buf bytes.Buffer
-		if err := WriteChromeTrace(&buf, tr.Spans()); err != nil {
+		if err := WriteChromeTraceWith(&buf, tr.Spans(), nil); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

@@ -1,6 +1,7 @@
 package tseries
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -177,9 +178,7 @@ func TestDetectDeterministicOrder(t *testing.T) {
 		return s
 	}
 	render := func() string {
-		var b strings.Builder
-		WriteAnomalyLog(&b, Detect(build(), DetectorConfig{}))
-		return b.String()
+		return fmt.Sprintf("%+v", Detect(build(), DetectorConfig{}))
 	}
 	first := render()
 	if !strings.Contains(first, RuleColdSurge) || !strings.Contains(first, RuleSchedSpike) ||
@@ -221,22 +220,5 @@ func TestLinkSpans(t *testing.T) {
 	LinkSpans(anoms, spans, 2)
 	if len(anoms[0].TraceIDs) != 2 || anoms[0].TraceIDs[0] != 3 || anoms[0].TraceIDs[1] != 4 {
 		t.Fatalf("TraceIDs = %v, want [3 4] (emit order, capped at 2)", anoms[0].TraceIDs)
-	}
-}
-
-func TestWriteAnomalyLogEmpty(t *testing.T) {
-	var b strings.Builder
-	WriteAnomalyLog(&b, nil)
-	if !strings.Contains(b.String(), "no anomalies") {
-		t.Fatalf("empty log = %q", b.String())
-	}
-	b.Reset()
-	WriteAnomalyLog(&b, []Anomaly{{
-		Rule: RuleSLOBurn, Window: 3, Windows: 1,
-		Start: 3 * time.Second, End: 4 * time.Second,
-		Detail: "x", TraceIDs: []uint64{7, 9},
-	}})
-	if !strings.Contains(b.String(), "[traces 7,9]") {
-		t.Fatalf("log = %q", b.String())
 	}
 }

@@ -145,25 +145,3 @@ func PrometheusText(s *Series, p Progress) string {
 		"# TYPE statebench_progress_total gauge\nstatebench_progress_total %d\n", p.Total)
 	return b.String()
 }
-
-// WriteAnomalyLog renders anomalies as a fixed-width text log, one line
-// per incident, sorted as Detect returned them. Used by the timeline
-// report.
-func WriteAnomalyLog(b *strings.Builder, anoms []Anomaly) {
-	if len(anoms) == 0 {
-		fmt.Fprintf(b, "  (no anomalies)\n")
-		return
-	}
-	for _, a := range anoms {
-		span := fmt.Sprintf("[%v,%v)", a.Start, a.End)
-		fmt.Fprintf(b, "  %-14s w%-4d %-16s %s", a.Rule, a.Window, span, a.Detail)
-		if len(a.TraceIDs) > 0 {
-			ids := make([]string, len(a.TraceIDs))
-			for i, id := range a.TraceIDs {
-				ids[i] = fmt.Sprintf("%d", id)
-			}
-			fmt.Fprintf(b, " [traces %s]", strings.Join(ids, ","))
-		}
-		b.WriteByte('\n')
-	}
-}

@@ -15,10 +15,10 @@
 // lookup count are properties of the workload mix alone, the engine's
 // hit/miss/byte statistics are deterministic at any worker count.
 //
-// Caching is observable only through those statistics (and optional
-// zero-cost span annotations): a cached result is byte-identical to a
-// fresh recompute — the determinism property tests pin this — so
-// report output never depends on cache state.
+// Caching is observable only through those statistics: a cached
+// result is byte-identical to a fresh recompute — the determinism
+// property tests pin this — so report output never depends on cache
+// state.
 package payload
 
 import (
@@ -28,7 +28,6 @@ import (
 	"sync"
 
 	"statebench/internal/obs/metrics"
-	"statebench/internal/obs/span"
 )
 
 // Digest is a 32-byte SHA-256 content digest.
@@ -46,21 +45,6 @@ func DigestString(s string) Digest { return sha256.Sum256([]byte(s)) }
 // render deterministically (no maps).
 func DigestOf(args ...any) Digest {
 	return DigestString(fmt.Sprintln(args...))
-}
-
-// DigestChunks digests a sequence of byte slices with length framing,
-// so ("ab","c") and ("a","bc") produce distinct digests.
-func DigestChunks(chunks ...[]byte) Digest {
-	h := sha256.New()
-	var buf [8]byte
-	for _, c := range chunks {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(c)))
-		h.Write(buf[:])
-		h.Write(c)
-	}
-	var d Digest
-	h.Sum(d[:0])
-	return d
 }
 
 // DigestInts digests a sequence of integers (chunk indices, sizes,
@@ -316,20 +300,6 @@ func (e *Engine) EmitTo(r *metrics.Registry) {
 	r.Inc(MetricHits, float64(s.Hits))
 	r.Inc(MetricMisses, float64(s.Misses))
 	r.Inc(MetricBytes, float64(s.Bytes))
-}
-
-// Annotate records a lookup's cache outcome on an active span — pure
-// bookkeeping, consuming no virtual time, so traced output changes
-// only where a live span already exists. No-op on a disabled handle.
-func Annotate(sp *span.Active, hit bool) {
-	if !sp.Live() {
-		return
-	}
-	outcome := "miss"
-	if hit {
-		outcome = "hit"
-	}
-	sp.Annotate(span.A("payload_cache", outcome))
 }
 
 // zeroArena backs Zeros: one shared all-zero region, grown to the

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"statebench/internal/obs/metrics"
-	"statebench/internal/obs/span"
 	"statebench/internal/payload"
 	"statebench/internal/video"
 )
@@ -239,30 +238,6 @@ func TestEmitTo(t *testing.T) {
 	if buf.Len() != before {
 		t.Fatal("disabled engine changed the exposition")
 	}
-}
-
-func TestAnnotate(t *testing.T) {
-	tr := span.New()
-	sp := tr.StartTrace(0, span.KindStage, "run")
-	payload.Annotate(&sp, true)
-	payload.Annotate(&sp, false)
-	sp.End(0)
-	spans := tr.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("%d spans", len(spans))
-	}
-	attrs := spans[0].Attrs
-	if len(attrs) != 2 || attrs[0].Value != "hit" || attrs[1].Value != "miss" {
-		t.Fatalf("attrs = %+v", attrs)
-	}
-	for _, a := range attrs {
-		if a.Key != "payload_cache" {
-			t.Fatalf("attr key = %q", a.Key)
-		}
-	}
-	// Disabled handle: no panic, no recording.
-	var dead span.Active
-	payload.Annotate(&dead, true)
 }
 
 func TestZeros(t *testing.T) {

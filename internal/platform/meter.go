@@ -71,9 +71,6 @@ func (m *Meter) Add(o Meter) {
 	m.ConsumedGBs += o.ConsumedGBs
 }
 
-// Reset zeroes the meter.
-func (m *Meter) Reset() { *m = Meter{} }
-
 func roundUpMem(mb, step int) int {
 	if mb < step {
 		return step

@@ -85,10 +85,6 @@ type PoolStats struct {
 // Stats returns a snapshot of the pool's lifecycle statistics.
 func (p *Pool) Stats() PoolStats { return p.stats }
 
-// ResetStats zeroes the cold-start statistics. Ready instances remain
-// provisioned, so MaxReady restarts from the current ready count.
-func (p *Pool) ResetStats() { p.stats = PoolStats{MaxReady: p.ready} }
-
 // --- Per-request (warm-entry) style -------------------------------
 
 // expireWarm drops entries expired at now. Expiries are sorted (see
@@ -150,13 +146,6 @@ func (p *Pool) Release(now sim.Time) {
 	}
 }
 
-// WarmCount reports how many unexpired warm containers exist at now.
-// Amortized O(1).
-func (p *Pool) WarmCount(now sim.Time) int {
-	p.expireWarm(now)
-	return len(p.warm) - p.warmHead
-}
-
 // RecordCold books one cold start of the given delay (per-request
 // style: the provider samples the delay from its own stream).
 func (p *Pool) RecordCold(delay time.Duration) {
@@ -165,9 +154,6 @@ func (p *Pool) RecordCold(delay time.Duration) {
 }
 
 // --- Instance-pool style ------------------------------------------
-
-// Ready returns the number of started instances.
-func (p *Pool) Ready() int { return p.ready }
 
 // Starting returns the number of instances still provisioning.
 func (p *Pool) Starting() int { return p.starting }

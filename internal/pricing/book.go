@@ -99,24 +99,3 @@ func (p GCPPrices) Bill(u Usage) Bill {
 		Blob:     float64(u.BlobTxns) * p.StorageRequest,
 	}
 }
-
-// FreeTier wraps a Book with monthly free allowances: the wrapped book
-// prices only the usage beyond each allowance (clamped at zero). The
-// paper bills marginal cost — defaults leave allowances out — but cost
-// explorers can wrap any provider's book to model a light workload.
-type FreeTier struct {
-	Book Book
-	// GBs, Requests, and StatefulTxns are the free allowances deducted
-	// from the usage before pricing.
-	GBs          float64
-	Requests     int64
-	StatefulTxns int64
-}
-
-// Bill implements Book: usage net of the allowances, never negative.
-func (f FreeTier) Bill(u Usage) Bill {
-	u.GBs = max(0, u.GBs-f.GBs)
-	u.Requests = max(0, u.Requests-f.Requests)
-	u.StatefulTxns = max(0, u.StatefulTxns-f.StatefulTxns)
-	return f.Book.Bill(u)
-}

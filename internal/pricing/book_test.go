@@ -87,55 +87,6 @@ func TestStatefulUnitPriceOrdering(t *testing.T) {
 	}
 }
 
-func TestFreeTierEdges(t *testing.T) {
-	tier := FreeTier{Book: DefaultGCP(), GBs: 400_000, Requests: 2_000_000, StatefulTxns: 5_000}
-	cases := []struct {
-		name  string
-		usage Usage
-		want  Bill
-	}{
-		{
-			name:  "under allowance bills nothing on covered items",
-			usage: Usage{GBs: 100, Requests: 1000, StatefulTxns: 10, BlobTxns: 7},
-			// Blob has no allowance, so it still bills.
-			want: Bill{Blob: 7 * 0.0000027},
-		},
-		{
-			name:  "exactly at allowance bills zero",
-			usage: Usage{GBs: 400_000, Requests: 2_000_000, StatefulTxns: 5_000},
-			want:  Bill{},
-		},
-		{
-			name:  "only the excess is billed",
-			usage: Usage{GBs: 400_001, Requests: 2_000_010, StatefulTxns: 5_100},
-			want: Bill{
-				Compute:  1 * (0.0000025 + 1.4*0.0000100),
-				Requests: 10 * 0.40 / 1e6,
-				Stateful: 100 * 0.01 / 1e3,
-			},
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			got := tier.Bill(c.usage)
-			if !close(got.Compute, c.want.Compute) || !close(got.Requests, c.want.Requests) ||
-				!close(got.Stateful, c.want.Stateful) || !close(got.Blob, c.want.Blob) {
-				t.Fatalf("bill = %+v, want %+v", got, c.want)
-			}
-		})
-	}
-}
-
-func TestFreeTierWrapsAnyBook(t *testing.T) {
-	// The wrapper is provider-neutral: the same allowances apply over
-	// the AWS book, pricing only the excess transition.
-	tier := FreeTier{Book: DefaultAWS(), StatefulTxns: 4000}
-	b := tier.Bill(Usage{StatefulTxns: 4001})
-	if !close(b.Stateful, 0.025/1e3) {
-		t.Fatalf("stateful = %v, want one transition", b.Stateful)
-	}
-}
-
 func TestUsageSub(t *testing.T) {
 	after := Usage{GBs: 10, Requests: 20, StatefulTxns: 30, AllTxns: 40, BlobTxns: 50, Exec: time.Minute}
 	before := Usage{GBs: 4, Requests: 5, StatefulTxns: 6, AllTxns: 7, BlobTxns: 8, Exec: time.Second}

@@ -16,7 +16,6 @@ type Arena[T any] struct {
 	chunks [][]T
 	free   []int32
 	next   int32 // first never-used handle
-	inUse  int
 }
 
 const (
@@ -33,7 +32,6 @@ func (a *Arena[T]) Alloc() (int32, *T) {
 	if n := len(a.free); n > 0 {
 		h := a.free[n-1]
 		a.free = a.free[:n-1]
-		a.inUse++
 		return h, a.At(h)
 	}
 	h := a.next
@@ -41,7 +39,6 @@ func (a *Arena[T]) Alloc() (int32, *T) {
 	if int(h>>arenaChunkBits) == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]T, arenaChunkSize))
 	}
-	a.inUse++
 	return h, &a.chunks[h>>arenaChunkBits][h&arenaChunkMask]
 }
 
@@ -56,12 +53,4 @@ func (a *Arena[T]) At(h int32) *T {
 // back out.
 func (a *Arena[T]) Free(h int32) {
 	a.free = append(a.free, h)
-	a.inUse--
 }
-
-// InUse returns the number of live records.
-func (a *Arena[T]) InUse() int { return a.inUse }
-
-// Cap returns the number of slots ever allocated — the high-water mark
-// of live records, and the arena's resident footprint in records.
-func (a *Arena[T]) Cap() int { return len(a.chunks) * arenaChunkSize }

@@ -17,9 +17,6 @@ func TestArenaRecycle(t *testing.T) {
 	r1.fire = func() { fired += a.At(h1).n }
 	h2, r2 := a.Alloc()
 	r2.n = 100
-	if a.InUse() != 2 {
-		t.Fatalf("InUse = %d, want 2", a.InUse())
-	}
 	a.Free(h1)
 	h3, r3 := a.Alloc()
 	if h3 != h1 {
@@ -35,9 +32,6 @@ func TestArenaRecycle(t *testing.T) {
 	}
 	a.Free(h2)
 	a.Free(h3)
-	if a.InUse() != 0 {
-		t.Fatalf("InUse = %d after frees, want 0", a.InUse())
-	}
 	// Cross a chunk boundary; pointers must stay stable.
 	ptrs := make(map[int32]*rec)
 	for i := 0; i < 3*arenaChunkSize; i++ {

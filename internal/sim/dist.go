@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 )
 
@@ -14,9 +13,6 @@ type Dist interface {
 	// Sample draws one duration. Implementations must never return a
 	// negative duration.
 	Sample(r *RNG) time.Duration
-	// Mean returns the distribution's expected value (approximate for
-	// truncated forms).
-	Mean() time.Duration
 	fmt.Stringer
 }
 
@@ -34,7 +30,6 @@ func clampDur(f float64) time.Duration {
 type Fixed struct{ D time.Duration }
 
 func (f Fixed) Sample(*RNG) time.Duration { return f.D }
-func (f Fixed) Mean() time.Duration       { return f.D }
 func (f Fixed) String() string            { return fmt.Sprintf("fixed(%v)", f.D) }
 
 // UniformDist samples uniformly in [Lo, Hi].
@@ -43,20 +38,7 @@ type UniformDist struct{ Lo, Hi time.Duration }
 func (u UniformDist) Sample(r *RNG) time.Duration {
 	return clampDur(r.Uniform(float64(u.Lo), float64(u.Hi)))
 }
-func (u UniformDist) Mean() time.Duration { return (u.Lo + u.Hi) / 2 }
-func (u UniformDist) String() string      { return fmt.Sprintf("uniform(%v,%v)", u.Lo, u.Hi) }
-
-// ExpDist is exponential with the given mean, shifted by Base.
-type ExpDist struct {
-	Base time.Duration
-	M    time.Duration
-}
-
-func (e ExpDist) Sample(r *RNG) time.Duration {
-	return e.Base + clampDur(r.Exp(float64(e.M)))
-}
-func (e ExpDist) Mean() time.Duration { return e.Base + e.M }
-func (e ExpDist) String() string      { return fmt.Sprintf("exp(base=%v,mean=%v)", e.Base, e.M) }
+func (u UniformDist) String() string { return fmt.Sprintf("uniform(%v,%v)", u.Lo, u.Hi) }
 
 // LogNormalDist is a lognormal parameterized by its median and the sigma
 // of the underlying normal (sigma controls tail weight), optionally
@@ -76,65 +58,9 @@ func (l LogNormalDist) Sample(r *RNG) time.Duration {
 	return d
 }
 
-func (l LogNormalDist) Mean() time.Duration {
-	mu := math.Log(float64(l.Median))
-	return clampDur(math.Exp(mu + l.Sigma*l.Sigma/2))
-}
 func (l LogNormalDist) String() string {
 	return fmt.Sprintf("lognormal(median=%v,sigma=%.2f)", l.Median, l.Sigma)
 }
-
-// ParetoDist is a heavy-tailed Pareto with minimum Scale and shape
-// Alpha, optionally truncated at Max (0 = no cap).
-type ParetoDist struct {
-	Scale time.Duration
-	Alpha float64
-	Max   time.Duration
-}
-
-func (p ParetoDist) Sample(r *RNG) time.Duration {
-	d := clampDur(r.Pareto(float64(p.Scale), p.Alpha))
-	if p.Max > 0 && d > p.Max {
-		d = p.Max
-	}
-	return d
-}
-
-func (p ParetoDist) Mean() time.Duration {
-	if p.Alpha <= 1 {
-		if p.Max > 0 {
-			return p.Max
-		}
-		return time.Duration(math.MaxInt64)
-	}
-	return clampDur(p.Alpha * float64(p.Scale) / (p.Alpha - 1))
-}
-func (p ParetoDist) String() string {
-	return fmt.Sprintf("pareto(scale=%v,alpha=%.2f)", p.Scale, p.Alpha)
-}
-
-// Empirical samples uniformly from a fixed set of observed durations;
-// it reproduces an arbitrary measured distribution.
-type Empirical struct{ Obs []time.Duration }
-
-func (e Empirical) Sample(r *RNG) time.Duration {
-	if len(e.Obs) == 0 {
-		return 0
-	}
-	return e.Obs[r.Intn(len(e.Obs))]
-}
-
-func (e Empirical) Mean() time.Duration {
-	if len(e.Obs) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range e.Obs {
-		sum += d
-	}
-	return sum / time.Duration(len(e.Obs))
-}
-func (e Empirical) String() string { return fmt.Sprintf("empirical(n=%d)", len(e.Obs)) }
 
 // Mixture samples from one of several component distributions with the
 // given weights (weights need not sum to 1; they are normalized).
@@ -159,41 +85,4 @@ func (m Mixture) Sample(r *RNG) time.Duration {
 	return 0
 }
 
-func (m Mixture) Mean() time.Duration {
-	total := 0.0
-	acc := 0.0
-	for i, w := range m.Weights {
-		total += w
-		acc += w * float64(m.Parts[i].Mean())
-	}
-	if total == 0 {
-		return 0
-	}
-	return clampDur(acc / total)
-}
 func (m Mixture) String() string { return fmt.Sprintf("mixture(%d parts)", len(m.Parts)) }
-
-// Quantile returns the q-quantile (0..1) of a sample set by sorting a
-// copy; it is a convenience for calibration tests.
-func Quantile(samples []time.Duration, q float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	cp := make([]time.Duration, len(samples))
-	copy(cp, samples)
-	slices.Sort(cp)
-	if q <= 0 {
-		return cp[0]
-	}
-	if q >= 1 {
-		return cp[len(cp)-1]
-	}
-	idx := q * float64(len(cp)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
-	if lo == hi {
-		return cp[lo]
-	}
-	frac := idx - float64(lo)
-	return cp[lo] + time.Duration(frac*float64(cp[hi]-cp[lo]))
-}

@@ -20,10 +20,6 @@ func NewFuture[T any](k *Kernel) *Future[T] {
 // Done reports whether the future has been completed.
 func (f *Future[T]) Done() bool { return f.done }
 
-// Value returns the completed value and error. It is only meaningful
-// after Done reports true (or Await returns).
-func (f *Future[T]) Value() (T, error) { return f.val, f.err }
-
 // Complete resolves the future and wakes all waiters at the current
 // virtual time. Completing twice panics: a future is single-assignment.
 func (f *Future[T]) Complete(v T, err error) {
@@ -40,12 +36,6 @@ func (f *Future[T]) Complete(v T, err error) {
 		f.k.After(0, func() { cb(v, err) })
 	}
 	f.cbs = nil
-}
-
-// Fail is shorthand for completing with the zero value and err.
-func (f *Future[T]) Fail(err error) {
-	var zero T
-	f.Complete(zero, err)
 }
 
 // Await blocks the calling process until the future completes, then
@@ -70,13 +60,6 @@ func (f *Future[T]) OnComplete(cb func(T, error)) {
 	f.cbs = append(f.cbs, cb)
 }
 
-// CompletedFuture returns a future already resolved with v and err.
-func CompletedFuture[T any](k *Kernel, v T, err error) *Future[T] {
-	f := NewFuture[T](k)
-	f.Complete(v, err)
-	return f
-}
-
 // AwaitAll waits for every future in fs and returns their values in
 // order. The first non-nil error (by slice position) is returned, but
 // all futures are still awaited, mirroring fan-in semantics where the
@@ -92,30 +75,4 @@ func AwaitAll[T any](p *Proc, fs []*Future[T]) ([]T, error) {
 		}
 	}
 	return out, firstErr
-}
-
-// AwaitAny waits until at least one future in fs completes and returns
-// the index of the first completed future (lowest index wins ties).
-func AwaitAny[T any](p *Proc, fs []*Future[T]) int {
-	for i, f := range fs {
-		if f.Done() {
-			return i
-		}
-	}
-	woken := false
-	for _, f := range fs {
-		f.OnComplete(func(T, error) {
-			if !woken {
-				woken = true
-				p.wake(0)
-			}
-		})
-	}
-	p.Park()
-	for i, f := range fs {
-		if f.Done() {
-			return i
-		}
-	}
-	panic("sim: AwaitAny woke with no completed future")
 }

@@ -383,9 +383,6 @@ func (k *Kernel) SetTickListener(every Time, fn func(boundary Time)) {
 // exit; they hold no host resources beyond their stacks).
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (k *Kernel) Stopped() bool { return k.stopped }
-
 // Pending returns the number of queued events.
 func (k *Kernel) Pending() int { return k.pending }
 

@@ -100,9 +100,6 @@ func TestStop(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("ran %d events after Stop, want 3", count)
 	}
-	if !k.Stopped() {
-		t.Fatal("Stopped() = false")
-	}
 }
 
 func TestProcSleep(t *testing.T) {
@@ -173,7 +170,8 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 
 func TestFutureCompleteBeforeAwait(t *testing.T) {
 	k := NewKernel(1)
-	f := CompletedFuture(k, 42, nil)
+	f := NewFuture[int](k)
+	f.Complete(42, nil)
 	var got int
 	k.Spawn("reader", func(p *Proc) { got, _ = f.Await(p) })
 	k.Run()
@@ -217,7 +215,8 @@ func TestFutureMultipleWaiters(t *testing.T) {
 
 func TestFutureDoubleCompletePanics(t *testing.T) {
 	k := NewKernel(1)
-	f := CompletedFuture(k, 1, nil)
+	f := NewFuture[int](k)
+	f.Complete(1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on double complete")
@@ -241,34 +240,19 @@ func TestAwaitAllOrderAndError(t *testing.T) {
 	}
 }
 
-func TestAwaitAny(t *testing.T) {
-	k := NewKernel(1)
-	fs := []*Future[int]{NewFuture[int](k), NewFuture[int](k)}
-	idx := -1
-	var at time.Duration
-	k.Spawn("any", func(p *Proc) {
-		idx = AwaitAny(p, fs)
-		at = p.Now()
-	})
-	k.At(5*time.Second, func() { fs[1].Complete(1, nil) })
-	k.At(8*time.Second, func() { fs[0].Complete(2, nil) })
-	k.Run()
-	if idx != 1 || at != 5*time.Second {
-		t.Fatalf("AwaitAny idx=%d at=%v, want 1 at 5s", idx, at)
-	}
-}
-
 func TestResourceLimitsConcurrency(t *testing.T) {
 	k := NewKernel(1)
-	r := NewResource(k, 2)
-	maxInUse := 0
+	r := NewResource(2)
+	inUse, maxInUse := 0, 0
 	for i := 0; i < 6; i++ {
 		k.Spawn("user", func(p *Proc) {
 			r.Acquire(p)
-			if r.InUse() > maxInUse {
-				maxInUse = r.InUse()
+			inUse++
+			if inUse > maxInUse {
+				maxInUse = inUse
 			}
 			p.Sleep(time.Second)
+			inUse--
 			r.Release()
 		})
 	}
@@ -284,7 +268,7 @@ func TestResourceLimitsConcurrency(t *testing.T) {
 
 func TestResourceFIFO(t *testing.T) {
 	k := NewKernel(1)
-	r := NewResource(k, 1)
+	r := NewResource(1)
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
@@ -300,74 +284,6 @@ func TestResourceFIFO(t *testing.T) {
 		if order[i] != i {
 			t.Fatalf("not FIFO: %v", order)
 		}
-	}
-}
-
-func TestResourceGrow(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, 1)
-	done := 0
-	for i := 0; i < 4; i++ {
-		k.Spawn("u", func(p *Proc) {
-			r.Acquire(p)
-			p.Sleep(10 * time.Second)
-			r.Release()
-			done++
-		})
-	}
-	k.At(time.Second, func() { r.SetCapacity(4) })
-	end := k.Run()
-	if done != 4 {
-		t.Fatalf("done = %d", done)
-	}
-	// First job ends at 10s; the other three start at 1s and end at 11s.
-	if end != 11*time.Second {
-		t.Fatalf("end = %v, want 11s", end)
-	}
-}
-
-func TestTryAcquire(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, 1)
-	if !r.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded at capacity")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
-func TestStoreFIFO(t *testing.T) {
-	k := NewKernel(1)
-	s := NewStore[int](k)
-	var got []int
-	k.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, s.Get(p))
-		}
-	})
-	k.At(time.Second, func() { s.Put(1); s.Put(2) })
-	k.At(2*time.Second, func() { s.Put(3) })
-	k.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestStoreTryGet(t *testing.T) {
-	k := NewKernel(1)
-	s := NewStore[string](k)
-	if _, ok := s.TryGet(); ok {
-		t.Fatal("TryGet on empty store succeeded")
-	}
-	s.Put("x")
-	v, ok := s.TryGet()
-	if !ok || v != "x" {
-		t.Fatalf("TryGet = %q, %v", v, ok)
 	}
 }
 

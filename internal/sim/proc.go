@@ -116,9 +116,6 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// ID returns a unique (per kernel) process identifier.
-func (p *Proc) ID() int64 { return p.id }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.Now() }
 
@@ -128,10 +125,6 @@ func (p *Proc) Sleep(d Time) {
 	p.wake(d)
 	p.Park()
 }
-
-// Yield gives other ready events/processes at the current instant a
-// chance to run, then resumes.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // String implements fmt.Stringer.
 func (p *Proc) String() string { return fmt.Sprintf("proc#%d(%s)", p.id, p.name) }

@@ -105,7 +105,7 @@ func TestPropertyResourceSafety(t *testing.T) {
 		}
 		capacity := int(capRaw%8) + 1
 		k := NewKernel(2)
-		r := NewResource(k, capacity)
+		r := NewResource(capacity)
 		inUse, maxUse, completed := 0, 0, 0
 		for i, h := range holds {
 			hold := time.Duration(h%50+1) * time.Millisecond
@@ -156,40 +156,6 @@ func TestPropertyKernelReproducible(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Store preserves FIFO order for any put/get interleaving.
-func TestPropertyStoreFIFO(t *testing.T) {
-	f := func(vals []int16) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		k := NewKernel(3)
-		s := NewStore[int16](k)
-		var got []int16
-		k.Spawn("consumer", func(p *Proc) {
-			for range vals {
-				got = append(got, s.Get(p))
-			}
-		})
-		for i, v := range vals {
-			v := v
-			k.At(time.Duration(i)*time.Millisecond, func() { s.Put(v) })
-		}
-		k.Run()
-		if len(got) != len(vals) {
-			return false
-		}
-		for i := range vals {
-			if got[i] != vals[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

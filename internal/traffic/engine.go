@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"fmt"
 	"time"
 
 	"statebench/internal/obs"
@@ -113,7 +112,6 @@ type rec struct {
 	start  sim.Time
 	rtt    sim.Time
 	exec   sim.Time
-	cold   bool
 	fire   func()
 }
 
@@ -299,7 +297,6 @@ func (e *engine) arrival() {
 	r.start = now
 	r.rtt = e.cfg.Profile.InvokeRTT.Sample(e.svcRNG)
 	r.exec = e.cfg.ExecTime.Sample(e.svcRNG)
-	r.cold = false
 	e.inFlight++
 	if e.inFlight > e.res.PeakInFlight {
 		e.res.PeakInFlight = e.inFlight
@@ -312,7 +309,6 @@ func (e *engine) arrival() {
 			e.totWarm--
 			entry = e.cfg.Profile.WarmStart.Sample(e.svcRNG)
 		} else {
-			r.cold = true
 			e.totWarm -= int64(e.warmCnt[t]) // lazily-expired leases surface here
 			e.warmCnt[t] = 0
 			e.res.ColdStarts++
@@ -519,10 +515,4 @@ func (r *Result) ColdRate() float64 {
 		return 0
 	}
 	return float64(r.ColdStarts) / float64(r.Arrivals)
-}
-
-// String summarizes the run for debugging.
-func (r *Result) String() string {
-	return fmt.Sprintf("traffic{%s %s arrivals=%d events=%d p99=%v cold=%.2f%%}",
-		r.Cloud, r.Process, r.Arrivals, r.Events, r.E2E.P99(), 100*r.ColdRate())
 }

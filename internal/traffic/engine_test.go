@@ -57,7 +57,7 @@ func assertIdentical(t *testing.T, ref, got *Result, label string) {
 		name     string
 		got, ref interface {
 			Count() uint64
-			Sum() time.Duration
+			Max() time.Duration
 			Quantile(float64) time.Duration
 		}
 	}{
@@ -67,8 +67,8 @@ func assertIdentical(t *testing.T, ref, got *Result, label string) {
 		{"TenantCost", &got.TenantCost, &ref.TenantCost},
 	}
 	for _, h := range hists {
-		if h.got.Count() != h.ref.Count() || h.got.Sum() != h.ref.Sum() {
-			t.Fatalf("%s: %s count/sum diverge", label, h.name)
+		if h.got.Count() != h.ref.Count() || h.got.Max() != h.ref.Max() {
+			t.Fatalf("%s: %s count/max diverge", label, h.name)
 		}
 		for _, q := range []float64{0.5, 0.99, 0.999} {
 			if h.got.Quantile(q) != h.ref.Quantile(q) {
@@ -86,7 +86,7 @@ func TestRunReproducible(t *testing.T) {
 	c2 := perRequestCfg()
 	c2.Seed++
 	d := Run(c2)
-	if c.Arrivals == d.Arrivals && c.E2E.Sum() == d.E2E.Sum() {
+	if c.Arrivals == d.Arrivals && c.E2E.Max() == d.E2E.Max() {
 		t.Fatal("different seeds produced identical runs")
 	}
 }

@@ -27,9 +27,6 @@ import (
 // RNG, so a process is replayed identically for the same seed.
 type ArrivalProcess interface {
 	Next(rng *sim.RNG, now sim.Time) sim.Time
-	// MeanRate returns the long-run average arrival rate (1/sec), used
-	// for sizing and reporting.
-	MeanRate() float64
 	fmt.Stringer
 }
 
@@ -51,9 +48,6 @@ type Poisson struct {
 func (p Poisson) Next(rng *sim.RNG, now sim.Time) sim.Time {
 	return now + expGap(rng, p.Rate)
 }
-
-// MeanRate implements ArrivalProcess.
-func (p Poisson) MeanRate() float64 { return p.Rate }
 
 // String implements fmt.Stringer.
 func (p Poisson) String() string { return fmt.Sprintf("poisson(%.0f/s)", p.Rate) }
@@ -109,12 +103,6 @@ func (m *MMPP2) Next(rng *sim.RNG, now sim.Time) sim.Time {
 	}
 }
 
-// MeanRate implements ArrivalProcess: dwell-weighted average rate.
-func (m *MMPP2) MeanRate() float64 {
-	total := float64(m.BaseDwell + m.BurstDwell)
-	return (m.BaseRate*float64(m.BaseDwell) + m.BurstRate*float64(m.BurstDwell)) / total
-}
-
 // String implements fmt.Stringer.
 func (m *MMPP2) String() string {
 	return fmt.Sprintf("mmpp(%.0f/s↔%.0f/s)", m.BaseRate, m.BurstRate)
@@ -150,9 +138,6 @@ func (d Diurnal) Next(rng *sim.RNG, now sim.Time) sim.Time {
 		}
 	}
 }
-
-// MeanRate implements ArrivalProcess: the sinusoid averages out.
-func (d Diurnal) MeanRate() float64 { return d.Base }
 
 // String implements fmt.Stringer.
 func (d Diurnal) String() string {

@@ -34,9 +34,6 @@ func TestPoissonRate(t *testing.T) {
 	if math.Abs(got-250)/250 > 0.02 {
 		t.Fatalf("observed rate %.1f/s, want ~250/s", got)
 	}
-	if p.MeanRate() != 250 {
-		t.Fatalf("MeanRate = %v", p.MeanRate())
-	}
 	// Arrivals are strictly ordered.
 	ts := drawN(p, 4, 1000)
 	for i := 1; i < len(ts); i++ {
@@ -50,10 +47,8 @@ func TestMMPPRateAndBursts(t *testing.T) {
 	// Short dwells so the horizon spans thousands of modulation cycles
 	// — the rate estimate converges per-cycle, not per-arrival.
 	m := &MMPP2{BaseRate: 50, BurstRate: 500, BaseDwell: 3 * time.Second, BurstDwell: time.Second}
-	want := m.MeanRate()
-	if math.Abs(want-162.5) > 1e-9 {
-		t.Fatalf("MeanRate = %v, want 162.5", want)
-	}
+	// Long-run rate: (50/s for 3s + 500/s for 1s) per 4s cycle.
+	const want = 162.5
 	ts := drawN(m, 5, 500000)
 	got := observedRate(ts)
 	if math.Abs(got-want)/want > 0.05 {

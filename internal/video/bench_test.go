@@ -54,17 +54,3 @@ func BenchmarkPayloadFaceDetect(b *testing.B) {
 		chunk.Release()
 	}
 }
-
-func BenchmarkSplitMerge(b *testing.B) {
-	v, _ := benchClip(48)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chunks, err := v.Split(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Merge(chunks); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -103,23 +103,3 @@ func Decode(data []byte) (*Video, error) {
 	}
 	return v, nil
 }
-
-// EncodedSize returns the byte size Encode would produce without
-// building the buffer (used for payload planning).
-func EncodedSize(v *Video) int {
-	size := 20
-	for _, f := range v.Frames {
-		size += 4
-		i := 0
-		for i < len(f.Pix) {
-			v0 := f.Pix[i]
-			run := 1
-			for i+run < len(f.Pix) && f.Pix[i+run] == v0 && run < 255 {
-				run++
-			}
-			size += 2
-			i += run
-		}
-	}
-	return size
-}

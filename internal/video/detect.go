@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/gob"
-	"fmt"
 	"slices"
 	"sync"
 )
@@ -196,43 +195,6 @@ func (m *DetectorModel) DetectVideo(v *Video) [][]Detection {
 		out[i] = m.DetectFrame(f)
 	}
 	return out
-}
-
-// Annotate draws detection boxes into a copy of the video (the merge
-// step's output in the paper returns processed chunks).
-func Annotate(v *Video, dets [][]Detection) (*Video, error) {
-	if len(dets) != len(v.Frames) {
-		return nil, fmt.Errorf("video: %d detection sets for %d frames", len(dets), len(v.Frames))
-	}
-	out := &Video{W: v.W, H: v.H, FPS: v.FPS}
-	for i, f := range v.Frames {
-		cp := f.Clone()
-		for _, d := range dets[i] {
-			drawBox(cp, d.Box)
-		}
-		out.Frames = append(out.Frames, cp)
-	}
-	return out, nil
-}
-
-func drawBox(f *Frame, r Rect) {
-	x2, y2 := r.X+r.W-1, r.Y+r.H-1
-	for x := max(r.X, 0); x <= min(x2, f.W-1); x++ {
-		if r.Y >= 0 && r.Y < f.H {
-			f.Set(x, r.Y, 255)
-		}
-		if y2 >= 0 && y2 < f.H {
-			f.Set(x, y2, 255)
-		}
-	}
-	for y := max(r.Y, 0); y <= min(y2, f.H-1); y++ {
-		if r.X >= 0 && r.X < f.W {
-			f.Set(r.X, y, 255)
-		}
-		if x2 >= 0 && x2 < f.W {
-			f.Set(x2, y, 255)
-		}
-	}
 }
 
 // Evaluate scores detections against ground truth: a detection matches

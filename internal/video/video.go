@@ -53,9 +53,6 @@ func (v *Video) Release() {
 	v.Frames = v.Frames[:0]
 }
 
-// At returns the pixel at (x, y).
-func (f *Frame) At(x, y int) uint8 { return f.Pix[y*f.W+x] }
-
 // Set writes the pixel at (x, y).
 func (f *Frame) Set(x, y int, v uint8) { f.Pix[y*f.W+x] = v }
 
@@ -77,14 +74,6 @@ type Video struct {
 // Rect is an axis-aligned box (face ground truth / detection).
 type Rect struct {
 	X, Y, W, H int
-}
-
-// Center returns the box center.
-func (r Rect) Center() (int, int) { return r.X + r.W/2, r.Y + r.H/2 }
-
-// Contains reports whether (x, y) is inside the rect.
-func (r Rect) Contains(x, y int) bool {
-	return x >= r.X && x < r.X+r.W && y >= r.Y && y < r.Y+r.H
 }
 
 // IoU returns intersection-over-union of two rects.
@@ -231,24 +220,6 @@ func (v *Video) Split(n int) ([]*Video, error) {
 		chunks[i] = c
 	}
 	return chunks, nil
-}
-
-// Merge concatenates chunks back into one video (the paper's final
-// pipeline stage). All chunks must share dimensions.
-func Merge(chunks []*Video) (*Video, error) {
-	if len(chunks) == 0 {
-		return nil, fmt.Errorf("video: nothing to merge")
-	}
-	out := &Video{W: chunks[0].W, H: chunks[0].H, FPS: chunks[0].FPS}
-	for i, c := range chunks {
-		if c.W != out.W || c.H != out.H {
-			return nil, fmt.Errorf("video: chunk %d is %dx%d, expected %dx%d", i, c.W, c.H, out.W, out.H)
-		}
-		for _, f := range c.Frames {
-			out.Frames = append(out.Frames, f.Clone())
-		}
-	}
-	return out, nil
 }
 
 func max(a, b int) int {

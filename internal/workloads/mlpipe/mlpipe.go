@@ -100,18 +100,12 @@ func (a *Artifacts) PayloadBytes() int {
 	return n
 }
 
-// Train runs the full real pipeline for the given dataset size,
-// memoized through the process-global payload engine (the heavy
-// computation happens once per distinct dataset).
-func Train(size DatasetSize) (*Artifacts, error) {
-	return TrainWith(payload.Shared(), size)
-}
-
-// TrainWith is Train memoized through an explicit engine — suite runs
-// pass their per-run engine so every campaign (any impl, provider, or
-// repetition) reuses one computation, and warm/cold behaviour is
-// uniform per run instead of depending on in-process call order. The
-// returned Artifacts are shared and must be treated as immutable.
+// TrainWith runs the full real pipeline for the given dataset size,
+// memoized through eng — suite runs pass their per-run engine so every
+// campaign (any impl, provider, or repetition) reuses one computation,
+// and warm/cold behaviour is uniform per run instead of depending on
+// in-process call order. The returned Artifacts are shared and must be
+// treated as immutable.
 func TrainWith(eng *payload.Engine, size DatasetSize) (*Artifacts, error) {
 	key := payload.Key{
 		Workload: "mlpipe",
@@ -296,22 +290,6 @@ func NewModel(algo string, size DatasetSize) linmodel.Regressor {
 	panic(fmt.Sprintf("mlpipe: unknown algorithm %q", algo))
 }
 
-// DecodeModel deserializes a model produced by the training pipeline.
-func DecodeModel(algo string, data []byte) (linmodel.Regressor, error) {
-	switch algo {
-	case "randomforest":
-		var m ensemble.RandomForestRegressor
-		return &m, preprocess.Decode(data, &m)
-	case "kneighbors":
-		var m neighbors.KNeighborsRegressor
-		return &m, preprocess.Decode(data, &m)
-	case "lasso":
-		var m linmodel.Lasso
-		return &m, preprocess.Decode(data, &m)
-	}
-	return nil, fmt.Errorf("mlpipe: unknown algorithm %q", algo)
-}
-
 // Costs models each step's execution time: the base durations are for
 // the large dataset at AWS speed (1.5 GB Lambda); Scale maps dataset
 // size, Speed maps platform, and a lognormal factor adds run-to-run
@@ -456,11 +434,4 @@ type TrainResult struct {
 func EncodeResult(best string, mse float64) []byte {
 	b, _ := json.Marshal(TrainResult{Best: best, MSE: mse})
 	return b
-}
-
-// ParseResult unmarshals a TrainResult.
-func ParseResult(data []byte) (TrainResult, error) {
-	var r TrainResult
-	err := json.Unmarshal(data, &r)
-	return r, err
 }

@@ -1,14 +1,18 @@
 package mlpipe
 
 import (
+	"bytes"
+	"encoding/gob"
+	"encoding/json"
 	"testing"
 	"time"
 
+	"statebench/internal/payload"
 	"statebench/internal/sim"
 )
 
 func TestTrainSmallProducesArtifacts(t *testing.T) {
-	a, err := Train(Small)
+	a, err := TrainWith(payload.Shared(), Small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +39,11 @@ func TestTrainSmallProducesArtifacts(t *testing.T) {
 }
 
 func TestTrainIsCached(t *testing.T) {
-	a1, err := Train(Small)
+	a1, err := TrainWith(payload.Shared(), Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Train(Small)
+	a2, err := TrainWith(payload.Shared(), Small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +53,13 @@ func TestTrainIsCached(t *testing.T) {
 }
 
 func TestDecodeModelRoundTrip(t *testing.T) {
-	a, err := Train(Small)
+	a, err := TrainWith(payload.Shared(), Small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, algo := range Algorithms {
-		m, err := DecodeModel(algo, a.ModelBytes[algo])
-		if err != nil {
+		m := NewModel(algo, Small)
+		if err := gob.NewDecoder(bytes.NewReader(a.ModelBytes[algo])).Decode(m); err != nil {
 			t.Fatalf("decode %s: %v", algo, err)
 		}
 		// The decoded model must predict (smoke test on a synthetic
@@ -64,9 +68,6 @@ func TestDecodeModelRoundTrip(t *testing.T) {
 		if _, err := m.Predict([][]float64{row}); err != nil {
 			t.Fatalf("decoded %s cannot predict: %v", algo, err)
 		}
-	}
-	if _, err := DecodeModel("ghost", nil); err == nil {
-		t.Fatal("unknown algorithm decoded")
 	}
 }
 
@@ -104,12 +105,9 @@ func TestCostsDeterministicPerStream(t *testing.T) {
 }
 
 func TestResultEncoding(t *testing.T) {
-	b := EncodeResult("lasso", 12.5)
-	r, err := ParseResult(b)
+	var r TrainResult
+	err := json.Unmarshal(EncodeResult("lasso", 12.5), &r)
 	if err != nil || r.Best != "lasso" || r.MSE != 12.5 {
 		t.Fatalf("round trip: %+v %v", r, err)
-	}
-	if _, err := ParseResult([]byte("junk")); err == nil {
-		t.Fatal("junk parsed")
 	}
 }

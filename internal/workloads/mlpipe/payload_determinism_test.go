@@ -2,6 +2,7 @@ package mlpipe
 
 import (
 	"bytes"
+	"encoding/gob"
 	"reflect"
 	"sync"
 	"testing"
@@ -30,10 +31,10 @@ func artifactsByteEqual(t *testing.T, a, b *Artifacts) {
 		t.Fatalf("EncoderBytes sizes differ: %d vs %d", len(a.EncoderBytes), len(b.EncoderBytes))
 	}
 	var ea, eb preprocess.OneHotEncoder
-	if err := preprocess.Decode(a.EncoderBytes, &ea); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(a.EncoderBytes)).Decode(&ea); err != nil {
 		t.Fatal(err)
 	}
-	if err := preprocess.Decode(b.EncoderBytes, &eb); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(b.EncoderBytes)).Decode(&eb); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ea, eb) {

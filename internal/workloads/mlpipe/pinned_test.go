@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"math"
 	"testing"
+
+	"statebench/internal/payload"
 )
 
 // TestTrainedArtifactsPinned pins what model selection produces for both
@@ -37,7 +39,7 @@ func TestTrainedArtifactsPinned(t *testing.T) {
 		}, "randomforest"},
 	}
 	for _, c := range cases {
-		a, err := Train(c.size)
+		a, err := TrainWith(payload.Shared(), c.size)
 		if err != nil {
 			t.Fatal(err)
 		}

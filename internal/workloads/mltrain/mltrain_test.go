@@ -1,10 +1,12 @@
 package mltrain
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
 	"statebench/internal/core"
+	"statebench/internal/payload"
 	"statebench/internal/sim"
 	"statebench/internal/workloads/mlpipe"
 )
@@ -52,14 +54,14 @@ func invokeOnce(t *testing.T, impl core.Impl, size mlpipe.DatasetSize) core.RunS
 }
 
 func TestAllImplsProduceTheCorrectBestFit(t *testing.T) {
-	arts, err := mlpipe.Train(mlpipe.Small)
+	arts, err := mlpipe.TrainWith(payload.Shared(), mlpipe.Small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, impl := range core.AllImpls() {
 		stats := invokeOnce(t, impl, mlpipe.Small)
-		res, err := mlpipe.ParseResult(stats.Output)
-		if err != nil {
+		var res mlpipe.TrainResult
+		if err := json.Unmarshal(stats.Output, &res); err != nil {
 			t.Fatalf("%s output %q: %v", impl, stats.Output, err)
 		}
 		if res.Best != arts.BestName {
@@ -167,11 +169,11 @@ func TestColdStartCampaignShape(t *testing.T) {
 	// Short campaign (6 hours): every request should land cold on
 	// every style, and Az-Queue's cold start must dwarf the durable
 	// ones (paper Fig 10).
-	dorchSamples, err := core.ColdStartCampaign(New(mlpipe.Small), core.AzDorch, 5, 3, nil)
+	dorchSamples, err := core.ColdStartCampaignCached(New(mlpipe.Small), core.AzDorch, 5, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	queueSamples, err := core.ColdStartCampaign(New(mlpipe.Small), core.AzQueue, 5, 3, nil)
+	queueSamples, err := core.ColdStartCampaignCached(New(mlpipe.Small), core.AzQueue, 5, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
