@@ -144,7 +144,7 @@ bench-kernel:
 	$(GO) test -run - -bench 'IdleListeners' -benchmem -cpu 1,2 ./internal/cloud/queue/
 
 bench-payload:
-	$(GO) test -run - -bench 'BenchmarkPayload' -benchmem ./internal/workloads/mlpipe/ ./internal/video/
+	$(GO) test -run - -bench 'BenchmarkPayload' -benchmem ./internal/workloads/mlpipe/ ./internal/workloads/mapreduce/ ./internal/video/
 
 # bench-mlkit times the two payload kernels that dominate large-dataset
 # ML training: the 24-tree forest fit and the k-NN validation predict,

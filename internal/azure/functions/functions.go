@@ -148,9 +148,6 @@ func NewHost(k *sim.Kernel, name string, params platform.AzureParams) *Host {
 	return h
 }
 
-// Name returns the app name.
-func (h *Host) Name() string { return h.name }
-
 // Params returns the calibration parameters.
 func (h *Host) Params() platform.AzureParams { return h.params }
 

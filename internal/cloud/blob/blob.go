@@ -34,13 +34,11 @@ func DefaultParams() Params {
 	}
 }
 
-// Stats counts blob operations and bytes moved.
+// Stats counts blob operations.
 type Stats struct {
-	Gets         int64
-	Puts         int64
-	Misses       int64
-	BytesRead    int64
-	BytesWritten int64
+	Gets   int64
+	Puts   int64
+	Misses int64
 }
 
 // Transactions returns the number of billable storage operations.
@@ -65,7 +63,6 @@ type object struct {
 // consume virtual time on that process.
 type Store struct {
 	rng     *sim.RNG
-	name    string
 	params  Params
 	objects map[string]object
 	stats   Stats
@@ -76,14 +73,10 @@ type Store struct {
 func New(k *sim.Kernel, name string, params Params) *Store {
 	return &Store{
 		rng:     k.Stream("blob/" + name),
-		name:    name,
 		params:  params,
 		objects: make(map[string]object),
 	}
 }
-
-// Name returns the store's name.
-func (s *Store) Name() string { return s.name }
 
 // Stats returns a snapshot of the operation counters.
 func (s *Store) Stats() Stats { return s.stats }
@@ -99,7 +92,6 @@ func transfer(n int, bw float64) time.Duration {
 // Put stores data under key, taking RTT + size/bandwidth of virtual time.
 func (s *Store) Put(p *sim.Proc, key string, data []byte) {
 	s.stats.Puts++
-	s.stats.BytesWritten += int64(len(data))
 	p.Sleep(s.params.PutRTT.Sample(s.rng) + transfer(len(data), s.params.WriteBW))
 	cp := make([]byte, len(data))
 	copy(cp, data)
@@ -114,7 +106,6 @@ func (s *Store) Put(p *sim.Proc, key string, data []byte) {
 // artifacts).
 func (s *Store) PutShared(p *sim.Proc, key string, data []byte) {
 	s.stats.Puts++
-	s.stats.BytesWritten += int64(len(data))
 	p.Sleep(s.params.PutRTT.Sample(s.rng) + transfer(len(data), s.params.WriteBW))
 	s.objects[key] = object{data: data[:len(data):len(data)], shared: true}
 }
@@ -129,7 +120,6 @@ func (s *Store) Get(p *sim.Proc, key string) ([]byte, error) {
 		return nil, &NotFoundError{Key: key}
 	}
 	s.stats.Gets++
-	s.stats.BytesRead += int64(len(obj.data))
 	p.Sleep(s.params.GetRTT.Sample(s.rng) + transfer(len(obj.data), s.params.ReadBW))
 	if obj.shared {
 		return obj.data, nil

@@ -89,9 +89,6 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Puts != 2 || st.Gets != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.BytesWritten != 150 || st.BytesRead != 100 {
-		t.Fatalf("bytes = %+v", st)
-	}
 	if st.Transactions() != 4 {
 		t.Fatalf("transactions = %d, want 4", st.Transactions())
 	}

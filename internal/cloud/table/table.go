@@ -53,7 +53,6 @@ type rowKey struct{ pk, rk string }
 // Table is a simulated NoSQL table.
 type Table struct {
 	rng    *sim.RNG
-	name   string
 	params Params
 	rows   map[rowKey][]byte
 	stats  Stats
@@ -61,11 +60,8 @@ type Table struct {
 
 // New creates an empty table named name.
 func New(k *sim.Kernel, name string, params Params) *Table {
-	return &Table{rng: k.Stream("table/" + name), name: name, params: params, rows: make(map[rowKey][]byte)}
+	return &Table{rng: k.Stream("table/" + name), params: params, rows: make(map[rowKey][]byte)}
 }
-
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
 
 // Stats returns a snapshot of the operation counters.
 func (t *Table) Stats() Stats { return t.stats }

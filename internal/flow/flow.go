@@ -233,12 +233,11 @@ type EntityDecl struct {
 	PreloadState []byte
 }
 
-// Preload stages one blob object at deploy time.
+// Preload stages one blob object at deploy time. The store aliases
+// Data instead of copying it (see ApplyPreloads).
 type Preload struct {
 	Key  string
 	Data []byte
-	// Shared marks the object content-shared (blob.PreloadShared).
-	Shared bool
 }
 
 // Graph is one lowering class's DAG plus its class-specific metadata.
@@ -581,13 +580,13 @@ func EvalChoice(n *Node, payload []byte) (string, error) {
 	return n.Default, nil
 }
 
-// ApplyPreloads stages a graph's blob objects.
+// ApplyPreloads stages a graph's blob objects by alias
+// (blob.PreloadShared): a Get of a preloaded key returns Data itself.
+// Preloaded bytes must therefore be immutable for the life of the
+// deployment, as memoized payloads and zero-arena placeholders are,
+// and no stage may modify what such a Get returns.
 func ApplyPreloads(store *blob.Store, g *Graph) {
 	for _, p := range g.Preloads {
-		if p.Shared {
-			store.PreloadShared(p.Key, p.Data)
-		} else {
-			store.Preload(p.Key, p.Data)
-		}
+		store.PreloadShared(p.Key, p.Data)
 	}
 }

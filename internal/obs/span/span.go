@@ -162,15 +162,6 @@ func (t *Tracer) Since(mark int) []Span {
 	return t.spans[mark:]
 }
 
-// Reset drops all recorded spans (ID allocation continues, so span IDs
-// stay unique across a reset).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.spans = t.spans[:0]
-}
-
 // StartTrace opens a new root span under a fresh trace ID and returns
 // its handle. Used by core.Measure for the per-run root.
 func (t *Tracer) StartTrace(now time.Duration, kind Kind, name string) Active {

@@ -87,30 +87,6 @@ func TestDeadlineReachedInsideProc(t *testing.T) {
 	}
 }
 
-// TestStopReachedInsideProc stops the run from an event that a parked
-// process dispatches: Run must return to its caller at the stop, and
-// the process stays parked, since Stop is final.
-func TestStopReachedInsideProc(t *testing.T) {
-	k := NewKernel(1)
-	wakes := 0
-	k.Spawn("poller", func(p *Proc) {
-		k.After(5*time.Second, k.Stop)
-		for {
-			p.Sleep(2 * time.Second)
-			wakes++
-		}
-	})
-	if end := k.Run(); end != 5*time.Second {
-		t.Fatalf("Run returned %v, want 5s", end)
-	}
-	if wakes != 2 || k.LiveProcs() != 1 || k.Pending() != 1 {
-		t.Fatalf("after Stop: wakes %d, live %d, pending %d; want 2, 1, 1", wakes, k.LiveProcs(), k.Pending())
-	}
-	if end := k.Run(); end != 5*time.Second || wakes != 2 {
-		t.Fatalf("Run after Stop advanced to %v with %d wakes", end, wakes)
-	}
-}
-
 // TestExitingProcPassesBaton ends a process while events and another
 // process are pending: the exiting goroutine dispatches the event
 // itself, then hands the baton to the other process.

@@ -165,7 +165,6 @@ type Kernel struct {
 	seq     int64
 	seed    uint64
 	procSeq int64
-	stopped bool
 	live    int // live (started, unfinished) procs; diagnostics only
 
 	// Baton passing: next is the process the current event woke, done
@@ -261,12 +260,12 @@ func (k *Kernel) pushUnpark(d time.Duration, p *Proc) {
 	k.push(event{at: k.now + d, seq: k.seq, fn: p.unparkFn})
 }
 
-// Run executes events until the queue is empty or Stop is called.
-// It returns the final virtual time.
+// Run executes events until the queue is empty. It returns the final
+// virtual time.
 func (k *Kernel) Run() Time { return k.RunUntil(-1) }
 
-// RunUntil executes events until the queue is empty, Stop is called, or
-// the next event would be after deadline (deadline < 0 means no limit).
+// RunUntil executes events until the queue is empty or the next event
+// would be after deadline (deadline < 0 means no limit).
 // The clock is left at the last executed event (or at deadline, if the
 // deadline cut execution short and deadline is beyond the clock).
 func (k *Kernel) RunUntil(deadline Time) Time {
@@ -280,11 +279,11 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 
 // dispatch runs the event loop on the calling goroutine, which must
 // hold the baton, until an event wakes a process or the run ends
-// (drained, stopped, or past the deadline). It returns the woken
+// (drained, or past the deadline). It returns the woken
 // process, or nil when the run ended.
 func (k *Kernel) dispatch() *Proc {
 	deadline := k.deadline
-	for k.pending > 0 && !k.stopped {
+	for k.pending > 0 {
 		// The next event is the smaller (at, seq) of the lane head and the
 		// heap head. The lane head's at is the current instant, never
 		// after the heap head's, so on equal at the seq decides: a heap
@@ -377,11 +376,6 @@ func (k *Kernel) SetTickListener(every Time, fn func(boundary Time)) {
 	k.tickFn, k.tickEvery = fn, every
 	k.tickNext = (k.now/every)*every + every
 }
-
-// Stop halts the event loop after the current event completes. Parked
-// processes are abandoned (their goroutines remain blocked until process
-// exit; they hold no host resources beyond their stacks).
-func (k *Kernel) Stop() { k.stopped = true }
 
 // Pending returns the number of queued events.
 func (k *Kernel) Pending() int { return k.pending }

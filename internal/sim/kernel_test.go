@@ -85,23 +85,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	k := NewKernel(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		k.At(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop, want 3", count)
-	}
-}
-
 func TestProcSleep(t *testing.T) {
 	k := NewKernel(1)
 	var marks []time.Duration

@@ -181,7 +181,7 @@ func definition(w *Workflow, corpus []byte) (*flow.Definition, error) {
 	}
 	if corpus != nil {
 		for _, g := range graphs {
-			g.Preloads = []flow.Preload{{Key: corpusKey, Data: corpus, Shared: true}}
+			g.Preloads = []flow.Preload{{Key: corpusKey, Data: corpus}}
 		}
 	}
 
@@ -222,6 +222,7 @@ func bindStages(w *Workflow, corpus []byte) func(b flow.Binding) (*flow.Stages, 
 		store := b.Blob
 		eng := b.Env.Payload
 		m, r := w.Mappers, w.Reducers
+		digests := newPieceDigests(corpus, m)
 		speed := 1.0
 		switch b.Provider {
 		case "Azure", "Netherite":
@@ -240,11 +241,11 @@ func bindStages(w *Workflow, corpus []byte) func(b flow.Binding) (*flow.Stages, 
 		// the same chunk bytes, so a sweep pays for each (chunk, r)
 		// exactly once. Cached bytes are identical to a fresh pass, so
 		// simulated output never depends on cache state.
-		partitionBufs := func(data []byte) ([][]byte, error) {
+		partitionBufs := func(part int, data []byte) ([][]byte, error) {
 			key := payload.Key{
 				Workload: "mapreduce",
 				Stage:    "map/partition",
-				Input:    payload.DigestBytes(data),
+				Input:    digests.digest(part, data),
 				Params:   payload.DigestInts(int64(r)),
 			}
 			bufs, _, err := payload.Get(eng, key, func() ([][]byte, int, error) {
@@ -268,7 +269,7 @@ func bindStages(w *Workflow, corpus []byte) func(b flow.Binding) (*flow.Stages, 
 		// the shuffle's storage-level regrouping.
 		mapChunk := func(a flow.Act, run int64, part int, data []byte) error {
 			busy(a, len(data), countBW)
-			bufs, err := partitionBufs(data)
+			bufs, err := partitionBufs(part, data)
 			if err != nil {
 				return err
 			}
@@ -333,7 +334,7 @@ func bindStages(w *Workflow, corpus []byte) func(b flow.Binding) (*flow.Stages, 
 					return nil, err
 				}
 				busy(a, len(data), countBW)
-				res, err := countCorpus(eng, data)
+				res, err := countCorpus(eng, digests.digest(m, data), data)
 				if err != nil {
 					return nil, err
 				}

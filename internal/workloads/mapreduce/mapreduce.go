@@ -217,6 +217,44 @@ func wordChunks(corpus []byte, m int) [][]byte {
 	return chunks
 }
 
+// pieceDigests memoizes the content digests of one deployment's corpus
+// pieces: piece i < m is the i-th of the m chunks wordChunks hands the
+// mappers, and piece m is the whole corpus the monolith counts. Map
+// and monolith runs key their payload lookups by the SHA-256 of the
+// bytes they were handed, which are the same immutable bytes run after
+// run, so a deployment hashes each piece at most once. Bytes that
+// differ from the named piece are hashed afresh, so a run handed the
+// wrong bytes misses the cache instead of hitting the piece's entry.
+// One deployment's stages run on one kernel, one process at a time, so
+// the memo needs no lock.
+type pieceDigests struct {
+	pieces [][]byte
+	sums   []payload.Digest
+	done   []bool
+}
+
+func newPieceDigests(corpus []byte, m int) *pieceDigests {
+	pieces := append(wordChunks(corpus, m), corpus)
+	return &pieceDigests{
+		pieces: pieces,
+		sums:   make([]payload.Digest, len(pieces)),
+		done:   make([]bool, len(pieces)),
+	}
+}
+
+// digest returns payload.DigestBytes(data), hashing only the first time
+// data equals piece i. bytes.Equal returns at once when data aliases
+// the piece, as it does on the shared blob path.
+func (d *pieceDigests) digest(i int, data []byte) payload.Digest {
+	if i < 0 || i >= len(d.pieces) || !bytes.Equal(data, d.pieces[i]) {
+		return payload.DigestBytes(data)
+	}
+	if !d.done[i] {
+		d.sums[i], d.done[i] = payload.DigestBytes(data), true
+	}
+	return d.sums[i]
+}
+
 // corpusCount is the memoized whole-corpus result: the serialized
 // count document the monolith publishes and the workflow's summary.
 type corpusCount struct {
@@ -224,14 +262,15 @@ type corpusCount struct {
 	Summary []byte
 }
 
-// countCorpus tallies the whole corpus, memoized by content through
-// the deployment's payload engine — the monolith styles of every
-// provider, tier, and repetition count the same bytes.
-func countCorpus(eng *payload.Engine, data []byte) (corpusCount, error) {
+// countCorpus tallies the whole corpus, memoized by content (sum is
+// data's digest) through the deployment's payload engine — the
+// monolith styles of every provider, tier, and repetition count the
+// same bytes.
+func countCorpus(eng *payload.Engine, sum payload.Digest, data []byte) (corpusCount, error) {
 	key := payload.Key{
 		Workload: "mapreduce",
 		Stage:    "count",
-		Input:    payload.DigestBytes(data),
+		Input:    sum,
 	}
 	res, _, err := payload.Get(eng, key, func() (corpusCount, int, error) {
 		counts := countWords(data)

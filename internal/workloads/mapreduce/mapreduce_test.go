@@ -17,6 +17,7 @@ import (
 	"statebench/internal/core"
 	"statebench/internal/flow"
 	_ "statebench/internal/flow/lowerers"
+	"statebench/internal/payload"
 	"statebench/internal/sim"
 )
 
@@ -184,6 +185,41 @@ func TestWordChunksPartitionExactly(t *testing.T) {
 				t.Fatalf("m=%d: count[%q] = %d, want %d", m, w, total[w], c)
 			}
 		}
+	}
+}
+
+// TestPieceDigestsKeyByContent checks the per-deployment digest memo:
+// whatever bytes a stage hands it, and under whichever piece index, the
+// digest must be payload.DigestBytes of those bytes, so a stage handed
+// the wrong bytes misses the payload cache instead of hitting another
+// piece's entry; and a repeat lookup of a piece must not hash again.
+func TestPieceDigestsKeyByContent(t *testing.T) {
+	const m = 4
+	corpus := corpusText(40e3)
+	d := newPieceDigests(corpus, m)
+	check := func(what string, i int, data []byte) {
+		t.Helper()
+		if got, want := d.digest(i, data), payload.DigestBytes(data); got != want {
+			t.Fatalf("%s: digest(%d) = %x, want %x", what, i, got[:8], want[:8])
+		}
+	}
+	chunks := wordChunks(corpus, m)
+	for i, c := range chunks {
+		check("aliased chunk", i, c)
+	}
+	check("aliased corpus", m, corpus)
+
+	check("equal copy", 1, bytes.Clone(chunks[1]))
+	differ := bytes.Clone(chunks[2])
+	differ[len(differ)/2] ^= 1
+	check("same length, different bytes", 2, differ)
+	check("out-of-range index", m+1, chunks[0])
+	check("negative index", -1, chunks[0])
+
+	sentinel := payload.Digest{1}
+	d.sums[3] = sentinel
+	if got := d.digest(3, chunks[3]); got != sentinel {
+		t.Fatalf("repeat lookup of piece 3 hashed again (got %x)", got[:8])
 	}
 }
 

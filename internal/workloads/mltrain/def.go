@@ -369,7 +369,7 @@ func bindStages(size mlpipe.DatasetSize, arts *mlpipe.Artifacts) func(b flow.Bin
 				return nil, err
 			}
 			a.Busy(costs.Xfer(len(src)))
-			store.Put(p, bestModelKey, src)
+			store.PutShared(p, bestModelKey, src)
 			return mlpipe.EncodeResult(best.Algo, best.MSE), nil
 		}
 
@@ -391,7 +391,7 @@ func bindStages(size mlpipe.DatasetSize, arts *mlpipe.Artifacts) func(b flow.Bin
 			a.Busy(costs.TrainModel(algo, size))
 			a.Busy(costs.Xfer(len(arts.ModelBytes[algo])))
 			modelKey := runKey(run, "model-"+algo)
-			store.Put(a.Proc(), modelKey, arts.ModelBytes[algo])
+			store.PutShared(a.Proc(), modelKey, arts.ModelBytes[algo])
 			return marshalMsg(stepMsg{Run: run, Algo: algo, MSE: arts.ModelMSE[algo], Model: modelKey}), nil
 		}
 
@@ -408,10 +408,10 @@ func bindStages(size mlpipe.DatasetSize, arts *mlpipe.Artifacts) func(b flow.Bin
 				train.End(p.Now())
 				publish := env.Stage(p, "mono/publish")
 				a.Busy(costs.Xfer(len(arts.EncoderBytes) + len(arts.ScalerBytes) + len(arts.PCABytes) + len(arts.ModelBytes[arts.BestName])))
-				store.Put(p, "models/encoder", arts.EncoderBytes)
-				store.Put(p, "models/scaler", arts.ScalerBytes)
-				store.Put(p, "models/pca", arts.PCABytes)
-				store.Put(p, bestModelKey, arts.ModelBytes[arts.BestName])
+				store.PutShared(p, "models/encoder", arts.EncoderBytes)
+				store.PutShared(p, "models/scaler", arts.ScalerBytes)
+				store.PutShared(p, "models/pca", arts.PCABytes)
+				store.PutShared(p, bestModelKey, arts.ModelBytes[arts.BestName])
 				publish.End(p.Now())
 				return mlpipe.EncodeResult(arts.BestName, arts.BestMSE), nil
 			},
@@ -509,7 +509,7 @@ func bindStages(size mlpipe.DatasetSize, arts *mlpipe.Artifacts) func(b flow.Bin
 				for i, algo := range mlpipe.Algorithms {
 					modelKey := runKey(m.Run, "model-"+algo)
 					a.Busy(costs.Xfer(len(arts.ModelBytes[algo])))
-					store.Put(p, modelKey, arts.ModelBytes[algo])
+					store.PutShared(p, modelKey, arts.ModelBytes[algo])
 					if i == 0 || arts.ModelMSE[algo] < best.MSE {
 						best = stepMsg{Run: m.Run, Algo: algo, MSE: arts.ModelMSE[algo], Model: modelKey}
 					}
@@ -598,7 +598,7 @@ func bindStages(size mlpipe.DatasetSize, arts *mlpipe.Artifacts) func(b flow.Bin
 					if err != nil {
 						return nil, err
 					}
-					store.Put(p, bestModelKey, src)
+					store.PutShared(p, bestModelKey, src)
 				}
 				return nil, nil
 			},

@@ -1,10 +1,12 @@
 package mltrain
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"testing"
 	"time"
 
+	"statebench/internal/chaos"
 	"statebench/internal/core"
 	"statebench/internal/payload"
 	"statebench/internal/sim"
@@ -194,5 +196,74 @@ func TestMeasureDeterministicAcrossRuns(t *testing.T) {
 	if a.E2E.Median() != b.E2E.Median() || a.MeanTxns != b.MeanTxns {
 		t.Fatalf("nondeterministic measurement: %v/%v vs %v/%v",
 			a.E2E.Median(), a.MeanTxns, b.E2E.Median(), b.MeanTxns)
+	}
+}
+
+// artifactSums is the SHA-256 of every byte artifact the workloads
+// stage by alias.
+func artifactSums(a *mlpipe.Artifacts) map[string][32]byte {
+	sums := map[string][32]byte{
+		"DatasetCSV": sha256.Sum256(a.DatasetCSV),
+		"TestCSV":    sha256.Sum256(a.TestCSV),
+		"Encoder":    sha256.Sum256(a.EncoderBytes),
+		"Scaler":     sha256.Sum256(a.ScalerBytes),
+		"PCA":        sha256.Sum256(a.PCABytes),
+	}
+	for algo, b := range a.ModelBytes {
+		sums["Model/"+algo] = sha256.Sum256(b)
+	}
+	return sums
+}
+
+// TestArtifactsStagedByAlias pins what staging the memoized artifacts
+// by alias relies on: every style, fault-free and under the default
+// chaos plan (whose redeliveries re-run stages), leaves each artifact
+// byte for byte as training built it, and a Get of the preloaded
+// dataset returns the artifact's own backing array, not a copy.
+func TestArtifactsStagedByAlias(t *testing.T) {
+	eng := payload.NewEngine()
+	arts, err := mlpipe.TrainWith(eng, mlpipe.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := artifactSums(arts)
+	wf := New(mlpipe.Small)
+	for _, plan := range []*chaos.Plan{nil, chaos.DefaultPlan(0.2)} {
+		var injected int64
+		for _, impl := range append(wf.Impls(), wf.ExtraImpls()...) {
+			opt := core.DefaultMeasureOptions()
+			opt.Iters, opt.Seed, opt.PayloadCache, opt.Chaos = 4, 11, eng, plan
+			s, err := core.Measure(wf, impl, opt)
+			if err != nil {
+				t.Fatalf("measure %s: %v", impl, err)
+			}
+			injected += s.Faults.Injected
+		}
+		if plan != nil && injected == 0 {
+			t.Fatal("the chaos campaigns injected no faults")
+		}
+	}
+	for name, sum := range artifactSums(arts) {
+		if sum != want[name] {
+			t.Errorf("artifact %s changed while staged by alias", name)
+		}
+	}
+
+	env := core.NewEnv(5)
+	env.Payload = eng
+	if _, err := wf.Deploy(env, core.AWSStep); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	env.K.Spawn("get", func(p *sim.Proc) {
+		defer env.Stop()
+		got, err = env.AWS.S3.Get(p, datasetKey(mlpipe.Small))
+	})
+	env.K.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(arts.DatasetCSV) || &got[0] != &arts.DatasetCSV[0] {
+		t.Fatal("a Get of the preloaded dataset returned a copy, not the artifact's bytes")
 	}
 }

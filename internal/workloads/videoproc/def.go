@@ -136,8 +136,8 @@ func definition(w *Workflow) (*flow.Definition, error) {
 	}
 	for _, g := range graphs {
 		g.Preloads = []flow.Preload{
-			{Key: videoKey, Data: payload.Zeros(w.Spec.TotalBytes), Shared: true},
-			{Key: modelKey, Data: payload.Zeros(w.Spec.ModelBytes), Shared: true},
+			{Key: videoKey, Data: payload.Zeros(w.Spec.TotalBytes)},
+			{Key: modelKey, Data: payload.Zeros(w.Spec.ModelBytes)},
 		}
 	}
 
