@@ -3,9 +3,11 @@
 # tier1    — the gate every change must keep green: gofmt, vet (of
 #            the benchmark harness too, its own module, which
 #            `go build ./...` never compiles), build, and the full unit
-#            suite (including the quick-scale output goldens and
+#            suite (including the quick-scale output goldens,
 #            TestEveryFunctionIsReachable, which links every binary and
-#            fails on a function none of them contains).
+#            fails on a function none of them contains, and
+#            TestEveryFieldIsRead, which type-checks the module and the
+#            harness and fails on a field no non-test code reads).
 # tier1.5  — adds static analysis and the race detector; the
 #            determinism test self-downscales under -race, and the
 #            kernel's and the queue listener's tests repeat ten times

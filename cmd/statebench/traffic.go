@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"statebench/internal/core"
 	"statebench/internal/experiments"
-	"statebench/internal/obs"
 	"statebench/internal/obs/tseries"
 	"statebench/internal/sim"
 	"statebench/internal/traffic"
@@ -46,10 +46,8 @@ func runTraffic(args []string, w io.Writer) error {
 	// current one, published at window boundaries by the engine's
 	// OnWindow hook (outside the event order, so results are unchanged).
 	var tlc *tseries.Collector
-	var done *tseries.Series
 	if *timelineOut != "" || *liveAddr != "" {
 		tlc = tseries.NewCollector(0)
-		done = tseries.New(tlc.Interval())
 	}
 	if *liveAddr != "" {
 		live, err := tseries.ServeLive(*liveAddr, tlc.Snapshot)
@@ -60,25 +58,15 @@ func runTraffic(args []string, w io.Writer) error {
 		fmt.Fprintf(os.Stderr, "statebench traffic: live telemetry on http://%s/\n", live.Addr())
 	}
 
-	procs := map[string]func() traffic.ArrivalProcess{
-		"poisson": func() traffic.ArrivalProcess { return traffic.Poisson{Rate: *rate} },
-		"bursty": func() traffic.ArrivalProcess {
-			// Dwell-weighted mean = (rate/2·20s + 3·rate·5s)/25s = rate.
-			return &traffic.MMPP2{
-				BaseRate: *rate / 2, BurstRate: 3 * *rate,
-				BaseDwell: 20 * time.Second, BurstDwell: 5 * time.Second,
-			}
-		},
-		"diurnal": func() traffic.ArrivalProcess {
-			return traffic.Diurnal{Base: *rate, Amp: 0.6, Period: *window}
-		},
-	}
+	// The processes, in experiments.TrafficProcesses' order.
 	procNames := []string{"poisson", "bursty", "diurnal"}
+	selected := []int{0, 1, 2}
 	if *process != "all" {
-		if _, ok := procs[*process]; !ok {
+		i := slices.Index(procNames, *process)
+		if i < 0 {
 			return fmt.Errorf("unknown process %q (want poisson|bursty|diurnal|all)", *process)
 		}
-		procNames = []string{*process}
+		selected = []int{i}
 	}
 
 	var specs []*core.ProviderSpec
@@ -100,71 +88,40 @@ func runTraffic(args []string, w io.Writer) error {
 		Title: fmt.Sprintf("Open-loop traffic: %d tenants × %.0f req/s over %v, seed %d",
 			*tenants, *rate, *window, *seed),
 	}
-	r.Table.Header = []string{
-		"provider", "serving", "process", "arrivals", "events",
-		"cold", "p50", "p99", "p99.9", "sched p99", "peak backlog",
-		"tenant cost p99", "total cost",
+	r.Table.Header = experiments.TrafficHeader(true)
+	var live *trafficLive
+	if tlc != nil {
+		live = newTrafficLive(tlc, len(specs)*len(selected), *window)
 	}
 	var totalEvents uint64
 	var rates []string
 	campaign := 0
 	for _, spec := range specs {
-		for _, name := range procNames {
+		procs := experiments.TrafficProcesses(*rate, *window)
+		for _, i := range selected {
 			cfg := traffic.Config{
 				Tenants:    *tenants,
 				Duration:   *window,
-				Process:    procs[name](),
+				Process:    procs[i],
 				Profile:    spec.Traffic(),
 				Book:       spec.DefaultBook(),
 				CodeSizeMB: *codeMB,
 				Seed:       *seed + uint64(campaign),
 			}
-			if tlc != nil {
-				tl := tseries.New(tlc.Interval())
-				cfg.Timeline = tl
-				runPhase := fmt.Sprintf("%s/%s", spec.Name, name)
-				cfg.OnWindow = func(boundary sim.Time) {
-					snap := done.Clone()
-					snap.Merge(tl)
-					tlc.Replace(snap)
-					arr, comp, _, _ := snap.Totals()
-					tlc.SetProgress(tseries.Progress{
-						Phase:       runPhase,
-						Done:        campaign,
-						Total:       len(specs) * len(procNames),
-						VirtualTime: boundary,
-						VirtualEnd:  *window,
-						Arrivals:    arr,
-						Completions: comp,
-					})
-				}
-			}
 			campaign++
+			phase := spec.Name + "/" + procNames[i]
+			if live != nil {
+				live.record(&cfg, phase)
+			}
 			start := time.Now()
 			res := traffic.Run(cfg)
 			wall := time.Since(start)
-			if tlc != nil {
-				done.Merge(cfg.Timeline)
-				tlc.Replace(done.Clone())
+			if live != nil {
+				live.finish(cfg, phase)
 			}
-			res.Cloud = spec.Name
 			totalEvents += res.Events
 			rates = append(rates, fmt.Sprintf("%s/%s %.1f", spec.Name, res.Process, float64(res.Events)/1e6/wall.Seconds()))
-			r.Table.AddRow(
-				spec.Name,
-				res.Style.String(),
-				res.Process,
-				fmt.Sprintf("%d", res.Arrivals),
-				fmt.Sprintf("%d", res.Events),
-				fmt.Sprintf("%.1f%%", 100*res.ColdRate()),
-				obs.FormatDuration(res.E2E.Median()),
-				obs.FormatDuration(res.E2E.P99()),
-				obs.FormatDuration(res.E2E.P999()),
-				obs.FormatDuration(res.QueueWait.P999()),
-				fmt.Sprintf("%d", res.PeakBacklog),
-				fmt.Sprintf("$%.6f", float64(res.TenantCost.P99())/1e9),
-				fmt.Sprintf("$%.2f", res.TotalBill.Total()),
-			)
+			r.Table.AddRow(experiments.TrafficRow(spec.Name, res, true)...)
 		}
 	}
 	r.Notes = append(r.Notes,
@@ -182,6 +139,55 @@ func runTraffic(args []string, w io.Writer) error {
 		return writeTimelineFile(*timelineOut, tlc)
 	}
 	return nil
+}
+
+// trafficLive publishes a sweep's windowed telemetry and progress to
+// the collector behind -live and -timeline: the finished campaigns'
+// windows merged with a rolling snapshot of the running one, and the
+// number of campaigns that have finished.
+type trafficLive struct {
+	tlc      *tseries.Collector
+	done     *tseries.Series
+	window   time.Duration
+	total    int
+	finished int
+}
+
+func newTrafficLive(tlc *tseries.Collector, total int, window time.Duration) *trafficLive {
+	return &trafficLive{tlc: tlc, done: tseries.New(tlc.Interval()), window: window, total: total}
+}
+
+// record makes cfg's run record its windows and publish them, with the
+// sweep's progress, at every window boundary.
+func (l *trafficLive) record(cfg *traffic.Config, phase string) {
+	tl := tseries.New(l.tlc.Interval())
+	cfg.Timeline = tl
+	cfg.OnWindow = func(boundary sim.Time) {
+		snap := l.done.Clone()
+		snap.Merge(tl)
+		l.publish(snap, phase, boundary)
+	}
+}
+
+// finish merges a finished run's windows and counts it done.
+func (l *trafficLive) finish(cfg traffic.Config, phase string) {
+	l.done.Merge(cfg.Timeline)
+	l.finished++
+	l.publish(l.done.Clone(), phase, l.window)
+}
+
+func (l *trafficLive) publish(snap *tseries.Series, phase string, at sim.Time) {
+	l.tlc.Replace(snap)
+	arr, comp, _, _ := snap.Totals()
+	l.tlc.SetProgress(tseries.Progress{
+		Phase:       phase,
+		Done:        l.finished,
+		Total:       l.total,
+		VirtualTime: at,
+		VirtualEnd:  l.window,
+		Arrivals:    arr,
+		Completions: comp,
+	})
 }
 
 // peakRSSMB reads the process high-water resident set from

@@ -17,7 +17,6 @@ import (
 
 // Cloud is one simulated AWS region/account.
 type Cloud struct {
-	Params platform.AWSParams
 	Lambda *faas.Service
 	SFN    *sfn.Service
 	S3     *blob.Store
@@ -27,7 +26,6 @@ type Cloud struct {
 func New(k *sim.Kernel, params platform.AWSParams) *Cloud {
 	lsvc := faas.New(k, "lambda", "aws/lambda", faas.MemoryStep(params.MemoryStepMB), params.FaaSParams)
 	return &Cloud{
-		Params: params,
 		Lambda: lsvc,
 		SFN:    sfn.New(k, params, lsvc),
 		S3:     blob.New(k, "s3", blob.DefaultParams()),

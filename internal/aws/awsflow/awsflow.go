@@ -37,11 +37,10 @@ func memoryMB(n *flow.Node) int {
 }
 
 // bind resolves a definition's stage closures for one AWS lowering.
-func bind(env *core.Env, def *flow.Definition, impl core.Impl, class flow.Class) (*flow.Stages, error) {
+func bind(env *core.Env, def *flow.Definition, class flow.Class) (*flow.Stages, error) {
 	return def.Bind(flow.Binding{
 		Env:      env,
 		Blob:     env.AWS.S3,
-		Impl:     impl,
 		Provider: providerName,
 		Class:    class,
 	})
@@ -68,7 +67,7 @@ func (monoLowerer) Caps() flow.Caps { return flow.Caps{MaxTaskSeconds: 900} }
 func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment, error) {
 	g := def.Graphs[flow.Mono]
 	flow.ApplyPreloads(env.AWS.S3, g)
-	st, err := bind(env, def, core.AWSLambda, flow.Mono)
+	st, err := bind(env, def, flow.Mono)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +106,7 @@ func (machineLowerer) Caps() flow.Caps {
 func (machineLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment, error) {
 	g := def.Graphs[flow.Machine]
 	flow.ApplyPreloads(env.AWS.S3, g)
-	st, err := bind(env, def, core.AWSStep, flow.Machine)
+	st, err := bind(env, def, flow.Machine)
 	if err != nil {
 		return nil, err
 	}

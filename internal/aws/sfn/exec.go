@@ -70,7 +70,6 @@ func (e *ExecutionError) Error() string {
 
 // Execution records one state-machine run.
 type Execution struct {
-	Machine   string
 	StartedAt sim.Time
 	EndedAt   sim.Time
 	// Transitions is the billable state-transition count.
@@ -98,7 +97,7 @@ func (s *Service) StartExecution(p *sim.Proc, name string, input any) (*Executio
 	if !ok {
 		return nil, fmt.Errorf("sfn: no such state machine %q", name)
 	}
-	exec := &Execution{Machine: name, StartedAt: p.Now(), FirstTaskDelay: -1, svc: s}
+	exec := &Execution{StartedAt: p.Now(), FirstTaskDelay: -1, svc: s}
 	caller := p.TraceCtx
 	execSpan := s.Tracer.Start(p.Now(), span.KindOrchestration, "sfn/"+name, caller)
 	p.TraceCtx = execSpan.Context()
@@ -306,7 +305,7 @@ func (s *Service) runWithRetry(p *sim.Proc, exec *Execution, st *State, effIn an
 		delay := interval * pow(rate, attempts[ri])
 		attempts[ri]++
 		exec.record(p, "RetryScheduled", st.Resource)
-		s.Chaos.NoteRetry(time.Duration(delay * float64(time.Second)))
+		s.Chaos.NoteRetry()
 		p.Sleep(time.Duration(delay * float64(time.Second)))
 	}
 }

@@ -50,7 +50,7 @@ func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment,
 	g := def.Graphs[flow.Mono]
 	flow.ApplyPreloads(env.Azure.Blob, g)
 	st, err := def.Bind(flow.Binding{
-		Env: env, Blob: env.Azure.Blob, Impl: core.AzFunc, Provider: providerName, Class: flow.Mono,
+		Env: env, Blob: env.Azure.Blob, Provider: providerName, Class: flow.Mono,
 	})
 	if err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ func (queueLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment
 	g := def.Graphs[flow.Queue]
 	flow.ApplyPreloads(env.Azure.Blob, g)
 	st, err := def.Bind(flow.Binding{
-		Env: env, Blob: env.Azure.Blob, Impl: core.AzQueue, Provider: providerName, Class: flow.Queue,
+		Env: env, Blob: env.Azure.Blob, Provider: providerName, Class: flow.Queue,
 	})
 	if err != nil {
 		return nil, err

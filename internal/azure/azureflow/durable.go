@@ -59,7 +59,7 @@ func (l *durableLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deplo
 	tgt := l.target(env)
 	flow.ApplyPreloads(tgt.Blob, g)
 	st, err := def.Bind(flow.Binding{
-		Env: env, Blob: tgt.Blob, Impl: l.impl, Provider: l.provider, Class: l.class, Variant: l.variant,
+		Env: env, Blob: tgt.Blob, Provider: l.provider, Class: l.class, Variant: l.variant,
 	})
 	if err != nil {
 		return nil, err

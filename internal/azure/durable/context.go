@@ -13,7 +13,6 @@ type histEvent struct {
 	Kind   string
 	TaskID int
 	Name   string
-	Op     string
 	Data   []byte
 	Error  string
 }
@@ -210,7 +209,7 @@ func (c *OrchestrationContext) CallEntity(entity EntityID, op string, input []by
 	c.checkPayload("entity "+entity.String()+" op "+op, len(input))
 	id, inHistory := c.nextID(evEntityCalled, entity.instanceID())
 	if !inHistory {
-		ev := histEvent{Kind: evEntityCalled, TaskID: id, Name: entity.instanceID(), Op: op, Data: input}
+		ev := histEvent{Kind: evEntityCalled, TaskID: id, Name: entity.instanceID(), Data: input}
 		c.scheduled[id] = ev
 		c.actions = append(c.actions, action{kind: actEntity, taskID: id, entity: entity, op: op, input: input})
 	}

@@ -9,6 +9,7 @@ import (
 
 	"statebench/internal/azure/functions"
 	"statebench/internal/cloud/queue"
+	"statebench/internal/obs/tseries"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -143,6 +144,8 @@ func TestReplayInflatesOrchestratorBilling(t *testing.T) {
 
 func TestFanOutFanIn(t *testing.T) {
 	k, host, hub, client := fixture()
+	tl := tseries.New(0)
+	host.SetTimeline(tl)
 	if err := hub.RegisterActivity("work", 128, func(ctx *functions.Context, in []byte) ([]byte, error) {
 		ctx.Busy(time.Second)
 		return in, nil
@@ -179,8 +182,12 @@ func TestFanOutFanIn(t *testing.T) {
 	if hd.E2E() < 2*time.Second {
 		t.Fatalf("fan-out E2E = %v; expected scale-controller induced delay", hd.E2E())
 	}
-	if host.Stats().MaxReady < 2 {
-		t.Fatalf("scale-out never happened: max ready = %d", host.Stats().MaxReady)
+	var peak int64
+	for _, i := range tl.Indices() {
+		peak = max(peak, tl.At(i).WarmPool)
+	}
+	if peak < 2 {
+		t.Fatalf("scale-out never happened: max ready = %d", peak)
 	}
 }
 

@@ -194,7 +194,7 @@ func (h *Hub) episodeHandler(name string) functions.Handler {
 			case actTimer:
 				addEvent(histEvent{Kind: evTimerCreated, TaskID: act.taskID})
 			case actEntity:
-				addEvent(histEvent{Kind: evEntityCalled, TaskID: act.taskID, Name: act.entity.instanceID(), Op: act.op, Data: act.input})
+				addEvent(histEvent{Kind: evEntityCalled, TaskID: act.taskID, Name: act.entity.instanceID(), Data: act.input})
 			case actEventWait:
 				addEvent(histEvent{Kind: evEventWaited, TaskID: act.taskID, Name: act.name})
 			case actSubOrch:
@@ -297,9 +297,7 @@ func (h *Hub) completeOrch(st *orchState, now sim.Time, settle time.Duration, na
 // after the control-queue visibility timeout, modeling redelivery of
 // its unacknowledged messages (already back in st.inbox).
 func (h *Hub) redeliverEpisode(st *orchState) {
-	delay := h.Chaos.RedeliveryDelay()
-	h.Chaos.NoteRecovery(delay)
-	h.k.After(delay, func() {
+	h.k.After(h.Chaos.RedeliveryDelay(), func() {
 		st.active = false
 		h.activateOrch(st)
 	})

@@ -21,7 +21,6 @@ type jsonRecord struct {
 	Kind   string `json:"kind"`
 	TaskID int    `json:"taskId,omitempty"`
 	Name   string `json:"name,omitempty"`
-	Op     string `json:"op,omitempty"`
 	Data   []byte `json:"data,omitempty"`
 	Error  string `json:"error,omitempty"`
 }
@@ -148,7 +147,7 @@ func TestClassicHistoryMatchesJSONCodec(t *testing.T) {
 			commit(p, "a",
 				Record{Seq: 3, Kind: evTaskCompleted, TaskID: 1, Name: "w", Data: []byte{0, 1, 2}},
 				Record{Seq: 4, Kind: evTaskFailed, TaskID: 0, Name: "w", Error: "boom <&> \"quoted\""},
-				Record{Seq: 5, Kind: evEntityCalled, TaskID: 2, Name: "@Sum@k", Op: "add", Data: []byte("1")})
+				Record{Seq: 5, Kind: evEntityCalled, TaskID: 2, Name: "@Sum@k", Data: []byte("1")})
 			// More than one 100-row batch in one commit.
 			big := make([]Record, 250)
 			for i := range big {
@@ -204,8 +203,8 @@ func TestClassicHistoryMatchesJSONCodec(t *testing.T) {
 				t.Errorf("fanout = %s, %v; want done", out, err)
 			}
 		})
-		if st := inj.Stats(); st.Crashes != 2 {
-			t.Fatalf("injected crashes = %d, want 2 (before and after persist)", st.Crashes)
+		if st := inj.Stats(); st.Injected != 2 {
+			t.Fatalf("injected crashes = %d, want 2 (before and after persist)", st.Injected)
 		}
 		if s.checks == 0 {
 			t.Fatal("no loads compared")
@@ -258,7 +257,7 @@ func TestClassicHistoryMatchesJSONCodec(t *testing.T) {
 					for i := range recs {
 						recs[i] = Record{
 							Seq: next[inst] + i, Kind: kinds[rng.Intn(len(kinds))], TaskID: rng.Intn(50),
-							Name: str(), Op: str(), Data: data(), Error: str(),
+							Name: str(), Data: data(), Error: str(),
 						}
 					}
 					next[inst] += n

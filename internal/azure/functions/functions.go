@@ -47,8 +47,6 @@ type Config struct {
 type Function struct {
 	cfg   Config
 	Meter platform.Meter
-	// Execs counts completed executions.
-	Execs int64
 }
 
 // Result is the outcome of one execution.
@@ -76,11 +74,8 @@ type workItem struct {
 
 // Stats aggregates host-level scheduling behavior.
 type Stats struct {
-	Completed   int64
-	ColdStarts  int64
+	// SchedDelays holds every execution's submit-to-dispatch delay.
 	SchedDelays []time.Duration
-	// MaxReady is the peak simultaneous ready instances.
-	MaxReady int
 }
 
 // Host is one function app (deployment unit). All functions in an app
@@ -94,8 +89,8 @@ type Host struct {
 	fns     map[string]*Function
 	pending []*workItem
 	// pool holds the worker-instance lifecycle (idle tracking,
-	// provisioning counters, reaping, cold-start stats); this package
-	// keeps the scale-controller policy that drives it.
+	// provisioning counters, reaping); this package keeps the
+	// scale-controller policy that drives it.
 	pool  platform.Pool
 	stats Stats
 
@@ -151,15 +146,8 @@ func NewHost(k *sim.Kernel, name string, params platform.AzureParams) *Host {
 // Params returns the calibration parameters.
 func (h *Host) Params() platform.AzureParams { return h.params }
 
-// Stats returns a snapshot of scheduling statistics, merging the
-// host's submission counters with the instance pool's lifecycle stats.
-func (h *Host) Stats() Stats {
-	s := h.stats
-	ps := h.pool.Stats()
-	s.ColdStarts = ps.ColdStarts
-	s.MaxReady = ps.MaxReady
-	return s
-}
+// Stats returns a snapshot of scheduling statistics.
+func (h *Host) Stats() Stats { return h.stats }
 
 // SetTimeline enables per-window telemetry gauges: dispatch-queue depth
 // on every Submit/requeue, plus the instance pool's ready-instance
@@ -324,8 +312,6 @@ func (h *Host) run(inst *platform.Container, wi *workItem) {
 		// Span end matches the billed (clamped) duration, like the meter.
 		execSpan.End(execStart + exec)
 		f.Meter.RecordAzure(exec, f.cfg.ConsumedMemMB)
-		f.Execs++
-		h.stats.Completed++
 		wi.done.Complete(Result{Output: out, Err: err, SchedDelay: sched, Cold: wi.cold, ExecTime: exec}, nil)
 
 		// Instance picks up the next item or goes idle.

@@ -5,9 +5,20 @@ import (
 	"time"
 
 	"statebench/internal/cloud/queue"
+	"statebench/internal/obs/tseries"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
+
+// peakReady is the most ready instances the host's warm-pool gauge
+// saw in any window.
+func peakReady(tl *tseries.Series) int64 {
+	var peak int64
+	for _, i := range tl.Indices() {
+		peak = max(peak, tl.At(i).WarmPool)
+	}
+	return peak
+}
 
 // fixedParams makes the host deterministic for exact assertions.
 func fixedParams() platform.AzureParams {
@@ -85,6 +96,8 @@ func TestHTTPInvokeColdThenWarm(t *testing.T) {
 func TestScaleControllerAddsInstancesGradually(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := NewHost(k, "app", fixedParams()) // step 1 per 2s, max 4
+	tl := tseries.New(0)
+	h.SetTimeline(tl)
 	h.MustRegister(Config{Name: "slow", Handler: busyFn(20 * time.Second)})
 	futs := make([]*sim.Future[Result], 4)
 	k.Spawn("client", func(p *sim.Proc) {
@@ -117,8 +130,8 @@ func TestScaleControllerAddsInstancesGradually(t *testing.T) {
 			t.Fatalf("delays not staggered by gradual scale-out: %v", delays)
 		}
 	}
-	if h.Stats().MaxReady != 4 {
-		t.Fatalf("max ready = %d, want 4", h.Stats().MaxReady)
+	if n := peakReady(tl); n != 4 {
+		t.Fatalf("max ready = %d, want 4", n)
 	}
 }
 
@@ -127,7 +140,10 @@ func TestMaxInstancesCap(t *testing.T) {
 	p := fixedParams()
 	p.MaxInstances = 2
 	h := NewHost(k, "app", p)
+	tl := tseries.New(0)
+	h.SetTimeline(tl)
 	h.MustRegister(Config{Name: "slow", Handler: busyFn(5 * time.Second)})
+	completed := 0
 	k.Spawn("client", func(pr *sim.Proc) {
 		var futs []*sim.Future[Result]
 		for i := 0; i < 6; i++ {
@@ -135,18 +151,20 @@ func TestMaxInstancesCap(t *testing.T) {
 			futs = append(futs, f)
 		}
 		for _, f := range futs {
-			if _, err := f.Await(pr); err != nil {
-				t.Errorf("await: %v", err)
+			if r, err := f.Await(pr); err != nil || r.Err != nil {
+				t.Errorf("await: %v %v", err, r.Err)
+			} else {
+				completed++
 			}
 		}
 	})
 	k.Run()
-	if h.Stats().MaxReady > 2 {
-		t.Fatalf("max ready = %d, exceeds cap 2", h.Stats().MaxReady)
+	if n := peakReady(tl); n > 2 {
+		t.Fatalf("max ready = %d, exceeds cap 2", n)
 	}
 	// 6 jobs, 2 instances, 5s each => at least 3 serial rounds.
-	if got := h.Stats().Completed; got != 6 {
-		t.Fatalf("completed = %d", got)
+	if completed != 6 {
+		t.Fatalf("completed = %d", completed)
 	}
 }
 
@@ -156,7 +174,7 @@ func TestInstanceReuseDrainsQueueWithoutNewColdStarts(t *testing.T) {
 	p.ScaleEvalInterval = time.Hour // controller effectively off
 	h := NewHost(k, "app", p)
 	h.MustRegister(Config{Name: "f", Handler: busyFn(100 * time.Millisecond)})
-	done := 0
+	done, cold := 0, 0
 	k.Spawn("client", func(pr *sim.Proc) {
 		var futs []*sim.Future[Result]
 		for i := 0; i < 5; i++ {
@@ -168,14 +186,17 @@ func TestInstanceReuseDrainsQueueWithoutNewColdStarts(t *testing.T) {
 			if r.Err == nil {
 				done++
 			}
+			if r.Cold {
+				cold++
+			}
 		}
 	})
 	k.RunUntil(time.Hour / 2)
 	if done != 5 {
 		t.Fatalf("done = %d, want 5 (single instance should drain the queue)", done)
 	}
-	if h.Stats().ColdStarts != 1 {
-		t.Fatalf("cold starts = %d, want 1", h.Stats().ColdStarts)
+	if cold != 1 {
+		t.Fatalf("cold starts = %d, want 1", cold)
 	}
 }
 
@@ -209,8 +230,8 @@ func TestAzureBillingOnConsumedMemory(t *testing.T) {
 	if d := f.Meter.BilledGBs - want; d > 1e-9 || d < -1e-9 {
 		t.Fatalf("BilledGBs = %v, want %v", f.Meter.BilledGBs, want)
 	}
-	if f.Execs != 1 {
-		t.Fatalf("execs = %d", f.Execs)
+	if f.Meter.Invocations != 1 {
+		t.Fatalf("execs = %d", f.Meter.Invocations)
 	}
 }
 

@@ -79,8 +79,8 @@ func TestCrashBeforeCommitAbortsAndReplays(t *testing.T) {
 		t.Fatalf("status = %s", hd.Status())
 	}
 	st := e.inj.Stats()
-	if st.Crashes != 1 {
-		t.Fatalf("crashes = %d, want 1", st.Crashes)
+	if st.Injected != 1 {
+		t.Fatalf("crashes = %d, want 1", st.Injected)
 	}
 	if e.store.LostRecords() == 0 {
 		t.Fatal("no speculative records were lost; the crash window missed the commit path")
@@ -127,8 +127,8 @@ func TestCrashAfterCommitRehydratesWithoutRedelivery(t *testing.T) {
 		t.Fatalf("status = %s", hd.Status())
 	}
 	st := e.inj.Stats()
-	if st.Crashes != 1 {
-		t.Fatalf("crashes = %d, want 1", st.Crashes)
+	if st.Injected != 1 {
+		t.Fatalf("crashes = %d, want 1", st.Injected)
 	}
 	if e.store.LostRecords() != 0 || st.WastedWork != 0 {
 		t.Fatalf("lost = %d, wasted = %d: a post-commit crash must lose nothing", e.store.LostRecords(), st.WastedWork)
@@ -136,19 +136,15 @@ func TestCrashAfterCommitRehydratesWithoutRedelivery(t *testing.T) {
 	if string(hist) != string(faultFreeHist) {
 		t.Fatalf("history after post-commit crash diverged from fault-free run:\n  chaos:      %s\n  fault-free: %s", hist, faultFreeHist)
 	}
-	if st.RecoveryDelay != 2*time.Second {
-		t.Fatalf("RecoveryDelay = %v, want 2s: one partition rehydration, no redeliveries", st.RecoveryDelay)
-	}
-	if hd.E2E() <= ffHd.E2E() {
-		t.Fatalf("E2E with rehydration (%v) <= fault-free (%v); the crash must cost client-visible latency", hd.E2E(), ffHd.E2E())
+	if hd.E2E() < ffHd.E2E()+2*time.Second {
+		t.Fatalf("E2E with rehydration (%v) < fault-free (%v) + 2s; the partition's rehydration must cost client-visible latency", hd.E2E(), ffHd.E2E())
 	}
 }
 
 // TestTransportDuplicatesDroppedBySeqDedup proves the partition
 // sequence-number dedup replaces the classic queues' MaxDequeueCount
 // machinery: every injected ghost is dropped on arrival, nothing is
-// dead-lettered, no recovery delay is booked, and the result is
-// exactly-once.
+// dead-lettered, and the result is exactly-once.
 func TestTransportDuplicatesDroppedBySeqDedup(t *testing.T) {
 	e := netheriteEnv(1, &chaos.Plan{
 		RedeliveryDelay: time.Second,
@@ -165,17 +161,14 @@ func TestTransportDuplicatesDroppedBySeqDedup(t *testing.T) {
 		t.Fatalf("status = %s", hd.Status())
 	}
 	st := e.inj.Stats()
-	if st.Duplicates == 0 {
+	if st.Injected == 0 {
 		t.Fatal("no duplicates injected; the test exercised nothing")
 	}
-	if e.store.DroppedDuplicates() != st.Duplicates {
-		t.Fatalf("dropped %d ghosts but injected %d: every duplicate must die in the dedup table", e.store.DroppedDuplicates(), st.Duplicates)
+	if e.store.DroppedDuplicates() != st.Injected {
+		t.Fatalf("dropped %d ghosts but injected %d: every duplicate must die in the dedup table", e.store.DroppedDuplicates(), st.Injected)
 	}
 	if st.DeadLetters != 0 {
 		t.Fatalf("dead letters = %d, want 0: Netherite has no poison-message machinery to trip", st.DeadLetters)
-	}
-	if st.RecoveryDelay != 0 {
-		t.Fatalf("RecoveryDelay = %v, want 0: dropped ghosts delay nobody", st.RecoveryDelay)
 	}
 }
 

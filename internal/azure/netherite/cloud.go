@@ -33,26 +33,21 @@ const (
 // price book — only the Store behind the hub differs, which is what
 // makes classic-vs-Netherite a controlled comparison.
 type Cloud struct {
-	Params platform.AzureParams
 	Host   *functions.Host
 	Hub    *durable.Hub
 	Client *durable.Client
 	Blob   *blob.Store
-	Store  *Store
 }
 
 // New builds a Cloud whose task hub runs on a Netherite store.
 func New(k *sim.Kernel, params platform.AzureParams) *Cloud {
 	host := functions.NewHost(k, "netherite-app", params)
-	store := NewStore(k, "netherite-hub")
-	hub := durable.NewHubWithStore(k, host, "netherite-hub", store)
+	hub := durable.NewHubWithStore(k, host, "netherite-hub", NewStore(k, "netherite-hub"))
 	return &Cloud{
-		Params: params,
 		Host:   host,
 		Hub:    hub,
 		Client: durable.NewClient(hub),
 		Blob:   blob.New(k, "netherite-blob", blob.DefaultParams()),
-		Store:  store,
 	}
 }
 

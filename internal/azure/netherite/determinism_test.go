@@ -53,8 +53,7 @@ func runTranscript(t *testing.T, seed uint64, plan *chaos.Plan) string {
 	fmt.Fprintf(&b, "log total=%d\n", e.store.AppendedRecords())
 	if e.inj != nil {
 		st := e.inj.Stats()
-		fmt.Fprintf(&b, "chaos injected=%d crashes=%d dups=%d wasted=%d recovery=%v\n",
-			st.Injected, st.Crashes, st.Duplicates, st.WastedWork, st.RecoveryDelay)
+		fmt.Fprintf(&b, "chaos injected=%d wasted=%d\n", st.Injected, st.WastedWork)
 	}
 	return b.String()
 }

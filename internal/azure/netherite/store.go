@@ -198,9 +198,7 @@ func (s *Store) CommitEpisode(p *sim.Proc, instance, orchestrator string, tctx s
 				// The store is down until it rehydrates from the
 				// committed log; the episode's worker stalls with it, so
 				// the delay propagates to every downstream dispatch.
-				rehydrate := s.chaos.RedeliveryDelay()
-				s.chaos.NoteRecovery(rehydrate)
-				p.Sleep(rehydrate)
+				p.Sleep(s.chaos.RedeliveryDelay())
 				_, settle := s.commitWindow(p.Now())
 				return durable.CommitOK, settle
 			}

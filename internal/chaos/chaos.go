@@ -151,10 +151,8 @@ type Fault struct {
 type Stats struct {
 	// Injected is the total number of faults injected (all kinds).
 	Injected int64
-	// Per-kind injection counts. CrashAfterPersist counts into Crashes.
-	Crashes      int64
+	// Redeliveries counts injected Redeliver faults.
 	Redeliveries int64
-	Duplicates   int64
 	// DeadLetters counts poison messages moved to a dead-letter queue.
 	DeadLetters int64
 	// Retries counts platform-level retries observed in response to
@@ -162,9 +160,6 @@ type Stats struct {
 	Retries int64
 	// Redispatches counts work items re-queued after a host crash.
 	Redispatches int64
-	// RecoveryDelay is total added virtual time spent waiting on
-	// recovery: retry backoff, visibility timeouts, redelivery delays.
-	RecoveryDelay time.Duration
 	// WastedWork counts speculative history records discarded because a
 	// crash lost their uncommitted batch (Netherite-style speculation:
 	// the episode's work was real, billed, and thrown away).
@@ -322,13 +317,8 @@ func (in *Injector) Next(ctx sim.TraceContext, component, name string) (Fault, b
 // and the metrics counter.
 func (in *Injector) record(ctx sim.TraceContext, component, name string, k Kind) {
 	in.stats.Injected++
-	switch k {
-	case Crash, CrashAfterPersist:
-		in.stats.Crashes++
-	case Redeliver:
+	if k == Redeliver {
 		in.stats.Redeliveries++
-	case Duplicate:
-		in.stats.Duplicates++
 	}
 	now := in.k.Now()
 	in.Timeline.AddFault(now)
@@ -340,14 +330,12 @@ func (in *Injector) record(ctx sim.TraceContext, component, name string, k Kind)
 		metrics.L("component", component), metrics.L("kind", string(k)))
 }
 
-// NoteRetry books one platform retry triggered downstream of a fault,
-// plus the backoff delay it added.
-func (in *Injector) NoteRetry(backoff time.Duration) {
+// NoteRetry books one platform retry triggered downstream of a fault.
+func (in *Injector) NoteRetry() {
 	if in == nil {
 		return
 	}
 	in.stats.Retries++
-	in.stats.RecoveryDelay += backoff
 	in.Metrics.Inc("statebench_chaos_retries_total", 1)
 }
 
@@ -381,15 +369,6 @@ func (in *Injector) NoteWastedWork(n int) {
 	}
 	in.stats.WastedWork += int64(n)
 	in.Metrics.Inc("statebench_chaos_wasted_speculation_total", float64(n))
-}
-
-// NoteRecovery books added virtual time spent waiting on recovery
-// (visibility timeout, redelivery delay).
-func (in *Injector) NoteRecovery(d time.Duration) {
-	if in == nil {
-		return
-	}
-	in.stats.RecoveryDelay += d
 }
 
 // Stats returns the accumulated injector statistics.

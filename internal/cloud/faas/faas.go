@@ -59,8 +59,6 @@ type Invocation struct {
 	Output         []byte
 	Cold           bool
 	ColdStartDelay time.Duration
-	// QueueDelay is time spent waiting for burst-concurrency capacity.
-	QueueDelay time.Duration
 	// ExecTime is handler wall time (billed after rounding).
 	ExecTime time.Duration
 	// Total is RTT + start + queue + exec.
@@ -229,12 +227,11 @@ func (s *Service) Invoke(p *sim.Proc, name string, payload []byte) (*Invocation,
 	// Burst-concurrency admission.
 	qStart := p.Now()
 	f.slots.Acquire(p)
-	queueDelay := p.Now() - qStart
-	if queueDelay > 0 {
+	if p.Now() > qStart {
 		s.Tracer.Emit(span.KindQueue, s.name+"/admission/"+name, qStart, p.Now(), invCtx)
 	}
 
-	inv := &Invocation{QueueDelay: queueDelay}
+	inv := &Invocation{}
 
 	// Container acquisition: reuse a warm container or cold start.
 	if _, ok := f.pool.TakeWarm(p.Now()); ok {
@@ -246,7 +243,6 @@ func (s *Service) Invoke(p *sim.Proc, name string, payload []byte) (*Invocation,
 			delay += time.Duration(f.cfg.CodeSizeMB * 1e6 / s.params.CodeFetchBW * float64(time.Second))
 		}
 		inv.ColdStartDelay = delay
-		f.pool.RecordCold(delay)
 		coldStart := p.Now()
 		p.Sleep(delay)
 		s.Tracer.Emit(span.KindCold, s.name+"/cold/"+name, coldStart, p.Now(), invCtx)

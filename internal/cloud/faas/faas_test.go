@@ -187,25 +187,27 @@ func TestPayloadLimit(t *testing.T) {
 func TestBurstConcurrencyQueues(t *testing.T) {
 	forEach(t, func(t *testing.T, c calibration) {
 		k, s := c.service() // burst = 2
+		tr := span.New()
+		s.Tracer = tr
 		slow := func(ctx *faas.Context, payload []byte) ([]byte, error) {
 			ctx.Busy(time.Second)
 			return nil, nil
 		}
 		s.MustRegister(faas.Config{Name: "slow", MemoryMB: c.mem, Handler: slow})
-		queued := 0
 		for i := 0; i < 4; i++ {
 			k.Spawn("client", func(p *sim.Proc) {
-				inv, err := s.Invoke(p, "slow", nil)
-				if err != nil {
+				if _, err := s.Invoke(p, "slow", nil); err != nil {
 					t.Errorf("invoke: %v", err)
-					return
-				}
-				if inv.QueueDelay > 0 {
-					queued++
 				}
 			})
 		}
 		k.Run()
+		queued := 0
+		for _, sp := range tr.Spans() {
+			if sp.Kind == span.KindQueue && sp.Name == c.comp+"/admission/slow" {
+				queued++
+			}
+		}
 		if queued != 2 {
 			t.Fatalf("queued invokes = %d, want 2 (burst limit 2 of 4)", queued)
 		}

@@ -253,7 +253,7 @@ func TestDuplicateDeliveryGhost(t *testing.T) {
 	if st := q.Stats(); st.Dequeues != 2 {
 		t.Fatalf("dequeues = %d, want 2 (original + ghost)", st.Dequeues)
 	}
-	if inj.Stats().Duplicates != 1 {
-		t.Fatalf("injector duplicates = %d, want 1", inj.Stats().Duplicates)
+	if n := inj.Stats().Injected; n != 1 {
+		t.Fatalf("injector duplicates = %d, want 1", n)
 	}
 }

@@ -227,13 +227,6 @@ func (q *Queue) settleInvisible(m *Message, delivered bool) {
 	if vt <= 0 {
 		vt = 30 * time.Second
 	}
-	if !delivered {
-		// Only a failed attempt makes the consumer wait out the
-		// visibility timeout. A delivered duplicate's ghost copy is
-		// surplus traffic, not recovery time — booking it would inflate
-		// RecoveryDelay by 30s per duplicate that delayed nothing.
-		q.Chaos.NoteRecovery(vt)
-	}
 	q.k.After(vt, func() {
 		q.msgs = append(q.msgs, m)
 	})

@@ -34,7 +34,6 @@ type Env struct {
 	// Backend on first use.
 	AWS   *aws.Cloud
 	Azure *azure.Cloud
-	Seed  uint64
 
 	AWSPrices   pricing.AWSPrices
 	AzurePrices pricing.AzurePrices
@@ -87,7 +86,6 @@ func newEnv(k *sim.Kernel, ap platform.AWSParams, zp platform.AzureParams) *Env 
 		K:           k,
 		AWS:         aws.New(k, ap),
 		Azure:       azure.New(k, zp),
-		Seed:        k.Seed(),
 		AWSPrices:   pricing.DefaultAWS(),
 		AzurePrices: pricing.DefaultAzure(),
 		Scratch:     make(map[string]any),

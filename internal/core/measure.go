@@ -19,10 +19,7 @@ import (
 // Series is the measured result of running one workflow style many
 // times — the unit from which every figure in the paper is built.
 type Series struct {
-	Workflow string
-	Impl     Impl
-	Iters    int
-	Errors   int
+	Errors int
 
 	// E2E and Cold hold per-run latency and cold-start samples.
 	E2E  obs.Samples
@@ -49,8 +46,6 @@ type Series struct {
 	// Trace is the campaign's tracer (Chrome-trace export material).
 	// Populated only when MeasureOptions.Tracing is set.
 	Trace *span.Tracer
-	// RunTraceIDs maps measured iteration -> its root trace ID in Trace.
-	RunTraceIDs []uint64
 
 	// SuccessRate is the fraction of measured iterations whose workflow
 	// run reported no error (1.0 on a fault-free campaign).
@@ -188,7 +183,7 @@ func Measure(wf Workflow, impl Impl, opt MeasureOptions) (*Series, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: deploy %s/%s: %w", wf.Name(), impl, err)
 	}
-	s := &Series{Workflow: wf.Name(), Impl: impl, Iters: opt.Iters}
+	s := &Series{}
 	if opt.KeepEnv {
 		s.Env = env
 	}
@@ -247,9 +242,7 @@ func Measure(wf Workflow, impl Impl, opt MeasureOptions) (*Series, error) {
 			}
 			s.Breakdowns.Add(stats.Breakdown())
 			if opt.Tracing {
-				id := runSpan.Context().TraceID
-				s.RunTraceIDs = append(s.RunTraceIDs, id)
-				s.SpanBreakdowns.Add(span.BreakdownOf(tr.Since(mark), id))
+				s.SpanBreakdowns.Add(span.BreakdownOf(tr.Since(mark), runSpan.Context().TraceID))
 			}
 
 			bill = bill.Add(book.Bill(delta))

@@ -22,11 +22,22 @@ func tracedMeasure(t *testing.T, wf core.Workflow, impl core.Impl, opt core.Meas
 	if err != nil {
 		t.Fatalf("measure %s/%s: %v", wf.Name(), impl, err)
 	}
-	if s.Trace == nil || len(s.RunTraceIDs) != opt.Iters || s.SpanBreakdowns.Len() != opt.Iters {
-		t.Fatalf("tracing plumbing incomplete: trace=%v ids=%d breakdowns=%d",
-			s.Trace != nil, len(s.RunTraceIDs), s.SpanBreakdowns.Len())
+	if s.Trace == nil || len(runSpans(s.Trace)) != opt.Iters || s.SpanBreakdowns.Len() != opt.Iters {
+		t.Fatalf("tracing plumbing incomplete: trace=%v runs=%d breakdowns=%d",
+			s.Trace != nil, len(runSpans(s.Trace)), s.SpanBreakdowns.Len())
 	}
 	return s
+}
+
+// runSpans returns the tracer's run spans, one per measured iteration.
+func runSpans(tr *span.Tracer) []span.Span {
+	var runs []span.Span
+	for _, sp := range tr.Spans() {
+		if sp.Kind == span.KindRun {
+			runs = append(runs, sp)
+		}
+	}
+	return runs
 }
 
 // within asserts |got-want| <= frac*want.
@@ -170,21 +181,14 @@ func TestRunSpansCoverE2E(t *testing.T) {
 	opt := core.DefaultMeasureOptions()
 	opt.Iters = 2
 	s := tracedMeasure(t, wf, core.AWSStep, opt)
-	var runSpans []span.Span
-	for _, sp := range s.Trace.Spans() {
-		if sp.Kind == span.KindRun {
-			runSpans = append(runSpans, sp)
-		}
-	}
-	if len(runSpans) != opt.Iters {
-		t.Fatalf("run spans = %d, want %d", len(runSpans), opt.Iters)
-	}
 	var e2e obs.Samples
 	e2e = s.E2E
-	for i, rs := range runSpans {
-		if rs.TraceID != s.RunTraceIDs[i] {
-			t.Fatalf("run span %d trace %d != recorded %d", i, rs.TraceID, s.RunTraceIDs[i])
+	traces := map[uint64]bool{}
+	for i, rs := range runSpans(s.Trace) {
+		if rs.Parent != 0 || traces[rs.TraceID] {
+			t.Fatalf("run span %d (trace %d, parent %d) does not root a trace of its own", i, rs.TraceID, rs.Parent)
 		}
+		traces[rs.TraceID] = true
 		// Root span brackets the Invoke; E2E is measured inside it.
 		if rs.Duration() < e2e.Quantile(0) {
 			t.Fatalf("run span %d (%v) shorter than min E2E %v", i, rs.Duration(), e2e.Quantile(0))

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"statebench/internal/core"
@@ -24,10 +25,11 @@ import (
 // means. All latency aggregates are streaming histograms; the report
 // is byte-identical at any Workers setting.
 
-// trafficProcesses builds the arrival-process grid for a mean rate.
-// The burst/dwell and diurnal shapes are fixed so reports are
-// comparable across providers and scales.
-func trafficProcesses(rate float64, window time.Duration) []traffic.ArrivalProcess {
+// TrafficProcesses builds the arrival-process grid for a mean rate:
+// Poisson, bursty (MMPP2) and diurnal, in that order. The burst/dwell
+// and diurnal shapes are fixed so reports are comparable across
+// providers and scales.
+func TrafficProcesses(rate float64, window time.Duration) []traffic.ArrivalProcess {
 	return []traffic.ArrivalProcess{
 		traffic.Poisson{Rate: rate},
 		// Dwell-weighted mean = (rate/2·20s + 3·rate·5s)/25s = rate.
@@ -38,6 +40,48 @@ func trafficProcesses(rate float64, window time.Duration) []traffic.ArrivalProce
 		// One full "day" per window keeps the realized mean at rate.
 		traffic.Diurnal{Base: rate, Amp: 0.6, Period: window},
 	}
+}
+
+// TrafficHeader and TrafficRow lay out one open-loop campaign per row.
+// The traffic subcommand's report (cli) adds the run's kernel event
+// count after arrivals and rounds the total cost to cents, the unit of
+// its million-tenant runs.
+func TrafficHeader(cli bool) []string {
+	h := []string{
+		"provider", "serving", "process", "arrivals", "cold",
+		"p50", "p99", "p99.9", "sched p99", "peak backlog",
+		"tenant cost p99", "total cost",
+	}
+	if cli {
+		h = slices.Insert(h, 4, "events")
+	}
+	return h
+}
+
+// TrafficRow formats one campaign's result under TrafficHeader(cli).
+func TrafficRow(provider string, res *traffic.Result, cli bool) []string {
+	total := fmtUSD(res.TotalBill.Total())
+	if cli {
+		total = fmt.Sprintf("$%.2f", res.TotalBill.Total())
+	}
+	row := []string{
+		provider,
+		res.Style.String(),
+		res.Process,
+		fmt.Sprintf("%d", res.Arrivals),
+		fmtPct(res.ColdRate()),
+		fmtDur(res.E2E.Median()),
+		fmtDur(res.E2E.P99()),
+		fmtDur(res.E2E.P999()),
+		fmtDur(res.QueueWait.P999()),
+		fmt.Sprintf("%d", res.PeakBacklog),
+		fmtUSD(float64(res.TenantCost.P99()) / 1e9),
+		total,
+	}
+	if cli {
+		row = slices.Insert(row, 4, fmt.Sprintf("%d", res.Events))
+	}
+	return row
 }
 
 // TrafficSweep runs the arrival-process grid against every provider
@@ -60,7 +104,7 @@ func TrafficSweep(o Options) (*Report, error) {
 		if spec.Traffic == nil {
 			continue
 		}
-		for _, proc := range trafficProcesses(rate, window) {
+		for _, proc := range TrafficProcesses(rate, window) {
 			campaigns = append(campaigns, campaign{
 				provider: spec.Name,
 				cfg: traffic.Config{
@@ -83,33 +127,15 @@ func TrafficSweep(o Options) (*Report, error) {
 		Title: fmt.Sprintf("Open-loop traffic, %d tenants × %.0f req/s over %v (%d providers with profiles)",
 			tenants, rate, window, len(campaigns)/3),
 	}
-	r.Table.Header = []string{
-		"provider", "serving", "process", "arrivals", "cold",
-		"p50", "p99", "p99.9", "sched p99", "peak backlog",
-		"tenant cost p99", "total cost",
-	}
+	r.Table.Header = TrafficHeader(false)
 	rows, err := parallel.Map(o.Workers, len(campaigns), func(i int) ([]string, error) {
 		c := campaigns[i]
 		res := traffic.Run(c.cfg)
-		res.Cloud = c.provider
 		if res.Completions != res.Arrivals {
 			return nil, fmt.Errorf("traffic: %s/%s leaked %d invocations",
 				c.provider, res.Process, res.Arrivals-res.Completions)
 		}
-		return []string{
-			c.provider,
-			res.Style.String(),
-			res.Process,
-			fmt.Sprintf("%d", res.Arrivals),
-			fmtPct(res.ColdRate()),
-			fmtDur(res.E2E.Median()),
-			fmtDur(res.E2E.P99()),
-			fmtDur(res.E2E.P999()),
-			fmtDur(res.QueueWait.P999()),
-			fmt.Sprintf("%d", res.PeakBacklog),
-			fmtUSD(float64(res.TenantCost.P99()) / 1e9),
-			fmtUSD(res.TotalBill.Total()),
-		}, nil
+		return TrafficRow(c.provider, res, false), nil
 	})
 	if err != nil {
 		return nil, err

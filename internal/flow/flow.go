@@ -352,8 +352,6 @@ type Binding struct {
 	// Blob is the lowering provider's object store (S3, Azure Blob,
 	// GCS, or the Netherite hub's store).
 	Blob *blob.Store
-	// Impl is the style being lowered.
-	Impl core.Impl
 	// Provider is the registered provider's display name ("AWS",
 	// "Azure", "GCP", "Netherite").
 	Provider string

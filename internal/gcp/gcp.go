@@ -35,7 +35,6 @@ const (
 
 // Cloud is one simulated GCP project/region.
 type Cloud struct {
-	Params    platform.GCPParams
 	Functions *faas.Service
 	Workflows *Workflows
 	GCS       *blob.Store
@@ -45,7 +44,6 @@ type Cloud struct {
 func New(k *sim.Kernel, params platform.GCPParams) *Cloud {
 	fsvc := faas.New(k, "gcf", "gcp/functions", faas.MemoryTiers(params.MemoryTiersMB), params.FaaSParams)
 	return &Cloud{
-		Params:    params,
 		Functions: fsvc,
 		Workflows: NewWorkflows(k, params, fsvc),
 		GCS:       blob.New(k, "gcs", blob.DefaultParams()),

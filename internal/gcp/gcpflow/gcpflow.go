@@ -65,7 +65,7 @@ func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment,
 	g := def.Graphs[flow.Mono]
 	flow.ApplyPreloads(gc.GCS, g)
 	st, err := def.Bind(flow.Binding{
-		Env: env, Blob: gc.GCS, Impl: gcp.Func, Provider: providerName, Class: flow.Mono,
+		Env: env, Blob: gc.GCS, Provider: providerName, Class: flow.Mono,
 	})
 	if err != nil {
 		return nil, err
@@ -104,7 +104,7 @@ func (wflowLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment
 	g := def.Graphs[flow.Machine]
 	flow.ApplyPreloads(gc.GCS, g)
 	st, err := def.Bind(flow.Binding{
-		Env: env, Blob: gc.GCS, Impl: gcp.Wflow, Provider: providerName, Class: flow.Machine,
+		Env: env, Blob: gc.GCS, Provider: providerName, Class: flow.Machine,
 	})
 	if err != nil {
 		return nil, err

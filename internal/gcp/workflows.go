@@ -58,7 +58,6 @@ func (s *Workflows) Create(name string, def Definition) error {
 
 // Execution records one workflow run.
 type Execution struct {
-	Workflow  string
 	StartedAt sim.Time
 	EndedAt   sim.Time
 	// Steps is the billable executed-step count of this run.
@@ -94,7 +93,7 @@ func (s *Workflows) Execute(p *sim.Proc, name string, input map[string]any) (*Ex
 	if !ok {
 		return nil, fmt.Errorf("gwf: no such workflow %q", name)
 	}
-	exec := &Execution{Workflow: name, StartedAt: p.Now(), FirstCallDelay: -1}
+	exec := &Execution{StartedAt: p.Now(), FirstCallDelay: -1}
 	caller := p.TraceCtx
 	execSpan := s.Tracer.Start(p.Now(), span.KindOrchestration, "gwf/"+name, caller)
 	p.TraceCtx = execSpan.Context()
@@ -147,7 +146,7 @@ func (c *Ctx) Call(fn string, payload []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			c.svc.Chaos.NoteRetry(backoff)
+			c.svc.Chaos.NoteRetry()
 			c.p.Sleep(backoff)
 			backoff *= 2
 		}

@@ -40,19 +40,17 @@ func Split(X [][]float64, y []float64, testFrac float64, seed uint64) (trainX []
 // "ModelSelection" entity: it keeps the lowest-error model reported so
 // far.
 type BestFit struct {
-	Name  string
-	MSE   float64
-	Model []byte // serialized winning model
-	set   bool
+	Name string
+	MSE  float64
+	set  bool
 }
 
 // Report offers a candidate; it is kept only if it beats the current
 // best. Returns true if it became the new best.
-func (b *BestFit) Report(name string, mse float64, model []byte) bool {
+func (b *BestFit) Report(name string, mse float64) bool {
 	if !b.set || mse < b.MSE {
 		b.Name = name
 		b.MSE = mse
-		b.Model = model
 		b.set = true
 		return true
 	}

@@ -53,16 +53,16 @@ func TestSplitDeterministic(t *testing.T) {
 
 func TestBestFitKeepsMinimum(t *testing.T) {
 	var b BestFit
-	if !b.Report("a", 10, []byte("ma")) {
+	if !b.Report("a", 10) {
 		t.Fatal("first report rejected")
 	}
-	if b.Report("b", 20, []byte("mb")) {
+	if b.Report("b", 20) {
 		t.Fatal("worse report accepted")
 	}
-	if !b.Report("c", 5, []byte("mc")) {
+	if !b.Report("c", 5) {
 		t.Fatal("better report rejected")
 	}
-	if b.Name != "c" || b.MSE != 5 || string(b.Model) != "mc" {
+	if b.Name != "c" || b.MSE != 5 {
 		t.Fatalf("best = %+v", b)
 	}
 }

@@ -388,7 +388,7 @@ func TestMemoSharesSeries(t *testing.T) {
 	calls := 0
 	measure := func() (*core.Series, error) {
 		calls++
-		return &core.Series{Workflow: "x"}, nil
+		return &core.Series{}, nil
 	}
 	a, err := m.Series("sig", measure)
 	if err != nil {

@@ -11,16 +11,16 @@ import (
 // Pool is the shared container-lifecycle substrate both compute
 // services are built on. It owns the bookkeeping every FaaS runtime
 // needs — warm-container reuse with keep-alive expiry, instance
-// provisioning counters, idle tracking, reaping, and cold-start
-// statistics — while the *policy* (when to start containers, how fast
-// to scale, which RNG stream to sample cold-start delays from) stays
-// with the service that owns the pool:
+// provisioning counters, idle tracking and reaping — while the
+// *policy* (when to start containers, how fast to scale, which RNG
+// stream to sample cold-start delays from) stays with the service that
+// owns the pool, and so do the cold-start measurements:
 //
 //   - The per-request function service (internal/cloud/faas, behind
 //     AWS Lambda and GCP Cloud Functions): every invocation either
-//     takes a warm entry (TakeWarm) or pays a cold start (RecordCold),
-//     then returns the container with a fresh keep-alive lease
-//     (Release).
+//     takes a warm entry (TakeWarm) or pays a cold start the service
+//     samples and reports itself, then returns the container with a
+//     fresh keep-alive lease (Release).
 //   - The Azure Functions host provisions long-lived worker instances
 //     through a rate-limited scale controller: BeginStart/FinishStart
 //     track the provisioning pipeline, PopIdle/PushIdle pair work with
@@ -56,34 +56,15 @@ type Pool struct {
 	idle     []*Container
 	ready    int
 	starting int
-	nextID   int
-	stats    PoolStats
 }
 
 // Container is one provisioned worker instance in the instance-pool
 // style. Providers hold the pointer across an execution and either
 // push it back idle or retire it.
 type Container struct {
-	ID        int
 	IdleSince sim.Time
 	Stopped   bool
 }
-
-// PoolStats aggregates container-lifecycle outcomes.
-type PoolStats struct {
-	// ColdStarts counts cold container acquisitions (per-request style)
-	// or instance starts (instance-pool style).
-	ColdStarts int64
-	// ColdDelays holds each cold start's delay, when the provider
-	// reports one (per-request style; feeds Fig 10/13).
-	ColdDelays []time.Duration
-	// MaxReady is the peak simultaneous ready instances
-	// (instance-pool style).
-	MaxReady int
-}
-
-// Stats returns a snapshot of the pool's lifecycle statistics.
-func (p *Pool) Stats() PoolStats { return p.stats }
 
 // --- Per-request (warm-entry) style -------------------------------
 
@@ -146,13 +127,6 @@ func (p *Pool) Release(now sim.Time) {
 	}
 }
 
-// RecordCold books one cold start of the given delay (per-request
-// style: the provider samples the delay from its own stream).
-func (p *Pool) RecordCold(delay time.Duration) {
-	p.stats.ColdStarts++
-	p.stats.ColdDelays = append(p.stats.ColdDelays, delay)
-}
-
 // --- Instance-pool style ------------------------------------------
 
 // Starting returns the number of instances still provisioning.
@@ -166,23 +140,16 @@ func (p *Pool) Provisioning() int { return p.ready + p.starting }
 func (p *Pool) IdleCount() int { return len(p.idle) }
 
 // BeginStart books the launch of a new instance: it enters the
-// provisioning pipeline and counts as a cold start.
-func (p *Pool) BeginStart() {
-	p.starting++
-	p.stats.ColdStarts++
-}
+// provisioning pipeline.
+func (p *Pool) BeginStart() { p.starting++ }
 
 // FinishStart completes one instance launch begun with BeginStart and
 // returns the fresh instance, idle as of now.
 func (p *Pool) FinishStart(now sim.Time) *Container {
 	p.starting--
 	p.ready++
-	if p.ready > p.stats.MaxReady {
-		p.stats.MaxReady = p.ready
-	}
 	p.Timeline.ObserveWarmPool(now, int64(p.ready))
-	p.nextID++
-	return &Container{ID: p.nextID, IdleSince: now}
+	return &Container{IdleSince: now}
 }
 
 // PopIdle takes the longest-idle instance, if any.

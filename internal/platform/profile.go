@@ -53,12 +53,10 @@ type TrafficProfile struct {
 	// paid (warm-entry reuse, or dispatch onto a ready instance).
 	WarmStart sim.Dist
 
-	// KeepAlive is the warm-container lease (per-request style).
+	// KeepAlive is the warm-container lease (per-request style). The
+	// per-request model has no concurrency cap: every arrival that
+	// finds no warm container provisions its own.
 	KeepAlive time.Duration
-
-	// BurstConcurrency caps a tenant's simultaneous containers
-	// (per-request style; 0 = unlimited).
-	BurstConcurrency int
 
 	// Instance-pool style: the scale controller's rate limit and
 	// capacity model, per tenant (one function app per tenant).
@@ -78,14 +76,13 @@ type TrafficProfile struct {
 // function service uses.
 func (p FaaSParams) Traffic() TrafficProfile {
 	return TrafficProfile{
-		Style:            ServePerRequest,
-		InvokeRTT:        p.InvokeRTT,
-		ColdStart:        p.ColdStartBase,
-		CodeFetchBW:      p.CodeFetchBW,
-		WarmStart:        p.WarmStart,
-		KeepAlive:        p.KeepAlive,
-		BurstConcurrency: p.BurstConcurrency,
-		MemoryMB:         1024,
+		Style:       ServePerRequest,
+		InvokeRTT:   p.InvokeRTT,
+		ColdStart:   p.ColdStartBase,
+		CodeFetchBW: p.CodeFetchBW,
+		WarmStart:   p.WarmStart,
+		KeepAlive:   p.KeepAlive,
+		MemoryMB:    1024,
 	}
 }
 

@@ -215,9 +215,6 @@ func NewKernel(seed uint64) *Kernel {
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Seed returns the master seed the kernel was created with.
-func (k *Kernel) Seed() uint64 { return k.seed }
-
 // push queues an event: in the immediate lane if it is due at the
 // current instant, otherwise in the heap.
 func (k *Kernel) push(e event) {

@@ -63,14 +63,12 @@ type Config struct {
 // are streaming histograms (constant memory at any arrival count) and
 // are byte-identical for every worker layout.
 type Result struct {
-	Cloud   string
 	Style   platform.ServeStyle
 	Process string
 
 	Arrivals    uint64
 	Completions uint64
 	Events      uint64 // kernel events executed
-	SimEnd      sim.Time
 
 	// E2E is arrival-to-completion latency (including invoke RTT).
 	E2E obs.Hist
@@ -84,18 +82,15 @@ type Result struct {
 	QueueWait obs.Hist
 
 	// PeakBacklog is the scale controller's worst queue depth across
-	// the run; MeanBacklog averages the depth seen at controller
-	// evaluations. Both are zero for per-request providers.
+	// the run (zero for per-request providers).
 	PeakBacklog  int
-	MeanBacklog  float64
 	PeakInFlight int
 
 	// TotalBill is the summed bill across tenants; TenantCost is the
 	// per-tenant cost distribution in nano-USD (1e9 units = $1),
 	// recorded only for tenants that sent traffic.
-	TotalBill     pricing.Bill
-	TenantCost    obs.Hist
-	BilledTenants int
+	TotalBill  pricing.Bill
+	TenantCost obs.Hist
 }
 
 // EventsPerSecond is unavailable from the Result itself (virtual runs
@@ -179,9 +174,7 @@ type engine struct {
 	recs sim.Arena[rec]
 	tevs sim.Arena[tev]
 
-	inFlight     int
-	backlogEvals uint64
-	backlogSum   uint64
+	inFlight int
 
 	coldFetch sim.Time // per-request code-fetch addend
 
@@ -263,11 +256,8 @@ func Run(cfg Config) *Result {
 		k.At(first, arrive)
 	}
 
-	e.res.SimEnd = k.Run()
+	k.Run()
 	e.res.Events = k.Executed()
-	if e.backlogEvals > 0 {
-		e.res.MeanBacklog = float64(e.backlogSum) / float64(e.backlogEvals)
-	}
 	e.bill()
 	return e.res
 }
@@ -422,8 +412,6 @@ func (e *engine) control(h int32) {
 		// The consumption-plan controller: every ScaleEvalInterval,
 		// add at most ScaleOutStep instances while work is queued —
 		// the rate limit behind the paper's Fig 14 scheduling delays.
-		e.backlogEvals++
-		e.backlogSum += uint64(e.backlogN[t])
 		if e.backlogN[t] > 0 && int(e.ready[t])+int(e.starting[t]) < p.MaxInstances {
 			add := p.ScaleOutStep
 			if room := p.MaxInstances - int(e.ready[t]) - int(e.starting[t]); add > room {
@@ -504,7 +492,6 @@ func (e *engine) bill() {
 			Exec:     time.Duration(e.execNano[t]),
 		})
 		e.res.TotalBill = e.res.TotalBill.Add(b)
-		e.res.BilledTenants++
 		e.res.TenantCost.Record(time.Duration(b.Total() * 1e9))
 	}
 }

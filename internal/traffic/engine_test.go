@@ -43,14 +43,13 @@ func instancePoolCfg() Config {
 func assertIdentical(t *testing.T, ref, got *Result, label string) {
 	t.Helper()
 	if got.Arrivals != ref.Arrivals || got.Completions != ref.Completions ||
-		got.ColdStarts != ref.ColdStarts || got.SimEnd != ref.SimEnd {
+		got.ColdStarts != ref.ColdStarts || got.Events != ref.Events {
 		t.Fatalf("%s: counters diverge: %+v vs %+v", label, got, ref)
 	}
-	if got.PeakBacklog != ref.PeakBacklog || got.MeanBacklog != ref.MeanBacklog ||
-		got.PeakInFlight != ref.PeakInFlight {
+	if got.PeakBacklog != ref.PeakBacklog || got.PeakInFlight != ref.PeakInFlight {
 		t.Fatalf("%s: backlog stats diverge", label)
 	}
-	if got.TotalBill != ref.TotalBill || got.BilledTenants != ref.BilledTenants {
+	if got.TotalBill != ref.TotalBill {
 		t.Fatalf("%s: bill diverges: %v vs %v", label, got.TotalBill, ref.TotalBill)
 	}
 	hists := []struct {
@@ -145,20 +144,14 @@ func TestInstancePoolBacklog(t *testing.T) {
 	if r.ColdStarts == 0 {
 		t.Fatal("no instance starts recorded")
 	}
-	if r.MeanBacklog <= 0 {
-		t.Fatalf("mean backlog = %v, want > 0", r.MeanBacklog)
-	}
 }
 
 // TestBilling checks per-tenant billing: only active tenants billed,
 // totals positive, and the per-tenant cost distribution populated.
 func TestBilling(t *testing.T) {
 	r := Run(perRequestCfg())
-	if r.BilledTenants == 0 || r.BilledTenants > 5000 {
-		t.Fatalf("billed tenants = %d", r.BilledTenants)
-	}
-	if uint64(r.TenantCost.Count()) != uint64(r.BilledTenants) {
-		t.Fatalf("cost hist %d entries, want %d", r.TenantCost.Count(), r.BilledTenants)
+	if n := r.TenantCost.Count(); n == 0 || n > 5000 {
+		t.Fatalf("billed tenants = %d", n)
 	}
 	if r.TotalBill.Total() <= 0 {
 		t.Fatalf("total bill = %v", r.TotalBill)
@@ -166,7 +159,7 @@ func TestBilling(t *testing.T) {
 	nb := perRequestCfg()
 	nb.Book = nil
 	r2 := Run(nb)
-	if r2.BilledTenants != 0 || r2.TotalBill.Total() != 0 {
+	if r2.TenantCost.Count() != 0 || r2.TotalBill.Total() != 0 {
 		t.Fatal("nil book still billed")
 	}
 }

@@ -56,8 +56,6 @@ const PCAComponents = 20
 // Artifacts is everything the real pipeline produces, with serialized
 // forms so workloads move realistic byte payloads.
 type Artifacts struct {
-	Size DatasetSize
-
 	// Raw dataset as CSV (what the workflows download/transfer).
 	DatasetCSV []byte
 	// TestCSV is a held-out same-shape dataset for inference runs.
@@ -127,7 +125,7 @@ func train(eng *payload.Engine, size DatasetSize) (*Artifacts, error) {
 	df := dataframe.GenerateCars(size.Rows(), trainSeed)
 	test := dataframe.GenerateCars(size.Rows(), testSeed)
 
-	a := &Artifacts{Size: size, ModelMSE: map[string]float64{}, ModelBytes: map[string][]byte{}}
+	a := &Artifacts{ModelMSE: map[string]float64{}, ModelBytes: map[string][]byte{}}
 	var err error
 	if a.DatasetCSV, err = df.CSVBytes(); err != nil {
 		return nil, err
@@ -186,7 +184,7 @@ func train(eng *payload.Engine, size DatasetSize) (*Artifacts, error) {
 		}
 		a.ModelMSE[algo] = r.MSE
 		a.ModelBytes[algo] = r.Blob
-		best.Report(algo, r.MSE, r.Blob)
+		best.Report(algo, r.MSE)
 	}
 	a.BestName = best.Name
 	a.BestMSE = best.MSE

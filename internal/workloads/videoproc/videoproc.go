@@ -121,7 +121,6 @@ type chunkMsg struct {
 	Run   int64  `json:"run"`
 	Key   string `json:"key,omitempty"`
 	Index int    `json:"index"`
-	Bytes int    `json:"bytes,omitempty"`
 }
 
 func marshalChunk(m chunkMsg) []byte { b, _ := json.Marshal(m); return b }

@@ -26,7 +26,7 @@ import (
 // no longer declared fail too, so the list cannot go stale.
 func TestEveryFunctionIsReachable(t *testing.T) {
 	bin := t.TempDir()
-	pkgs := listPackages(t)
+	pkgs := listPackages(t, ".", "./...")
 
 	var mains []string
 	for _, p := range pkgs {
@@ -97,13 +97,14 @@ func TestEveryFunctionIsReachable(t *testing.T) {
 type goPackage struct {
 	ImportPath, Dir, Name string
 	GoFiles               []string
+	Standard              bool
 }
 
-// listPackages returns the module's packages with the non-test files
-// that this platform's build compiles.
-func listPackages(t *testing.T) []goPackage {
+// listPackages runs go list in dir and returns the packages it names,
+// with the non-test files that this platform's build compiles.
+func listPackages(t *testing.T, dir string, args ...string) []goPackage {
 	t.Helper()
-	out := goCmd(t, ".", "list", "-json", "./...")
+	out := goCmd(t, dir, append([]string{"list", "-json"}, args...)...)
 	var pkgs []goPackage
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p goPackage
