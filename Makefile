@@ -165,17 +165,21 @@ bench-all:
 	$(GO) test -run - -bench 'SequentialAll|ParallelAll' -benchtime 1x -benchmem .
 
 # bench-traffic exercises the kernel under the traffic-shaped
-# standing-population workload plus one full million-tenant open-loop
-# run; every benchmark reports events/op so cmd/benchjson -compare can
-# derive events/sec across baselines.
-# Three invocations on purpose: the storm needs the default benchtime
-# to amortize its million-timer setup across iterations, and the
-# traffic run must own the process so peak-RSS-MB is not inflated by
-# the cascade benchmarks' high-water mark.
+# standing-population workload, a standing population of fixed-delay
+# timers queued through At and through a Lane, and one full
+# million-tenant open-loop run per serving model; every benchmark
+# reports events/op so cmd/benchjson -compare can derive events/sec
+# across baselines.
+# Separate invocations on purpose: the storm and the timers need the
+# default benchtime to amortize their setup across iterations, and
+# each traffic run must own its process so its peak-RSS-MB is not
+# inflated by another benchmark's high-water mark.
 bench-traffic:
 	$(GO) test -run - -bench 'KernelStandingCascade' -benchtime 1x -benchmem -timeout 60m .
 	$(GO) test -run - -bench 'SameInstantStorm' -benchmem .
-	$(GO) test -run - -bench 'TrafficMillionTenants' -benchtime 1x -benchmem -timeout 60m .
+	$(GO) test -run - -bench 'KernelFixedDelayTimers' -benchmem .
+	$(GO) test -run - -bench 'TrafficMillionTenants$$/per-request' -benchtime 1x -benchmem -timeout 60m .
+	$(GO) test -run - -bench 'TrafficMillionTenants$$/instance-pool' -benchtime 1x -benchmem -timeout 60m .
 
 # bench-netherite is the classic-vs-Netherite episode-throughput pair
 # behind BENCH_PR8.json: each benchmark reports episodes/vsec (virtual

@@ -19,6 +19,7 @@ import (
 	"statebench/internal/core"
 	"statebench/internal/experiments"
 	"statebench/internal/obs/tseries"
+	"statebench/internal/platform"
 	"statebench/internal/sim"
 	"statebench/internal/traffic"
 )
@@ -197,52 +198,106 @@ func BenchmarkKernelSameInstantStorm(b *testing.B) {
 	b.ReportMetric(1, "events/op")
 }
 
+// BenchmarkKernelFixedDelayTimers is the traffic engine's scale
+// controller in miniature: a standing population of timers, each of
+// which re-arms one fixed delay when it fires, so the timers fall due
+// in the order they were armed. "at" queues them with Kernel.At, where
+// every firing walks a heap that holds the whole population; "lane"
+// queues them on a Lane, whose FIFO serves the same order in O(1).
+func BenchmarkKernelFixedDelayTimers(b *testing.B) {
+	const (
+		population = 1 << 19
+		delay      = 6 * time.Second
+		horizon    = time.Minute
+	)
+	stagger := delay / population
+	run := func(b *testing.B, arm func(k *sim.Kernel)) {
+		var total uint64
+		for i := 0; i < b.N; i++ {
+			k := sim.NewKernel(42)
+			arm(k)
+			k.RunUntil(horizon)
+			total += k.Executed()
+		}
+		b.ReportMetric(float64(total)/float64(b.N), "events/op")
+	}
+	b.Run("at", func(b *testing.B) {
+		run(b, func(k *sim.Kernel) {
+			fires := make([]func(), population)
+			for j := range fires {
+				j := j
+				fires[j] = func() { k.At(k.Now()+delay, fires[j]) }
+				k.At(sim.Time(j)*stagger, fires[j])
+			}
+		})
+	})
+	b.Run("lane", func(b *testing.B) {
+		run(b, func(k *sim.Kernel) {
+			var l *sim.Lane
+			l = k.NewLane(func(j int32) { l.At(k.Now()+delay, j) })
+			for j := int32(0); j < population; j++ {
+				l.At(sim.Time(j)*stagger, j)
+			}
+		})
+	})
+}
+
 // trafficMillionTenants is one full open-loop run (arrive, drain,
 // bill) at acceptance scale: a one-million-tenant population under a
-// Poisson stream, against the first registered provider with a traffic
-// profile. timeline toggles windowed telemetry, so the plain/Timeline
-// benchmark pair measures the instrumentation's overhead (the disabled
-// nil-*Series fast path must stay within noise of the pre-telemetry
-// engine).
+// Poisson stream, with one sub-benchmark per serving model, each
+// against the first registered provider that serves that way
+// (per-request: AWS; instance-pool: Azure, whose scale evaluations,
+// idle reaps and backlog make it the heavier run). timeline toggles
+// windowed telemetry, so the plain/Timeline benchmark pair measures the
+// instrumentation's overhead (the disabled nil-*Series fast path must
+// stay within noise of the pre-telemetry engine). peak-RSS-MB is the
+// process's high-water mark, so it is a sub-benchmark's own only when
+// -bench selects that sub-benchmark alone, as `make bench-traffic` does.
 func trafficMillionTenants(b *testing.B, timeline bool) {
-	b.Helper()
-	var spec *core.ProviderSpec
-	for _, s := range core.Providers() {
-		if s.Traffic != nil {
-			spec = s
-			break
+	seen := map[platform.ServeStyle]bool{}
+	for _, spec := range core.Providers() {
+		if spec.Traffic == nil {
+			continue
 		}
+		style := spec.Traffic().Style
+		if seen[style] {
+			continue
+		}
+		seen[style] = true
+		spec := spec
+		b.Run(style.String(), func(b *testing.B) {
+			var events, windows uint64
+			for i := 0; i < b.N; i++ {
+				cfg := traffic.Config{
+					Tenants:    1_000_000,
+					Duration:   time.Minute,
+					Process:    traffic.Poisson{Rate: 100_000},
+					Profile:    spec.Traffic(),
+					Book:       spec.DefaultBook(),
+					CodeSizeMB: 64,
+					Seed:       42,
+				}
+				if timeline {
+					cfg.Timeline = tseries.New(0)
+				}
+				res := traffic.Run(cfg)
+				if res.Completions != res.Arrivals {
+					b.Fatalf("dropped work: %d arrivals, %d completions", res.Arrivals, res.Completions)
+				}
+				events += res.Events
+				windows += uint64(cfg.Timeline.Len())
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			if timeline {
+				b.ReportMetric(float64(windows)/float64(b.N), "windows/op")
+			}
+			if rss, ok := peakRSSMB(); ok {
+				b.ReportMetric(float64(rss), "peak-RSS-MB")
+			}
+		})
 	}
-	if spec == nil {
+	if len(seen) == 0 {
 		b.Skip("no provider registers a traffic profile")
-	}
-	var events, windows uint64
-	for i := 0; i < b.N; i++ {
-		cfg := traffic.Config{
-			Tenants:    1_000_000,
-			Duration:   time.Minute,
-			Process:    traffic.Poisson{Rate: 100_000},
-			Profile:    spec.Traffic(),
-			Book:       spec.DefaultBook(),
-			CodeSizeMB: 64,
-			Seed:       42,
-		}
-		if timeline {
-			cfg.Timeline = tseries.New(0)
-		}
-		res := traffic.Run(cfg)
-		if res.Completions != res.Arrivals {
-			b.Fatalf("dropped work: %d arrivals, %d completions", res.Arrivals, res.Completions)
-		}
-		events += res.Events
-		windows += uint64(cfg.Timeline.Len())
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	if timeline {
-		b.ReportMetric(float64(windows)/float64(b.N), "windows/op")
-	}
-	if rss, ok := peakRSSMB(); ok {
-		b.ReportMetric(float64(rss), "peak-RSS-MB")
 	}
 }
 

@@ -33,6 +33,22 @@ func TestTrafficCSVDependsOnlyOnSeed(t *testing.T) {
 	}
 }
 
+// TestTrafficCSVMatchesGolden pins the open-loop engine's output: three
+// providers (both serving models) under all three arrival processes,
+// events column included, against testdata/golden/traffic_small.csv.
+// Any change to the event order, an RNG draw or a serving-model rule
+// moves a byte of it.
+func TestTrafficCSVMatchesGolden(t *testing.T) {
+	args := []string{"-csv", "-tenants", "20000", "-rate", "2000", "-duration", "1m", "-process", "all"}
+	var out bytes.Buffer
+	if err := runTraffic(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := out.String(), golden(t, "traffic_small.csv"); got != want {
+		t.Fatalf("traffic CSV diverged from the golden:\n%s\n--- want\n%s", got, want)
+	}
+}
+
 // TestTrafficLiveCountsFinishedCampaigns: the progress that -live
 // publishes counts a campaign as done only once its run has finished:
 // 0 throughout the first campaign, 1 throughout the second, and Total

@@ -35,9 +35,9 @@ import (
 //
 // Record increments integer counters and Merge adds them, both
 // commutative and associative, so a histogram merged from per-worker
-// or per-shard partials is bit-identical for every partitioning, and
-// every statistic read from it is byte-stable at any -parallel or
-// shard count — the property the traffic reports rely on.
+// or per-campaign partials is bit-identical for every partitioning,
+// and every statistic read from it is byte-stable at any -parallel
+// worker count — the property the traffic reports rely on.
 //
 // The zero value is an empty, ready-to-use histogram; bucket storage
 // is allocated on first Record.

@@ -15,8 +15,9 @@ import (
 // controller lags (Fig 13/14), sustained backlog growth under bursty
 // open-loop load, and SLO burn. Every rule is arithmetic over window
 // counters and histogram quantiles — no randomness, no wall clock —
-// so the anomaly log is byte-identical across runs, worker counts,
-// and kernel shard counts, and is pinned by the timeline golden.
+// so the anomaly log is byte-identical across runs, worker counts and
+// partitionings of the recorded series, and is pinned by the timeline
+// golden.
 
 // Rule names, in evaluation (and report) order.
 const (

@@ -33,8 +33,9 @@
 // assembled from per-worker or per-campaign partials is therefore
 // bit-identical for every partitioning, and every export (CSV, JSON,
 // Prometheus, Chrome counter tracks) renders windows in sorted index
-// order — byte-identical at any -parallel worker count and any kernel
-// shard count. The tier-2 determinism gates pin this.
+// order — byte-identical at any -parallel worker count and for any
+// partitioning into partial series. The tier-2 determinism gates pin
+// this.
 //
 // Like obs.Hist, a Series is single-goroutine: it belongs to one
 // Env/Kernel (or one traffic run) and is recorded into only from that

@@ -164,8 +164,8 @@ func TestGaugesMaxSemantics(t *testing.T) {
 // TestMergeCommutative is the core determinism property: replaying one
 // observation stream as N partitions merged in any order must produce
 // byte-identical CSV, for many random streams and partitionings. This
-// is what makes per-window output invariant under -parallel and kernel
-// shard count.
+// is what makes per-window output invariant under the -parallel worker
+// count and under how campaigns are split into partial series.
 func TestMergeCommutative(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		recs := randomRecords(seed, 2000)

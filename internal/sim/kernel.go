@@ -30,13 +30,16 @@
 //
 // # Event storage
 //
-// Pending events wait in one of two places: a 4-ary heap for events
-// queued for a later instant than the clock's, and an O(1) FIFO lane
-// for events queued for the current one. Each event draws its seq from
-// one kernel-wide counter, and the event loop always runs whichever of
-// the two heads has the smaller (at, seq) key, so the execution order
-// is the order a single heap would give. See DESIGN.md §11 for the
-// determinism argument.
+// Pending events wait in one of three kinds of storage: a 4-ary heap
+// for events queued for a later instant than the clock's, an O(1) FIFO
+// lane for events queued for the current one, and any number of Lanes,
+// O(1) FIFOs that a caller fills in the order their events fall due
+// (fixed-delay timers, a self-rescheduling chain). Each event draws
+// its seq from one kernel-wide counter, and every one of these queues
+// is (at, seq)-sorted, so its head is its minimum. The event loop
+// always runs whichever head has the smallest (at, seq) key, so the
+// execution order is the order a single heap would give. See DESIGN.md
+// §11 for the determinism argument.
 package sim
 
 import (
@@ -175,8 +178,8 @@ type Kernel struct {
 	deadline Time
 	switches uint64
 
-	// heap holds every event queued for a later instant than the
-	// clock read when it was queued.
+	// heap holds every event that At, After or a process queued for a
+	// later instant than the clock read when it was queued.
 	heap eventQueue
 
 	// imm is the immediate lane: a FIFO of events due at the current
@@ -189,6 +192,12 @@ type Kernel struct {
 	// of two O(log n) heap walks.
 	imm     []event
 	immHead int
+
+	// lanes are the caller-ordered FIFOs made by NewLane, and
+	// laneEvents counts the events they hold: while it is zero the event
+	// loop never looks at them.
+	lanes      []*Lane
+	laneEvents int
 
 	pending  int
 	executed uint64
@@ -257,6 +266,97 @@ func (k *Kernel) pushUnpark(d time.Duration, p *Proc) {
 	k.push(event{at: k.now + d, seq: k.seq, fn: p.unparkFn})
 }
 
+// Lane is a FIFO of events that all run one handler, for a caller that
+// queues them in the order they fall due: timers that each re-arm one
+// fixed delay, or a chain in which each event queues the next. Such a
+// caller pays O(1) per event instead of two heap walks, and no closure:
+// an event is its time, its seq and the int32 it hands the handler.
+// Lane events draw their seq from the kernel-wide counter and run in
+// the same (at, seq) order as every other event.
+type Lane struct {
+	k  *Kernel
+	fn func(arg int32)
+
+	// blocks holds the queued entries in order, laneBlock to a block:
+	// the head is blocks[0][head], and only the last block has room.
+	// spare keeps one drained block for the next one the tail needs.
+	blocks [][]laneEntry
+	spare  []laneEntry
+	head   int
+	n      int
+	last   Time // at of the last event queued
+}
+
+// laneEntry is one queued Lane event: 24 bytes.
+type laneEntry struct {
+	key eventKey
+	arg int32
+}
+
+// laneBlock is the number of entries in one block of Lane storage:
+// storage grows and shrinks with the lane a block at a time, so a
+// lane holding a million timers has no append-growth copy.
+const laneBlock = 1024
+
+// NewLane returns an empty Lane whose events call fn with the argument
+// they were queued with. The event loop compares the heads of all of a
+// kernel's lanes before every event while any holds one, so a kernel
+// should have a handful, one per event source.
+func (k *Kernel) NewLane(fn func(arg int32)) *Lane {
+	l := &Lane{k: k, fn: fn}
+	k.lanes = append(k.lanes, l)
+	return l
+}
+
+// At queues an event that calls the lane's handler with arg at time t.
+// Like Kernel.At, it runs a t before Now at the current time. It
+// panics if t is before the lane's last queued event: every lane stays
+// sorted by (at, seq), so its head is its next event.
+func (l *Lane) At(t Time, arg int32) {
+	k := l.k
+	if t < k.now {
+		t = k.now
+	}
+	if t < l.last {
+		panic(fmt.Sprintf("sim: Lane.At(%v) before the lane's last event at %v", t, l.last))
+	}
+	l.last = t
+	k.seq++
+	n := len(l.blocks)
+	if n == 0 || len(l.blocks[n-1]) == laneBlock {
+		b := l.spare
+		if b == nil {
+			b = make([]laneEntry, 0, laneBlock)
+		}
+		l.spare = nil
+		l.blocks = append(l.blocks, b)
+		n++
+	}
+	l.blocks[n-1] = append(l.blocks[n-1], laneEntry{key: eventKey{at: t, seq: k.seq}, arg: arg})
+	l.n++
+	k.laneEvents++
+	k.pending++
+}
+
+// pop drops the head entry, keeping a drained block for reuse.
+func (l *Lane) pop() {
+	l.head++
+	l.n--
+	if b := l.blocks[0]; l.head == len(b) {
+		l.head = 0
+		if len(l.blocks) == 1 {
+			l.blocks[0] = b[:0]
+			return
+		}
+		l.spare = b[:0]
+		l.blocks[0] = nil
+		l.blocks = l.blocks[1:]
+	}
+}
+
+// release frees the storage of an empty lane.
+func (l *Lane) release() { l.blocks, l.spare, l.head = nil, nil, 0 }
+
 // Run executes events until the queue is empty. It returns the final
 // virtual time.
 func (k *Kernel) Run() Time { return k.RunUntil(-1) }
@@ -281,6 +381,18 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 func (k *Kernel) dispatch() *Proc {
 	deadline := k.deadline
 	for k.pending > 0 {
+		if k.laneEvents > 0 {
+			if l := k.nextLane(); l != nil {
+				if !k.runLane(l, deadline) {
+					return nil
+				}
+				if p := k.next; p != nil {
+					k.next = nil
+					return p
+				}
+				continue
+			}
+		}
 		// The next event is the smaller (at, seq) of the lane head and the
 		// heap head. The lane head's at is the current instant, never
 		// after the heap head's, so on equal at the seq decides: a heap
@@ -319,12 +431,7 @@ func (k *Kernel) dispatch() *Proc {
 		k.executed++
 		k.now = at
 		if k.tickFn != nil && at >= k.tickNext {
-			// Coalesce: after an idle gap the listener is told only the
-			// last boundary at or before the clock, not every skipped one
-			// (windowed telemetry has nothing to say about empty windows).
-			b := at - at%k.tickEvery
-			k.tickNext = b + k.tickEvery
-			k.tickFn(b)
+			k.tick(at)
 		}
 		fn()
 		if p := k.next; p != nil {
@@ -340,8 +447,68 @@ func (k *Kernel) dispatch() *Proc {
 		k.heap.release()
 		k.imm = nil
 		k.immHead = 0
+		for _, l := range k.lanes {
+			l.release()
+		}
 	}
 	return nil
+}
+
+// nextLane returns the Lane whose head runs next, or nil when the
+// immediate lane's or the heap's head comes first. The caller has
+// checked that some Lane holds an event.
+func (k *Kernel) nextLane() *Lane {
+	var best *Lane
+	var key eventKey
+	for _, l := range k.lanes {
+		if l.n > 0 {
+			if h := l.blocks[0][l.head].key; best == nil || h.before(key) {
+				best, key = l, h
+			}
+		}
+	}
+	if k.immHead < len(k.imm) {
+		if ie := &k.imm[k.immHead]; (eventKey{at: ie.at, seq: ie.seq}).before(key) {
+			return nil
+		}
+	}
+	if len(k.heap.keys) > 0 && k.heap.keys[0].before(key) {
+		return nil
+	}
+	return best
+}
+
+// runLane runs l's head event, as dispatch runs the others, or stops
+// the run and returns false when that event falls after the deadline.
+func (k *Kernel) runLane(l *Lane, deadline Time) bool {
+	e := l.blocks[0][l.head]
+	if deadline >= 0 && e.key.at > deadline {
+		if deadline > k.now {
+			k.now = deadline
+		}
+		return false
+	}
+	l.pop()
+	k.laneEvents--
+	k.pending--
+	k.executed++
+	k.now = e.key.at
+	if k.tickFn != nil && e.key.at >= k.tickNext {
+		k.tick(e.key.at)
+	}
+	l.fn(e.arg)
+	return true
+}
+
+// tick tells the tick listener that the clock, now at, has reached or
+// crossed its next boundary. Coalesce: after an idle gap the listener
+// is told only the last boundary at or before the clock, not every
+// skipped one (windowed telemetry has nothing to say about empty
+// windows).
+func (k *Kernel) tick(at Time) {
+	b := at - at%k.tickEvery
+	k.tickNext = b + k.tickEvery
+	k.tickFn(b)
 }
 
 // handoff passes the baton from the calling goroutine to next, or back

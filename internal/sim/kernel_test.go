@@ -343,10 +343,12 @@ func TestSameTimeFIFOUnderLoad(t *testing.T) {
 // storage (the core.Series memory-retention fix).
 func TestRunReleasesEventStorage(t *testing.T) {
 	k := NewKernel(1)
+	l := k.NewLane(func(int32) {})
 	for i := 0; i < 4096; i++ {
 		k.After(time.Duration(i)*time.Millisecond, func() {})
+		l.At(time.Duration(i)*time.Millisecond, int32(i))
 	}
-	if cap(k.heap.keys) == 0 {
+	if cap(k.heap.keys) == 0 || len(l.blocks) < 2 {
 		t.Fatal("queue unexpectedly empty before Run")
 	}
 	k.Run()
@@ -355,6 +357,9 @@ func TestRunReleasesEventStorage(t *testing.T) {
 	}
 	if k.imm != nil {
 		t.Fatalf("immediate-lane storage retained after drain: cap %d", cap(k.imm))
+	}
+	if l.blocks != nil || l.spare != nil {
+		t.Fatalf("Lane storage retained after drain: %d blocks", len(l.blocks))
 	}
 	// The kernel must stay usable after the release.
 	ran := false
@@ -410,5 +415,82 @@ func TestShardedRunUntilDeadline(t *testing.T) {
 	k.Run()
 	if len(ran) != 40 || k.Pending() != 0 {
 		t.Fatalf("resume after deadline: ran=%d pending=%d", len(ran), k.Pending())
+	}
+}
+
+// TestLaneFIFOAcrossBlocks runs a standing population of fixed-delay
+// timers, large enough that the Lane spans several blocks, through a
+// few rounds of re-arming: every firing comes in arming order, each
+// timer fires once per round, and the clamp runs a past time now.
+func TestLaneFIFOAcrossBlocks(t *testing.T) {
+	const population, rounds, delay = 3*laneBlock + 7, 4, time.Second
+	k := NewKernel(1)
+	var l *Lane
+	var fired int
+	last := int32(-1)
+	l = k.NewLane(func(j int32) {
+		if want := (last + 1) % population; j != want {
+			t.Fatalf("timer %d fired after %d", j, last)
+		}
+		last = j
+		fired++
+		if fired <= population*(rounds-1) {
+			l.At(k.Now()+delay, j)
+		}
+	})
+	for j := int32(0); j < population; j++ {
+		l.At(Time(j)*time.Microsecond, j)
+	}
+	k.Run()
+	if fired != population*rounds || k.Executed() != uint64(fired) {
+		t.Fatalf("fired %d, executed %d, want %d", fired, k.Executed(), population*rounds)
+	}
+	ranAt := Time(-1)
+	late := k.NewLane(func(int32) { ranAt = k.Now() })
+	k.At(5*time.Second, func() { late.At(time.Second, 0) })
+	k.Run()
+	if ranAt != 5*time.Second {
+		t.Fatalf("past Lane event ran at %v, want clamped to 5s", ranAt)
+	}
+}
+
+// TestLaneAtBeforeTailPanics: a Lane holds its events in the order they
+// were queued, so an event due before the lane's last one is refused.
+func TestLaneAtBeforeTailPanics(t *testing.T) {
+	k := NewKernel(1)
+	l := k.NewLane(func(int32) {})
+	l.At(2*time.Second, 0)
+	l.At(2*time.Second, 1) // a tie with the tail is in order
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Lane.At before the lane's tail did not panic")
+		}
+	}()
+	l.At(time.Second, 2)
+}
+
+// TestLaneRunUntilAndPending: a deadline that falls between two Lane
+// events stops the run there, Pending counts the Lane events left, and
+// a later Run resumes with them.
+func TestLaneRunUntilAndPending(t *testing.T) {
+	k := NewKernel(1)
+	var ran []int32
+	l := k.NewLane(func(a int32) { ran = append(ran, a) })
+	l.At(time.Second, 1)
+	l.At(3*time.Second, 2)
+	l.At(4*time.Second, 3)
+	k.At(2*time.Second, func() { ran = append(ran, 0) })
+	if k.Pending() != 4 {
+		t.Fatalf("Pending() = %d, want 4", k.Pending())
+	}
+	if end := k.RunUntil(2500 * time.Millisecond); end != 2500*time.Millisecond {
+		t.Fatalf("RunUntil ended at %v, want the 2.5s deadline", end)
+	}
+	if len(ran) != 2 || ran[0] != 1 || ran[1] != 0 || k.Pending() != 2 {
+		t.Fatalf("before the deadline: ran %v, %d pending", ran, k.Pending())
+	}
+	k.Run()
+	if len(ran) != 4 || ran[2] != 2 || ran[3] != 3 || k.Pending() != 0 || k.Now() != 4*time.Second {
+		t.Fatalf("after resuming: ran %v, %d pending, clock %v", ran, k.Pending(), k.Now())
 	}
 }

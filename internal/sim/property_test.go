@@ -96,6 +96,84 @@ func TestPropertyLaneHeapMerge(t *testing.T) {
 	}
 }
 
+// Property: the immediate lane, the heap and two Lanes merge into one
+// (at, scheduling order) order. Each callback queues up to two
+// follow-ups, each one of four ways: After(0) (immediate lane),
+// After(1–3 ms) (heap), 2 ms ahead on a fixed-delay Lane, or on a chain
+// Lane, whose every event queues the next 0–3 ms ahead. Instants
+// therefore collect ties across all four, and a chain event queued for
+// the current instant meets immediate-lane events. Every event is
+// tagged from a test-side counter bumped at each scheduling call.
+func TestPropertyLanesMerge(t *testing.T) {
+	f := func(ops []uint8) bool {
+		k := NewKernel(1)
+		type fired struct {
+			at  Time
+			tag int32
+		}
+		var log []fired
+		var tags int32
+		next, chainPending := 0, false
+		var schedule func()
+		run := func(tag int32) {
+			log = append(log, fired{at: k.Now(), tag: tag})
+			for c := 0; c < 2 && next < len(ops); c++ {
+				schedule()
+			}
+		}
+		fixed := k.NewLane(run)
+		var chain *Lane
+		chain = k.NewLane(func(tag int32) {
+			chainPending = false
+			if next < len(ops) {
+				d := Time(ops[next]%4) * time.Millisecond
+				next++
+				tags++
+				chainPending = true
+				chain.At(k.Now()+d, tags)
+			}
+			run(tag)
+		})
+		schedule = func() {
+			op := ops[next]
+			next++
+			tags++
+			tag := tags
+			d := Time(op>>2%4) * time.Millisecond
+			switch {
+			case op%4 == 0:
+				k.After(0, func() { run(tag) })
+			case op%4 == 1:
+				k.After(time.Millisecond+d%(3*time.Millisecond), func() { run(tag) })
+			case op%4 == 2:
+				fixed.At(k.Now()+2*time.Millisecond, tag)
+			case !chainPending:
+				chainPending = true
+				chain.At(k.Now()+d, tag)
+			default:
+				k.After(d, func() { run(tag) })
+			}
+		}
+		for r := 0; r < 4 && next < len(ops); r++ {
+			schedule()
+		}
+		k.Run()
+		if len(log) != int(tags) || k.Executed() != uint64(tags) || k.Pending() != 0 {
+			return false
+		}
+		for i := 1; i < len(log); i++ {
+			a, b := log[i-1], log[i]
+			if b.at < a.at || (b.at == a.at && b.tag < a.tag) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: a resource never exceeds its capacity and all acquirers
 // eventually run, for arbitrary hold times and arrival offsets.
 func TestPropertyResourceSafety(t *testing.T) {

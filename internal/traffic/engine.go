@@ -110,10 +110,11 @@ type rec struct {
 	fire   func()
 }
 
-// tev is a per-tenant control event (scale evaluation, instance
-// start completion, idle reap), pooled like rec. Control events are
-// demand-driven: a tenant has controller events in flight only while
-// it has work, so a million mostly-idle tenants cost no standing
+// tev is a per-tenant control event that falls due after a random or
+// shortened delay (instance start completion, idle-reap re-check), so
+// it waits in the kernel's heap; it is pooled like rec. Control events
+// are demand-driven: a tenant has controller events in flight only
+// while it has work, so a million mostly-idle tenants cost no standing
 // timer load.
 type tev struct {
 	tenant int32
@@ -122,24 +123,50 @@ type tev struct {
 }
 
 const (
-	tevScaleEval = iota
-	tevInstanceUp
+	tevInstanceUp = iota
 	tevReap
 )
 
-// tenant state flag bits (ctrl array).
+// tenant state flag bits (tenant.ctrl).
 const (
 	ctrlArmed = 1 << iota
 	reapArmed
 )
 
-const noRec = int32(-1)
+// tenant is one tenant's whole state, one 40-byte record, so an event
+// touches one record instead of one element of each of a dozen
+// parallel arrays.
+//
+// The per-request (warm-entry) style mirrors platform.Pool's
+// warm-lease semantics in compact form: ready idle containers, all
+// conservatively sharing the newest lease expiry, lastIdle+KeepAlive.
+// Per-tenant arrival gaps at population scale are long relative to
+// lease spread, so collapsing the expiry ladder to its newest rung is
+// a sub-percent approximation (see DESIGN.md §11).
+type tenant struct {
+	// lastIdle is when the tenant's instance pool last fell idle
+	// (instance-pool) or its newest warm container was released
+	// (per-request).
+	lastIdle sim.Time
+	execNano int64  // billing: summed execution time
+	reqCnt   uint32 // billing: arrivals
+	// The backlog (instance-pool): backlogN records chained through
+	// rec.next from blHead to blTail.
+	blHead   int32
+	blTail   int32
+	backlogN uint32
+	// ready counts ready instances (instance-pool) or idle warm
+	// containers (per-request).
+	ready    uint16
+	starting uint16
+	busy     uint16
+	ctrl     uint8
+}
 
-// engine is one run's state. Per-tenant state is structure-of-arrays:
-// a few dozen bytes per tenant, no per-tenant heap objects, so a
-// million tenants fit in tens of MB and the records that do churn
-// (in-flight invocations, control events) live in arenas bounded by
-// peak concurrency, not throughput.
+// engine is one run's state: one 40-byte record per tenant, no
+// per-tenant heap objects, so a million tenants fit in 40 MB and the
+// records that do churn (in-flight invocations, control events) live
+// in arenas bounded by peak concurrency, not throughput.
 type engine struct {
 	cfg Config
 	k   *sim.Kernel
@@ -148,28 +175,13 @@ type engine struct {
 	arrRNG *sim.RNG // arrival process + tenant attribution
 	svcRNG *sim.RNG // service-side draws (RTT, cold, exec)
 
-	// Per-request (warm-entry) style, mirroring platform.Pool's
-	// warm-lease semantics in compact form: warmCnt idle containers,
-	// all conservatively sharing the newest lease expiry. Per-tenant
-	// arrival gaps at population scale are long relative to lease
-	// spread, so collapsing the expiry ladder to its newest rung is a
-	// sub-percent approximation (see DESIGN.md §11).
-	warmCnt []uint16
-	warmExp []sim.Time
+	tenants []tenant // indexed by tenant number
 
-	// Instance-pool style.
-	ready    []uint16
-	starting []uint16
-	busy     []uint16
-	backlogN []uint32
-	blHead   []int32
-	blTail   []int32
-	ctrl     []uint8
-	lastIdle []sim.Time
-
-	// Billing accumulators.
-	execNano []int64
-	reqCnt   []uint32
+	// The kernel Lanes of the three event sources that fall due in the
+	// order they are queued: the arrival chain (each arrival queues the
+	// next), scale evaluations (all ScaleEvalInterval ahead) and
+	// first-armed idle reaps (all IdleInstanceTimeout ahead).
+	arrivals, scaleEvals, reaps *sim.Lane
 
 	recs sim.Arena[rec]
 	tevs sim.Arena[tev]
@@ -213,53 +225,39 @@ func Run(cfg Config) *Result {
 		arrRNG: k.Stream("traffic.arrivals"),
 		svcRNG: k.Stream("traffic.service"),
 
-		execNano: make([]int64, cfg.Tenants),
-		reqCnt:   make([]uint32, cfg.Tenants),
+		tenants: make([]tenant, cfg.Tenants),
 
 		tl: cfg.Timeline,
 	}
+	e.arrivals = k.NewLane(e.arrive)
+	e.scaleEvals = k.NewLane(e.scaleEval)
+	e.reaps = k.NewLane(e.reap)
 	if cfg.Timeline.Enabled() && cfg.OnWindow != nil {
 		k.SetTickListener(cfg.Timeline.Interval(), cfg.OnWindow)
 	}
 	if cfg.Profile.CodeFetchBW > 0 {
 		e.coldFetch = sim.Time(cfg.CodeSizeMB * 1e6 / cfg.Profile.CodeFetchBW * 1e9)
 	}
-	switch cfg.Profile.Style {
-	case platform.ServePerRequest:
-		e.warmCnt = make([]uint16, cfg.Tenants)
-		e.warmExp = make([]sim.Time, cfg.Tenants)
-	case platform.ServeInstancePool:
-		e.ready = make([]uint16, cfg.Tenants)
-		e.starting = make([]uint16, cfg.Tenants)
-		e.busy = make([]uint16, cfg.Tenants)
-		e.backlogN = make([]uint32, cfg.Tenants)
-		e.blHead = make([]int32, cfg.Tenants)
-		e.blTail = make([]int32, cfg.Tenants)
-		e.ctrl = make([]uint8, cfg.Tenants)
-		e.lastIdle = make([]sim.Time, cfg.Tenants)
-		for i := range e.blHead {
-			e.blHead[i] = noRec
-		}
-	}
 
-	// The arrival chain: one self-rescheduling event generates the
-	// whole stream; no arrivals are scheduled past Duration, so the
-	// run drains naturally.
-	var arrive func()
-	arrive = func() {
-		e.arrival()
-		if next := cfg.Process.Next(e.arrRNG, k.Now()); next < cfg.Duration {
-			k.At(next, arrive)
-		}
-	}
+	// The arrival chain generates the whole stream; no arrivals are
+	// scheduled past Duration, so the run drains naturally.
 	if first := cfg.Process.Next(e.arrRNG, 0); first < cfg.Duration {
-		k.At(first, arrive)
+		e.arrivals.At(first, 0)
 	}
 
 	k.Run()
 	e.res.Events = k.Executed()
 	e.bill()
 	return e.res
+}
+
+// arrive runs one event of the arrival chain: it admits an invocation
+// and queues the next arrival.
+func (e *engine) arrive(int32) {
+	e.arrival()
+	if next := e.cfg.Process.Next(e.arrRNG, e.k.Now()); next < e.cfg.Duration {
+		e.arrivals.At(next, 0)
+	}
 }
 
 // alloc takes an invocation record, installing the slot's completion
@@ -270,14 +268,14 @@ func (e *engine) alloc() (int32, *rec) {
 		hh := h
 		r.fire = func() { e.complete(hh) }
 	}
-	r.next = noRec
 	return h, r
 }
 
 // arrival admits one invocation at the current instant.
 func (e *engine) arrival() {
 	t := int32(e.arrRNG.Intn(e.cfg.Tenants)) // uniform attribution
-	e.reqCnt[t]++
+	tn := &e.tenants[t]
+	tn.reqCnt++
 	e.res.Arrivals++
 	now := e.k.Now()
 	e.tl.AddArrival(now)
@@ -294,13 +292,13 @@ func (e *engine) arrival() {
 
 	if e.cfg.Profile.Style == platform.ServePerRequest {
 		var entry sim.Time
-		if e.warmCnt[t] > 0 && e.warmExp[t] > now {
-			e.warmCnt[t]--
+		if tn.ready > 0 && tn.lastIdle+e.cfg.Profile.KeepAlive > now {
+			tn.ready--
 			e.totWarm--
 			entry = e.cfg.Profile.WarmStart.Sample(e.svcRNG)
 		} else {
-			e.totWarm -= int64(e.warmCnt[t]) // lazily-expired leases surface here
-			e.warmCnt[t] = 0
+			e.totWarm -= int64(tn.ready) // lazily-expired leases surface here
+			tn.ready = 0
 			e.res.ColdStarts++
 			entry = e.cfg.Profile.ColdStart.Sample(e.svcRNG) + e.coldFetch
 			e.res.ColdWait.Record(entry)
@@ -312,38 +310,46 @@ func (e *engine) arrival() {
 
 	// Instance-pool: dispatch onto a ready instance or queue for the
 	// scale controller.
-	if int(e.busy[t]) < int(e.ready[t])*e.cfg.Profile.ConcurrencyPerInstance {
-		e.dispatch(r)
+	if int(tn.busy) < int(tn.ready)*e.cfg.Profile.ConcurrencyPerInstance {
+		e.dispatch(tn, r)
 		return
 	}
-	if e.blHead[t] == noRec {
-		e.blHead[t] = h
+	if tn.backlogN == 0 {
+		tn.blHead = h
 	} else {
-		e.recs.At(e.blTail[t]).next = h
+		e.recs.At(tn.blTail).next = h
 	}
-	e.blTail[t] = h
-	e.backlogN[t]++
-	if int(e.backlogN[t]) > e.res.PeakBacklog {
-		e.res.PeakBacklog = int(e.backlogN[t])
+	tn.blTail = h
+	tn.backlogN++
+	if int(tn.backlogN) > e.res.PeakBacklog {
+		e.res.PeakBacklog = int(tn.backlogN)
 	}
 	e.totBacklog++
 	e.tl.ObserveQueueDepth(now, e.totBacklog)
-	if e.ctrl[t]&ctrlArmed == 0 {
-		e.ctrl[t] |= ctrlArmed
-		e.armTev(t, tevScaleEval, e.cfg.Profile.ScaleEvalInterval)
+	if tn.ctrl&ctrlArmed == 0 {
+		tn.ctrl |= ctrlArmed
+		e.scaleEvals.At(now+e.cfg.Profile.ScaleEvalInterval, t)
 	}
 }
 
 // dispatch starts an execution on the tenant's instance pool: the
 // completion carries the queueing delay accrued so far.
-func (e *engine) dispatch(r *rec) {
-	t := r.tenant
+func (e *engine) dispatch(tn *tenant, r *rec) {
 	now := e.k.Now()
-	e.busy[t]++
+	tn.busy++
 	e.res.QueueWait.Record(now - r.start)
 	e.tl.AddSched(now, now-r.start)
 	disp := e.cfg.Profile.WarmStart.Sample(e.svcRNG)
 	e.k.At(now+disp+r.exec, r.fire)
+}
+
+// dispatchBacklog starts the tenant's oldest queued invocation.
+func (e *engine) dispatchBacklog(tn *tenant) {
+	qr := e.recs.At(tn.blHead)
+	tn.blHead = qr.next
+	tn.backlogN--
+	e.totBacklog--
+	e.dispatch(tn, qr)
 }
 
 // complete finishes an invocation: streaming aggregation, billing
@@ -351,41 +357,41 @@ func (e *engine) dispatch(r *rec) {
 func (e *engine) complete(h int32) {
 	r := e.recs.At(h)
 	t := r.tenant
+	tn := &e.tenants[t]
 	now := e.k.Now()
 	e.res.Completions++
 	e.res.E2E.Record(now - r.start + r.rtt)
 	e.tl.AddCompletion(now, now-r.start+r.rtt)
-	e.execNano[t] += int64(r.exec)
+	tn.execNano += int64(r.exec)
 	e.inFlight--
+	e.recs.Free(h)
 
-	switch e.cfg.Profile.Style {
-	case platform.ServePerRequest:
-		if e.warmCnt[t] < ^uint16(0) {
-			e.warmCnt[t]++
+	if e.cfg.Profile.Style == platform.ServePerRequest {
+		if tn.ready < ^uint16(0) {
+			tn.ready++
 			e.totWarm++
 			e.tl.ObserveWarmPool(now, e.totWarm)
 		}
-		e.warmExp[t] = now + e.cfg.Profile.KeepAlive
-		e.recs.Free(h)
-	case platform.ServeInstancePool:
-		e.busy[t]--
-		e.recs.Free(h)
-		if qh := e.blHead[t]; qh != noRec {
-			qr := e.recs.At(qh)
-			e.blHead[t] = qr.next
-			if e.blHead[t] == noRec {
-				e.blTail[t] = noRec
-			}
-			e.backlogN[t]--
-			e.totBacklog--
-			e.dispatch(qr)
-		} else if e.busy[t] == 0 {
-			e.lastIdle[t] = now
-			if e.ready[t] > 0 && e.ctrl[t]&reapArmed == 0 {
-				e.ctrl[t] |= reapArmed
-				e.armTev(t, tevReap, e.cfg.Profile.IdleInstanceTimeout)
-			}
+		tn.lastIdle = now
+		return
+	}
+	tn.busy--
+	if tn.backlogN > 0 {
+		e.dispatchBacklog(tn)
+	} else if tn.busy == 0 {
+		tn.lastIdle = now
+		if tn.ready > 0 {
+			e.armReap(t)
 		}
+	}
+}
+
+// armReap queues the tenant's idle reap IdleInstanceTimeout ahead,
+// unless one is already pending.
+func (e *engine) armReap(t int32) {
+	if tn := &e.tenants[t]; tn.ctrl&reapArmed == 0 {
+		tn.ctrl |= reapArmed
+		e.reaps.At(e.k.Now()+e.cfg.Profile.IdleInstanceTimeout, t)
 	}
 }
 
@@ -401,76 +407,82 @@ func (e *engine) armTev(t int32, kind uint8, d sim.Time) {
 	e.k.At(e.k.Now()+d, ev.fire)
 }
 
-// control runs one per-tenant control event.
+// control runs one per-tenant control event from the heap.
 func (e *engine) control(h int32) {
 	ev := e.tevs.At(h)
 	t, kind := ev.tenant, ev.kind
 	e.tevs.Free(h)
+	if kind == tevReap {
+		e.reap(t)
+		return
+	}
+	e.instanceUp(t)
+}
+
+// scaleEval is the consumption-plan controller: every
+// ScaleEvalInterval, add at most ScaleOutStep instances while work is
+// queued — the rate limit behind the paper's Fig 14 scheduling delays.
+func (e *engine) scaleEval(t int32) {
+	tn := &e.tenants[t]
 	p := &e.cfg.Profile
-	switch kind {
-	case tevScaleEval:
-		// The consumption-plan controller: every ScaleEvalInterval,
-		// add at most ScaleOutStep instances while work is queued —
-		// the rate limit behind the paper's Fig 14 scheduling delays.
-		if e.backlogN[t] > 0 && int(e.ready[t])+int(e.starting[t]) < p.MaxInstances {
-			add := p.ScaleOutStep
-			if room := p.MaxInstances - int(e.ready[t]) - int(e.starting[t]); add > room {
-				add = room
-			}
-			for i := 0; i < add; i++ {
-				e.starting[t]++
-				e.res.ColdStarts++
-				up := p.ColdStart.Sample(e.svcRNG)
-				e.res.ColdWait.Record(up)
-				e.tl.AddCold(e.k.Now(), up)
-				e.armTev(t, tevInstanceUp, up)
-			}
+	if tn.backlogN > 0 && int(tn.ready)+int(tn.starting) < p.MaxInstances {
+		add := p.ScaleOutStep
+		if room := p.MaxInstances - int(tn.ready) - int(tn.starting); add > room {
+			add = room
 		}
-		if e.backlogN[t] > 0 || e.starting[t] > 0 {
-			e.armTev(t, tevScaleEval, p.ScaleEvalInterval)
-		} else {
-			e.ctrl[t] &^= ctrlArmed
+		for i := 0; i < add; i++ {
+			tn.starting++
+			e.res.ColdStarts++
+			up := p.ColdStart.Sample(e.svcRNG)
+			e.res.ColdWait.Record(up)
+			e.tl.AddCold(e.k.Now(), up)
+			e.armTev(t, tevInstanceUp, up)
 		}
-	case tevInstanceUp:
-		e.starting[t]--
-		e.ready[t]++
-		e.totWarm++
-		e.tl.ObserveWarmPool(e.k.Now(), e.totWarm)
-		for int(e.busy[t]) < int(e.ready[t])*p.ConcurrencyPerInstance && e.blHead[t] != noRec {
-			qh := e.blHead[t]
-			qr := e.recs.At(qh)
-			e.blHead[t] = qr.next
-			if e.blHead[t] == noRec {
-				e.blTail[t] = noRec
-			}
-			e.backlogN[t]--
-			e.totBacklog--
-			e.dispatch(qr)
-		}
-		if e.busy[t] == 0 && e.blHead[t] == noRec {
-			e.lastIdle[t] = e.k.Now()
-			if e.ctrl[t]&reapArmed == 0 {
-				e.ctrl[t] |= reapArmed
-				e.armTev(t, tevReap, p.IdleInstanceTimeout)
-			}
-		}
-	case tevReap:
-		// Idle eviction: if the tenant has stayed idle the full
-		// timeout, the platform reclaims its instances; otherwise
-		// re-check when the current idle stretch would mature.
-		if e.busy[t] == 0 && e.backlogN[t] == 0 && e.starting[t] == 0 {
-			idleFor := e.k.Now() - e.lastIdle[t]
-			if idleFor >= p.IdleInstanceTimeout {
-				e.totWarm -= int64(e.ready[t])
-				e.ready[t] = 0
-				e.ctrl[t] &^= reapArmed
-				return
-			}
-			e.armTev(t, tevReap, p.IdleInstanceTimeout-idleFor)
+	}
+	if tn.backlogN > 0 || tn.starting > 0 {
+		e.scaleEvals.At(e.k.Now()+p.ScaleEvalInterval, t)
+	} else {
+		tn.ctrl &^= ctrlArmed
+	}
+}
+
+// instanceUp brings a started instance into service and drains the
+// backlog onto it.
+func (e *engine) instanceUp(t int32) {
+	tn := &e.tenants[t]
+	tn.starting--
+	tn.ready++
+	e.totWarm++
+	e.tl.ObserveWarmPool(e.k.Now(), e.totWarm)
+	for int(tn.busy) < int(tn.ready)*e.cfg.Profile.ConcurrencyPerInstance && tn.backlogN > 0 {
+		e.dispatchBacklog(tn)
+	}
+	if tn.busy == 0 && tn.backlogN == 0 {
+		tn.lastIdle = e.k.Now()
+		e.armReap(t)
+	}
+}
+
+// reap is idle eviction: if the tenant has stayed idle the full
+// timeout, the platform reclaims its instances; otherwise it re-checks
+// when the current idle stretch would mature. That re-check falls due
+// sooner than IdleInstanceTimeout, out of the reap lane's order, so it
+// waits in the heap.
+func (e *engine) reap(t int32) {
+	tn := &e.tenants[t]
+	p := &e.cfg.Profile
+	if tn.busy == 0 && tn.backlogN == 0 && tn.starting == 0 {
+		idleFor := e.k.Now() - tn.lastIdle
+		if idleFor >= p.IdleInstanceTimeout {
+			e.totWarm -= int64(tn.ready)
+			tn.ready = 0
+			tn.ctrl &^= reapArmed
 			return
 		}
-		e.ctrl[t] &^= reapArmed
+		e.armTev(t, tevReap, p.IdleInstanceTimeout-idleFor)
+		return
 	}
+	tn.ctrl &^= reapArmed
 }
 
 // bill prices every active tenant's accumulated usage and fills the
@@ -481,15 +493,16 @@ func (e *engine) bill() {
 		return
 	}
 	memGB := float64(e.cfg.Profile.MemoryMB) / 1024
-	for t := 0; t < e.cfg.Tenants; t++ {
-		if e.reqCnt[t] == 0 {
+	for i := range e.tenants {
+		tn := &e.tenants[i]
+		if tn.reqCnt == 0 {
 			continue
 		}
-		execSec := float64(e.execNano[t]) / 1e9
+		execSec := float64(tn.execNano) / 1e9
 		b := e.cfg.Book.Bill(pricing.Usage{
 			GBs:      execSec * memGB,
-			Requests: int64(e.reqCnt[t]),
-			Exec:     time.Duration(e.execNano[t]),
+			Requests: int64(tn.reqCnt),
+			Exec:     time.Duration(tn.execNano),
 		})
 		e.res.TotalBill = e.res.TotalBill.Add(b)
 		e.res.TenantCost.Record(time.Duration(b.Total() * 1e9))

@@ -3,6 +3,7 @@ package traffic
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"statebench/internal/platform"
 	"statebench/internal/pricing"
@@ -175,5 +176,14 @@ func TestArenaBounded(t *testing.T) {
 	}
 	if uint64(r.PeakInFlight) >= r.Arrivals {
 		t.Fatalf("peak in-flight %d not bounded below arrivals %d", r.PeakInFlight, r.Arrivals)
+	}
+}
+
+// TestTenantRecordSize pins the per-tenant state at 40 bytes: a
+// million-tenant run holds one record per tenant, so a field that
+// widens it costs every run tens of MB.
+func TestTenantRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(tenant{}); n != 40 {
+		t.Fatalf("tenant record is %d bytes, want 40", n)
 	}
 }
