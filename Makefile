@@ -13,7 +13,9 @@
 #            kernel's and the queue listener's tests repeat ten times
 #            under it, because kernel state passes between process
 #            goroutines and listener callbacks run on whichever
-#            goroutine holds the baton. It also
+#            goroutine holds the baton; so does the test that
+#            shares one corpus digest table between eight goroutines,
+#            as concurrent sweep workers do. It also
 #            cross-builds for Windows, the only build of the non-Linux
 #            files (payload's heap-backed zero arena).
 # tier2    — tier1.5 plus the observability/chaos determinism gates,
@@ -59,6 +61,7 @@ golden:
 tier1.5:
 	$(GO) vet ./... && $(GO) test -race -timeout 20m ./...
 	$(GO) test -race -count=10 ./internal/sim/ ./internal/cloud/queue/
+	$(GO) test -race -count=10 -run 'TestPieceDigestsHashEachPieceOnce' ./internal/workloads/mapreduce/
 	GOOS=windows GOARCH=amd64 $(GO) build ./...
 	$(MAKE) golden-cache-off
 
@@ -141,8 +144,10 @@ fuzz:
 # process goroutines costs differently when the woken goroutine can run
 # on another core. IdleListeners is four storage-queue listeners idle
 # for a virtual hour, reported per kernel event and in switches per op.
+# LogNormalSample is one latency draw, the model behind every invoke,
+# poll and storage operation.
 bench-kernel:
-	$(GO) test -run - -bench 'Kernel|EventThroughput|ProcContextSwitch|ProcHandoff' -benchmem -cpu 1,2 ./internal/sim/
+	$(GO) test -run - -bench 'Kernel|EventThroughput|ProcContextSwitch|ProcHandoff|LogNormalSample' -benchmem -cpu 1,2 ./internal/sim/
 	$(GO) test -run - -bench 'IdleListeners' -benchmem -cpu 1,2 ./internal/cloud/queue/
 
 bench-payload:
@@ -150,10 +155,13 @@ bench-payload:
 
 # bench-mlkit times the two payload kernels that dominate large-dataset
 # ML training: the 24-tree forest fit and the k-NN validation predict,
-# each at that dataset's shape on synthetic data.
+# each at that dataset's shape on synthetic data, and the k-NN predict
+# again on the pipeline's real projected split, where pruning skips
+# more of each distance sum than on uniform data.
 bench-mlkit:
 	$(GO) test -run - -bench 'ForestFitLarge' -benchtime 3x -benchmem ./internal/mlkit/ensemble/
 	$(GO) test -run - -bench 'KNNPredictLarge' -benchtime 3x -benchmem ./internal/mlkit/neighbors/
+	$(GO) test -run - -bench 'KNNPredictPipeline' -benchtime 3x -benchmem ./internal/workloads/mlpipe/
 
 # bench-durable times one orchestration run on the classic task hub,
 # replays and history loads included: a 3-activity chain, and Fig 14's

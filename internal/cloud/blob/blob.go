@@ -27,8 +27,8 @@ type Params struct {
 // S3/Azure-Blob behavior the paper's storage-bound steps exhibit.
 func DefaultParams() Params {
 	return Params{
-		GetRTT:  sim.LogNormalDist{Median: 18 * time.Millisecond, Sigma: 0.45, Max: 2 * time.Second},
-		PutRTT:  sim.LogNormalDist{Median: 25 * time.Millisecond, Sigma: 0.45, Max: 2 * time.Second},
+		GetRTT:  sim.NewLogNormal(18*time.Millisecond, 0.45, 2*time.Second),
+		PutRTT:  sim.NewLogNormal(25*time.Millisecond, 0.45, 2*time.Second),
 		ReadBW:  90e6,
 		WriteBW: 70e6,
 	}

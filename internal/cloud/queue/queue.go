@@ -37,7 +37,7 @@ type Params struct {
 // dead-lettered after 5 dequeues.
 func DefaultParams() Params {
 	return Params{
-		OpLatency:         sim.LogNormalDist{Median: 5 * time.Millisecond, Sigma: 0.4, Max: 500 * time.Millisecond},
+		OpLatency:         sim.NewLogNormal(5*time.Millisecond, 0.4, 500*time.Millisecond),
 		MaxPayload:        256 * 1024,
 		VisibilityTimeout: 30 * time.Second,
 		MaxDequeueCount:   5,

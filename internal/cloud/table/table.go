@@ -23,7 +23,7 @@ type Params struct {
 // 100-entity entity-group transactions.
 func DefaultParams() Params {
 	return Params{
-		OpLatency: sim.LogNormalDist{Median: 8 * time.Millisecond, Sigma: 0.4, Max: time.Second},
+		OpLatency: sim.NewLogNormal(8*time.Millisecond, 0.4, time.Second),
 		MaxBatch:  100,
 	}
 }

@@ -21,8 +21,10 @@
 package flow
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"statebench/internal/cloud/blob"
@@ -327,6 +329,16 @@ type FanFn func(input []byte) ([][]byte, error)
 type Stages struct {
 	Tasks map[string]StageFn
 	Fans  map[string]FanFn
+
+	// items is Items' memo, per map node.
+	items map[*Node]itemsMemo
+}
+
+// itemsMemo is one map node's last input, a private copy, and the
+// items resolved from it.
+type itemsMemo struct {
+	input []byte
+	items [][]byte
 }
 
 // Task resolves a stage name.
@@ -489,7 +501,36 @@ func InputFor(n *Node, cur, entry []byte) []byte {
 // Items resolves a map node's fan-out item payloads: a bound fan
 // closure, a JSON array field of the input, or the input itself as a
 // JSON array. Raw item bytes are preserved exactly.
+//
+// Items remembers each node's last input and its items on st, so a
+// Durable orchestrator that replays the node on every episode resolves
+// them once. The items are built from a private copy of the input, so
+// a caller that rewrites its buffer never meets a stale hit; each item
+// and the list are clipped, so an append copies. Callers share the
+// items and must not modify their bytes. A deployment's stages run one
+// process at a time, so the memo needs no lock.
 func Items(n *Node, st *Stages, input []byte) ([][]byte, error) {
+	if memo, ok := st.items[n]; ok && bytes.Equal(memo.input, input) {
+		return memo.items, nil
+	}
+	in := bytes.Clone(input)
+	items, err := resolveItems(n, st, in)
+	if err != nil {
+		return nil, err
+	}
+	for i := range items {
+		items[i] = slices.Clip(items[i])
+	}
+	items = slices.Clip(items)
+	if st.items == nil {
+		st.items = make(map[*Node]itemsMemo)
+	}
+	st.items[n] = itemsMemo{input: in, items: items}
+	return items, nil
+}
+
+// resolveItems is Items without the memo.
+func resolveItems(n *Node, st *Stages, input []byte) ([][]byte, error) {
 	if n.Fan != "" {
 		fan, err := st.Fan(n.Fan)
 		if err != nil {

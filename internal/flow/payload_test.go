@@ -67,6 +67,90 @@ func TestItems(t *testing.T) {
 	}
 }
 
+// TestItemsMemo checks Items' per-node memo: a repeated input, even in
+// another buffer, does not call the fan again; a different input
+// recomputes; rewriting the caller's buffer after a call never yields
+// a stale hit; items are clipped; and the JSON paths memoize too.
+func TestItemsMemo(t *testing.T) {
+	calls := 0
+	st := &Stages{Fans: map[string]FanFn{
+		// Splits at commas into subslices that keep the input's spare
+		// capacity, as a naive fan would.
+		"split": func(in []byte) ([][]byte, error) {
+			calls++
+			var out [][]byte
+			start := 0
+			for i, c := range in {
+				if c == ',' {
+					out = append(out, in[start:i])
+					start = i + 1
+				}
+			}
+			return append(out, in[start:]), nil
+		},
+	}}
+	fan := &Node{Name: "fan", Fan: "split"}
+	items := func(n *Node, input []byte, wantCalls int, want ...string) [][]byte {
+		t.Helper()
+		got, err := Items(n, st, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != wantCalls {
+			t.Fatalf("Items(%q): fan called %d times, want %d", input, calls, wantCalls)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("Items(%q) = %q, want %q", input, got, want)
+		}
+		for i := range got {
+			if string(got[i]) != want[i] {
+				t.Fatalf("Items(%q) = %q, want %q", input, got, want)
+			}
+		}
+		return got
+	}
+	buf := []byte("a,b,c")
+	first := items(fan, buf, 1, "a", "b", "c")
+	items(fan, buf, 1, "a", "b", "c")
+	items(fan, []byte("a,b,c"), 1, "a", "b", "c")
+	items(fan, []byte("a,b"), 2, "a", "b")
+	items(fan, []byte("a,b,c"), 3, "a", "b", "c")
+
+	copy(buf, "x,y,z")
+	items(fan, buf, 4, "x", "y", "z")
+	// The items built from the old bytes kept them.
+	if string(first[0]) != "a" {
+		t.Fatalf("rewriting the input changed an earlier item to %q", first[0])
+	}
+	got := items(fan, buf, 4, "x", "y", "z")
+	copy(buf, "a,b,c")
+	items(fan, buf, 5, "a", "b", "c")
+	if cap(got[0]) != len(got[0]) || cap(got) != len(got) {
+		t.Fatalf("items not clipped: cap %d of %d, list cap %d of %d", cap(got[0]), len(got[0]), cap(got), len(got))
+	}
+	if string(append(got[0], '!')) != "x!" || string(got[1]) != "y" {
+		t.Fatalf("an append to item 0 wrote into item 1: %q", got[1])
+	}
+
+	// Another node keeps its own entry; a failed resolution is not kept.
+	field := &Node{Name: "field", ItemsField: "xs"}
+	a, err := Items(field, st, []byte(`{"xs":[1,2]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Items(field, st, []byte(`{"xs":[1,2]}`))
+	if err != nil || &a[0][0] != &b[0][0] {
+		t.Fatalf("a repeated JSON input was parsed again (err %v)", err)
+	}
+	if _, err := Items(field, st, []byte(`{"ys":[1]}`)); err == nil {
+		t.Fatal("missing field accepted")
+	}
+	if _, err := Items(field, st, []byte(`{"ys":[1]}`)); err == nil {
+		t.Fatal("missing field accepted on the second call")
+	}
+	items(fan, []byte("a,b,c"), 5, "a", "b", "c")
+}
+
 func TestJoinOutputs(t *testing.T) {
 	outs := [][]byte{[]byte(`{"b":2,"a":1}`), []byte(`"s"`)}
 	cur := []byte("cur")

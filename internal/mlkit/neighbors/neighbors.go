@@ -30,7 +30,9 @@ type KNeighborsRegressor struct {
 	YTrain []float64
 }
 
-// Fit memorizes the training set.
+// Fit memorizes the training set. Like sklearn, it rejects NaN and
+// infinite feature values: Predict's pruning is exact only for finite
+// distances.
 func (m *KNeighborsRegressor) Fit(X [][]float64, y []float64) error {
 	if m.K <= 0 {
 		return fmt.Errorf("neighbors: K must be positive, got %d", m.K)
@@ -42,14 +44,19 @@ func (m *KNeighborsRegressor) Fit(X [][]float64, y []float64) error {
 		return fmt.Errorf("neighbors: K=%d exceeds %d training rows", m.K, len(X))
 	}
 	d := len(X[0])
+	for i, row := range X {
+		if len(row) != d {
+			return fmt.Errorf("neighbors: ragged matrix at row %d", i)
+		}
+		if err := checkFinite("training row", i, row); err != nil {
+			return err
+		}
+	}
 	m.XTrain = make([][]float64, len(X))
 	// One flat backing array for the memorized rows: same values (and
 	// the same gob encoding), two allocations instead of len(X)+1.
 	backing := make([]float64, len(X)*d)
 	for i := range X {
-		if len(X[i]) != d {
-			return fmt.Errorf("neighbors: ragged matrix at row %d", i)
-		}
 		row := backing[i*d : (i+1)*d : (i+1)*d]
 		copy(row, X[i])
 		m.XTrain[i] = row
@@ -58,7 +65,18 @@ func (m *KNeighborsRegressor) Fit(X [][]float64, y []float64) error {
 	return nil
 }
 
-// Predict returns the KNN estimate for each query row.
+// checkFinite rejects a row holding NaN or an infinity.
+func checkFinite(what string, i int, row []float64) error {
+	for j, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("neighbors: %s %d has non-finite feature %d (%v)", what, i, j, v)
+		}
+	}
+	return nil
+}
+
+// Predict returns the KNN estimate for each query row. Queries must be
+// finite, as training rows are.
 func (m *KNeighborsRegressor) Predict(X [][]float64) ([]float64, error) {
 	if m.XTrain == nil {
 		return nil, fmt.Errorf("neighbors: model not fitted")
@@ -66,20 +84,47 @@ func (m *KNeighborsRegressor) Predict(X [][]float64) ([]float64, error) {
 	out := make([]float64, len(X))
 	// top holds the K nearest rows seen so far in (distance, row) order,
 	// the order a full sort of every candidate would give them whenever
-	// rows at equal distances carry equal targets.
+	// rows at equal distances carry equal targets. sq is the squared
+	// sum dist is the root of.
 	type neighbor struct {
-		dist float64
-		row  int
+		dist, sq float64
+		row      int
 	}
 	top := make([]neighbor, 0, m.K)
 	for qi, q := range X {
 		if len(q) != len(m.XTrain[0]) {
 			return nil, fmt.Errorf("neighbors: query has %d features, model has %d", len(q), len(m.XTrain[0]))
 		}
+		if err := checkFinite("query", qi, q); err != nil {
+			return nil, err
+		}
 		top = top[:0]
+		// bound is the K-th nearest row's squared sum once K rows are
+		// held, and NaN before: no sum compares >= NaN. A row stops
+		// summing once its partial sum reaches bound. That is exact:
+		// adding a non-negative term never lowers a sum, and Sqrt is
+		// monotone, so the row's distance would reach top[K-1].dist,
+		// and a tie with the K-th loses. Rows that are kept are summed
+		// whole, in feature order, so their distances keep every bit.
+		bound := math.NaN()
+	rows:
 		for i, row := range m.XTrain {
 			var s float64
-			for j := range row {
+			j := 0
+			// Check after every four features, summed in order:
+			// checking after each one was no faster.
+			for ; j+4 <= len(row); j += 4 {
+				r, qq := row[j:j+4:j+4], q[j:j+4:j+4]
+				d0, d1, d2, d3 := r[0]-qq[0], r[1]-qq[1], r[2]-qq[2], r[3]-qq[3]
+				s += d0 * d0
+				s += d1 * d1
+				s += d2 * d2
+				s += d3 * d3
+				if s >= bound {
+					continue rows
+				}
+			}
+			for ; j < len(row); j++ {
 				d := row[j] - q[j]
 				s += d * d
 			}
@@ -97,7 +142,10 @@ func (m *KNeighborsRegressor) Predict(X [][]float64) ([]float64, error) {
 				top[k] = top[k-1]
 				k--
 			}
-			top[k] = neighbor{dist: dist, row: i}
+			top[k] = neighbor{dist: dist, sq: s, row: i}
+			if len(top) == m.K {
+				bound = top[m.K-1].sq
+			}
 		}
 		switch m.Weights {
 		case Distance:

@@ -89,18 +89,39 @@ func randomRows(r *sim.RNG, n, d int) [][]float64 {
 	return X
 }
 
+// pcaRows draws n rows whose per-feature spread decays like PCA output
+// (feature j scaled by 0.8^j): the leading features carry most of a
+// distance, so partial sums reach the pruning bound at every check
+// point, not only at the first.
+func pcaRows(r *sim.RNG, n, d int) [][]float64 {
+	X := make([][]float64, n)
+	for i := range X {
+		X[i] = make([]float64, d)
+		scale := 3.0
+		for j := range X[i] {
+			X[i][j] = r.Normal(0, scale)
+			scale *= 0.8
+		}
+	}
+	return X
+}
+
 func TestPredictMatchesFullSort(t *testing.T) {
 	r := sim.NewRNG(8)
 	for _, n := range []int{1, 6, 50, 200} {
-		for _, d := range []int{1, 4} {
-			X := randomRows(r, n, d)
+		for _, d := range []int{1, 4, 7, 20} {
+			rows := randomRows
+			if d > 4 {
+				rows = pcaRows
+			}
+			X := rows(r, n, d)
 			y := make([]float64, n)
 			for i := range y {
 				y[i] = r.Uniform(0, 100)
 			}
 			// Queries include training rows, so distance weighting meets
 			// exact matches.
-			queries := append(randomRows(r, 30, d), X[:min(n, 5)]...)
+			queries := append(rows(r, 30, d), X[:min(n, 5)]...)
 			for _, k := range []int{1, 5, n} {
 				if k > n {
 					continue
@@ -113,6 +134,30 @@ func TestPredictMatchesFullSort(t *testing.T) {
 					samePredictions(t, fmt.Sprintf("n=%d d=%d K=%d w=%d", n, d, k, w), m, queries)
 				}
 			}
+		}
+	}
+}
+
+// TestPredictRejectsNonFinite checks that NaN and infinite features are
+// errors in training rows and in queries: a NaN distance would enter
+// the K nearest (nothing compares >= NaN), and the pruning argument
+// holds only for finite sums.
+func TestPredictRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		X := [][]float64{{0, 1}, {2, 3}, {4, 5}}
+		X[1][1] = bad
+		m := &KNeighborsRegressor{K: 1}
+		if err := m.Fit(X, []float64{1, 2, 3}); err == nil {
+			t.Errorf("Fit accepted a training row holding %v", bad)
+		}
+		if m.XTrain != nil {
+			t.Errorf("a failed Fit left %d memorized rows", len(m.XTrain))
+		}
+		if err := m.Fit([][]float64{{0, 1}, {2, 3}}, []float64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Predict([][]float64{{0, 1}, {bad, 0}}); err == nil {
+			t.Errorf("Predict accepted a query holding %v", bad)
 		}
 	}
 }

@@ -58,18 +58,18 @@ type AWSParams struct {
 func DefaultAWS() AWSParams {
 	return AWSParams{
 		FaaSParams: FaaSParams{
-			InvokeRTT:        sim.LogNormalDist{Median: 20 * time.Millisecond, Sigma: 0.3, Max: time.Second},
-			ColdStartBase:    sim.LogNormalDist{Median: 250 * time.Millisecond, Sigma: 0.35, Max: 5 * time.Second},
+			InvokeRTT:        sim.NewLogNormal(20*time.Millisecond, 0.3, time.Second),
+			ColdStartBase:    sim.NewLogNormal(250*time.Millisecond, 0.35, 5*time.Second),
 			CodeFetchBW:      24e6, // ~24 MB/s package fetch+unpack
-			WarmStart:        sim.LogNormalDist{Median: 6 * time.Millisecond, Sigma: 0.3, Max: 200 * time.Millisecond},
+			WarmStart:        sim.NewLogNormal(6*time.Millisecond, 0.3, 200*time.Millisecond),
 			KeepAlive:        8 * time.Minute,
 			BurstConcurrency: 3000,
 			TimeLimit:        15 * time.Minute,
 			PayloadLimit:     256 * 1024,
 		},
 		MemoryStepMB:     128,
-		StepTransition:   sim.LogNormalDist{Median: 25 * time.Millisecond, Sigma: 0.4, Max: 2 * time.Second},
-		StepTaskDispatch: sim.LogNormalDist{Median: 60 * time.Millisecond, Sigma: 0.5, Max: 5 * time.Second},
+		StepTransition:   sim.NewLogNormal(25*time.Millisecond, 0.4, 2*time.Second),
+		StepTaskDispatch: sim.NewLogNormal(60*time.Millisecond, 0.5, 5*time.Second),
 	}
 }
 
@@ -135,18 +135,18 @@ type AzureParams struct {
 // DefaultAzure returns the calibrated Azure parameters.
 func DefaultAzure() AzureParams {
 	return AzureParams{
-		HTTPTriggerRTT: sim.LogNormalDist{Median: 30 * time.Millisecond, Sigma: 0.4, Max: 2 * time.Second},
+		HTTPTriggerRTT: sim.NewLogNormal(30*time.Millisecond, 0.4, 2*time.Second),
 		// Instance starts are usually ~1 s, but a few percent take
 		// minutes (container image pulls, placement retries) — the
 		// tail behind Fig 13/14 and Table III.
 		InstanceColdStart: sim.Mixture{
 			Weights: []float64{0.93, 0.07},
 			Parts: []sim.Dist{
-				sim.LogNormalDist{Median: 1100 * time.Millisecond, Sigma: 0.5, Max: 20 * time.Second},
+				sim.NewLogNormal(1100*time.Millisecond, 0.5, 20*time.Second),
 				sim.UniformDist{Lo: 80 * time.Second, Hi: 400 * time.Second},
 			},
 		},
-		Dispatch:               sim.LogNormalDist{Median: 15 * time.Millisecond, Sigma: 0.5, Max: 2 * time.Second},
+		Dispatch:               sim.NewLogNormal(15*time.Millisecond, 0.5, 2*time.Second),
 		MemoryLimitMB:          1536,
 		TimeLimit:              30 * time.Minute,
 		ConcurrencyPerInstance: 1,
@@ -161,8 +161,8 @@ func DefaultAzure() AzureParams {
 		ControlQueuePartitions: 4,
 		DurableMaxPoll:         time.Second,
 		HistoryReplayPerEvent:  9 * time.Millisecond,
-		EntityOpOverhead:       sim.LogNormalDist{Median: 40 * time.Millisecond, Sigma: 0.4, Max: 2 * time.Second},
-		EntityStateRTT:         sim.LogNormalDist{Median: 35 * time.Millisecond, Sigma: 0.6, Max: 5 * time.Second},
+		EntityOpOverhead:       sim.NewLogNormal(40*time.Millisecond, 0.4, 2*time.Second),
+		EntityStateRTT:         sim.NewLogNormal(35*time.Millisecond, 0.6, 5*time.Second),
 	}
 }
 
@@ -191,17 +191,17 @@ type GCPParams struct {
 func DefaultGCP() GCPParams {
 	return GCPParams{
 		FaaSParams: FaaSParams{
-			InvokeRTT:        sim.LogNormalDist{Median: 25 * time.Millisecond, Sigma: 0.35, Max: time.Second},
-			ColdStartBase:    sim.LogNormalDist{Median: 1400 * time.Millisecond, Sigma: 0.45, Max: 20 * time.Second},
+			InvokeRTT:        sim.NewLogNormal(25*time.Millisecond, 0.35, time.Second),
+			ColdStartBase:    sim.NewLogNormal(1400*time.Millisecond, 0.45, 20*time.Second),
 			CodeFetchBW:      20e6, // ~20 MB/s source fetch+build cache restore
-			WarmStart:        sim.LogNormalDist{Median: 7 * time.Millisecond, Sigma: 0.3, Max: 200 * time.Millisecond},
+			WarmStart:        sim.NewLogNormal(7*time.Millisecond, 0.3, 200*time.Millisecond),
 			KeepAlive:        15 * time.Minute,
 			BurstConcurrency: 1000,
 			TimeLimit:        540 * time.Second,
 			PayloadLimit:     10 << 20,
 		},
 		MemoryTiersMB: []int{128, 256, 512, 1024, 2048, 4096, 8192},
-		StepOverhead:  sim.LogNormalDist{Median: 35 * time.Millisecond, Sigma: 0.4, Max: 2 * time.Second},
-		CallDispatch:  sim.LogNormalDist{Median: 80 * time.Millisecond, Sigma: 0.5, Max: 5 * time.Second},
+		StepOverhead:  sim.NewLogNormal(35*time.Millisecond, 0.4, 2*time.Second),
+		CallDispatch:  sim.NewLogNormal(80*time.Millisecond, 0.5, 5*time.Second),
 	}
 }

@@ -106,3 +106,17 @@ func BenchmarkFutureFanIn(b *testing.B) {
 		k.Run()
 	}
 }
+
+// BenchmarkLogNormalSample measures one draw from a capped lognormal,
+// the latency model of every invoke, poll and storage operation.
+func BenchmarkLogNormalSample(b *testing.B) {
+	d := NewLogNormal(20*time.Millisecond, 0.3, time.Second)
+	r := NewRNG(1)
+	var sum time.Duration
+	for i := 0; i < b.N; i++ {
+		sum += d.Sample(r)
+	}
+	if sum < 0 {
+		b.Fatal("negative sample")
+	}
+}

@@ -42,24 +42,32 @@ func (u UniformDist) String() string { return fmt.Sprintf("uniform(%v,%v)", u.Lo
 
 // LogNormalDist is a lognormal parameterized by its median and the sigma
 // of the underlying normal (sigma controls tail weight), optionally
-// truncated at Max (0 = no cap).
+// truncated at a cap (0 = no cap). NewLogNormal builds one; its fields
+// are unexported so that no literal can leave mu unset.
 type LogNormalDist struct {
-	Median time.Duration
-	Sigma  float64
-	Max    time.Duration
+	median time.Duration
+	sigma  float64
+	limit  time.Duration
+	mu     float64 // math.Log(median), the underlying normal's mean
+}
+
+// NewLogNormal returns the lognormal with the given median and sigma,
+// truncated at limit (0 = no cap). It takes the median's logarithm
+// once, not on every draw.
+func NewLogNormal(median time.Duration, sigma float64, limit time.Duration) LogNormalDist {
+	return LogNormalDist{median: median, sigma: sigma, limit: limit, mu: math.Log(float64(median))}
 }
 
 func (l LogNormalDist) Sample(r *RNG) time.Duration {
-	mu := math.Log(float64(l.Median))
-	d := clampDur(r.LogNormal(mu, l.Sigma))
-	if l.Max > 0 && d > l.Max {
-		d = l.Max
+	d := clampDur(r.LogNormal(l.mu, l.sigma))
+	if l.limit > 0 && d > l.limit {
+		d = l.limit
 	}
 	return d
 }
 
 func (l LogNormalDist) String() string {
-	return fmt.Sprintf("lognormal(median=%v,sigma=%.2f)", l.Median, l.Sigma)
+	return fmt.Sprintf("lognormal(median=%v,sigma=%.2f)", l.median, l.sigma)
 }
 
 // Mixture samples from one of several component distributions with the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -35,7 +36,7 @@ func TestUniformDistBounds(t *testing.T) {
 }
 
 func TestLogNormalMedianAndCap(t *testing.T) {
-	d := LogNormalDist{Median: time.Second, Sigma: 0.5, Max: 10 * time.Second}
+	d := NewLogNormal(time.Second, 0.5, 10*time.Second)
 	samples := sampleMany(d, 20001, 5)
 	sorted := slices.Clone(samples)
 	slices.Sort(sorted)
@@ -46,6 +47,37 @@ func TestLogNormalMedianAndCap(t *testing.T) {
 	for _, s := range samples {
 		if s > 10*time.Second {
 			t.Fatalf("sample %v exceeds cap", s)
+		}
+	}
+}
+
+// TestLogNormalMatchesPerDrawFormula checks that hoisting the median's
+// logarithm into NewLogNormal changes no draw: every sample equals the
+// formula that took the logarithm on each draw, bit for bit, under
+// caps that bind and caps that do not.
+func TestLogNormalMatchesPerDrawFormula(t *testing.T) {
+	cases := []struct {
+		median time.Duration
+		sigma  float64
+		limit  time.Duration
+	}{
+		{20 * time.Millisecond, 0.3, time.Second},
+		{1100 * time.Millisecond, 0.5, 20 * time.Second},
+		{5 * time.Millisecond, 0.4, 6 * time.Millisecond},
+		{time.Second, 2, 0},
+		{time.Nanosecond, 0.07, 0},
+	}
+	for _, c := range cases {
+		d := NewLogNormal(c.median, c.sigma, c.limit)
+		got, want := NewRNG(3), NewRNG(3)
+		for i := 0; i < 20000; i++ {
+			w := clampDur(want.LogNormal(math.Log(float64(c.median)), c.sigma))
+			if c.limit > 0 && w > c.limit {
+				w = c.limit
+			}
+			if g := d.Sample(got); g != w {
+				t.Fatalf("%v draw %d = %d, want %d", d, i, g, w)
+			}
 		}
 	}
 }
@@ -73,8 +105,8 @@ func TestPropertyNonNegativeSamples(t *testing.T) {
 	dists := []Dist{
 		Fixed{D: time.Second},
 		UniformDist{Lo: 0, Hi: time.Minute},
-		LogNormalDist{Median: time.Second, Sigma: 2},
-		Mixture{Weights: []float64{1, 1}, Parts: []Dist{LogNormalDist{Median: time.Second, Sigma: 2}, Fixed{}}},
+		NewLogNormal(time.Second, 2, 0),
+		Mixture{Weights: []float64{1, 1}, Parts: []Dist{NewLogNormal(time.Second, 2, 0), Fixed{}}},
 	}
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)

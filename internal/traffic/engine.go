@@ -213,7 +213,7 @@ func Run(cfg Config) *Result {
 		cfg.Process = Poisson{Rate: 100}
 	}
 	if cfg.ExecTime == nil {
-		cfg.ExecTime = sim.LogNormalDist{Median: 80 * time.Millisecond, Sigma: 0.5, Max: 10 * time.Second}
+		cfg.ExecTime = sim.NewLogNormal(80*time.Millisecond, 0.5, 10*time.Second)
 	}
 
 	k := sim.NewKernel(cfg.Seed)

@@ -17,7 +17,7 @@ func perRequestCfg() Config {
 		Process:  Poisson{Rate: 400},
 		Profile:  platform.DefaultAWS().Traffic(),
 		Book:     pricing.DefaultAWS(),
-		ExecTime: sim.LogNormalDist{Median: 60 * time.Millisecond, Sigma: 0.4, Max: 5 * time.Second},
+		ExecTime: sim.NewLogNormal(60*time.Millisecond, 0.4, 5*time.Second),
 
 		CodeSizeMB: 64,
 		Seed:       7,
@@ -34,7 +34,7 @@ func instancePoolCfg() Config {
 		},
 		Profile:  platform.DefaultAzure().Traffic(),
 		Book:     pricing.DefaultAzure(),
-		ExecTime: sim.LogNormalDist{Median: 150 * time.Millisecond, Sigma: 0.4, Max: 5 * time.Second},
+		ExecTime: sim.NewLogNormal(150*time.Millisecond, 0.4, 5*time.Second),
 		Seed:     11,
 	}
 }

@@ -48,7 +48,7 @@ const (
 // reducers → merge, in the Mono, Machine, Queue, and DurableOrch
 // classes. corpus may be nil for static inspection (graph rendering,
 // lint, lowering programs); binding stages requires the corpus.
-func definition(w *Workflow, corpus []byte) (*flow.Definition, error) {
+func definition(w *Workflow, corpus *corpus) (*flow.Definition, error) {
 	m, r := w.Mappers, w.Reducers
 	estMono := float64(w.CorpusBytes) / countBW
 
@@ -181,7 +181,7 @@ func definition(w *Workflow, corpus []byte) (*flow.Definition, error) {
 	}
 	if corpus != nil {
 		for _, g := range graphs {
-			g.Preloads = []flow.Preload{{Key: corpusKey, Data: corpus}}
+			g.Preloads = []flow.Preload{{Key: corpusKey, Data: corpus.text}}
 		}
 	}
 
@@ -214,7 +214,7 @@ func definition(w *Workflow, corpus []byte) (*flow.Definition, error) {
 // binding provider's speed, and the word counting is real — the
 // payloads each style routes are genuine count documents, so the
 // cross-style output equality is a behavioral check, not a formality.
-func bindStages(w *Workflow, corpus []byte) func(b flow.Binding) (*flow.Stages, error) {
+func bindStages(w *Workflow, corpus *corpus) func(b flow.Binding) (*flow.Stages, error) {
 	return func(b flow.Binding) (*flow.Stages, error) {
 		if corpus == nil {
 			return nil, fmt.Errorf("mapreduce: binding requires a corpus")
@@ -222,7 +222,11 @@ func bindStages(w *Workflow, corpus []byte) func(b flow.Binding) (*flow.Stages, 
 		store := b.Blob
 		eng := b.Env.Payload
 		m, r := w.Mappers, w.Reducers
-		digests := newPieceDigests(corpus, m)
+		digests := corpus.digests(m)
+		// One memo per reducer and one for the final merge: every run
+		// of the deployment merges the same published documents.
+		reduceMemos := make([]mergeMemo, r)
+		var finalMemo mergeMemo
 		speed := 1.0
 		switch b.Provider {
 		case "Azure", "Netherite":
@@ -283,22 +287,18 @@ func bindStages(w *Workflow, corpus []byte) func(b flow.Binding) (*flow.Stages, 
 		// the partition result.
 		reducePart := func(a flow.Act, run int64, j int) error {
 			p := a.Proc()
-			total := make(map[string]int)
+			docs := make([][]byte, m)
 			nbytes := 0
-			for i := 0; i < m; i++ {
+			for i := range docs {
 				buf, err := store.Get(p, partKey(run, i, j))
 				if err != nil {
 					return err
 				}
+				docs[i] = buf
 				nbytes += len(buf)
-				var counts map[string]int
-				if err := json.Unmarshal(buf, &counts); err != nil {
-					return err
-				}
-				mergeCounts(total, counts)
 			}
 			busy(a, nbytes, mergeBW)
-			out, err := json.Marshal(total)
+			out, _, err := reduceMemos[j].merge(docs)
 			if err != nil {
 				return err
 			}
@@ -406,27 +406,23 @@ func bindStages(w *Workflow, corpus []byte) func(b flow.Binding) (*flow.Stages, 
 					run = in.Results[0].Run
 				}
 				p := a.Proc()
-				total := make(map[string]int)
+				docs := make([][]byte, r)
 				nbytes := 0
-				for j := 0; j < r; j++ {
+				for j := range docs {
 					buf, err := store.Get(p, reduceKey(run, j))
 					if err != nil {
 						return nil, err
 					}
+					docs[j] = buf
 					nbytes += len(buf)
-					var counts map[string]int
-					if err := json.Unmarshal(buf, &counts); err != nil {
-						return nil, err
-					}
-					mergeCounts(total, counts)
 				}
 				busy(a, nbytes, mergeBW)
-				out, err := json.Marshal(total)
+				out, summary, err := finalMemo.merge(docs)
 				if err != nil {
 					return nil, err
 				}
 				store.PutShared(p, resultKey, out)
-				return json.Marshal(summarize(total))
+				return summary, nil
 			},
 			"q-map": func(a flow.Act, input []byte) ([]byte, error) {
 				var in struct {

@@ -22,6 +22,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
+	"sync"
 
 	"statebench/internal/core"
 	"statebench/internal/flow"
@@ -156,20 +158,43 @@ func buildVocab() []string {
 	return out
 }
 
+// corpus is the memoized corpus: its text and, per mapper count, the
+// digest table of the pieces the stages key their lookups by. The text
+// is shared and immutable; tables are made under mu, and each hashes
+// its pieces once however many deployments and sweep workers share it.
+type corpus struct {
+	text   []byte
+	mu     sync.Mutex
+	tables map[int]*pieceDigests
+}
+
+// digests returns the piece table for m mappers, making it on first use.
+func (c *corpus) digests(m int) *pieceDigests {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d, ok := c.tables[m]
+	if !ok {
+		d = newPieceDigests(c.text, m)
+		c.tables[m] = d
+	}
+	return d
+}
+
 // corpusFor is corpusText memoized through the Env's payload engine:
 // one sweep generates each corpus size exactly once, however many
-// campaigns deploy it. The returned bytes are shared and immutable.
-func corpusFor(eng *payload.Engine, n int) []byte {
+// campaigns deploy it, and so hashes each of its pieces once. With the
+// cache off, every deployment generates, and hashes, its own.
+func corpusFor(eng *payload.Engine, n int) *corpus {
 	key := payload.Key{
 		Workload: "mapreduce",
 		Stage:    "corpus",
 		Input:    payload.DigestInts(int64(n)),
 	}
-	data, _, _ := payload.Get(eng, key, func() ([]byte, int, error) {
+	c, _, _ := payload.Get(eng, key, func() (*corpus, int, error) {
 		text := corpusText(n)
-		return text, len(text), nil
+		return &corpus{text: text, tables: make(map[int]*pieceDigests)}, len(text), nil
 	})
-	return data
+	return c
 }
 
 // corpusText generates n bytes of deterministic pseudo-text: an
@@ -217,20 +242,20 @@ func wordChunks(corpus []byte, m int) [][]byte {
 	return chunks
 }
 
-// pieceDigests memoizes the content digests of one deployment's corpus
-// pieces: piece i < m is the i-th of the m chunks wordChunks hands the
-// mappers, and piece m is the whole corpus the monolith counts. Map
-// and monolith runs key their payload lookups by the SHA-256 of the
-// bytes they were handed, which are the same immutable bytes run after
-// run, so a deployment hashes each piece at most once. Bytes that
-// differ from the named piece are hashed afresh, so a run handed the
-// wrong bytes misses the cache instead of hitting the piece's entry.
-// One deployment's stages run on one kernel, one process at a time, so
-// the memo needs no lock.
+// pieceDigests memoizes the content digests of a corpus's pieces for
+// one mapper count m: piece i < m is the i-th of the m chunks
+// wordChunks hands the mappers, and piece m is the whole corpus the
+// monolith counts. Map and monolith runs key their payload lookups by
+// the SHA-256 of the bytes they were handed, which are the corpus's
+// own immutable bytes in every deployment, so each piece is hashed at
+// most once. Bytes that differ from the named piece are hashed afresh,
+// so a run handed the wrong bytes misses the cache instead of hitting
+// the piece's entry. Concurrent sweep workers share a table: each
+// piece's hash runs under its own sync.Once.
 type pieceDigests struct {
 	pieces [][]byte
 	sums   []payload.Digest
-	done   []bool
+	once   []sync.Once
 }
 
 func newPieceDigests(corpus []byte, m int) *pieceDigests {
@@ -238,7 +263,7 @@ func newPieceDigests(corpus []byte, m int) *pieceDigests {
 	return &pieceDigests{
 		pieces: pieces,
 		sums:   make([]payload.Digest, len(pieces)),
-		done:   make([]bool, len(pieces)),
+		once:   make([]sync.Once, len(pieces)),
 	}
 }
 
@@ -249,10 +274,47 @@ func (d *pieceDigests) digest(i int, data []byte) payload.Digest {
 	if i < 0 || i >= len(d.pieces) || !bytes.Equal(data, d.pieces[i]) {
 		return payload.DigestBytes(data)
 	}
-	if !d.done[i] {
-		d.sums[i], d.done[i] = payload.DigestBytes(data), true
-	}
+	d.once[i].Do(func() { d.sums[i] = payload.DigestBytes(d.pieces[i]) })
 	return d.sums[i]
+}
+
+// mergeMemo is one merge stage's last inputs and what it produced from
+// them: the merged count document and its summary (the final merge
+// returns the summary; a reducer publishes only the document). The
+// inputs are count documents published with PutShared, immutable by
+// contract, so a run of the same deployment hands the same slices
+// again and bytes.Equal returns at once. The memo is host compute
+// only: it is no payload-engine stage, makes no lookup and moves no
+// payload statistic. One deployment's stages run on one kernel, one
+// process at a time, so it needs no lock.
+type mergeMemo struct {
+	docs    [][]byte
+	out     []byte
+	summary []byte
+}
+
+// merge returns the count document of docs merged and its summary,
+// recomputing only when docs differ from the last call's.
+func (mm *mergeMemo) merge(docs [][]byte) (out, summary []byte, err error) {
+	if mm.out != nil && slices.EqualFunc(docs, mm.docs, bytes.Equal) {
+		return mm.out, mm.summary, nil
+	}
+	total := make(map[string]int)
+	for _, buf := range docs {
+		var counts map[string]int
+		if err := json.Unmarshal(buf, &counts); err != nil {
+			return nil, nil, err
+		}
+		mergeCounts(total, counts)
+	}
+	if out, err = json.Marshal(total); err != nil {
+		return nil, nil, err
+	}
+	if summary, err = json.Marshal(summarize(total)); err != nil {
+		return nil, nil, err
+	}
+	*mm = mergeMemo{docs: docs, out: out, summary: summary}
+	return out, summary, nil
 }
 
 // corpusCount is the memoized whole-corpus result: the serialized

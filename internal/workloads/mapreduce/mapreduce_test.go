@@ -6,14 +6,17 @@ package mapreduce
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
+	"statebench/internal/cloud/blob"
 	"statebench/internal/core"
 	"statebench/internal/flow"
 	_ "statebench/internal/flow/lowerers"
@@ -188,26 +191,29 @@ func TestWordChunksPartitionExactly(t *testing.T) {
 	}
 }
 
-// TestPieceDigestsKeyByContent checks the per-deployment digest memo:
-// whatever bytes a stage hands it, and under whichever piece index, the
-// digest must be payload.DigestBytes of those bytes, so a stage handed
-// the wrong bytes misses the payload cache instead of hitting another
-// piece's entry; and a repeat lookup of a piece must not hash again.
+// TestPieceDigestsKeyByContent checks the digest table a memoized
+// corpus holds: whatever bytes a stage hands it, and under whichever
+// piece index, the digest must be payload.DigestBytes of those bytes,
+// so a stage handed the wrong bytes misses the payload cache instead
+// of hitting another piece's entry; a repeat lookup of a piece must not
+// hash again; and every deployment on one engine shares one table per
+// mapper count, while an engine with the cache off gives each its own.
 func TestPieceDigestsKeyByContent(t *testing.T) {
 	const m = 4
-	corpus := corpusText(40e3)
-	d := newPieceDigests(corpus, m)
+	eng := payload.NewEngine()
+	c := corpusFor(eng, 40e3)
+	d := c.digests(m)
 	check := func(what string, i int, data []byte) {
 		t.Helper()
 		if got, want := d.digest(i, data), payload.DigestBytes(data); got != want {
 			t.Fatalf("%s: digest(%d) = %x, want %x", what, i, got[:8], want[:8])
 		}
 	}
-	chunks := wordChunks(corpus, m)
-	for i, c := range chunks {
-		check("aliased chunk", i, c)
+	chunks := wordChunks(c.text, m)
+	for i, ch := range chunks {
+		check("aliased chunk", i, ch)
 	}
-	check("aliased corpus", m, corpus)
+	check("aliased corpus", m, c.text)
 
 	check("equal copy", 1, bytes.Clone(chunks[1]))
 	differ := bytes.Clone(chunks[2])
@@ -220,6 +226,223 @@ func TestPieceDigestsKeyByContent(t *testing.T) {
 	d.sums[3] = sentinel
 	if got := d.digest(3, chunks[3]); got != sentinel {
 		t.Fatalf("repeat lookup of piece 3 hashed again (got %x)", got[:8])
+	}
+
+	if corpusFor(eng, 40e3).digests(m) != d {
+		t.Error("a second deployment on the same engine got its own table")
+	}
+	if c.digests(m+1) == d {
+		t.Error("another mapper count shares the table")
+	}
+	off := payload.Disabled()
+	if a, b := corpusFor(off, 40e3), corpusFor(off, 40e3); a.digests(m) == b.digests(m) {
+		t.Error("with the cache off, two deployments share a table")
+	}
+}
+
+// TestPieceDigestsHashEachPieceOnce runs 8 goroutines against one
+// table, as concurrent sweep workers do: each must read every piece's
+// true digest, and afterwards no lookup may hash again (a sentinel
+// planted in every slot must come back). Under -race it also checks
+// that the hashes are published safely.
+func TestPieceDigestsHashEachPieceOnce(t *testing.T) {
+	const m, workers = 6, 8
+	c := corpusFor(payload.NewEngine(), 60e3)
+	chunks := append(wordChunks(c.text, m), c.text)
+	want := make([]payload.Digest, len(chunks))
+	for i, ch := range chunks {
+		want[i] = payload.DigestBytes(ch)
+	}
+	lookAll := func(d *pieceDigests, want func(i int) payload.Digest) {
+		var wg sync.WaitGroup
+		errs := make(chan string, workers*len(chunks))
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := range chunks {
+					i := (k + w) % len(chunks) // workers start at different pieces
+					if got, wi := d.digest(i, chunks[i]), want(i); got != wi {
+						errs <- fmt.Sprintf("worker %d piece %d: got %x, want %x", w, i, got[:8], wi[:8])
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+	}
+	// The table comes from concurrent lookups too.
+	tables := make([]*pieceDigests, workers)
+	var wg sync.WaitGroup
+	for w := range tables {
+		wg.Add(1)
+		go func(w int) { defer wg.Done(); tables[w] = c.digests(m) }(w)
+	}
+	wg.Wait()
+	d := tables[0]
+	for w, tb := range tables {
+		if tb != d {
+			t.Fatalf("worker %d got its own table", w)
+		}
+	}
+	lookAll(d, func(i int) payload.Digest { return want[i] })
+	sentinel := func(i int) payload.Digest { return payload.Digest{byte(i + 1)} }
+	for i := range d.sums {
+		d.sums[i] = sentinel(i)
+	}
+	lookAll(d, sentinel)
+}
+
+// freshMerge is the decode-merge-encode a merge stage did on every run
+// before its memo.
+func freshMerge(docs [][]byte) ([]byte, error) {
+	total := make(map[string]int)
+	for _, buf := range docs {
+		var counts map[string]int
+		if err := json.Unmarshal(buf, &counts); err != nil {
+			return nil, err
+		}
+		mergeCounts(total, counts)
+	}
+	return json.Marshal(total)
+}
+
+// checkRuns makes three runs of dep and checks each one's published
+// documents against fresh merges, as TestMergeMemoMatchesFreshMerge
+// describes. Runs after the first must publish the first run's
+// documents themselves: the memo served them.
+func checkRuns(p *sim.Proc, w *Workflow, store *blob.Store, dep *core.Deployment, mono bool) error {
+	var first [][]byte
+	for run := int64(1); run <= 3; run++ {
+		stats, err := dep.Runner.Invoke(p, nil)
+		if err == nil {
+			err = stats.Err
+		}
+		if err != nil {
+			return fmt.Errorf("run %d: %w", run, err)
+		}
+		get := func(key string) ([]byte, error) { return store.Get(p, key) }
+		result, err := get(resultKey)
+		if err != nil {
+			return err
+		}
+		var want []byte
+		if mono {
+			if want, err = json.Marshal(countWords(corpusText(w.CorpusBytes))); err != nil {
+				return err
+			}
+		} else {
+			reduced := make([][]byte, w.Reducers)
+			for j := range reduced {
+				parts := make([][]byte, w.Mappers)
+				for i := range parts {
+					if parts[i], err = get(partKey(run, i, j)); err != nil {
+						return err
+					}
+				}
+				if reduced[j], err = get(reduceKey(run, j)); err != nil {
+					return err
+				}
+				fresh, err := freshMerge(parts)
+				if err != nil {
+					return err
+				}
+				if !bytes.Equal(reduced[j], fresh) {
+					return fmt.Errorf("run %d: reduce %d = %.40s…, fresh merge %.40s…", run, j, reduced[j], fresh)
+				}
+			}
+			if want, err = freshMerge(reduced); err != nil {
+				return err
+			}
+			published := append(reduced, result)
+			if first == nil {
+				first = published
+			}
+			for j, doc := range published {
+				if &doc[0] != &first[j][0] {
+					return fmt.Errorf("run %d: document %d was merged again", run, j)
+				}
+			}
+		}
+		if !bytes.Equal(result, want) {
+			return fmt.Errorf("run %d: result %.40s…, fresh merge %.40s…", run, result, want)
+		}
+		var counts map[string]int
+		if err := json.Unmarshal(result, &counts); err != nil {
+			return err
+		}
+		if summary, _ := json.Marshal(summarize(counts)); !bytes.Equal(stats.Output, summary) {
+			return fmt.Errorf("run %d: output %s, want %s", run, stats.Output, summary)
+		}
+	}
+	return nil
+}
+
+// TestMergeMemoMatchesFreshMerge runs a 3-run campaign on every style
+// and checks, after each run, that every reduce blob and the merged
+// result equal a fresh decode-merge-encode of the documents that run
+// published (the monolith's result, a fresh count of the corpus), and
+// that the summary is the result's. It then hands one memo documents
+// that differ and checks that it recomputes.
+func TestMergeMemoMatchesFreshMerge(t *testing.T) {
+	w := fastShape()
+	for _, impl := range wantStyles {
+		env := core.NewEnv(7)
+		def, err := definition(w, corpusFor(env.Payload, w.CorpusBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var store *blob.Store
+		bind := def.Bind
+		def.Bind = func(b flow.Binding) (*flow.Stages, error) {
+			store = b.Blob
+			return bind(b)
+		}
+		dep, err := flow.Deploy(env, def, impl)
+		if err != nil {
+			t.Fatalf("deploy %s: %v", impl, err)
+		}
+		low, _ := flow.LowererFor(impl)
+		mono := low.Class() == flow.Mono
+		// A process goroutine must not call t.Fatal: it reports the
+		// first mismatch through fail.
+		var fail error
+		env.K.Spawn("test", func(p *sim.Proc) {
+			defer env.Stop()
+			fail = checkRuns(p, w, store, dep, mono)
+		})
+		env.K.Run()
+		if fail != nil {
+			t.Fatalf("%s: %v", impl, fail)
+		}
+	}
+
+	// Documents that differ recompute; equal copies and aliases reuse.
+	docs := [][]byte{[]byte(`{"a":1,"b":2}`), []byte(`{"b":3}`)}
+	var mm mergeMemo
+	out, summary, err := mm.merge(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out) != `{"a":1,"b":5}` || string(summary) != `{"distinct":2,"top":"b","words":6}` {
+		t.Fatalf("merge = %s, %s", out, summary)
+	}
+	copies := [][]byte{bytes.Clone(docs[0]), bytes.Clone(docs[1])}
+	if again, _, _ := mm.merge(copies); &again[0] != &out[0] {
+		t.Error("equal documents were merged again")
+	}
+	differ := [][]byte{docs[0], []byte(`{"b":4}`)}
+	if got, summary, _ := mm.merge(differ); string(got) != `{"a":1,"b":6}` || string(summary) != `{"distinct":2,"top":"b","words":7}` {
+		t.Errorf("documents that differ: merge = %s, %s", got, summary)
+	}
+	if got, _, _ := mm.merge(docs[:1]); string(got) != `{"a":1,"b":2}` {
+		t.Errorf("fewer documents: merge = %s", got)
+	}
+	if _, _, err := mm.merge([][]byte{[]byte(`{`)}); err == nil {
+		t.Error("a malformed document merged")
 	}
 }
 

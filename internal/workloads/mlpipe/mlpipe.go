@@ -311,7 +311,7 @@ func NewCosts(k *sim.Kernel, scope string, speed float64) *Costs {
 	return &Costs{
 		Speed: speed,
 		rng:   k.Stream("costs/" + scope),
-		noise: sim.LogNormalDist{Median: time.Second, Sigma: 0.07, Max: 2 * time.Second},
+		noise: sim.NewLogNormal(time.Second, 0.07, 2*time.Second),
 	}
 }
 
