@@ -143,7 +143,8 @@ fuzz:
 # bench-kernel reports at GOMAXPROCS 1 and 2: a baton pass between
 # process goroutines costs differently when the woken goroutine can run
 # on another core. IdleListeners is four storage-queue listeners idle
-# for a virtual hour, reported per kernel event and in switches per op.
+# for a virtual hour, reported per empty poll, in kernel events per op
+# and in switches per op.
 # LogNormalSample is one latency draw, the model behind every invoke,
 # poll and storage operation.
 bench-kernel:

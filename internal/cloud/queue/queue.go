@@ -113,6 +113,9 @@ type Queue struct {
 	// duplicate (delivered now and again later) — the at-least-once
 	// semantics real storage queues exhibit under consumer failure.
 	Chaos *chaos.Injector
+
+	// listener is the Listener running on the queue, if any.
+	listener *Listener
 }
 
 // New creates an empty queue named name.
@@ -138,7 +141,7 @@ func (q *Queue) Enqueue(p *sim.Proc, body []byte) error {
 	q.stats.Enqueues++
 	p.Sleep(q.params.OpLatency.Sample(q.rng))
 	q.nextID++
-	q.msgs = append(q.msgs, &Message{ID: q.nextID, Body: body, EnqueuedAt: p.Now(), Ctx: p.TraceCtx})
+	q.push(&Message{ID: q.nextID, Body: body, EnqueuedAt: p.Now(), Ctx: p.TraceCtx})
 	return nil
 }
 
@@ -154,9 +157,18 @@ func (q *Queue) EnqueueFromKernelCtx(body []byte, ctx sim.TraceContext) error {
 	d := q.params.OpLatency.Sample(q.rng)
 	q.k.After(d, func() {
 		q.nextID++
-		q.msgs = append(q.msgs, &Message{ID: q.nextID, Body: body, EnqueuedAt: q.k.Now(), Ctx: ctx})
+		q.push(&Message{ID: q.nextID, Body: body, EnqueuedAt: q.k.Now(), Ctx: ctx})
 	})
 	return nil
+}
+
+// push makes m visible at the tail of the queue. The listener's
+// pending quiet step, which can now deliver m, is exposed.
+func (q *Queue) push(m *Message) {
+	q.msgs = append(q.msgs, m)
+	if q.listener != nil {
+		q.listener.expose()
+	}
 }
 
 // TryDequeue polls the queue once, consuming one operation latency.
@@ -227,7 +239,5 @@ func (q *Queue) settleInvisible(m *Message, delivered bool) {
 	if vt <= 0 {
 		vt = 30 * time.Second
 	}
-	q.k.After(vt, func() {
-		q.msgs = append(q.msgs, m)
-	})
+	q.k.After(vt, func() { q.push(m) })
 }

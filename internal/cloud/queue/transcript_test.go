@@ -27,9 +27,10 @@ func newListener(k *sim.Kernel) poller { return NewListener(k) }
 // rig is one transcript case: listeners on one kernel, each polling its
 // own queue, and everything a run of them makes observable.
 type rig struct {
-	k  *sim.Kernel
-	qs []*Queue
-	ls []poller
+	name string
+	k    *sim.Kernel
+	qs   []*Queue
+	ls   []poller
 
 	// polls[i] holds the instant of each of qs[i]'s empty polls. The
 	// kernel's tick listener, called with a 1 ns period, runs before the
@@ -99,12 +100,18 @@ func (r *rig) enqueue(t *testing.T, i int, body string) func() {
 	}
 }
 
+// named sets the case's name and returns r.
+func (r *rig) named(name string) *rig {
+	r.name = name
+	return r
+}
+
 // run drains the kernel and renders the case's transcript.
-func (r *rig) run(name string) string {
+func (r *rig) run() string {
 	r.k.Run()
 	r.book()
 	var b strings.Builder
-	fmt.Fprintf(&b, "== %s\n", name)
+	fmt.Fprintf(&b, "== %s\n", r.name)
 	for i, q := range r.qs {
 		fmt.Fprintf(&b, "listener %d empty polls:", i)
 		for _, at := range r.polls[i] {
@@ -117,56 +124,66 @@ func (r *rig) run(name string) string {
 	return b.String()
 }
 
-// scriptedCases are the same-instant ties a listener must order exactly
-// by (at, seq). With a 5 ms poll and a 1 s cap, an idle listener's
-// polls end at 5, 110, 315, 720, 1525, 2530 ms, ...: its timers fire at
-// 105, 310, 715, 1520, 2525 ms and its poll checks follow 5 ms later.
+// scriptedCases renders every scripted case (scriptedRigs).
 func scriptedCases(t *testing.T, newPoller func(*sim.Kernel) poller) []func() string {
+	var cases []func() string
+	for _, c := range scriptedRigs(t, newPoller) {
+		cases = append(cases, func() string { return c().run() })
+	}
+	return cases
+}
+
+// scriptedRigs set up the same-instant ties a listener must order
+// exactly by (at, seq), each returning its rig before the run. With a
+// 5 ms poll and a 1 s cap, an idle listener's polls end at 5, 110, 315,
+// 720, 1525, 2530 ms, ...: its timers fire at 105, 310, 715, 1520, 2525
+// ms and its poll checks follow 5 ms later.
+func scriptedRigs(t *testing.T, newPoller func(*sim.Kernel) poller) []func() *rig {
 	one := func() *rig { return newRig(1, newPoller, fixedParams()) }
-	return []func() string{
-		func() string {
+	return []func() *rig{
+		func() *rig {
 			r := one()
 			// Queued at set-up, the kick precedes the timer pushed at 5 ms.
 			r.k.At(105*time.Millisecond, r.ls[0].Kick)
 			r.listen(0, time.Second, r.stop(3*time.Second), nil)
-			return r.run("kick at a timer's instant, queued before the timer")
+			return r.named("kick at a timer's instant, queued before the timer")
 		},
-		func() string {
+		func() *rig {
 			r := one()
 			// Queued at 50 ms, the kick follows the timer but precedes the
 			// hop the timer pushes when it fires.
 			r.k.At(50*time.Millisecond, func() { r.k.At(105*time.Millisecond, r.ls[0].Kick) })
 			r.listen(0, time.Second, r.stop(3*time.Second), nil)
-			return r.run("kick queued between a timer and its hop")
+			return r.named("kick queued between a timer and its hop")
 		},
-		func() string {
+		func() *rig {
 			r := one()
 			// Queued from the timer's instant, after the hop.
 			r.k.At(50*time.Millisecond, func() {
 				r.k.At(105*time.Millisecond, func() { r.k.After(0, r.ls[0].Kick) })
 			})
 			r.listen(0, time.Second, r.stop(3*time.Second), nil)
-			return r.run("kick queued after a timer's hop")
+			return r.named("kick queued after a timer's hop")
 		},
-		func() string {
+		func() *rig {
 			r := one()
 			// The kick ends the wait from 720 ms and the listener returns;
 			// the timer it beat still fires at 1520 ms.
 			stop := r.stop(time.Second)
 			r.k.At(time.Second, r.ls[0].Kick)
 			r.listen(0, time.Second, stop, nil)
-			return r.run("stop then kick mid-wait: the beaten timer fires later")
+			return r.named("stop then kick mid-wait: the beaten timer fires later")
 		},
-		func() string {
+		func() *rig {
 			r := one()
 			// Queued at set-up, the enqueue runs before the timer at 105
 			// ms, so its message is appended at 110 ms before the poll
 			// check the hop pushes.
 			r.k.At(105*time.Millisecond, r.enqueue(t, 0, "a"))
 			r.listen(0, time.Second, r.stop(3*time.Second), nil)
-			return r.run("enqueue visible at a poll-check instant, before the check")
+			return r.named("enqueue visible at a poll-check instant, before the check")
 		},
-		func() string {
+		func() *rig {
 			r := one()
 			// Queued after the hop, the append at 110 ms follows the
 			// poll check, which finds the queue empty.
@@ -174,9 +191,9 @@ func scriptedCases(t *testing.T, newPoller func(*sim.Kernel) poller) []func() st
 				r.k.At(105*time.Millisecond, func() { r.k.After(0, r.enqueue(t, 0, "a")) })
 			})
 			r.listen(0, time.Second, r.stop(3*time.Second), nil)
-			return r.run("enqueue visible at a poll-check instant, after the check")
+			return r.named("enqueue visible at a poll-check instant, after the check")
 		},
-		func() string {
+		func() *rig {
 			r := one()
 			// A producer process's enqueue ends at 310 ms, the instant of
 			// the listener's second timer.
@@ -187,43 +204,43 @@ func scriptedCases(t *testing.T, newPoller func(*sim.Kernel) poller) []func() st
 				}
 			})
 			r.listen(0, time.Second, r.stop(3*time.Second), nil)
-			return r.run("enqueue from a process at a timer's instant")
+			return r.named("enqueue from a process at a timer's instant")
 		},
-		func() string {
+		func() *rig {
 			r := one()
 			r.listen(0, time.Second, r.stop(200*time.Millisecond), nil)
-			return r.run("stop during a wait")
+			return r.named("stop during a wait")
 		},
-		func() string {
+		func() *rig {
 			r := one()
 			r.listen(0, time.Second, r.stop(107*time.Millisecond), nil)
-			return r.run("stop during an empty poll")
+			return r.named("stop during an empty poll")
 		},
-		func() string {
+		func() *rig {
 			r := one()
 			r.k.At(100*time.Millisecond, r.enqueue(t, 0, "a"))
 			r.listen(0, time.Second, r.stop(107*time.Millisecond), nil)
-			return r.run("stop during a poll that delivers")
+			return r.named("stop during a poll that delivers")
 		},
-		func() string {
+		func() *rig {
 			r := newRig(1, newPoller, chaosParams(0))
 			r.qs[0].Chaos = chaos.NewInjector(r.k, &chaos.Plan{Rules: []chaos.Rule{
 				{Component: "queue", Kind: chaos.Redeliver, Rate: 1, MaxFaults: 1},
 			}})
 			r.k.At(time.Second, r.enqueue(t, 0, "a"))
 			r.listen(0, time.Second, r.stop(6*time.Second), nil)
-			return r.run("chaos redelivery")
+			return r.named("chaos redelivery")
 		},
-		func() string {
+		func() *rig {
 			r := newRig(1, newPoller, chaosParams(0))
 			r.qs[0].Chaos = chaos.NewInjector(r.k, &chaos.Plan{Rules: []chaos.Rule{
 				{Component: "queue", Kind: chaos.Duplicate, Rate: 1, MaxFaults: 1},
 			}})
 			r.k.At(time.Second, r.enqueue(t, 0, "a"))
 			r.listen(0, time.Second, r.stop(6*time.Second), nil)
-			return r.run("chaos duplicate")
+			return r.named("chaos duplicate")
 		},
-		func() string {
+		func() *rig {
 			r := one()
 			// The handler blocks for 50 ms; a kick during it makes the
 			// wait after the next empty poll return at once.
@@ -232,9 +249,9 @@ func scriptedCases(t *testing.T, newPoller func(*sim.Kernel) poller) []func() st
 			r.listen(0, time.Second, r.stop(3*time.Second), func(p *sim.Proc, _ *Message) {
 				p.Sleep(50 * time.Millisecond)
 			})
-			return r.run("kick while the handler blocks")
+			return r.named("kick while the handler blocks")
 		},
-		func() string {
+		func() *rig {
 			r := newRig(1, newPoller, fixedParams(), fixedParams())
 			// Two listeners in lockstep, kicked by one event at a timer's
 			// instant; the first handler kicks both listeners.
@@ -244,18 +261,23 @@ func scriptedCases(t *testing.T, newPoller func(*sim.Kernel) poller) []func() st
 			kickBoth := func(*sim.Proc, *Message) { r.ls[0].Kick(); r.ls[1].Kick() }
 			r.listen(0, time.Second, stop, kickBoth)
 			r.listen(1, time.Second, stop, nil)
-			return r.run("two listeners kicked at one instant")
+			return r.named("two listeners kicked at one instant")
 		},
 	}
 }
 
-// randomCase runs a seeded schedule of enqueues (from events and from a
-// producer process), kicks and stops over 1-4 listeners on one kernel.
-// Times fall on a 5 ms grid so that they often tie with the listeners'
-// own events; each action is queued at set-up, from an earlier event,
-// or from an event at its own instant, which orders it before or after
-// events already queued for that instant.
+// randomCase renders the seeded schedule randomRig sets up.
 func randomCase(t *testing.T, seed int64, newPoller func(*sim.Kernel) poller) string {
+	return randomRig(t, seed, newPoller).run()
+}
+
+// randomRig sets up a seeded schedule of enqueues (from events and from
+// a producer process), kicks and stops over 1-4 listeners on one
+// kernel. Times fall on a 5 ms grid so that they often tie with the
+// listeners' own events; each action is queued at set-up, from an
+// earlier event, or from an event at its own instant, which orders it
+// before or after events already queued for that instant.
+func randomRig(t *testing.T, seed int64, newPoller func(*sim.Kernel) poller) *rig {
 	rng := rand.New(rand.NewSource(seed))
 	n := 1 + rng.Intn(4)
 	params := make([]Params, n)
@@ -331,7 +353,7 @@ func randomCase(t *testing.T, seed int64, newPoller func(*sim.Kernel) poller) st
 			}
 		})
 	}
-	return r.run(fmt.Sprintf("random schedule, seed %d, %d listeners", seed, n))
+	return r.named(fmt.Sprintf("random schedule, seed %d, %d listeners", seed, n))
 }
 
 // transcript renders every scripted case, then the random schedules.

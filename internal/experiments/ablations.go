@@ -157,29 +157,12 @@ func AblationMapConcurrency(o Options) (*Report, error) {
 	return r, nil
 }
 
-// AblationEntityInference contrasts the two inference designs the
-// paper discusses in §IV: running operations inside serialized entities
-// versus fetching state with "get" and computing in stateless
-// activities — Fig 9's Az-Dent vs Az-Dorch gap, isolated.
-func AblationEntityInference(o Options) (*Report, error) {
-	r, err := Fig9(o)
-	if err != nil {
-		return nil, err
-	}
-	r.ID = "ablation-entity-inference"
-	r.Title = "Entity-op inference vs get-then-stateless-activity (paper §IV)"
-	r.Notes = append(r.Notes,
-		"Az-Dent runs feature engineering and prediction inside serialized entity operations; Az-Dorch reads state with 'get' and computes in activities")
-	return r, nil
-}
-
 // Ablations lists the ablation experiments.
 func Ablations() []Runner {
 	return []Runner{
 		{"ablation-memory", single(AblationMemory)},
 		{"ablation-keepalive", single(AblationKeepAlive)},
 		{"ablation-mapconcurrency", single(AblationMapConcurrency)},
-		{"ablation-entity-inference", single(AblationEntityInference)},
 		{"reliability", single(Reliability)},
 	}
 }

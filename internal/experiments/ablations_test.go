@@ -59,7 +59,7 @@ func TestAblationMapConcurrency(t *testing.T) {
 }
 
 func TestRegistryWithAblations(t *testing.T) {
-	if len(RegistryWithAblations()) != 23 {
+	if len(RegistryWithAblations()) != 22 {
 		t.Fatalf("size = %d", len(RegistryWithAblations()))
 	}
 	if _, err := Find("ablation-memory"); err != nil {

@@ -30,20 +30,33 @@
 //
 // # Event storage
 //
-// Pending events wait in one of three kinds of storage: a 4-ary heap
+// Pending events wait in one of four kinds of storage: a 4-ary heap
 // for events queued for a later instant than the clock's, an O(1) FIFO
-// lane for events queued for the current one, and any number of Lanes,
+// lane for events queued for the current one, any number of Lanes,
 // O(1) FIFOs that a caller fills in the order their events fall due
-// (fixed-delay timers, a self-rescheduling chain). Each event draws
-// its seq from one kernel-wide counter, and every one of these queues
-// is (at, seq)-sorted, so its head is its minimum. The event loop
-// always runs whichever head has the smallest (at, seq) key, so the
-// execution order is the order a single heap would give. See DESIGN.md
-// §11 for the determinism argument.
+// (fixed-delay timers, a self-rescheduling chain), and a second 4-ary
+// heap for quiet events (Quiet). Each event draws its seq from one
+// kernel-wide counter, and every one of these queues is (at,
+// seq)-sorted, so its head is its minimum. The event loop always runs
+// whichever head has the smallest (at, seq) key, so the execution
+// order is the order a single heap would give. See DESIGN.md §11 for
+// the determinism argument.
+//
+// # Quiet events and the horizon
+//
+// A quiet event is one that nothing but its owner can observe until
+// the owner exposes it (Expose). Horizon returns the earliest instant
+// at which anything else can act, so an owner whose work reads and
+// writes only its own state may do the steps that fall before the
+// horizon at once, ahead of the clock, and queue the first step that
+// does not as a quiet event: every event that could see the
+// difference runs at or after the horizon. The queue listeners run
+// their idle polls this way (DESIGN.md §11).
 package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -199,6 +212,11 @@ type Kernel struct {
 	lanes      []*Lane
 	laneEvents int
 
+	// quiet holds the events Quiet queued, and exposed the keys of
+	// those that Expose has made count in Horizon, until each runs.
+	quiet   eventQueue
+	exposed []eventKey
+
 	pending  int
 	executed uint64
 
@@ -209,6 +227,7 @@ type Kernel struct {
 	// The listener is not an event: it draws no sequence number,
 	// schedules nothing, and therefore cannot perturb execution order —
 	// simulation results are byte-identical with or without one.
+	// Without a listener, tickNext is the largest Time.
 	tickFn    func(boundary Time)
 	tickEvery Time
 	tickNext  Time
@@ -218,7 +237,7 @@ type Kernel struct {
 // master seed from which all component RNG streams are derived; the same
 // seed always reproduces the same run.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{done: make(chan struct{}, 1), seed: seed}
+	return &Kernel{done: make(chan struct{}, 1), seed: seed, deadline: -1, tickNext: math.MaxInt64}
 }
 
 // Now returns the current virtual time.
@@ -264,6 +283,60 @@ func (k *Kernel) pushUnpark(d time.Duration, p *Proc) {
 	}
 	k.seq++
 	k.push(event{at: k.now + d, seq: k.seq, fn: p.unparkFn})
+}
+
+// QuietEvent names a queued quiet event, for Expose.
+type QuietEvent struct{ key eventKey }
+
+// Quiet queues fn to run at t as a quiet event: one that runs like an
+// At event, in the same (at, seq) order and counted by Pending and
+// Executed, but that Horizon ignores until it is exposed. Only an
+// owner whose event nothing else can observe may queue one.
+func (k *Kernel) Quiet(t Time, fn func()) QuietEvent {
+	if t < k.now {
+		t = k.now
+	}
+	k.seq++
+	k.pending++
+	k.quiet.push(event{at: t, seq: k.seq, fn: fn})
+	return QuietEvent{key: eventKey{at: t, seq: k.seq}}
+}
+
+// Expose makes the pending quiet event e count in Horizon until it
+// runs, for an owner whose event something else can now observe. e
+// must not have run yet.
+func (k *Kernel) Expose(e QuietEvent) {
+	k.exposed = append(k.exposed, e.key)
+}
+
+// Horizon returns the earliest instant at which anything other than
+// an unexposed quiet event can act: the clock, if a process has been
+// woken or an event is due now; otherwise the earliest of the heap's
+// and the Lanes' heads, the tick listener's next boundary, the
+// instant after RunUntil's deadline, and the exposed quiet events.
+// With none of these it returns the largest Time.
+func (k *Kernel) Horizon() Time {
+	if k.next != nil || k.immHead < len(k.imm) {
+		return k.now
+	}
+	h := k.tickNext
+	if len(k.heap.keys) > 0 {
+		h = min(h, k.heap.keys[0].at)
+	}
+	if k.laneEvents > 0 {
+		for _, l := range k.lanes {
+			if l.n > 0 {
+				h = min(h, l.blocks[0][l.head].key.at)
+			}
+		}
+	}
+	if k.deadline >= 0 {
+		h = min(h, k.deadline+1)
+	}
+	for _, e := range k.exposed {
+		h = min(h, e.at)
+	}
+	return h
 }
 
 // Lane is a FIFO of events that all run one handler, for a caller that
@@ -393,6 +466,16 @@ func (k *Kernel) dispatch() *Proc {
 				continue
 			}
 		}
+		if len(k.quiet.keys) > 0 && k.quietFirst() {
+			if !k.runQuiet(deadline) {
+				return nil
+			}
+			if p := k.next; p != nil {
+				k.next = nil
+				return p
+			}
+			continue
+		}
 		// The next event is the smaller (at, seq) of the lane head and the
 		// heap head. The lane head's at is the current instant, never
 		// after the heap head's, so on equal at the seq decides: a heap
@@ -409,10 +492,7 @@ func (k *Kernel) dispatch() *Proc {
 		} else {
 			at = k.heap.keys[0].at
 		}
-		if deadline >= 0 && at > deadline {
-			if deadline > k.now {
-				k.now = deadline
-			}
+		if !k.due(at, deadline) {
 			return nil
 		}
 		var fn func()
@@ -427,12 +507,7 @@ func (k *Kernel) dispatch() *Proc {
 		} else {
 			fn = k.heap.pop().fn
 		}
-		k.pending--
-		k.executed++
-		k.now = at
-		if k.tickFn != nil && at >= k.tickNext {
-			k.tick(at)
-		}
+		k.advance(at)
 		fn()
 		if p := k.next; p != nil {
 			k.next = nil
@@ -445,6 +520,7 @@ func (k *Kernel) dispatch() *Proc {
 		// for drill-downs; the backing arrays should not be pinned with
 		// it.
 		k.heap.release()
+		k.quiet.release()
 		k.imm = nil
 		k.immHead = 0
 		for _, l := range k.lanes {
@@ -454,9 +530,32 @@ func (k *Kernel) dispatch() *Proc {
 	return nil
 }
 
+// due reports whether an event at `at` may run under the deadline. If
+// not, the run ends with the clock moved up to the deadline.
+func (k *Kernel) due(at, deadline Time) bool {
+	if deadline >= 0 && at > deadline {
+		if deadline > k.now {
+			k.now = deadline
+		}
+		return false
+	}
+	return true
+}
+
+// advance books the event about to run at `at`: the clock moves to
+// it, and the tick listener is told of any boundary it crosses.
+func (k *Kernel) advance(at Time) {
+	k.pending--
+	k.executed++
+	k.now = at
+	if at >= k.tickNext {
+		k.tick(at)
+	}
+}
+
 // nextLane returns the Lane whose head runs next, or nil when the
-// immediate lane's or the heap's head comes first. The caller has
-// checked that some Lane holds an event.
+// immediate lane's, the heap's or the quiet heap's head comes first.
+// The caller has checked that some Lane holds an event.
 func (k *Kernel) nextLane() *Lane {
 	var best *Lane
 	var key eventKey
@@ -475,6 +574,9 @@ func (k *Kernel) nextLane() *Lane {
 	if len(k.heap.keys) > 0 && k.heap.keys[0].before(key) {
 		return nil
 	}
+	if len(k.quiet.keys) > 0 && k.quiet.keys[0].before(key) {
+		return nil
+	}
 	return best
 }
 
@@ -482,21 +584,47 @@ func (k *Kernel) nextLane() *Lane {
 // the run and returns false when that event falls after the deadline.
 func (k *Kernel) runLane(l *Lane, deadline Time) bool {
 	e := l.blocks[0][l.head]
-	if deadline >= 0 && e.key.at > deadline {
-		if deadline > k.now {
-			k.now = deadline
-		}
+	if !k.due(e.key.at, deadline) {
 		return false
 	}
 	l.pop()
 	k.laneEvents--
-	k.pending--
-	k.executed++
-	k.now = e.key.at
-	if k.tickFn != nil && e.key.at >= k.tickNext {
-		k.tick(e.key.at)
-	}
+	k.advance(e.key.at)
 	l.fn(e.arg)
+	return true
+}
+
+// quietFirst reports whether the quiet heap's head runs before the
+// immediate lane's and the heap's. The caller has checked that the
+// quiet heap holds an event and that no Lane's head comes first.
+func (k *Kernel) quietFirst() bool {
+	key := k.quiet.keys[0]
+	if k.immHead < len(k.imm) {
+		if ie := &k.imm[k.immHead]; (eventKey{at: ie.at, seq: ie.seq}).before(key) {
+			return false
+		}
+	}
+	return len(k.heap.keys) == 0 || key.before(k.heap.keys[0])
+}
+
+// runQuiet runs the quiet heap's head event, as runLane runs a Lane's,
+// and drops it from the exposed events if it is one.
+func (k *Kernel) runQuiet(deadline Time) bool {
+	key := k.quiet.keys[0]
+	if !k.due(key.at, deadline) {
+		return false
+	}
+	fn := k.quiet.pop().fn
+	for i, e := range k.exposed {
+		if e == key {
+			last := len(k.exposed) - 1
+			k.exposed[i] = k.exposed[last]
+			k.exposed = k.exposed[:last]
+			break
+		}
+	}
+	k.advance(key.at)
+	fn()
 	return true
 }
 
@@ -504,8 +632,14 @@ func (k *Kernel) runLane(l *Lane, deadline Time) bool {
 // crossed its next boundary. Coalesce: after an idle gap the listener
 // is told only the last boundary at or before the clock, not every
 // skipped one (windowed telemetry has nothing to say about empty
-// windows).
+// windows). It is kept out of line so that advance, on the path of
+// every event, inlines.
+//
+//go:noinline
 func (k *Kernel) tick(at Time) {
+	if k.tickFn == nil {
+		return // an event at the largest Time, with no listener
+	}
 	b := at - at%k.tickEvery
 	k.tickNext = b + k.tickEvery
 	k.tickFn(b)
@@ -534,7 +668,7 @@ func (k *Kernel) handoff(next *Proc) {
 // removes the listener, restoring the zero-cost path.
 func (k *Kernel) SetTickListener(every Time, fn func(boundary Time)) {
 	if fn == nil || every <= 0 {
-		k.tickFn, k.tickEvery, k.tickNext = nil, 0, 0
+		k.tickFn, k.tickEvery, k.tickNext = nil, 0, math.MaxInt64
 		return
 	}
 	k.tickFn, k.tickEvery = fn, every

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -170,6 +171,118 @@ func TestPropertyLanesMerge(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: quiet events merge with the heap, the immediate lane and a
+// Lane into one (at, scheduling order) order, and Horizon is always
+// the earliest of the pending non-quiet events, the exposed quiet
+// events, the next tick boundary and the instant after RunUntil's
+// deadline. Each callback queues up to two follow-ups, each one of
+// After(0–3 ms), At, Quiet at 0–3 ms, or 2 ms ahead on a Lane, or
+// exposes the oldest unexposed quiet event; a tick listener is set at
+// one of three periods or not at all, and the run goes in RunUntil
+// steps before a final Run. An exposed event that has run leaves
+// nothing behind: the drained kernel has no horizon.
+func TestPropertyQuietEvents(t *testing.T) {
+	f := func(ops []uint8, tickRaw uint8) bool {
+		k := NewKernel(1)
+		type entry struct {
+			at             Time
+			quiet, exposed bool
+			ev             QuietEvent
+		}
+		type fired struct {
+			at  Time
+			tag int32
+		}
+		pending := map[int32]*entry{}
+		var log []fired
+		var tags int32
+		next, deadline, tickNext, ok := 0, Time(-1), Time(math.MaxInt64), true
+		if every := Time(tickRaw%4) * 2 * time.Millisecond; every > 0 {
+			tickNext = every
+			k.SetTickListener(every, func(b Time) { tickNext = b + every })
+		}
+		var schedule func()
+		run := func(tag int32) {
+			delete(pending, tag)
+			log = append(log, fired{at: k.Now(), tag: tag})
+			want := tickNext
+			if deadline >= 0 {
+				want = min(want, deadline+1)
+			}
+			for _, e := range pending {
+				if !e.quiet || e.exposed {
+					want = min(want, e.at)
+				}
+			}
+			if got := k.Horizon(); got != want {
+				t.Logf("at %v: Horizon() = %v, want %v", k.Now(), got, want)
+				ok = false
+			}
+			for c := 0; c < 2 && next < len(ops); c++ {
+				schedule()
+			}
+		}
+		lane := k.NewLane(run)
+		schedule = func() {
+			op := ops[next]
+			next++
+			at := k.Now() + Time(op>>3%4)*time.Millisecond
+			if op%8 == 7 {
+				var oldest int32
+				for tag, e := range pending {
+					if e.quiet && !e.exposed && (oldest == 0 || tag < oldest) {
+						oldest = tag
+					}
+				}
+				if e := pending[oldest]; e != nil {
+					e.exposed = true
+					k.Expose(e.ev)
+				}
+				return
+			}
+			tags++
+			tag := tags
+			e := &entry{at: at}
+			switch op % 8 {
+			case 0, 1:
+				k.After(at-k.Now(), func() { run(tag) })
+			case 2, 3:
+				k.At(at, func() { run(tag) })
+			case 4, 5:
+				e.quiet = true
+				e.ev = k.Quiet(at, func() { run(tag) })
+			default:
+				e.at = k.Now() + 2*time.Millisecond
+				lane.At(e.at, tag)
+			}
+			pending[tag] = e
+		}
+		for r := 0; r < 4 && next < len(ops); r++ {
+			schedule()
+		}
+		for i := 0; i < 3 && k.Pending() > 0; i++ {
+			deadline = k.Now() + Time(i+1)*time.Millisecond
+			k.RunUntil(deadline)
+		}
+		deadline = -1
+		k.Run()
+		k.SetTickListener(0, nil)
+		if !ok || len(log) != int(tags) || k.Executed() != uint64(tags) || k.Pending() != 0 || k.Horizon() != math.MaxInt64 {
+			return false
+		}
+		for i := 1; i < len(log); i++ {
+			a, b := log[i-1], log[i]
+			if b.at < a.at || (b.at == a.at && b.tag < a.tag) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
