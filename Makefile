@@ -175,8 +175,10 @@ bench-all:
 
 # bench-traffic exercises the kernel under the traffic-shaped
 # standing-population workload, a standing population of fixed-delay
-# timers queued through At and through a Lane, and one full
-# million-tenant open-loop run per serving model; every benchmark
+# timers queued through At and through a Lane, one of timers re-armed
+# after each serving model's completion delays queued through At and
+# through a Timers, and one full million-tenant open-loop run per
+# serving model; every benchmark
 # reports events/op so cmd/benchjson -compare can derive events/sec
 # across baselines.
 # Separate invocations on purpose: the storm and the timers need the
@@ -187,6 +189,7 @@ bench-traffic:
 	$(GO) test -run - -bench 'KernelStandingCascade' -benchtime 1x -benchmem -timeout 60m .
 	$(GO) test -run - -bench 'SameInstantStorm' -benchmem .
 	$(GO) test -run - -bench 'KernelFixedDelayTimers' -benchmem .
+	$(GO) test -run - -bench 'KernelRandomDelayTimers' -benchmem .
 	$(GO) test -run - -bench 'TrafficMillionTenants$$/per-request' -benchtime 1x -benchmem -timeout 60m .
 	$(GO) test -run - -bench 'TrafficMillionTenants$$/instance-pool' -benchtime 1x -benchmem -timeout 60m .
 

@@ -242,6 +242,82 @@ func BenchmarkKernelFixedDelayTimers(b *testing.B) {
 	})
 }
 
+// BenchmarkKernelRandomDelayTimers is the traffic engine's completions
+// in miniature: a standing population of timers, each of which re-arms
+// after a delay drawn from one serving model's completion mix, so they
+// fall due in an order unrelated to the order they were queued in.
+// per-request draws the invoke round trip, then the warm entry or, in
+// 60% of draws (the cold share of the per-request run in perfbench
+// open-loop), the cold entry with the 64 MB code fetch, then the
+// execution time; instance-pool draws the dispatch and the execution
+// time. "at" queues the timers with Kernel.At, where every firing
+// walks a heap that holds the whole population; "timers" queues them
+// on a Timers, whose calendar queue serves them in O(1).
+func BenchmarkKernelRandomDelayTimers(b *testing.B) {
+	const (
+		population = 1 << 17
+		coldShare  = 0.6
+		codeMB     = 64
+	)
+	exec := sim.NewLogNormal(80*time.Millisecond, 0.5, 10*time.Second) // traffic.Config's default
+	aws, okAWS := core.Provider(core.AWS)
+	azure, okAzure := core.Provider(core.Azure)
+	if !okAWS || !okAzure || aws.Traffic == nil || azure.Traffic == nil {
+		b.Skip("no traffic profile for AWS or Azure")
+	}
+	perReq, pool := aws.Traffic(), azure.Traffic()
+	fetch := sim.Time(codeMB * 1e6 / perReq.CodeFetchBW * 1e9)
+	mixes := []struct {
+		name    string
+		horizon time.Duration
+		delay   func(r *sim.RNG) sim.Time
+	}{
+		{"per-request", 20 * time.Second, func(r *sim.RNG) sim.Time {
+			d := perReq.InvokeRTT.Sample(r)
+			if r.Float64() < coldShare {
+				d += perReq.ColdStart.Sample(r) + fetch
+			} else {
+				d += perReq.WarmStart.Sample(r)
+			}
+			return d + exec.Sample(r)
+		}},
+		{"instance-pool", 2 * time.Second, func(r *sim.RNG) sim.Time {
+			return pool.WarmStart.Sample(r) + exec.Sample(r)
+		}},
+	}
+	for _, mix := range mixes {
+		run := func(b *testing.B, arm func(k *sim.Kernel, r *sim.RNG)) {
+			var total uint64
+			for i := 0; i < b.N; i++ {
+				k := sim.NewKernel(42)
+				arm(k, k.Stream("timers"))
+				k.RunUntil(mix.horizon)
+				total += k.Executed()
+			}
+			b.ReportMetric(float64(total)/float64(b.N), "events/op")
+		}
+		b.Run(mix.name+"/at", func(b *testing.B) {
+			run(b, func(k *sim.Kernel, r *sim.RNG) {
+				fires := make([]func(), population)
+				for j := range fires {
+					j := j
+					fires[j] = func() { k.At(k.Now()+mix.delay(r), fires[j]) }
+					k.At(mix.delay(r), fires[j])
+				}
+			})
+		})
+		b.Run(mix.name+"/timers", func(b *testing.B) {
+			run(b, func(k *sim.Kernel, r *sim.RNG) {
+				var tm *sim.Timers
+				tm = k.NewTimers(func(j int64) { tm.At(k.Now()+mix.delay(r), j) })
+				for j := int64(0); j < population; j++ {
+					tm.At(mix.delay(r), j)
+				}
+			})
+		})
+	}
+}
+
 // trafficMillionTenants is one full open-loop run (arrive, drain,
 // bill) at acceptance scale: a one-million-tenant population under a
 // Poisson stream, with one sub-benchmark per serving model, each

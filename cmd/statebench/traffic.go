@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -40,6 +41,12 @@ func runTraffic(args []string, w io.Writer) error {
 	timelineOut := fs.String("timeline", "", "record windowed telemetry and write per-window CSV (JSON when the name ends in .json) to this file")
 	liveAddr := fs.String("live", "", "serve live telemetry on this address while the run is up; snapshots publish at every window boundary")
 	_ = fs.Parse(args)
+	// A rate that is not positive and finite gives no next arrival:
+	// every gap would be infinite or negative, and the arrival chain
+	// would queue arrivals at the current instant without end.
+	if !(*rate > 0) || math.IsInf(*rate, 1) {
+		return fmt.Errorf("-rate %v: want a positive, finite arrival rate (req/s)", *rate)
+	}
 
 	// Windowed telemetry: each run records into a private series; the
 	// live endpoint sees finished runs plus a rolling snapshot of the

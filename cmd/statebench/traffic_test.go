@@ -33,6 +33,22 @@ func TestTrafficCSVDependsOnlyOnSeed(t *testing.T) {
 	}
 }
 
+// TestTrafficRejectsNonPositiveRate: a rate that is not positive and
+// finite is an error before any run, where it once left the arrival
+// chain queueing arrivals at t = 0 without end.
+func TestTrafficRejectsNonPositiveRate(t *testing.T) {
+	for _, rate := range []string{"0", "-5", "NaN", "+Inf", "-Inf"} {
+		var out bytes.Buffer
+		err := runTraffic([]string{"-tenants", "1000", "-rate", rate, "-duration", "1s", "-process", "poisson", "-provider", "AWS"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-rate") {
+			t.Errorf("-rate %s: error %v, want a -rate error", rate, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-rate %s: printed a report:\n%s", rate, out.String())
+		}
+	}
+}
+
 // TestTrafficCSVMatchesGolden pins the open-loop engine's output: three
 // providers (both serving models) under all three arrival processes,
 // events column included, against testdata/golden/traffic_small.csv.

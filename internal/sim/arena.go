@@ -4,11 +4,10 @@ package sim
 // state that churns at event rate — invocation records, in-flight
 // work items. Records are addressed by stable int32 handles (chunk
 // storage never moves), so schedulable state can reference a record
-// without holding a pointer, and — crucially for the event hot path —
-// a record can embed a closure allocated once, at first use of its
-// slot, that captures the handle and survives Free/Alloc recycling.
-// Steady-state allocation cost is therefore bounded by the peak number
-// of live records, not the total processed.
+// without holding a pointer: a Lane or Timers event can carry the
+// handle as its argument. Steady-state allocation cost is therefore
+// bounded by the peak number of live records, not the total
+// processed.
 //
 // An Arena belongs to one kernel's goroutine like everything else in
 // this package; it does not lock.
@@ -26,8 +25,7 @@ const (
 
 // Alloc returns a handle and pointer to a record. The record's fields
 // are whatever the previous user of the slot left behind — callers
-// reset what they use. That is deliberate: zeroing would also wipe the
-// slot-lifetime closures the traffic engine stores in its records.
+// reset what they use.
 func (a *Arena[T]) Alloc() (int32, *T) {
 	if n := len(a.free); n > 0 {
 		h := a.free[n-1]

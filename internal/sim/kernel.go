@@ -30,15 +30,17 @@
 //
 // # Event storage
 //
-// Pending events wait in one of four kinds of storage: a 4-ary heap
+// Pending events wait in one of five kinds of storage: a 4-ary heap
 // for events queued for a later instant than the clock's, an O(1) FIFO
 // lane for events queued for the current one, any number of Lanes,
 // O(1) FIFOs that a caller fills in the order their events fall due
-// (fixed-delay timers, a self-rescheduling chain), and a second 4-ary
+// (fixed-delay timers, a self-rescheduling chain), any number of
+// Timers, calendar queues for closure-free events that fall due after
+// random delays (completions, instance starts), and a second 4-ary
 // heap for quiet events (Quiet). Each event draws its seq from one
-// kernel-wide counter, and every one of these queues is (at,
-// seq)-sorted, so its head is its minimum. The event loop always runs
-// whichever head has the smallest (at, seq) key, so the execution
+// kernel-wide counter, and each of these queues yields its events in
+// (at, seq) order, so its head is its minimum. The event loop always
+// runs whichever head has the smallest (at, seq) key, so the execution
 // order is the order a single heap would give. See DESIGN.md §11 for
 // the determinism argument.
 //
@@ -64,13 +66,10 @@ import (
 // of the simulation.
 type Time = time.Duration
 
-// event is a scheduled callback. The struct is deliberately kept at
-// three words: the heap stores events by value, so every extra field
-// is copied on every sift — widening it measurably slows the
-// push/pop hot path.
+// event is a callback queued in the immediate lane. The struct is
+// deliberately kept at three words: the lane stores events by value.
 type event struct {
-	at  Time
-	seq int64
+	key eventKey
 	fn  func()
 }
 
@@ -91,54 +90,58 @@ func (a eventKey) before(b eventKey) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is a 4-ary min-heap of events ordered by (at, seq), stored
-// structure-of-arrays: keys and closures in parallel backing slices.
-// Compared to container/heap with boxed *event items this kills the
-// per-At allocation (the backing arrays are their own free lists:
-// popped slots are reused by later pushes); the 4-ary layout halves the
-// tree depth; the key/closure split halves the cache lines per sifted
-// level — under multi-million-event pending sets the heap walk is
-// memory-bound, so lines per level is the whole cost model. Sifts move
-// a hole instead of swapping (one array write per level, not three).
-type eventQueue struct {
+// heap4 is a 4-ary min-heap of values ordered by their (at, seq) keys,
+// stored structure-of-arrays: keys and values in parallel backing
+// slices. It serves the kernel's closure heap and quiet heap (values
+// are closures) and the overflow tier of every Timers (values are the
+// handler's argument). Compared to container/heap with boxed items
+// this kills the per-push allocation (the backing arrays are their own
+// free lists: popped slots are reused by later pushes); the 4-ary
+// layout halves the tree depth; the key/value split halves the cache
+// lines per sifted level — under multi-million-event pending sets the
+// heap walk is memory-bound, so lines per level is the whole cost
+// model. Sifts move a hole instead of swapping (one array write per
+// level, not three).
+type heap4[V any] struct {
 	keys []eventKey
-	fns  []func()
+	vals []V
 }
 
-// push appends e and restores the heap property.
-func (q *eventQueue) push(e event) {
+// push adds v under key and restores the heap property.
+func (q *heap4[V]) push(key eventKey, v V) {
 	n := len(q.keys)
-	if n == cap(q.keys) || n == cap(q.fns) {
+	if n == cap(q.keys) || n == cap(q.vals) {
 		// Grow whichever array is full (caps can drift apart across
 		// size classes, so both are checked, not assumed in step).
+		var zero V
 		q.keys = append(q.keys, eventKey{})[:n]
-		q.fns = append(q.fns, nil)[:n]
+		q.vals = append(q.vals, zero)[:n]
 	}
-	ks, fs := q.keys[:n+1], q.fns[:n+1]
-	q.keys, q.fns = ks, fs
-	// Sift the hole up: parents move down until e's slot is found; the
-	// new element is written exactly once, into its final slot.
-	key := eventKey{at: e.at, seq: e.seq}
+	ks, vs := q.keys[:n+1], q.vals[:n+1]
+	q.keys, q.vals = ks, vs
+	// Sift the hole up: parents move down until the new element's slot
+	// is found; it is written exactly once, into its final slot.
 	i := n
 	for i > 0 {
 		p := (i - 1) / 4
 		if !key.before(ks[p]) {
 			break
 		}
-		ks[i], fs[i] = ks[p], fs[p]
+		ks[i], vs[i] = ks[p], vs[p]
 		i = p
 	}
-	ks[i], fs[i] = key, e.fn
+	ks[i], vs[i] = key, v
 }
 
-// pop removes and returns the minimum event.
-func (q *eventQueue) pop() event {
-	ks, fs := q.keys, q.fns
-	top := event{at: ks[0].at, seq: ks[0].seq, fn: fs[0]}
+// pop removes the minimum and returns its key and value.
+func (q *heap4[V]) pop() (eventKey, V) {
+	ks, vs := q.keys, q.vals
+	top, topV := ks[0], vs[0]
 	n := len(ks) - 1
-	key, fn := ks[n], fs[n]
-	ks[n], fs[n] = eventKey{}, nil // release the closure to the GC
-	ks, fs = ks[:n], fs[:n]
+	key, v := ks[n], vs[n]
+	var zero V
+	ks[n], vs[n] = eventKey{}, zero // release a closure to the GC
+	ks, vs = ks[:n], vs[:n]
 	if n > 0 {
 		// Sift the hole down: the displaced last element chases it.
 		i := 0
@@ -160,17 +163,17 @@ func (q *eventQueue) pop() event {
 			if !ks[min].before(key) {
 				break
 			}
-			ks[i], fs[i] = ks[min], fs[min]
+			ks[i], vs[i] = ks[min], vs[min]
 			i = min
 		}
-		ks[i], fs[i] = key, fn
+		ks[i], vs[i] = key, v
 	}
-	q.keys, q.fns = ks, fs
-	return top
+	q.keys, q.vals = ks, vs
+	return top, topV
 }
 
 // release frees the backing arrays.
-func (q *eventQueue) release() { q.keys, q.fns = nil, nil }
+func (q *heap4[V]) release() { q.keys, q.vals = nil, nil }
 
 // Kernel is a discrete-event simulation engine with a virtual clock.
 // Create one with NewKernel; it is not safe for concurrent use from
@@ -193,7 +196,7 @@ type Kernel struct {
 
 	// heap holds every event that At, After or a process queued for a
 	// later instant than the clock read when it was queued.
-	heap eventQueue
+	heap heap4[func()]
 
 	// imm is the immediate lane: a FIFO of events due at the current
 	// instant. Entries are appended with kernel-wide increasing seq, so
@@ -206,15 +209,17 @@ type Kernel struct {
 	imm     []event
 	immHead int
 
-	// lanes are the caller-ordered FIFOs made by NewLane, and
-	// laneEvents counts the events they hold: while it is zero the event
-	// loop never looks at them.
+	// lanes are the caller-ordered FIFOs made by NewLane, timers the
+	// calendar queues made by NewTimers, and laneEvents counts the
+	// events both hold: while it is zero the event loop never looks at
+	// them.
 	lanes      []*Lane
+	timers     []*Timers
 	laneEvents int
 
 	// quiet holds the events Quiet queued, and exposed the keys of
 	// those that Expose has made count in Horizon, until each runs.
-	quiet   eventQueue
+	quiet   heap4[func()]
 	exposed []eventKey
 
 	pending  int
@@ -243,26 +248,22 @@ func NewKernel(seed uint64) *Kernel {
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// push queues an event: in the immediate lane if it is due at the
-// current instant, otherwise in the heap.
-func (k *Kernel) push(e event) {
-	k.pending++
-	if e.at == k.now {
-		k.imm = append(k.imm, e)
-		return
-	}
-	k.heap.push(e)
-}
-
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past (t < Now) runs the event at the current time, after already-queued
-// events for this instant.
+// events for this instant. An event due now goes to the immediate
+// lane, a later one to the heap.
 func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		t = k.now
 	}
 	k.seq++
-	k.push(event{at: t, seq: k.seq, fn: fn})
+	k.pending++
+	key := eventKey{at: t, seq: k.seq}
+	if t == k.now {
+		k.imm = append(k.imm, event{key: key, fn: fn})
+		return
+	}
+	k.heap.push(key, fn)
 }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
@@ -271,18 +272,6 @@ func (k *Kernel) After(d time.Duration, fn func()) {
 		d = 0
 	}
 	k.At(k.now+d, fn)
-}
-
-// pushUnpark schedules p's resume d from now without allocating: the
-// closure is the per-process unparkFn bound once at spawn — the hot
-// path behind Proc.wake (and so Sleep), millions of events per
-// campaign, which used to allocate a method value each.
-func (k *Kernel) pushUnpark(d time.Duration, p *Proc) {
-	if d < 0 {
-		d = 0
-	}
-	k.seq++
-	k.push(event{at: k.now + d, seq: k.seq, fn: p.unparkFn})
 }
 
 // QuietEvent names a queued quiet event, for Expose.
@@ -298,8 +287,9 @@ func (k *Kernel) Quiet(t Time, fn func()) QuietEvent {
 	}
 	k.seq++
 	k.pending++
-	k.quiet.push(event{at: t, seq: k.seq, fn: fn})
-	return QuietEvent{key: eventKey{at: t, seq: k.seq}}
+	key := eventKey{at: t, seq: k.seq}
+	k.quiet.push(key, fn)
+	return QuietEvent{key: key}
 }
 
 // Expose makes the pending quiet event e count in Horizon until it
@@ -311,9 +301,9 @@ func (k *Kernel) Expose(e QuietEvent) {
 
 // Horizon returns the earliest instant at which anything other than
 // an unexposed quiet event can act: the clock, if a process has been
-// woken or an event is due now; otherwise the earliest of the heap's
-// and the Lanes' heads, the tick listener's next boundary, the
-// instant after RunUntil's deadline, and the exposed quiet events.
+// woken or an event is due now; otherwise the earliest of the heap's,
+// the Lanes' and the Timers' heads, the tick listener's next boundary,
+// the instant after RunUntil's deadline, and the exposed quiet events.
 // With none of these it returns the largest Time.
 func (k *Kernel) Horizon() Time {
 	if k.next != nil || k.immHead < len(k.imm) {
@@ -327,6 +317,11 @@ func (k *Kernel) Horizon() Time {
 		for _, l := range k.lanes {
 			if l.n > 0 {
 				h = min(h, l.blocks[0][l.head].key.at)
+			}
+		}
+		for _, tm := range k.timers {
+			if tm.n > 0 {
+				h = min(h, tm.peek().key.at)
 			}
 		}
 	}
@@ -455,8 +450,8 @@ func (k *Kernel) dispatch() *Proc {
 	deadline := k.deadline
 	for k.pending > 0 {
 		if k.laneEvents > 0 {
-			if l := k.nextLane(); l != nil {
-				if !k.runLane(l, deadline) {
+			if l, tm := k.nextLane(); l != nil || tm != nil {
+				if l != nil && !k.runLane(l, deadline) || tm != nil && !k.runTimers(tm, deadline) {
 					return nil
 				}
 				if p := k.next; p != nil {
@@ -484,11 +479,11 @@ func (k *Kernel) dispatch() *Proc {
 		lane := k.immHead < len(k.imm)
 		if lane && len(k.heap.keys) > 0 {
 			ie := &k.imm[k.immHead]
-			lane = eventKey{at: ie.at, seq: ie.seq}.before(k.heap.keys[0])
+			lane = ie.key.before(k.heap.keys[0])
 		}
 		var at Time
 		if lane {
-			at = k.imm[k.immHead].at
+			at = k.imm[k.immHead].key.at
 		} else {
 			at = k.heap.keys[0].at
 		}
@@ -505,7 +500,7 @@ func (k *Kernel) dispatch() *Proc {
 				k.immHead = 0
 			}
 		} else {
-			fn = k.heap.pop().fn
+			_, fn = k.heap.pop()
 		}
 		k.advance(at)
 		fn()
@@ -515,19 +510,25 @@ func (k *Kernel) dispatch() *Proc {
 		}
 	}
 	if k.pending == 0 {
-		// The run drained: release the event storage. Callers routinely
-		// keep the Env (and so the kernel) alive long after a campaign
-		// for drill-downs; the backing arrays should not be pinned with
-		// it.
-		k.heap.release()
-		k.quiet.release()
-		k.imm = nil
-		k.immHead = 0
-		for _, l := range k.lanes {
-			l.release()
-		}
+		k.release()
 	}
 	return nil
+}
+
+// release frees the event storage of a drained run. Callers routinely
+// keep the Env (and so the kernel) alive long after a campaign for
+// drill-downs; the backing arrays should not be pinned with it.
+func (k *Kernel) release() {
+	k.heap.release()
+	k.quiet.release()
+	k.imm = nil
+	k.immHead = 0
+	for _, l := range k.lanes {
+		l.release()
+	}
+	for _, tm := range k.timers {
+		tm.release()
+	}
 }
 
 // due reports whether an event at `at` may run under the deadline. If
@@ -553,31 +554,40 @@ func (k *Kernel) advance(at Time) {
 	}
 }
 
-// nextLane returns the Lane whose head runs next, or nil when the
-// immediate lane's, the heap's or the quiet heap's head comes first.
-// The caller has checked that some Lane holds an event.
-func (k *Kernel) nextLane() *Lane {
+// nextLane returns the Lane or the Timers whose head runs next (one of
+// the two is nil), or neither when the immediate lane's, the heap's or
+// the quiet heap's head comes first. The caller has checked that some
+// Lane or Timers holds an event.
+func (k *Kernel) nextLane() (*Lane, *Timers) {
 	var best *Lane
-	var key eventKey
+	var bestT *Timers
+	key := eventKey{at: math.MaxInt64, seq: math.MaxInt64}
 	for _, l := range k.lanes {
 		if l.n > 0 {
-			if h := l.blocks[0][l.head].key; best == nil || h.before(key) {
+			if h := l.blocks[0][l.head].key; h.before(key) {
 				best, key = l, h
 			}
 		}
 	}
+	for _, tm := range k.timers {
+		if tm.n > 0 {
+			if h := tm.peek().key; h.before(key) {
+				best, bestT, key = nil, tm, h
+			}
+		}
+	}
 	if k.immHead < len(k.imm) {
-		if ie := &k.imm[k.immHead]; (eventKey{at: ie.at, seq: ie.seq}).before(key) {
-			return nil
+		if k.imm[k.immHead].key.before(key) {
+			return nil, nil
 		}
 	}
 	if len(k.heap.keys) > 0 && k.heap.keys[0].before(key) {
-		return nil
+		return nil, nil
 	}
 	if len(k.quiet.keys) > 0 && k.quiet.keys[0].before(key) {
-		return nil
+		return nil, nil
 	}
-	return best
+	return best, bestT
 }
 
 // runLane runs l's head event, as dispatch runs the others, or stops
@@ -594,13 +604,28 @@ func (k *Kernel) runLane(l *Lane, deadline Time) bool {
 	return true
 }
 
+// runTimers runs tm's head event, which nextLane has loaded, as
+// runLane runs a Lane's.
+func (k *Kernel) runTimers(tm *Timers, deadline Time) bool {
+	e := tm.cur[tm.head]
+	if !k.due(e.key.at, deadline) {
+		return false
+	}
+	tm.pop()
+	k.laneEvents--
+	k.advance(e.key.at)
+	tm.fn(e.arg)
+	return true
+}
+
 // quietFirst reports whether the quiet heap's head runs before the
 // immediate lane's and the heap's. The caller has checked that the
-// quiet heap holds an event and that no Lane's head comes first.
+// quiet heap holds an event and that no Lane's or Timers' head comes
+// first.
 func (k *Kernel) quietFirst() bool {
 	key := k.quiet.keys[0]
 	if k.immHead < len(k.imm) {
-		if ie := &k.imm[k.immHead]; (eventKey{at: ie.at, seq: ie.seq}).before(key) {
+		if k.imm[k.immHead].key.before(key) {
 			return false
 		}
 	}
@@ -614,7 +639,7 @@ func (k *Kernel) runQuiet(deadline Time) bool {
 	if !k.due(key.at, deadline) {
 		return false
 	}
-	fn := k.quiet.pop().fn
+	_, fn := k.quiet.pop()
 	for i, e := range k.exposed {
 		if e == key {
 			last := len(k.exposed) - 1

@@ -340,19 +340,27 @@ func TestSameTimeFIFOUnderLoad(t *testing.T) {
 
 // TestRunReleasesEventStorage asserts the drained queue's backing array
 // is dropped so a retained Env does not pin campaign-sized event
-// storage (the core.Series memory-retention fix).
+// storage (the core.Series memory-retention fix): the heap, the
+// immediate lane, a Lane's blocks, and a Timers' ring blocks, block
+// pool, sorted bucket and overflow heap.
 func TestRunReleasesEventStorage(t *testing.T) {
 	k := NewKernel(1)
 	l := k.NewLane(func(int32) {})
+	tm := k.NewTimers(func(int64) {})
 	for i := 0; i < 4096; i++ {
 		k.After(time.Duration(i)*time.Millisecond, func() {})
 		l.At(time.Duration(i)*time.Millisecond, int32(i))
+		at := time.Duration(i) * time.Millisecond
+		if i%16 == 15 {
+			at *= 1000 // beyond the calendar's window
+		}
+		tm.At(at, int64(i))
 	}
-	if cap(k.heap.keys) == 0 || len(l.blocks) < 2 {
+	if cap(k.heap.keys) == 0 || len(l.blocks) < 2 || tm.ringN == 0 || len(tm.over.keys) == 0 {
 		t.Fatal("queue unexpectedly empty before Run")
 	}
 	k.Run()
-	if k.heap.keys != nil || k.heap.fns != nil {
+	if k.heap.keys != nil || k.heap.vals != nil {
 		t.Fatalf("heap storage retained after drain: cap %d", cap(k.heap.keys))
 	}
 	if k.imm != nil {
@@ -361,11 +369,17 @@ func TestRunReleasesEventStorage(t *testing.T) {
 	if l.blocks != nil || l.spare != nil {
 		t.Fatalf("Lane storage retained after drain: %d blocks", len(l.blocks))
 	}
+	if tm.ring != nil || tm.occupied != nil || tm.pool != nil || tm.cur != nil || tm.over.keys != nil || tm.over.vals != nil {
+		t.Fatalf("Timers storage retained after drain: ring %d, pool %v, cur cap %d, overflow cap %d",
+			len(tm.ring), tm.pool != nil, cap(tm.cur), cap(tm.over.keys))
+	}
 	// The kernel must stay usable after the release.
-	ran := false
+	ran, fired := false, false
 	k.After(0, func() { ran = true })
+	tm2 := k.NewTimers(func(int64) { fired = true })
+	tm2.At(time.Hour, 0)
 	k.Run()
-	if !ran {
+	if !ran || !fired {
 		t.Fatal("kernel unusable after storage release")
 	}
 }

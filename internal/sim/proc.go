@@ -40,8 +40,8 @@ type Proc struct {
 	dead   bool
 
 	// unparkFn is Unpark bound as a method value once at spawn, so that
-	// pushUnpark — the Sleep/wake hot path, millions of events per
-	// campaign — never allocates a closure per wake-up.
+	// wake — the Sleep hot path, millions of events per campaign —
+	// never allocates a closure per wake-up.
 	unparkFn func()
 }
 
@@ -107,7 +107,7 @@ func (p *Proc) Unpark() {
 // wake schedules the process to be resumed after d. Safe to call from
 // either kernel or process context.
 func (p *Proc) wake(d Time) {
-	p.k.pushUnpark(d, p)
+	p.k.After(d, p.unparkFn)
 }
 
 // Kernel returns the kernel this process belongs to.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -349,4 +350,235 @@ func TestPropertyKernelReproducible(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Property: Timers events merge with the heap, the immediate lane, a
+// Lane and quiet events into one (at, seq) order. Each seeded case
+// queues events on two Timers and the other sources from inside
+// callbacks and from the caller between RunUntil steps, with a tick
+// listener at one of five periods or none. Times are drawn to collide:
+// the clock itself, inside a bucket, exactly on bucket edges, on the
+// calendar window's edge (from the clock's bucket and from the
+// cursor's), far beyond it, and the time of an event already queued,
+// so ties on at fall across sources. Every event checks that it is the
+// reference model's (at, seq) minimum, and Pending, Executed and
+// Horizon are checked against the model after every event and every
+// scheduling call, so a Horizon peek, which can load a bucket ahead of
+// the clock, separates the calls.
+func TestPropertyTimersMerge(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		checkTimersMerge(t, seed)
+	}
+}
+
+func checkTimersMerge(t *testing.T, seed int64) {
+	const (
+		width  = Time(1) << calShift
+		window = calBuckets * width
+	)
+	rng := rand.New(rand.NewSource(seed))
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("seed %d: "+format, append([]any{seed}, args...)...)
+	}
+	type entry struct {
+		at                  Time
+		quiet, exposed, imm bool
+		ev                  QuietEvent
+	}
+	k := NewKernel(1)
+	pending := map[int32]*entry{}
+	var ats []Time
+	var tags int32
+	var executed uint64
+	budget := 50 + rng.Intn(250)
+	deadline, tickNext := Time(-1), Time(math.MaxInt64)
+
+	// The horizon is the clock while the immediate lane holds an event.
+	// Otherwise it is the earliest of the events other than unexposed
+	// quiet ones, the next tick boundary and the instant after the
+	// deadline; after RunUntil moves the clock to its deadline, the
+	// boundary can be behind the clock.
+	check := func(where string) {
+		t.Helper()
+		want := tickNext
+		if deadline >= 0 {
+			want = min(want, deadline+1)
+		}
+		for _, e := range pending {
+			if e.imm {
+				want = k.Now()
+				break
+			}
+			if !e.quiet || e.exposed {
+				want = min(want, e.at)
+			}
+		}
+		if got := k.Horizon(); got != want {
+			fail("%s at %v: Horizon() = %v, want %v", where, k.Now(), got, want)
+		}
+		if k.Pending() != len(pending) || k.Executed() != executed {
+			fail("%s at %v: Pending %d, Executed %d; want %d, %d", where, k.Now(), k.Pending(), k.Executed(), len(pending), executed)
+		}
+	}
+	// earliest reports whether tag is the model's (at, seq) minimum.
+	earliest := func(tag int32, at Time) bool {
+		for other, o := range pending {
+			if o.at < at || o.at == at && other < tag {
+				return false
+			}
+		}
+		return true
+	}
+	if every := []Time{0, width / 3, width, 7 * width, window / 5}[rng.Intn(5)]; every > 0 {
+		tickNext = every
+		k.SetTickListener(every, func(b Time) {
+			now := k.Now()
+			if b < tickNext || b > now || now-b >= every {
+				fail("tick %v at %v, next boundary %v", b, now, tickNext)
+			}
+			// The boundary-crossing event has not run yet: nothing
+			// before it has been skipped.
+			for _, e := range pending {
+				if e.at < now {
+					fail("tick %v at %v with an event due at %v pending", b, now, e.at)
+				}
+			}
+			tickNext = b + every
+		})
+	}
+
+	var schedule func()
+	run := func(tag int32) {
+		e := pending[tag]
+		if e == nil {
+			fail("event %d ran twice", tag)
+		}
+		if k.Now() != e.at || !earliest(tag, e.at) {
+			fail("event %d due at %v ran at %v out of (at, seq) order", tag, e.at, k.Now())
+		}
+		delete(pending, tag)
+		executed++
+		check("in an event")
+		for i := rng.Intn(3); i > 0; i-- {
+			schedule()
+		}
+	}
+	lane := k.NewLane(run)
+	tmA := k.NewTimers(func(arg int64) { run(int32(arg)) })
+	tmB := k.NewTimers(func(arg int64) { run(int32(arg)) })
+
+	pick := func() Time {
+		now := k.Now()
+		edge := now &^ (width - 1)
+		var at Time
+		switch rng.Intn(9) {
+		case 0:
+			at = now
+		case 1:
+			at = now + Time(1+rng.Intn(int(width/2)))
+		case 2:
+			at = edge + Time(1+rng.Intn(4))*width
+		case 3:
+			at = now + Time(rng.Intn(6))*width + Time(rng.Intn(3))*(width/2)
+		case 4:
+			at = edge + window + Time(rng.Intn(3)-1)*width + Time(rng.Intn(3)-1)
+		case 5:
+			at = Time(tmA.cursor+calBuckets)<<calShift + Time(rng.Intn(3)-1)
+		case 6:
+			at = now + window*Time(2+rng.Intn(30))/Time(1+rng.Intn(4))
+		default:
+			if len(ats) > 0 {
+				at = ats[rng.Intn(len(ats))]
+			}
+		}
+		return max(at, now)
+	}
+	queue := func(e *entry) {
+		tags++
+		pending[tags] = e
+		ats = append(ats, e.at)
+	}
+	schedule = func() {
+		if budget <= 0 {
+			return
+		}
+		budget--
+		op := rng.Intn(12)
+		if op == 0 {
+			// Expose the oldest unexposed quiet event.
+			var oldest int32
+			for tag, e := range pending {
+				if e.quiet && !e.exposed && (oldest == 0 || tag < oldest) {
+					oldest = tag
+				}
+			}
+			if e := pending[oldest]; e != nil {
+				e.exposed = true
+				k.Expose(e.ev)
+			}
+			check("after Expose")
+			return
+		}
+		e := &entry{at: pick()}
+		if op == 4 {
+			e.at = k.Now() + width
+		}
+		queue(e)
+		tag := tags
+		switch op {
+		case 1, 2:
+			e.imm = e.at == k.Now()
+			if op == 1 {
+				k.At(e.at, func() { run(tag) })
+			} else {
+				k.After(e.at-k.Now(), func() { run(tag) })
+			}
+		case 3:
+			e.quiet = true
+			e.ev = k.Quiet(e.at, func() { run(tag) })
+		case 4:
+			lane.At(e.at, tag)
+		case 5, 6, 7:
+			tmA.At(e.at, int64(tag))
+		case 8, 10, 11:
+			tmB.At(e.at, int64(tag))
+		default:
+			// A burst into one bucket, over several blocks.
+			tmA.At(e.at, int64(tag))
+			base := e.at &^ (width - 1)
+			for i := 43 + rng.Intn(20); i > 0 && budget > 0; i-- {
+				budget--
+				at := max(base+Time(rng.Intn(4))*(width/4), k.Now())
+				queue(&entry{at: at})
+				tmA.At(at, int64(tags))
+			}
+		}
+		check("after scheduling")
+	}
+
+	for i := 3 + rng.Intn(10); i > 0; i-- {
+		schedule()
+	}
+	for step := rng.Intn(4); step > 0 && k.Pending() > 0; step-- {
+		deadline = pick() - Time(rng.Intn(2))
+		k.RunUntil(deadline)
+		for tag, e := range pending {
+			if e.at <= deadline {
+				fail("event %d due at %v still pending after RunUntil(%v)", tag, e.at, deadline)
+			}
+		}
+		check("after RunUntil")
+		for i := rng.Intn(4); i > 0; i-- {
+			schedule()
+		}
+	}
+	deadline = -1
+	k.Run()
+	k.SetTickListener(0, nil)
+	tickNext = math.MaxInt64
+	if len(pending) != 0 || executed != uint64(tags) {
+		fail("%d events pending, %d of %d run", len(pending), executed, tags)
+	}
+	check("after the drain")
 }

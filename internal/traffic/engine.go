@@ -96,35 +96,30 @@ type Result struct {
 // EventsPerSecond is unavailable from the Result itself (virtual runs
 // have no wall time); callers time Run and divide by Events.
 
-// rec is one in-flight invocation, pooled in a sim.Arena. fire is the
-// completion-event closure, allocated once per arena slot and reused
-// across every invocation that recycles the slot — steady-state, the
-// engine schedules hundreds of millions of completions without
-// allocating per event.
+// rec is one in-flight invocation, 32 bytes, pooled in a sim.Arena:
+// memory is bounded by peak concurrency, not throughput. Its
+// completion event carries its handle and its tenant, so the handler
+// loads the record and the tenant at once.
 type rec struct {
-	tenant int32
-	next   int32 // backlog chain link (instance-pool style)
-	start  sim.Time
-	rtt    sim.Time
-	exec   sim.Time
-	fire   func()
+	next  int32 // backlog chain link (instance-pool style)
+	start sim.Time
+	rtt   sim.Time
+	exec  sim.Time
 }
 
-// tev is a per-tenant control event that falls due after a random or
-// shortened delay (instance start completion, idle-reap re-check), so
-// it waits in the kernel's heap; it is pooled like rec. Control events
-// are demand-driven: a tenant has controller events in flight only
-// while it has work, so a million mostly-idle tenants cost no standing
-// timer load.
-type tev struct {
-	tenant int32
-	kind   uint8
-	fire   func()
-}
+// completion is the argument of an invocation's completion event: the
+// record's handle in the low 32 bits, its tenant in the high 32.
+func completion(h, t int32) int64 { return int64(uint32(h)) | int64(t)<<32 }
 
+// Control events, a per-tenant instance start or idle-reap re-check,
+// fall due after a random or shortened delay. Their argument is the
+// tenant in the low 32 bits and the kind in the high 32. They are
+// demand-driven: a tenant has controller events in flight only while
+// it has work, so a million mostly-idle tenants cost no standing timer
+// load.
 const (
-	tevInstanceUp = iota
-	tevReap
+	ctlInstanceUp = iota
+	ctlReap
 )
 
 // tenant state flag bits (tenant.ctrl).
@@ -164,9 +159,10 @@ type tenant struct {
 }
 
 // engine is one run's state: one 40-byte record per tenant, no
-// per-tenant heap objects, so a million tenants fit in 40 MB and the
-// records that do churn (in-flight invocations, control events) live
-// in arenas bounded by peak concurrency, not throughput.
+// per-tenant heap objects, so a million tenants fit in 40 MB; the
+// records that do churn (in-flight invocations) live in an arena
+// bounded by peak concurrency, not throughput, and control events are
+// only a Timers entry.
 type engine struct {
 	cfg Config
 	k   *sim.Kernel
@@ -182,9 +178,11 @@ type engine struct {
 	// next), scale evaluations (all ScaleEvalInterval ahead) and
 	// first-armed idle reaps (all IdleInstanceTimeout ahead).
 	arrivals, scaleEvals, reaps *sim.Lane
+	// The kernel Timers of the two event sources that fall due after
+	// random delays: completions and control events.
+	completions, controls *sim.Timers
 
 	recs sim.Arena[rec]
-	tevs sim.Arena[tev]
 
 	inFlight int
 
@@ -232,6 +230,8 @@ func Run(cfg Config) *Result {
 	e.arrivals = k.NewLane(e.arrive)
 	e.scaleEvals = k.NewLane(e.scaleEval)
 	e.reaps = k.NewLane(e.reap)
+	e.completions = k.NewTimers(e.complete)
+	e.controls = k.NewTimers(e.control)
 	if cfg.Timeline.Enabled() && cfg.OnWindow != nil {
 		k.SetTickListener(cfg.Timeline.Interval(), cfg.OnWindow)
 	}
@@ -260,17 +260,6 @@ func (e *engine) arrive(int32) {
 	}
 }
 
-// alloc takes an invocation record, installing the slot's completion
-// closure on first use.
-func (e *engine) alloc() (int32, *rec) {
-	h, r := e.recs.Alloc()
-	if r.fire == nil {
-		hh := h
-		r.fire = func() { e.complete(hh) }
-	}
-	return h, r
-}
-
 // arrival admits one invocation at the current instant.
 func (e *engine) arrival() {
 	t := int32(e.arrRNG.Intn(e.cfg.Tenants)) // uniform attribution
@@ -280,8 +269,7 @@ func (e *engine) arrival() {
 	now := e.k.Now()
 	e.tl.AddArrival(now)
 
-	h, r := e.alloc()
-	r.tenant = t
+	h, r := e.recs.Alloc()
 	r.start = now
 	r.rtt = e.cfg.Profile.InvokeRTT.Sample(e.svcRNG)
 	r.exec = e.cfg.ExecTime.Sample(e.svcRNG)
@@ -304,14 +292,14 @@ func (e *engine) arrival() {
 			e.res.ColdWait.Record(entry)
 			e.tl.AddCold(now, entry)
 		}
-		e.k.At(now+r.rtt+entry+r.exec, r.fire)
+		e.completions.At(now+r.rtt+entry+r.exec, completion(h, t))
 		return
 	}
 
 	// Instance-pool: dispatch onto a ready instance or queue for the
 	// scale controller.
 	if int(tn.busy) < int(tn.ready)*e.cfg.Profile.ConcurrencyPerInstance {
-		e.dispatch(tn, r)
+		e.dispatch(t, tn, h, r)
 		return
 	}
 	if tn.backlogN == 0 {
@@ -332,31 +320,32 @@ func (e *engine) arrival() {
 	}
 }
 
-// dispatch starts an execution on the tenant's instance pool: the
+// dispatch starts invocation h of tenant t on its instance pool: the
 // completion carries the queueing delay accrued so far.
-func (e *engine) dispatch(tn *tenant, r *rec) {
+func (e *engine) dispatch(t int32, tn *tenant, h int32, r *rec) {
 	now := e.k.Now()
 	tn.busy++
 	e.res.QueueWait.Record(now - r.start)
 	e.tl.AddSched(now, now-r.start)
 	disp := e.cfg.Profile.WarmStart.Sample(e.svcRNG)
-	e.k.At(now+disp+r.exec, r.fire)
+	e.completions.At(now+disp+r.exec, completion(h, t))
 }
 
-// dispatchBacklog starts the tenant's oldest queued invocation.
-func (e *engine) dispatchBacklog(tn *tenant) {
-	qr := e.recs.At(tn.blHead)
+// dispatchBacklog starts tenant t's oldest queued invocation.
+func (e *engine) dispatchBacklog(t int32, tn *tenant) {
+	h := tn.blHead
+	qr := e.recs.At(h)
 	tn.blHead = qr.next
 	tn.backlogN--
 	e.totBacklog--
-	e.dispatch(tn, qr)
+	e.dispatch(t, tn, h, qr)
 }
 
 // complete finishes an invocation: streaming aggregation, billing
 // accumulators, and container-lifecycle bookkeeping.
-func (e *engine) complete(h int32) {
+func (e *engine) complete(arg int64) {
+	h, t := int32(arg), int32(arg>>32)
 	r := e.recs.At(h)
-	t := r.tenant
 	tn := &e.tenants[t]
 	now := e.k.Now()
 	e.res.Completions++
@@ -377,7 +366,7 @@ func (e *engine) complete(h int32) {
 	}
 	tn.busy--
 	if tn.backlogN > 0 {
-		e.dispatchBacklog(tn)
+		e.dispatchBacklog(t, tn)
 	} else if tn.busy == 0 {
 		tn.lastIdle = now
 		if tn.ready > 0 {
@@ -395,24 +384,15 @@ func (e *engine) armReap(t int32) {
 	}
 }
 
-// armTev schedules a per-tenant control event after d.
-func (e *engine) armTev(t int32, kind uint8, d sim.Time) {
-	h, ev := e.tevs.Alloc()
-	if ev.fire == nil {
-		hh := h
-		ev.fire = func() { e.control(hh) }
-	}
-	ev.tenant = t
-	ev.kind = kind
-	e.k.At(e.k.Now()+d, ev.fire)
+// armControl queues tenant t's control event of the given kind after d.
+func (e *engine) armControl(t int32, kind int64, d sim.Time) {
+	e.controls.At(e.k.Now()+d, int64(uint32(t))|kind<<32)
 }
 
-// control runs one per-tenant control event from the heap.
-func (e *engine) control(h int32) {
-	ev := e.tevs.At(h)
-	t, kind := ev.tenant, ev.kind
-	e.tevs.Free(h)
-	if kind == tevReap {
+// control runs one per-tenant control event.
+func (e *engine) control(arg int64) {
+	t := int32(arg)
+	if arg>>32 == ctlReap {
 		e.reap(t)
 		return
 	}
@@ -436,7 +416,7 @@ func (e *engine) scaleEval(t int32) {
 			up := p.ColdStart.Sample(e.svcRNG)
 			e.res.ColdWait.Record(up)
 			e.tl.AddCold(e.k.Now(), up)
-			e.armTev(t, tevInstanceUp, up)
+			e.armControl(t, ctlInstanceUp, up)
 		}
 	}
 	if tn.backlogN > 0 || tn.starting > 0 {
@@ -455,7 +435,7 @@ func (e *engine) instanceUp(t int32) {
 	e.totWarm++
 	e.tl.ObserveWarmPool(e.k.Now(), e.totWarm)
 	for int(tn.busy) < int(tn.ready)*e.cfg.Profile.ConcurrencyPerInstance && tn.backlogN > 0 {
-		e.dispatchBacklog(tn)
+		e.dispatchBacklog(t, tn)
 	}
 	if tn.busy == 0 && tn.backlogN == 0 {
 		tn.lastIdle = e.k.Now()
@@ -467,7 +447,7 @@ func (e *engine) instanceUp(t int32) {
 // timeout, the platform reclaims its instances; otherwise it re-checks
 // when the current idle stretch would mature. That re-check falls due
 // sooner than IdleInstanceTimeout, out of the reap lane's order, so it
-// waits in the heap.
+// is a control event.
 func (e *engine) reap(t int32) {
 	tn := &e.tenants[t]
 	p := &e.cfg.Profile
@@ -479,7 +459,7 @@ func (e *engine) reap(t int32) {
 			tn.ctrl &^= reapArmed
 			return
 		}
-		e.armTev(t, tevReap, p.IdleInstanceTimeout-idleFor)
+		e.armControl(t, ctlReap, p.IdleInstanceTimeout-idleFor)
 		return
 	}
 	tn.ctrl &^= reapArmed

@@ -187,3 +187,12 @@ func TestTenantRecordSize(t *testing.T) {
 		t.Fatalf("tenant record is %d bytes, want 40", n)
 	}
 }
+
+// TestRecRecordSize pins the in-flight invocation record at 32 bytes:
+// the arena holds one per invocation in flight, several hundred
+// thousand at the million-tenant scale.
+func TestRecRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(rec{}); n != 32 {
+		t.Fatalf("invocation record is %d bytes, want 32", n)
+	}
+}
