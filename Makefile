@@ -13,7 +13,9 @@
 #            kernel's and the queue listener's tests repeat ten times
 #            under it, because kernel state passes between process
 #            goroutines and listener callbacks run on whichever
-#            goroutine holds the baton; so does the test that
+#            goroutine holds the baton; so do the Durable hub's tests,
+#            whose envelopes the sending and the receiving process
+#            goroutines share, and the test that
 #            shares one corpus digest table between eight goroutines,
 #            as concurrent sweep workers do. It also
 #            cross-builds for Windows, the only build of the non-Linux
@@ -25,7 +27,8 @@
 #            byte-identically at any worker count.
 # cover    — library-package coverage with a checked-in floor.
 # fuzz     — short native-fuzzing smoke runs for the SFN JSONPath and
-#            Choice evaluators.
+#            Choice evaluators, the task-hub envelope's size bound and
+#            the video chunk message decoder.
 # bench    — kernel micro-benchmarks, the payload alloc benchmarks,
 #            the mlkit forest-fit and k-NN predict pair, the classic
 #            Durable orchestration pair, the
@@ -61,6 +64,7 @@ golden:
 tier1.5:
 	$(GO) vet ./... && $(GO) test -race -timeout 20m ./...
 	$(GO) test -race -count=10 ./internal/sim/ ./internal/cloud/queue/
+	$(GO) test -race -count=10 ./internal/azure/durable/
 	$(GO) test -race -count=10 -run 'TestPieceDigestsHashEachPieceOnce' ./internal/workloads/mapreduce/
 	GOOS=windows GOARCH=amd64 $(GO) build ./...
 	$(MAKE) golden-cache-off
@@ -139,6 +143,8 @@ cover:
 fuzz:
 	$(GO) test -run - -fuzz FuzzJSONPath -fuzztime 10s ./internal/aws/sfn/
 	$(GO) test -run - -fuzz FuzzChoiceEval -fuzztime 10s ./internal/aws/sfn/
+	$(GO) test -run - -fuzz FuzzEnvelopeSize -fuzztime 10s ./internal/azure/durable/
+	$(GO) test -run - -fuzz FuzzChunkDecode -fuzztime 10s ./internal/workloads/videoproc/
 
 # bench-kernel reports at GOMAXPROCS 1 and 2: a baton pass between
 # process goroutines costs differently when the woken goroutine can run

@@ -36,7 +36,7 @@ func run(args []string, w io.Writer) error {
 	fs.Parse(args)
 
 	env := core.NewEnv(17)
-	hub := env.Azure.Hub
+	hub := env.Azure().Hub
 
 	if err := hub.RegisterActivity("prepare-order", 192, func(ctx *functions.Context, in []byte) ([]byte, error) {
 		ctx.Busy(3 * time.Second)
@@ -84,7 +84,7 @@ func run(args []string, w io.Writer) error {
 	var err error
 	env.K.Spawn("client", func(p *sim.Proc) {
 		defer env.Stop()
-		hd, err = env.Azure.Client.StartOrchestration(p, "purchase", nil)
+		hd, err = env.Azure().Client.StartOrchestration(p, "purchase", nil)
 		if err != nil {
 			return
 		}
@@ -92,7 +92,7 @@ func run(args []string, w io.Writer) error {
 		// deadline is shorter).
 		p.Sleep(*approveAfter)
 		if hd.Status() == durable.StatusRunning {
-			if err := env.Azure.Client.RaiseEvent(p, hd.ID, "ManagerApproval", []byte("approve")); err != nil {
+			if err := env.Azure().Client.RaiseEvent(p, hd.ID, "ManagerApproval", []byte("approve")); err != nil {
 				fmt.Fprintln(os.Stderr, "raise:", err)
 			}
 		}

@@ -37,7 +37,7 @@ func run(w io.Writer) error {
 
 	// --- AWS deployment: three Lambdas chained by a state machine.
 	for _, name := range []string{"validate", "transform", "store"} {
-		env.AWS.Lambda.MustRegister(faas.Config{
+		env.AWS().Lambda.MustRegister(faas.Config{
 			Name: name, MemoryMB: 512, ConsumedMemMB: 200,
 			Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 				ctx.Busy(stepCost)
@@ -53,12 +53,12 @@ func run(w io.Writer) error {
 			"Store":     {Type: sfn.TypeTask, Resource: "store", End: true},
 		},
 	}
-	if err := env.AWS.SFN.CreateStateMachine("quickstart", machine); err != nil {
+	if err := env.AWS().SFN.CreateStateMachine("quickstart", machine); err != nil {
 		return err
 	}
 
 	// --- Azure deployment: three activities chained by an orchestrator.
-	hub := env.Azure.Hub
+	hub := env.Azure().Hub
 	for _, name := range []string{"validate", "transform", "store"} {
 		if err := hub.RegisterActivity(name, 200, func(ctx *functions.Context, payload []byte) ([]byte, error) {
 			ctx.Busy(stepCost)
@@ -87,21 +87,21 @@ func run(w io.Writer) error {
 	var err error
 	env.K.Spawn("client", func(p *sim.Proc) {
 		defer env.Stop()
-		awsExec, err = env.AWS.SFN.StartExecution(p, "quickstart", map[string]any{"order": float64(42)})
+		awsExec, err = env.AWS().SFN.StartExecution(p, "quickstart", map[string]any{"order": float64(42)})
 		if err != nil {
 			return
 		}
-		_, azHandle, err = env.Azure.Client.Run(p, "quickstart", []byte(`{"order":42}`))
+		_, azHandle, err = env.Azure().Client.Run(p, "quickstart", []byte(`{"order":42}`))
 	})
 	env.K.Run()
 	if err != nil {
 		return err
 	}
 
-	awsMeter := env.AWS.Lambda.TotalMeter()
-	azMeter := env.Azure.Host.TotalMeter()
-	awsBill := pricing.DefaultAWS().AWSBill(awsMeter.BilledGBs, awsMeter.Invocations, env.AWS.SFN.TotalTransitions, 0)
-	azBill := pricing.DefaultAzure().AzureBill(azMeter.BilledGBs, azMeter.Invocations, env.Azure.StorageTransactions(), 0)
+	awsMeter := env.AWS().Lambda.TotalMeter()
+	azMeter := env.Azure().Host.TotalMeter()
+	awsBill := pricing.DefaultAWS().AWSBill(awsMeter.BilledGBs, awsMeter.Invocations, env.AWS().SFN.TotalTransitions, 0)
+	azBill := pricing.DefaultAzure().AzureBill(azMeter.BilledGBs, azMeter.Invocations, env.Azure().StorageTransactions(), 0)
 
 	fmt.Fprintln(w, "three-step workflow, one run on each cloud:")
 	fmt.Fprintf(w, "  AWS Step Functions: %-10v (%d transitions)  %v\n", awsExec.Duration(), awsExec.Transitions, awsBill)

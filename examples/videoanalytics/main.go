@@ -50,12 +50,12 @@ func run(args []string, w io.Writer) error {
 		len(clip.Frames), len(encoded)/1024, len(modelBytes)/1024)
 
 	env := core.NewEnv(3)
-	s3 := env.AWS.S3
+	s3 := env.AWS().S3
 	s3.Preload("videos/input", encoded)
 	s3.Preload("models/face", modelBytes)
 
 	// Split: decode, chunk, store each chunk.
-	env.AWS.Lambda.MustRegister(faas.Config{
+	env.AWS().Lambda.MustRegister(faas.Config{
 		Name: "split", MemoryMB: 2048, ConsumedMemMB: 700,
 		Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 			p := ctx.Proc()
@@ -86,7 +86,7 @@ func run(args []string, w io.Writer) error {
 	})
 
 	// Detect: fetch chunk + model, run the REAL detector, store results.
-	env.AWS.Lambda.MustRegister(faas.Config{
+	env.AWS().Lambda.MustRegister(faas.Config{
 		Name: "detect", MemoryMB: 2048, ConsumedMemMB: 900,
 		Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 			var key string
@@ -123,7 +123,7 @@ func run(args []string, w io.Writer) error {
 	})
 
 	// Merge: gather per-chunk detections in order.
-	env.AWS.Lambda.MustRegister(faas.Config{
+	env.AWS().Lambda.MustRegister(faas.Config{
 		Name: "merge", MemoryMB: 2048, ConsumedMemMB: 760,
 		Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 			var in struct {
@@ -160,14 +160,14 @@ func run(args []string, w io.Writer) error {
 			"Merge": {Type: sfn.TypeTask, Resource: "merge", End: true},
 		},
 	}
-	if err := env.AWS.SFN.CreateStateMachine("video", machine); err != nil {
+	if err := env.AWS().SFN.CreateStateMachine("video", machine); err != nil {
 		return err
 	}
 
 	var exec *sfn.Execution
 	env.K.Spawn("client", func(p *sim.Proc) {
 		defer env.Stop()
-		exec, err = env.AWS.SFN.StartExecution(p, "video", map[string]any{})
+		exec, err = env.AWS().SFN.StartExecution(p, "video", map[string]any{})
 	})
 	env.K.Run()
 	if err != nil {

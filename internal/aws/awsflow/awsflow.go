@@ -40,7 +40,7 @@ func memoryMB(n *flow.Node) int {
 func bind(env *core.Env, def *flow.Definition, class flow.Class) (*flow.Stages, error) {
 	return def.Bind(flow.Binding{
 		Env:      env,
-		Blob:     env.AWS.S3,
+		Blob:     env.AWS().S3,
 		Provider: providerName,
 		Class:    class,
 	})
@@ -49,7 +49,7 @@ func bind(env *core.Env, def *flow.Definition, class flow.Class) (*flow.Stages, 
 // registerTask installs one task node as a Lambda wrapping its bound
 // stage.
 func registerTask(env *core.Env, st *flow.Stages, n *flow.Node) error {
-	return flow.RegisterFunction(env.AWS.Lambda, st, n, memoryMB(n))
+	return flow.RegisterFunction(env.AWS().Lambda, st, n, memoryMB(n))
 }
 
 // --- Mono: single-Lambda monolith (AWS-Lambda) ---
@@ -66,7 +66,7 @@ func (monoLowerer) Caps() flow.Caps { return flow.Caps{MaxTaskSeconds: 900} }
 
 func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment, error) {
 	g := def.Graphs[flow.Mono]
-	flow.ApplyPreloads(env.AWS.S3, g)
+	flow.ApplyPreloads(env.AWS().S3, g)
 	st, err := bind(env, def, flow.Mono)
 	if err != nil {
 		return nil, err
@@ -76,7 +76,7 @@ func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment,
 		return nil, err
 	}
 	return &core.Deployment{
-		Runner:     flow.FunctionRunner(env.AWS.Lambda, n.Fn),
+		Runner:     flow.FunctionRunner(env.AWS().Lambda, n.Fn),
 		FuncCount:  g.FuncCount,
 		CodeSizeMB: g.DeployCodeSizeMB(providerName),
 	}, nil
@@ -105,7 +105,7 @@ func (machineLowerer) Caps() flow.Caps {
 
 func (machineLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment, error) {
 	g := def.Graphs[flow.Machine]
-	flow.ApplyPreloads(env.AWS.S3, g)
+	flow.ApplyPreloads(env.AWS().S3, g)
 	st, err := bind(env, def, flow.Machine)
 	if err != nil {
 		return nil, err
@@ -120,7 +120,7 @@ func (machineLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployme
 		return nil, err
 	}
 	name := def.MachineNameFor(g, providerName)
-	if err := env.AWS.SFN.CreateStateMachine(name, machine); err != nil {
+	if err := env.AWS().SFN.CreateStateMachine(name, machine); err != nil {
 		return nil, err
 	}
 	return &core.Deployment{
@@ -267,7 +267,7 @@ type stepRunner struct {
 // Invoke implements core.Runner.
 func (r *stepRunner) Invoke(p *sim.Proc, _ []byte) (core.RunStats, error) {
 	r.nextRun++
-	exec, err := r.env.AWS.SFN.StartExecution(p, r.machine, r.entry(r.nextRun))
+	exec, err := r.env.AWS().SFN.StartExecution(p, r.machine, r.entry(r.nextRun))
 	if err != nil {
 		return core.RunStats{}, err
 	}

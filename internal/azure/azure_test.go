@@ -22,7 +22,7 @@ func TestCloudAssembly(t *testing.T) {
 		if _, err := c.Host.InvokeHTTP(p, "f", nil); err != nil {
 			t.Errorf("invoke: %v", err)
 		}
-		if err := q.Enqueue(p, []byte("m")); err != nil {
+		if err := q.Enqueue(p, []byte("m"), 1); err != nil {
 			t.Errorf("enqueue: %v", err)
 		}
 		if _, ok := q.TryDequeue(p); !ok {

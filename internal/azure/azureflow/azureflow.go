@@ -48,9 +48,9 @@ func (monoLowerer) Caps() flow.Caps   { return flow.Caps{MaxTaskSeconds: maxTask
 
 func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment, error) {
 	g := def.Graphs[flow.Mono]
-	flow.ApplyPreloads(env.Azure.Blob, g)
+	flow.ApplyPreloads(env.Azure().Blob, g)
 	st, err := def.Bind(flow.Binding{
-		Env: env, Blob: env.Azure.Blob, Provider: providerName, Class: flow.Mono,
+		Env: env, Blob: env.Azure().Blob, Provider: providerName, Class: flow.Mono,
 	})
 	if err != nil {
 		return nil, err
@@ -60,7 +60,7 @@ func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment,
 	if err != nil {
 		return nil, err
 	}
-	if _, err := env.Azure.Host.Register(functions.Config{
+	if _, err := env.Azure().Host.Register(functions.Config{
 		Name:          n.Fn,
 		ConsumedMemMB: n.ConsumedMemMB,
 		Handler: func(ctx *functions.Context, input []byte) ([]byte, error) {
@@ -91,7 +91,7 @@ type azFuncRunner struct {
 // Invoke implements core.Runner.
 func (r *azFuncRunner) Invoke(p *sim.Proc, _ []byte) (core.RunStats, error) {
 	start := p.Now()
-	res, err := r.env.Azure.Host.InvokeHTTP(p, r.fn, nil)
+	res, err := r.env.Azure().Host.InvokeHTTP(p, r.fn, nil)
 	if err != nil {
 		return core.RunStats{}, err
 	}
@@ -137,9 +137,9 @@ func chainOf(g *flow.Graph) ([]*flow.Node, error) {
 
 func (queueLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment, error) {
 	g := def.Graphs[flow.Queue]
-	flow.ApplyPreloads(env.Azure.Blob, g)
+	flow.ApplyPreloads(env.Azure().Blob, g)
 	st, err := def.Bind(flow.Binding{
-		Env: env, Blob: env.Azure.Blob, Provider: providerName, Class: flow.Queue,
+		Env: env, Blob: env.Azure().Blob, Provider: providerName, Class: flow.Queue,
 	})
 	if err != nil {
 		return nil, err
@@ -159,10 +159,10 @@ func (queueLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment
 	queues := make([]*queue.Queue, len(chain))
 	for i, n := range chain {
 		if n.QueueName != "" {
-			queues[i] = env.Azure.NewQueue(n.QueueName)
+			queues[i] = env.Azure().NewQueue(n.QueueName)
 		}
 	}
-	host := env.Azure.Host
+	host := env.Azure().Host
 	for i, n := range chain {
 		stage, err := st.Task(n.Stage)
 		if err != nil {
@@ -259,7 +259,7 @@ func (d *queueDeploy) wrap(stage flow.StageFn, next *queue.Queue, head, first bo
 					t.enqueuedAt = p.Now()
 				}
 			}
-			return nil, next.Enqueue(p, out)
+			return nil, next.Enqueue(p, out, len(out))
 		}
 		if t := d.track(d.def.RunIDOf(input)); t != nil && !t.done.Done() {
 			t.done.Complete(out, nil)
@@ -276,7 +276,7 @@ func (d *queueDeploy) Invoke(p *sim.Proc, _ []byte) (core.RunStats, error) {
 	run := d.nextRun
 	t := &queueRun{start: p.Now(), done: sim.NewFuture[[]byte](d.env.K)}
 	d.runs[run] = t
-	if _, err := d.env.Azure.Host.InvokeHTTPAsync(p, d.headFn, d.def.Entry(flow.Queue, run)); err != nil {
+	if _, err := d.env.Azure().Host.InvokeHTTPAsync(p, d.headFn, d.def.Entry(flow.Queue, run)); err != nil {
 		return core.RunStats{}, err
 	}
 	out, err := t.done.Await(p)

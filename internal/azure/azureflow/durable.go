@@ -27,7 +27,7 @@ type DurableTarget struct {
 // ClassicTarget resolves the storage-backed task hub the paper's
 // Az-Dorch / Az-Dent styles run on.
 func ClassicTarget(env *core.Env) DurableTarget {
-	return DurableTarget{Hub: env.Azure.Hub, Client: env.Azure.Client, Blob: env.Azure.Blob}
+	return DurableTarget{Hub: env.Azure().Hub, Client: env.Azure().Client, Blob: env.Azure().Blob}
 }
 
 // durableLowerer compiles a Durable-class graph into orchestrator,

@@ -102,14 +102,22 @@ func (s *classicStore) kickAll() {
 	s.wiListener.Kick()
 }
 
-// envelopes adapts an envelope handler to a queue listener; a body
-// that does not decode is dropped.
+// envelopes adapts an envelope handler to a queue listener: the
+// message body is the Envelope the sender enqueued. An empty Input or
+// Result is handed on as nil, as decoding the envelope's JSON gives
+// it, so an orchestrator sees an arrived result as every replay of the
+// committed record will (flow.JoinOutputs, for one, encodes nil as
+// null but fails on an empty slice).
 func envelopes(handle func(Envelope)) func(*queue.Message) {
 	return func(m *queue.Message) {
-		var msg message
-		if err := json.Unmarshal(m.Body, &msg); err == nil {
-			handle(msg)
+		e := m.Body.(Envelope)
+		if len(e.Input) == 0 {
+			e.Input = nil
 		}
+		if len(e.Result) == 0 {
+			e.Result = nil
+		}
+		handle(e)
 	}
 }
 
@@ -120,16 +128,32 @@ func (s *classicStore) partitionOf(instance string) int {
 	return int(f.Sum32()) % len(s.control)
 }
 
+// encodedSize returns the size the task-hub queues' payload limit
+// reads for m: its JSON length. An envelope travels as a typed value
+// and is never encoded on the way. Under the limit its size bound
+// stands in for the length, since both are accepted; only a bound over
+// the limit pays for the encoding, so the queue accepts and rejects,
+// and reports the size of a rejected envelope, as it would for the
+// JSON body.
+func (s *classicStore) encodedSize(m Envelope) (int, error) {
+	n := m.sizeBound()
+	if limit := s.params.QueuePayloadLimit; limit <= 0 || n <= limit {
+		return n, nil
+	}
+	body, err := json.Marshal(m)
+	return len(body), err
+}
+
 // SendControl implements Store: enqueue a control message from kernel
 // or callback context and kick the partition's listener. The hop span
 // parents to the context stamped on the message.
 func (s *classicStore) SendControl(m Envelope) error {
-	body, err := json.Marshal(m)
+	size, err := s.encodedSize(m)
 	if err != nil {
 		return err
 	}
 	p := s.partitionOf(m.Instance)
-	if err := s.control[p].EnqueueFromKernelCtx(body, m.traceCtx()); err != nil {
+	if err := s.control[p].EnqueueFromKernelCtx(m, size, m.traceCtx()); err != nil {
 		return err
 	}
 	s.listeners[p].Kick()
@@ -139,12 +163,12 @@ func (s *classicStore) SendControl(m Envelope) error {
 // SendControlFromProc implements Store: enqueue a control message,
 // charging queue latency to p.
 func (s *classicStore) SendControlFromProc(p *sim.Proc, m Envelope) error {
-	body, err := json.Marshal(m)
+	size, err := s.encodedSize(m)
 	if err != nil {
 		return err
 	}
 	part := s.partitionOf(m.Instance)
-	if err := s.control[part].Enqueue(p, body); err != nil {
+	if err := s.control[part].Enqueue(p, m, size); err != nil {
 		return err
 	}
 	s.listeners[part].Kick()
@@ -153,11 +177,11 @@ func (s *classicStore) SendControlFromProc(p *sim.Proc, m Envelope) error {
 
 // SendWork implements Store: enqueue an activity work item.
 func (s *classicStore) SendWork(m Envelope) error {
-	body, err := json.Marshal(m)
+	size, err := s.encodedSize(m)
 	if err != nil {
 		return err
 	}
-	if err := s.workItems.EnqueueFromKernelCtx(body, m.traceCtx()); err != nil {
+	if err := s.workItems.EnqueueFromKernelCtx(m, size, m.traceCtx()); err != nil {
 		return err
 	}
 	s.wiListener.Kick()

@@ -127,8 +127,9 @@ func (c *checkedStore) compare(what, instance string, got []Record) {
 // Generated strings are valid UTF-8. The JSON codec rewrote invalid
 // UTF-8 in Name, Op and Error to U+FFFD, and no caller produces it:
 // names come from registered functions and entity IDs, and errors
-// from Go error strings and from control messages that have
-// themselves been through JSON on the queues.
+// from Go error strings, which control messages carry unchanged
+// (TestEnvelopesSurviveJSON checks that the hub's envelopes survive a
+// JSON round trip).
 func TestClassicHistoryMatchesJSONCodec(t *testing.T) {
 	t.Run("scripted", func(t *testing.T) {
 		k := sim.NewKernel(1)

@@ -18,6 +18,7 @@
 package durable
 
 import (
+	"encoding/base64"
 	"fmt"
 
 	"statebench/internal/azure/functions"
@@ -40,8 +41,9 @@ type ActivityFn func(ctx *functions.Context, input []byte) ([]byte, error)
 // EntityFn handles one operation on a durable entity.
 type EntityFn func(ctx *EntityContext, op string, input []byte) ([]byte, error)
 
-// message is a task-hub queue message. Messages are serialized to JSON
-// on the billed queues so payload limits act on realistic sizes.
+// message is a task-hub queue message. The queues carry it as a typed
+// value; its JSON encoding, with the tags below, is the size that
+// payload limits act on (see sizeBound).
 type message struct {
 	Kind     string `json:"kind"`
 	Instance string `json:"instance"`
@@ -61,6 +63,24 @@ type message struct {
 	// tracing is disabled, so payload sizes are unchanged then.
 	TraceID uint64 `json:"traceId,omitempty"`
 	SpanID  uint64 `json:"spanId,omitempty"`
+}
+
+// envelopeJSONFixed bounds the bytes of a message's JSON encoding
+// that do not grow with its strings and byte slices: the braces; for
+// each of the 13 fields its key (75 bytes in all), the key's quotes,
+// a colon and a comma; the quotes around the 6 strings and the 2
+// base64 byte slices; the 4 integers at their widest, 20 characters
+// each; and "true".
+const envelopeJSONFixed = 2 + 75 + 13*4 + 2*(6+2) + 4*20 + 4
+
+// sizeBound returns an upper bound on len(json.Marshal(m)) without
+// encoding m: every string byte takes at most 6 bytes (the widest
+// escapes, \u00XX for a control or HTML byte and \ufffd for an
+// invalid UTF-8 byte), and Input and Result take their base64 length.
+func (m message) sizeBound() int {
+	strs := len(m.Kind) + len(m.Instance) + len(m.Name) + len(m.Op) + len(m.Error) + len(m.Caller)
+	return envelopeJSONFixed + 6*strs +
+		base64.StdEncoding.EncodedLen(len(m.Input)) + base64.StdEncoding.EncodedLen(len(m.Result))
 }
 
 // traceCtx extracts the message's propagated span context.

@@ -24,6 +24,15 @@ import (
 // orchestrations, activities, and entities. It is an alias of the
 // package's internal message type so Store implementations in other
 // packages can transport it without this package re-wrapping payloads.
+//
+// Both stores deliver the value the sender passed, never a decoded
+// copy, so an envelope's Input and Result bytes are shared by the
+// sender (an activity's output, an orchestrator's input or result, a
+// memoized payload, an entity's stored state) and every receiver,
+// redeliveries and duplicates included. Nobody writes into them.
+// Committed history clones them (CommitEpisode). The classic store
+// delivers an empty Input or Result as nil; Netherite delivers it as
+// the sender left it.
 type Envelope = message
 
 // Record is one event-sourcing history record as persisted by a Store.

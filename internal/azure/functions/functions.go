@@ -450,8 +450,8 @@ func (h *Host) QueueTrigger(q *queue.Queue, fn string) error {
 				h.Tracer.Emit(span.KindCold, "func/activation/"+fn, actStart, p.Now(), m.Ctx)
 			}
 			// SubmitCtx fails only for an unregistered function, and fn
-			// was checked above.
-			_, _ = h.SubmitCtx(fn, m.Body, m.Ctx)
+			// was checked above. A triggered queue carries bytes.
+			_, _ = h.SubmitCtx(fn, m.Body.([]byte), m.Ctx)
 		})
 	})
 	return nil

@@ -248,7 +248,7 @@ func TestQueueTriggerExecutesAndBillsPolls(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.At(5*time.Second, func() {
-		if err := q.EnqueueFromKernelCtx([]byte("msg"), sim.TraceContext{}); err != nil {
+		if err := q.EnqueueFromKernelCtx([]byte("msg"), 3, sim.TraceContext{}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -303,7 +303,7 @@ func TestQueueTriggerColdPollPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.At(time.Second, func() {
-		if err := q.EnqueueFromKernelCtx([]byte("m"), sim.TraceContext{}); err != nil {
+		if err := q.EnqueueFromKernelCtx([]byte("m"), 1, sim.TraceContext{}); err != nil {
 			t.Error(err)
 		}
 	})

@@ -52,7 +52,7 @@ func New(k *sim.Kernel, params platform.AzureParams) *Cloud {
 }
 
 // FromEnv returns the Env's Netherite backend, constructing it on
-// first use. Deployment code uses this the way it uses env.Azure.
+// first use. Deployment code uses this the way it uses env.Azure().
 func FromEnv(env *core.Env) *Cloud { return env.Backend(Kind).(*Cloud) }
 
 // SetTracer enables span emission on the host and hub transport.

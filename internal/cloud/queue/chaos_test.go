@@ -53,7 +53,7 @@ func TestAtLeastOnceProperty(t *testing.T) {
 			}
 			k.Spawn("driver", func(p *sim.Proc) {
 				for i := 0; i < msgs; i++ {
-					if err := q.Enqueue(p, []byte{byte(i)}); err != nil {
+					if err := q.Enqueue(p, []byte{byte(i)}, 1); err != nil {
 						t.Errorf("Enqueue: %v", err)
 						return
 					}
@@ -105,7 +105,7 @@ func TestPoisonMessageDeadLetters(t *testing.T) {
 	delivered := 0
 	var poison *Message
 	k.Spawn("driver", func(p *sim.Proc) {
-		if err := q.Enqueue(p, []byte("bad")); err != nil {
+		if err := q.Enqueue(p, []byte("bad"), 3); err != nil {
 			t.Errorf("Enqueue: %v", err)
 			return
 		}
@@ -148,7 +148,7 @@ func TestUnlimitedRedeliveryNeverPoisons(t *testing.T) {
 	q.Chaos = inj
 	delivered := 0
 	k.Spawn("driver", func(p *sim.Proc) {
-		if err := q.Enqueue(p, []byte("msg")); err != nil {
+		if err := q.Enqueue(p, []byte("msg"), 3); err != nil {
 			t.Errorf("Enqueue: %v", err)
 			return
 		}
@@ -186,7 +186,7 @@ func TestTransactionsCountsChaosOps(t *testing.T) {
 		// Message 1 fails twice and dead-letters (MaxDequeueCount=2);
 		// message 2 is enqueued after the fault budget is drained and
 		// delivers cleanly.
-		if err := q.Enqueue(p, []byte("poison")); err != nil {
+		if err := q.Enqueue(p, []byte("poison"), 6); err != nil {
 			t.Errorf("Enqueue: %v", err)
 			return
 		}
@@ -196,7 +196,7 @@ func TestTransactionsCountsChaosOps(t *testing.T) {
 			}
 			p.Sleep(3 * time.Second)
 		}
-		if err := q.Enqueue(p, []byte("clean")); err != nil {
+		if err := q.Enqueue(p, []byte("clean"), 5); err != nil {
 			t.Errorf("Enqueue: %v", err)
 			return
 		}
@@ -235,7 +235,7 @@ func TestDuplicateDeliveryGhost(t *testing.T) {
 	q.Chaos = inj
 	var ids []int64
 	k.Spawn("driver", func(p *sim.Proc) {
-		if err := q.Enqueue(p, []byte("m")); err != nil {
+		if err := q.Enqueue(p, []byte("m"), 1); err != nil {
 			t.Errorf("Enqueue: %v", err)
 			return
 		}

@@ -80,7 +80,7 @@ func TestListenerResetsBackoff(t *testing.T) {
 		name: "delivery",
 		setup: func(t *testing.T, k *sim.Kernel, _ *Listener, q *Queue) {
 			k.At(time.Second, func() {
-				if err := q.EnqueueFromKernelCtx([]byte("m"), sim.TraceContext{}); err != nil {
+				if err := q.EnqueueFromKernelCtx([]byte("m"), 1, sim.TraceContext{}); err != nil {
 					t.Error(err)
 				}
 			})

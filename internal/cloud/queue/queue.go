@@ -44,7 +44,8 @@ func DefaultParams() Params {
 	}
 }
 
-// PayloadTooLargeError reports an Enqueue whose body exceeds MaxPayload.
+// PayloadTooLargeError reports an enqueue whose payload's encoded size
+// exceeds MaxPayload.
 type PayloadTooLargeError struct {
 	Queue string
 	Size  int
@@ -55,13 +56,22 @@ func (e *PayloadTooLargeError) Error() string {
 	return fmt.Sprintf("queue %s: payload %d bytes exceeds limit %d", e.Queue, e.Size, e.Limit)
 }
 
-// Message is a queued message. Ctx carries the sender's trace context
-// across the hop (the in-memory analogue of an SQS/Storage Queue trace
-// header); it is never serialized, so enabling tracing cannot change
-// payload sizes or billing.
+// Message is a queued message. Body is the payload exactly as its
+// sender enqueued it: []byte for the Az-Queue chains and queue-triggered
+// functions, a typed envelope for the classic Durable task hub. The
+// queue never looks inside it; the sender states the payload's encoded
+// size at enqueue, and the queue reads only that, for MaxPayload. A
+// Body is shared by the sender and every receiver of the message
+// (a redelivered or duplicated message delivers the same Body again),
+// so receivers treat it as read-only.
+//
+// Ctx carries the sender's trace context across the hop (the in-memory
+// analogue of an SQS/Storage Queue trace header); it is never
+// serialized, so enabling tracing cannot change payload sizes or
+// billing.
 type Message struct {
 	ID         int64
-	Body       []byte
+	Body       any
 	EnqueuedAt sim.Time
 	Dequeues   int
 	Ctx        sim.TraceContext
@@ -132,33 +142,41 @@ func (q *Queue) Len() int { return len(q.msgs) }
 // Stats returns a snapshot of the operation counters.
 func (q *Queue) Stats() Stats { return q.stats }
 
-// Enqueue appends body, consuming one operation latency. It fails if
-// body exceeds the payload limit.
-func (q *Queue) Enqueue(p *sim.Proc, body []byte) error {
-	if q.params.MaxPayload > 0 && len(body) > q.params.MaxPayload {
-		return &PayloadTooLargeError{Queue: q.name, Size: len(body), Limit: q.params.MaxPayload}
+// Enqueue appends body, whose encoded size is size bytes, consuming
+// one operation latency. It fails if size exceeds the payload limit.
+func (q *Queue) Enqueue(p *sim.Proc, body any, size int) error {
+	if err := q.admit(size); err != nil {
+		return err
 	}
-	q.stats.Enqueues++
 	p.Sleep(q.params.OpLatency.Sample(q.rng))
 	q.nextID++
 	q.push(&Message{ID: q.nextID, Body: body, EnqueuedAt: p.Now(), Ctx: p.TraceCtx})
 	return nil
 }
 
-// EnqueueFromKernelCtx appends body from event-loop context: the
-// message becomes visible one operation latency later. ctx is the
-// trace context for the hop span, for senders that have no process
-// (e.g. the Durable hub completing a task from event-loop context).
-func (q *Queue) EnqueueFromKernelCtx(body []byte, ctx sim.TraceContext) error {
-	if q.params.MaxPayload > 0 && len(body) > q.params.MaxPayload {
-		return &PayloadTooLargeError{Queue: q.name, Size: len(body), Limit: q.params.MaxPayload}
+// EnqueueFromKernelCtx is Enqueue from event-loop context: the message
+// becomes visible one operation latency later. ctx is the trace
+// context for the hop span, for senders that have no process (e.g. the
+// Durable hub completing a task from event-loop context).
+func (q *Queue) EnqueueFromKernelCtx(body any, size int, ctx sim.TraceContext) error {
+	if err := q.admit(size); err != nil {
+		return err
 	}
-	q.stats.Enqueues++
 	d := q.params.OpLatency.Sample(q.rng)
 	q.k.After(d, func() {
 		q.nextID++
 		q.push(&Message{ID: q.nextID, Body: body, EnqueuedAt: q.k.Now(), Ctx: ctx})
 	})
+	return nil
+}
+
+// admit checks a payload of size encoded bytes against the limit and
+// books the enqueue.
+func (q *Queue) admit(size int) error {
+	if q.params.MaxPayload > 0 && size > q.params.MaxPayload {
+		return &PayloadTooLargeError{Queue: q.name, Size: size, Limit: q.params.MaxPayload}
+	}
+	q.stats.Enqueues++
 	return nil
 }
 

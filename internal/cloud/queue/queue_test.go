@@ -21,7 +21,7 @@ func TestEnqueueDequeueFIFO(t *testing.T) {
 	var got []string
 	k.Spawn("c", func(p *sim.Proc) {
 		for _, s := range []string{"a", "b", "c"} {
-			if err := q.Enqueue(p, []byte(s)); err != nil {
+			if err := q.Enqueue(p, []byte(s), len(s)); err != nil {
 				t.Errorf("Enqueue: %v", err)
 			}
 		}
@@ -31,7 +31,7 @@ func TestEnqueueDequeueFIFO(t *testing.T) {
 				t.Error("TryDequeue empty")
 				return
 			}
-			got = append(got, string(m.Body))
+			got = append(got, string(m.Body.([]byte)))
 		}
 	})
 	k.Run()
@@ -44,7 +44,7 @@ func TestPayloadLimit(t *testing.T) {
 	k := sim.NewKernel(1)
 	q := New(k, "q", fixedParams())
 	var err error
-	k.Spawn("c", func(p *sim.Proc) { err = q.Enqueue(p, make([]byte, 101)) })
+	k.Spawn("c", func(p *sim.Proc) { err = q.Enqueue(p, make([]byte, 101), 101) })
 	k.Run()
 	var tooBig *PayloadTooLargeError
 	if !errors.As(err, &tooBig) {
@@ -82,7 +82,7 @@ func TestTransactionAccounting(t *testing.T) {
 	k := sim.NewKernel(1)
 	q := New(k, "q", fixedParams())
 	k.Spawn("c", func(p *sim.Proc) {
-		if err := q.Enqueue(p, []byte("x")); err != nil {
+		if err := q.Enqueue(p, []byte("x"), 1); err != nil {
 			t.Errorf("Enqueue: %v", err)
 		}
 		if _, ok := q.TryDequeue(p); !ok {
@@ -101,7 +101,7 @@ func TestMessageMetadata(t *testing.T) {
 	k := sim.NewKernel(1)
 	q := New(k, "q", fixedParams())
 	k.Spawn("c", func(p *sim.Proc) {
-		if err := q.Enqueue(p, []byte("x")); err != nil {
+		if err := q.Enqueue(p, []byte("x"), 1); err != nil {
 			t.Errorf("enqueue: %v", err)
 		}
 		enqueuedAt := p.Now()

@@ -37,7 +37,7 @@ func TestDeliveredDuplicateBooksNoRecoveryDelay(t *testing.T) {
 	var got int
 	k.Spawn("driver", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			if err := q.Enqueue(p, []byte{byte(i)}); err != nil {
+			if err := q.Enqueue(p, []byte{byte(i)}, 1); err != nil {
 				t.Errorf("Enqueue: %v", err)
 				return
 			}
@@ -68,7 +68,7 @@ func TestRecoveryDelayBookedForFailedDeliveries(t *testing.T) {
 	var got int
 	var at sim.Time
 	k.Spawn("driver", func(p *sim.Proc) {
-		if err := q.Enqueue(p, []byte("m")); err != nil {
+		if err := q.Enqueue(p, []byte("m"), 1); err != nil {
 			t.Errorf("Enqueue: %v", err)
 			return
 		}

@@ -94,7 +94,7 @@ func (r *rig) listen(i int, maxPoll time.Duration, stop *sim.Future[struct{}], t
 // from event-loop context.
 func (r *rig) enqueue(t *testing.T, i int, body string) func() {
 	return func() {
-		if err := r.qs[i].EnqueueFromKernelCtx([]byte(body), sim.TraceContext{}); err != nil {
+		if err := r.qs[i].EnqueueFromKernelCtx([]byte(body), len(body), sim.TraceContext{}); err != nil {
 			t.Error(err)
 		}
 	}
@@ -199,7 +199,7 @@ func scriptedRigs(t *testing.T, newPoller func(*sim.Kernel) poller) []func() *ri
 			// the listener's second timer.
 			r.k.Spawn("producer", func(p *sim.Proc) {
 				p.Sleep(305 * time.Millisecond)
-				if err := r.qs[0].Enqueue(p, []byte("p")); err != nil {
+				if err := r.qs[0].Enqueue(p, []byte("p"), 1); err != nil {
 					t.Error(err)
 				}
 			})
@@ -333,7 +333,8 @@ func randomRig(t *testing.T, seed int64, newPoller func(*sim.Kernel) poller) *ri
 			if pr.at > p.Now() {
 				p.Sleep(pr.at - p.Now())
 			}
-			if err := r.qs[pr.q].Enqueue(p, []byte(fmt.Sprintf("p%d", a))); err != nil {
+			body := []byte(fmt.Sprintf("p%d", a))
+			if err := r.qs[pr.q].Enqueue(p, body, len(body)); err != nil {
 				t.Error(err)
 			}
 			if pr.kick {

@@ -15,8 +15,8 @@ import (
 	"statebench/internal/sim"
 )
 
-// Env is one fresh simulated deployment: a kernel plus both clouds,
-// ready for a Workflow to deploy into.
+// Env is one fresh simulated deployment: a kernel plus the clouds of
+// the registered providers, ready for a Workflow to deploy into.
 //
 // Concurrency contract: an Env wraps a single sim.Kernel and inherits
 // its one-goroutine discipline — everything reachable from an Env
@@ -27,18 +27,17 @@ import (
 // lock-free.
 type Env struct {
 	K *sim.Kernel
-	// AWS and Azure are the paper's two clouds, constructed eagerly
-	// with the Env (workload deployment code reaches into their typed
-	// services). They are also the first two entries of the backend
-	// map; additional registered providers are constructed lazily by
-	// Backend on first use.
-	AWS   *aws.Cloud
-	Azure *azure.Cloud
 
 	AWSPrices   pricing.AWSPrices
 	AzurePrices pricing.AzurePrices
 
-	// backends holds each provider's simulated cloud, keyed by kind.
+	// awsParams and azureParams calibrate the paper's two clouds when
+	// Backend builds them.
+	awsParams   platform.AWSParams
+	azureParams platform.AzureParams
+
+	// backends holds each provider's simulated cloud, keyed by kind,
+	// once Backend has built it.
 	backends map[CloudKind]Backend
 
 	// Scratch lets workloads expose experiment-specific measurements
@@ -80,27 +79,37 @@ func NewEnvWithParams(seed uint64, ap platform.AWSParams, zp platform.AzureParam
 	return newEnv(sim.NewKernel(seed), ap, zp)
 }
 
-// newEnv builds an environment on a fresh kernel k.
+// newEnv builds an environment on a fresh kernel k. No cloud is built
+// yet: Backend builds each on first use.
 func newEnv(k *sim.Kernel, ap platform.AWSParams, zp platform.AzureParams) *Env {
-	e := &Env{
+	return &Env{
 		K:           k,
-		AWS:         aws.New(k, ap),
-		Azure:       azure.New(k, zp),
 		AWSPrices:   pricing.DefaultAWS(),
 		AzurePrices: pricing.DefaultAzure(),
+		awsParams:   ap,
+		azureParams: zp,
+		backends:    make(map[CloudKind]Backend),
 		Scratch:     make(map[string]any),
 		Payload:     payload.Shared(),
 	}
-	e.backends = map[CloudKind]Backend{AWS: e.AWS, Azure: e.Azure}
-	return e
 }
 
+// AWS returns the Env's AWS cloud, building it on first use.
+// Deployment code reaches into its typed services.
+func (e *Env) AWS() *aws.Cloud { return e.Backend(AWS).(*aws.Cloud) }
+
+// Azure returns the Env's Azure cloud, building it on first use.
+func (e *Env) Azure() *azure.Cloud { return e.Backend(Azure).(*azure.Cloud) }
+
 // Backend returns the simulated cloud for a registered provider,
-// constructing it on first use. Lazy construction keeps extra
-// providers free for AWS/Azure-only campaigns: a backend that is
-// never touched allocates nothing and — because every RNG stream is
-// derived from its name, not from draw order — cannot perturb another
-// provider's variates. Returns nil for an unregistered kind.
+// constructing it on first use, the paper's two included. A campaign
+// builds only the clouds it touches: a backend that is never touched
+// allocates nothing, starts no listener and queues no event, and —
+// because every RNG stream is derived from its name, not from draw
+// order — cannot perturb another provider's variates. A campaign's
+// first touch is its deployment, before it queues anything, so a
+// cloud's own processes (the classic task hub's listeners) are queued
+// ahead of every campaign event. Returns nil for an unregistered kind.
 func (e *Env) Backend(kind CloudKind) Backend {
 	if be, ok := e.backends[kind]; ok {
 		return be

@@ -64,8 +64,8 @@ type ProviderSpec struct {
 	// Styles lists the implementation styles the provider hosts.
 	Styles []StyleInfo
 	// NewBackend constructs the provider's cloud on the Env's kernel.
-	// Called lazily on first use; the Env applies its tracer and chaos
-	// injector to the fresh backend.
+	// Called lazily on first use; the Env applies its tracer, chaos
+	// injector and timeline to the fresh backend.
 	NewBackend func(e *Env) Backend
 	// DefaultBook returns the provider's price book. The paper's two
 	// providers are overridden by the Env's live AWSPrices/AzurePrices
@@ -170,7 +170,7 @@ func init() {
 			{Impl: AWSLambda, Description: "One stateless Lambda function."},
 			{Impl: AWSStep, Stateful: true, Description: "Workflow implementation using AWS Step Functions, calling AWS Lambda functions on each state."},
 		},
-		NewBackend:         func(e *Env) Backend { return aws.New(e.K, platform.DefaultAWS()) },
+		NewBackend:         func(e *Env) Backend { return aws.New(e.K, e.awsParams) },
 		DefaultBook:        func() pricing.Book { return pricing.DefaultAWS() },
 		Traffic:            func() platform.TrafficProfile { return platform.DefaultAWS().Traffic() },
 		BillsConfiguredMem: true,
@@ -184,7 +184,7 @@ func init() {
 			{Impl: AzDorch, Stateful: true, Description: "Workflow implemented using Azure Durable orchestrators, calling isolated functions through call_activity."},
 			{Impl: AzDent, Stateful: true, Description: "Workflow implemented using Azure Durable orchestrators, calling stateful entities through call_entity."},
 		},
-		NewBackend:  func(e *Env) Backend { return azure.New(e.K, platform.DefaultAzure()) },
+		NewBackend:  func(e *Env) Backend { return azure.New(e.K, e.azureParams) },
 		DefaultBook: func() pricing.Book { return pricing.DefaultAzure() },
 		Traffic:     func() platform.TrafficProfile { return platform.DefaultAzure().Traffic() },
 	})

@@ -80,9 +80,9 @@ func TestSpanExecMatchesMeterFanout(t *testing.T) {
 		s := tracedMeasure(t, wf, impl, opt)
 		var meterExec time.Duration
 		if impl.Cloud() == core.AWS {
-			meterExec = s.Env.AWS.Lambda.TotalMeter().ExecTime
+			meterExec = s.Env.AWS().Lambda.TotalMeter().ExecTime
 		} else {
-			meterExec = s.Env.Azure.Host.TotalMeter().ExecTime
+			meterExec = s.Env.Azure().Host.TotalMeter().ExecTime
 		}
 		spanExec := span.TotalByKind(s.Trace.Spans(), 0)[span.KindExec]
 		within(t, string(impl)+" cumulative exec", spanExec, meterExec, 0.01)

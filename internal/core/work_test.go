@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"fmt"
 	"testing"
 
 	"statebench/internal/core"
@@ -11,32 +10,41 @@ import (
 )
 
 // TestCampaignWorkCounts pins the kernel's work counters for one
-// quick-scale classic-hub campaign: events executed and goroutine
-// switches. Both are fixed by the event order, so they must repeat
-// exactly at every worker count. A kernel round trip per wake-up, a
-// no-op event per timed-out idle poll, a listener process resumed for
-// an empty poll, or an empty poll run as events instead of ahead of
-// the clock moves them. (Executed read 10,654 while each empty poll
-// ran as three events: its end, the back-off timer and the hop.)
+// quick-scale campaign of the classic-hub style and of both AWS
+// styles: events executed and goroutine switches. Both are fixed by
+// the event order, so they must repeat exactly at every worker count.
+// A kernel round trip per wake-up, a no-op event per timed-out idle
+// poll, a listener process resumed for an empty poll, or an empty poll
+// run as events instead of ahead of the clock moves them. (Az-Dorch's
+// Executed read 10,654 while each empty poll ran as three events: its
+// end, the back-off timer and the hop.) An AWS campaign builds no
+// Azure cloud, so its counts hold no classic-hub listener: AWS-Step
+// read 1,367 events and 219 switches, and AWS-Lambda 372 and 12, while
+// every Env also started the idle durable/control-0 to control-3 and
+// durable/workitems listeners.
 func TestCampaignWorkCounts(t *testing.T) {
-	const executed, switches = 4059, 441
+	want := map[core.Impl][2]uint64{
+		core.AzDorch:   {4059, 441},
+		core.AWSStep:   {639, 209},
+		core.AWSLambda: {111, 2},
+	}
 	wf := mltrain.New(mlpipe.Small)
 	opt := core.DefaultMeasureOptions()
 	opt.Iters = 10
 	opt.KeepEnv = true
-	check := func(what string, s *core.Series) {
-		t.Helper()
-		if e, sw := s.Env.K.Executed(), s.Env.K.Switches(); e != executed || sw != switches {
-			t.Errorf("%s: Executed() = %d, Switches() = %d; want %d, %d", what, e, sw, executed, switches)
-		}
-	}
 	for _, workers := range []int{1, 8} {
 		opt.Workers = workers
 		all, err := core.MeasureAll(wf, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("MeasureAll at Workers %d", workers), all[core.AzDorch])
+		for _, impl := range []core.Impl{core.AzDorch, core.AWSStep, core.AWSLambda} {
+			k := all[impl].Env.K
+			if got := [2]uint64{k.Executed(), k.Switches()}; got != want[impl] {
+				t.Errorf("%s, MeasureAll at Workers %d: Executed(), Switches() = %d, %d; want %d, %d",
+					impl, workers, got[0], got[1], want[impl][0], want[impl][1])
+			}
+		}
 	}
 }
 
@@ -66,7 +74,7 @@ func TestClassicHistoryWorkCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hub := s.Env.Azure.Hub
+		hub := s.Env.Azure().Hub
 		st := hub.HistoryTable().Stats()
 		got := [5]int64{st.Queries, st.Batches, hub.EpisodeCount, hub.ReplayEvents, int64(s.Env.K.Executed())}
 		want := [5]int64{queries, batches, episodes, replayed, executed}

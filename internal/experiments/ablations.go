@@ -34,7 +34,7 @@ func AblationMemory(o Options) (*Report, error) {
 	rows, err := parallel.Map(o.Workers, len(memories), func(idx int) ([]string, error) {
 		memMB := memories[idx]
 		env := core.NewEnv(o.Seed)
-		s3 := env.AWS.S3
+		s3 := env.AWS().S3
 		// The dataset bytes are immutable pipeline artifacts; share them
 		// across the sweep points instead of copying per configuration.
 		s3.PreloadShared("dataset", arts.DatasetCSV)
@@ -42,7 +42,7 @@ func AblationMemory(o Options) (*Report, error) {
 		speed := float64(memMB) / 1536
 		costs := mlpipe.NewCosts(env.K, fmt.Sprintf("mem-%d", memMB), speed)
 		fn := fmt.Sprintf("mono-%d", memMB)
-		env.AWS.Lambda.MustRegister(faas.Config{
+		env.AWS().Lambda.MustRegister(faas.Config{
 			Name: fn, MemoryMB: memMB, ConsumedMemMB: mlpipe.MemMonolith,
 			Handler: func(ctx *faas.Context, payload []byte) ([]byte, error) {
 				p := ctx.Proc()
@@ -57,7 +57,7 @@ func AblationMemory(o Options) (*Report, error) {
 		env.K.Spawn("driver", func(p *sim.Proc) {
 			defer env.Stop() // quiesce the idle Azure listeners
 			for i := 0; i < o.Iters; i++ {
-				inv, err := env.AWS.Lambda.Invoke(p, fn, nil)
+				inv, err := env.AWS().Lambda.Invoke(p, fn, nil)
 				if err != nil {
 					return
 				}
@@ -66,7 +66,7 @@ func AblationMemory(o Options) (*Report, error) {
 			}
 		})
 		env.K.Run()
-		m := env.AWS.Lambda.TotalMeter()
+		m := env.AWS().Lambda.TotalMeter()
 		gbs := m.BilledGBs / float64(o.Iters)
 		return []string{fmt.Sprintf("%d MB", memMB), fmtDur(samples.Median()),
 			fmt.Sprintf("%.2f", gbs), fmtUSD(gbs * env.AWSPrices.LambdaGBs)}, nil

@@ -51,7 +51,7 @@ func New(k *sim.Kernel, params platform.GCPParams) *Cloud {
 }
 
 // FromEnv returns the Env's GCP backend, constructing it on first use.
-// Deployment code uses this the way it uses env.AWS / env.Azure.
+// Deployment code uses this the way it uses env.AWS() / env.Azure().
 func FromEnv(env *core.Env) *Cloud { return env.Backend(Kind).(*Cloud) }
 
 // SetTracer enables span emission on Functions and Workflows.

@@ -303,8 +303,11 @@ func (k *Kernel) Expose(e QuietEvent) {
 // an unexposed quiet event can act: the clock, if a process has been
 // woken or an event is due now; otherwise the earliest of the heap's,
 // the Lanes' and the Timers' heads, the tick listener's next boundary,
-// the instant after RunUntil's deadline, and the exposed quiet events.
-// With none of these it returns the largest Time.
+// the instant after RunUntil's deadline, and the exposed quiet events,
+// but never before the clock (RunUntil can move the clock past the
+// tick boundary without running an event, and the boundary moves only
+// when an event crosses it). With none of these it returns the largest
+// Time.
 func (k *Kernel) Horizon() Time {
 	if k.next != nil || k.immHead < len(k.imm) {
 		return k.now
@@ -331,7 +334,7 @@ func (k *Kernel) Horizon() Time {
 	for _, e := range k.exposed {
 		h = min(h, e.at)
 	}
-	return h
+	return max(h, k.now)
 }
 
 // Lane is a FIFO of events that all run one handler, for a caller that

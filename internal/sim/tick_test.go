@@ -133,3 +133,17 @@ func TestTickListenerSeesLaneEvents(t *testing.T) {
 		}
 	}
 }
+
+// RunUntil can move the clock past the tick listener's next boundary
+// without running an event; the boundary stays behind until an event
+// crosses it, but Horizon never reports an instant before the clock.
+func TestHorizonNeverBeforeClock(t *testing.T) {
+	k := NewKernel(1)
+	k.SetTickListener(10*time.Millisecond, func(Time) {})
+	k.At(100*time.Millisecond, func() {})
+	k.RunUntil(50 * time.Millisecond)
+	if now, h := k.Now(), k.Horizon(); now != 50*time.Millisecond || h < now {
+		t.Fatalf("after RunUntil(50ms): Now() = %v, Horizon() = %v; want 50ms and a horizon at or after it", now, h)
+	}
+	k.Run()
+}

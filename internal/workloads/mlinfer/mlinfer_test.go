@@ -132,7 +132,7 @@ func TestArtifactsStagedByAlias(t *testing.T) {
 	var got []byte
 	env.K.Spawn("get", func(p *sim.Proc) {
 		defer env.Stop()
-		got, err = env.AWS.S3.Get(p, testKey(mlpipe.Small))
+		got, err = env.AWS().S3.Get(p, testKey(mlpipe.Small))
 	})
 	env.K.Run()
 	if err != nil {

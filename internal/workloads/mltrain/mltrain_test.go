@@ -257,7 +257,7 @@ func TestArtifactsStagedByAlias(t *testing.T) {
 	var got []byte
 	env.K.Spawn("get", func(p *sim.Proc) {
 		defer env.Stop()
-		got, err = env.AWS.S3.Get(p, datasetKey(mlpipe.Small))
+		got, err = env.AWS().S3.Get(p, datasetKey(mlpipe.Small))
 	})
 	env.K.Run()
 	if err != nil {

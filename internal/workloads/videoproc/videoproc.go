@@ -16,9 +16,14 @@
 package videoproc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"statebench/internal/core"
 	"statebench/internal/flow"
@@ -125,10 +130,139 @@ type chunkMsg struct {
 
 func marshalChunk(m chunkMsg) []byte { b, _ := json.Marshal(m); return b }
 
+// parseChunk decodes a chunk message. The form marshalChunk writes,
+// {"run":R,"key":"K","index":I} with the key omitted when empty, is
+// decoded directly; any other input goes to json.Unmarshal, so errors
+// and unusual inputs get json.Unmarshal's result.
 func parseChunk(data []byte) (chunkMsg, error) {
+	if m, ok := parseCanonicalChunk(data); ok {
+		return m, nil
+	}
 	var m chunkMsg
 	err := json.Unmarshal(data, &m)
 	return m, err
+}
+
+// parseCanonicalChunk decodes data if it is exactly in marshalChunk's
+// form, and reports whether it was. Whatever it accepts is valid JSON
+// that json.Unmarshal decodes to the same message.
+func parseCanonicalChunk(data []byte) (m chunkMsg, ok bool) {
+	b, ok := bytes.CutPrefix(data, []byte(`{"run":`))
+	if !ok {
+		return m, false
+	}
+	if m.Run, b, ok = cutJSONInt(b, 64); !ok {
+		return m, false
+	}
+	if rest, found := bytes.CutPrefix(b, []byte(`,"key":`)); found {
+		if m.Key, b, ok = cutJSONString(rest); !ok {
+			return m, false
+		}
+	}
+	if b, ok = bytes.CutPrefix(b, []byte(`,"index":`)); !ok {
+		return m, false
+	}
+	index, b, ok := cutJSONInt(b, strconv.IntSize)
+	if !ok || len(b) != 1 || b[0] != '}' {
+		return m, false
+	}
+	m.Index = int(index)
+	return m, true
+}
+
+// cutJSONInt decodes a JSON number with no fraction or exponent from
+// the front of b, if it fits a signed integer of the given bits.
+func cutJSONInt(b []byte, bits int) (int64, []byte, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	n := 0
+	for n < len(b) && '0' <= b[n] && b[n] <= '9' {
+		n++
+	}
+	if n == 0 || n > 19 || (b[0] == '0' && n > 1) {
+		return 0, b, false
+	}
+	var u uint64
+	for _, c := range b[:n] {
+		u = u*10 + uint64(c-'0')
+	}
+	if limit := uint64(1) << (bits - 1); u > limit || (u == limit && !neg) {
+		return 0, b, false
+	}
+	v := int64(u)
+	if neg {
+		v = -v
+	}
+	return v, b[n:], true
+}
+
+// cutJSONString decodes a JSON string from the front of b: valid UTF-8
+// and the escapes json.Marshal writes, except surrogates.
+func cutJSONString(b []byte) (string, []byte, bool) {
+	if len(b) == 0 || b[0] != '"' {
+		return "", b, false
+	}
+	b = b[1:]
+	var buf []byte // the decoded string, once an escape needs one
+	for i := 0; i < len(b); {
+		c := b[i]
+		switch {
+		case c == '"':
+			if buf == nil {
+				return string(b[:i]), b[i+1:], true
+			}
+			return string(buf), b[i+1:], true
+		case c < 0x20:
+			return "", b, false
+		case c == '\\':
+			if buf == nil {
+				buf = append(make([]byte, 0, len(b)), b[:i]...)
+			}
+			r, n := unescapeJSON(b[i:])
+			if n == 0 {
+				return "", b, false
+			}
+			buf = utf8.AppendRune(buf, r)
+			i += n
+		case c < utf8.RuneSelf:
+			if buf != nil {
+				buf = append(buf, c)
+			}
+			i++
+		default:
+			r, n := utf8.DecodeRune(b[i:])
+			if r == utf8.RuneError && n == 1 {
+				return "", b, false
+			}
+			if buf != nil {
+				buf = append(buf, b[i:i+n]...)
+			}
+			i += n
+		}
+	}
+	return "", b, false
+}
+
+// unescapeJSON decodes the escape at the front of b, which starts with
+// a backslash, and returns its rune and length; 0 for an escape it
+// does not take (invalid, or a UTF-16 surrogate).
+func unescapeJSON(b []byte) (rune, int) {
+	if len(b) < 2 {
+		return 0, 0
+	}
+	if i := strings.IndexByte(`"\/bfnrt`, b[1]); i >= 0 {
+		return rune("\"\\/\b\f\n\r\t"[i]), 2
+	}
+	if b[1] != 'u' || len(b) < 6 {
+		return 0, 0
+	}
+	v, err := strconv.ParseUint(string(b[2:6]), 16, 16)
+	if err != nil || utf16.IsSurrogate(rune(v)) {
+		return 0, 0
+	}
+	return rune(v), 6
 }
 
 func chunkKey(run int64, i int) string  { return fmt.Sprintf("tmp/video%06d/chunk-%04d", run, i) }
@@ -182,7 +316,7 @@ const awsVideoMemoryMB = 2048
 // WorkerSchedDelays exposes the Azure host's per-work-item scheduling
 // delays (Fig 14's metric) after a Dorch campaign.
 func WorkerSchedDelays(env *core.Env) []time.Duration {
-	return env.Azure.Host.Stats().SchedDelays
+	return env.Azure().Host.Stats().SchedDelays
 }
 
 // finishScratchKey indexes the per-worker finish times in Env.Scratch.
