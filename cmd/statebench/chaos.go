@@ -22,7 +22,7 @@ func runChaos(args []string) {
 	seed := fs.Uint64("seed", 42, "simulation seed")
 	rate := fs.Float64("faultrate", experiments.DefaultFaultRate, "per-decision fault injection probability")
 	iters := fs.Int("iters", 20, "measured runs per style")
-	workers := fs.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+	workers := fs.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = one campaign at a time)")
 	csv := fs.Bool("csv", false, "emit CSV instead of a text table")
 	_ = fs.Parse(args)
 

@@ -49,8 +49,8 @@ func quickOpts(workers int) experiments.Options {
 }
 
 // skipUnderRace keeps the golden replays out of -race runs: each one
-// is a full quick-scale campaign suite (~10-20x slower under the
-// detector), and tier2's determinism tests already cover racy
+// is a full quick- or paper-scale campaign suite (~10-20x slower under
+// the detector), and tier2's determinism tests already cover racy
 // interleavings. The byte-level golden pin runs in plain tier1.
 func skipUnderRace(t *testing.T) {
 	t.Helper()
@@ -116,15 +116,11 @@ func TestQuickOutputCacheOffMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestDefaultOutputMatchesGolden replays the full paper-scale run; it
-// is the strongest determinism check but takes minutes (and far longer
-// under -race), so it only runs when explicitly requested via
-// STATEBENCH_GOLDEN_FULL=1 — `make golden` does this. The quick-scale
-// goldens above exercise the same code paths on every test run.
+// TestDefaultOutputMatchesGolden replays the full paper-scale run, the
+// strongest determinism check, on every plain test run (a few seconds
+// at Workers 8); like the quick goldens it is skipped under -race.
 func TestDefaultOutputMatchesGolden(t *testing.T) {
-	if os.Getenv("STATEBENCH_GOLDEN_FULL") == "" {
-		t.Skip("set STATEBENCH_GOLDEN_FULL=1 (or run `make golden`) for the paper-scale replay")
-	}
+	skipUnderRace(t)
 	want := golden(t, "default_p8.txt")
 	o := experiments.DefaultOptions()
 	o.Seed = 42

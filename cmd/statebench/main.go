@@ -56,7 +56,7 @@
 //	-csv          emit CSV instead of text tables
 //	-iters N      override the per-style iteration count
 //	-seed N       simulation master seed
-//	-parallel N   campaign worker pool size (0 = GOMAXPROCS, 1 = sequential)
+//	-parallel N   campaign worker pool size (0 = GOMAXPROCS, 1 = one campaign at a time)
 //	-metrics FILE collect runtime metrics, write Prometheus text to FILE
 //	-timeline FILE collect windowed telemetry, write per-window CSV
 //	              (JSON when FILE ends in .json) to FILE
@@ -116,7 +116,7 @@ func main() {
 	quick := flag.Bool("quick", false, "use fast smoke-scale campaign sizes")
 	iters := flag.Int("iters", 0, "override per-style iteration count")
 	seed := flag.Uint64("seed", 42, "simulation master seed")
-	workers := flag.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+	workers := flag.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = one campaign at a time)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	csv := flag.Bool("csv", false, "emit CSV instead of text tables")
 	metricsOut := flag.String("metrics", "", "collect runtime metrics and write Prometheus text to this file")

@@ -24,7 +24,7 @@ func runOptimize(args []string) {
 	quick := fs.Bool("quick", false, "use fast smoke-scale campaign sizes")
 	iters := fs.Int("iters", 0, "override per-candidate iteration count")
 	seed := fs.Uint64("seed", 42, "simulation master seed")
-	workers := fs.Int("parallel", 0, "candidate worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+	workers := fs.Int("parallel", 0, "candidate worker pool size (0 = GOMAXPROCS, 1 = one candidate at a time)")
 	slo := fs.Duration("slo", 0, "latency SLO for the cheapest-config pick (0 = each workload's median p50)")
 	budget := fs.Float64("budget", 0, "per-run cost budget in USD for the fastest-config pick (0 = each workload's median cost)")
 	csvOut := fs.String("csv", "", "write the full candidate record (frontier, dominated, excluded) as CSV to this file")

@@ -86,11 +86,11 @@ func (s *classicStore) Start(h *Hub) {
 	stop, maxPoll := h.host.StopSignal(), s.params.DurableMaxPoll
 	for i := range s.control {
 		s.k.Spawn(fmt.Sprintf("durable/control-%d", i), func(p *sim.Proc) {
-			s.listeners[i].Run(p, s.control[i], maxPoll, stop, envelopes(h.handleControlMessage))
+			s.listeners[i].Run(p, s.control[i], maxPoll, stop, envelopes(h.DeliverControl))
 		})
 	}
 	s.k.Spawn("durable/workitems", func(p *sim.Proc) {
-		s.wiListener.Run(p, s.workItems, maxPoll, stop, envelopes(h.handleWorkItem))
+		s.wiListener.Run(p, s.workItems, maxPoll, stop, envelopes(h.DeliverWork))
 	})
 }
 
@@ -103,22 +103,9 @@ func (s *classicStore) kickAll() {
 }
 
 // envelopes adapts an envelope handler to a queue listener: the
-// message body is the Envelope the sender enqueued. An empty Input or
-// Result is handed on as nil, as decoding the envelope's JSON gives
-// it, so an orchestrator sees an arrived result as every replay of the
-// committed record will (flow.JoinOutputs, for one, encodes nil as
-// null but fails on an empty slice).
+// message body is the Envelope the sender enqueued.
 func envelopes(handle func(Envelope)) func(*queue.Message) {
-	return func(m *queue.Message) {
-		e := m.Body.(Envelope)
-		if len(e.Input) == 0 {
-			e.Input = nil
-		}
-		if len(e.Result) == 0 {
-			e.Result = nil
-		}
-		handle(e)
-	}
+	return func(m *queue.Message) { handle(m.Body.(Envelope)) }
 }
 
 // partitionOf maps an instance ID onto a control-queue partition.

@@ -111,8 +111,23 @@ type Store interface {
 // DeliverControl routes a control envelope into the hub from kernel
 // context — the delivery half of a Store's transport. Exported for
 // Store implementations outside this package.
-func (h *Hub) DeliverControl(m Envelope) { h.handleControlMessage(m) }
+func (h *Hub) DeliverControl(m Envelope) { h.handleControlMessage(delivered(m)) }
 
 // DeliverWork executes an activity work item — the work-item delivery
 // half of a Store's transport.
-func (h *Hub) DeliverWork(m Envelope) { h.handleWorkItem(m) }
+func (h *Hub) DeliverWork(m Envelope) { h.handleWorkItem(delivered(m)) }
+
+// delivered returns m with an empty Input or Result as nil, as decoding
+// an envelope's JSON gives it, on every store: an orchestrator then
+// sees an arrived result as every replay of the committed record will
+// (flow.JoinOutputs, for one, encodes nil as null but fails on an
+// empty slice).
+func delivered(m Envelope) Envelope {
+	if len(m.Input) == 0 {
+		m.Input = nil
+	}
+	if len(m.Result) == 0 {
+		m.Result = nil
+	}
+	return m
+}

@@ -9,6 +9,7 @@ import (
 
 	"statebench/internal/azure/durable"
 	"statebench/internal/azure/functions"
+	"statebench/internal/flow"
 	"statebench/internal/sim"
 )
 
@@ -275,6 +276,26 @@ func conformanceScenarios() []scenario {
 			},
 			run:  runOrch("parent", nil),
 			want: "ABCD",
+		},
+		{
+			// Both hubs deliver an empty activity result as nil, which
+			// a join encodes as null; an empty slice would fail it.
+			name: "empty-results-join",
+			register: func(t *testing.T, hub *durable.Hub) {
+				mustRegActivity(t, hub, "empty", func(ctx *functions.Context, in []byte) ([]byte, error) {
+					ctx.Busy(10 * time.Millisecond)
+					return []byte{}, nil
+				})
+				mustRegOrch(t, hub, "joinEmpty", func(ctx *durable.OrchestrationContext, input []byte) ([]byte, error) {
+					outs, err := ctx.WaitAll(ctx.CallActivity("empty", nil), ctx.CallActivity("empty", nil))
+					if err != nil {
+						return nil, err
+					}
+					return flow.JoinOutputs(&flow.Node{Join: flow.JoinArray}, outs, input)
+				})
+			},
+			run:  runOrch("joinEmpty", nil),
+			want: "[null,null]",
 		},
 	}
 }

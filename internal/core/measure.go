@@ -87,8 +87,9 @@ type MeasureOptions struct {
 	// Input builds the per-iteration input (nil means nil input).
 	Input func(iter int) []byte
 	// Workers bounds how many campaigns MeasureAll runs concurrently
-	// (0 = GOMAXPROCS, 1 = strictly sequential). Each campaign gets its
-	// own Env, so the setting changes wall-clock only, never results.
+	// (0 = GOMAXPROCS, 1 = one campaign at a time). Each campaign gets
+	// its own Env, so the setting changes wall-clock only, never
+	// results.
 	Workers int
 	// KeepEnv retains the simulated environment on the returned Series
 	// for experiment-specific drill-downs (Fig 14's scheduling delays,

@@ -76,7 +76,8 @@ type Options struct {
 	Seed        uint64
 	// Workers bounds the campaign fan-out: how many independent
 	// campaigns (experiments, styles, sweep points) run concurrently.
-	// 0 = GOMAXPROCS, 1 = strictly sequential. Campaign seeds derive
+	// 0 = GOMAXPROCS, 1 = one campaign at a time (payload kernels such
+	// as the forest fit still use every core). Campaign seeds derive
 	// from Seed alone, so every worker count renders byte-identical
 	// reports.
 	Workers int

@@ -1,7 +1,10 @@
 package ensemble
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
+	"runtime"
 	"testing"
 
 	"statebench/internal/mlkit/metrics"
@@ -189,5 +192,33 @@ func TestForestDefaultsAndErrors(t *testing.T) {
 	}
 	if len(f.Trees[0].Nodes) == 0 {
 		t.Fatal("no nodes grown")
+	}
+}
+
+// TestForestSameAtAnyWorkerCount fits a 7-tree forest at GOMAXPROCS 1,
+// 2 and 8, with every feature at every split and with a feature
+// subsample, and checks that each fit gob-encodes to the same bytes:
+// the trees' growth order must not show in the model.
+func TestForestSameAtAnyWorkerCount(t *testing.T) {
+	X, y := continuousData(300, 5, 17)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, maxFeat := range []int{0, 2} {
+		var want []byte
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			f := &RandomForestRegressor{NumTrees: 7, MaxDepth: 8, MinSamplesLeaf: 2, MaxFeatures: maxFeat, Seed: 5}
+			if err := f.Fit(X, y); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("maxfeat=%d: the forest fitted at GOMAXPROCS %d encodes differently from GOMAXPROCS 1", maxFeat, procs)
+			}
+		}
 	}
 }

@@ -2,7 +2,9 @@ package ensemble
 
 import (
 	"fmt"
+	"sync/atomic"
 
+	"statebench/internal/parallel"
 	"statebench/internal/sim"
 )
 
@@ -24,7 +26,12 @@ type RandomForestRegressor struct {
 	Trees []*RegressionTree
 }
 
-// Fit trains the ensemble.
+// Fit trains the ensemble. Every tree's bootstrap sample is drawn from
+// the forest's one stream, in tree order, before any tree grows; the
+// trees then grow on parallel.Workers(0) goroutines, each reusing one
+// grower, and land in their own index slots. A tree that subsamples
+// features draws them from a stream of its own (treeStream), so the
+// forest is the same at every worker count.
 func (m *RandomForestRegressor) Fit(X [][]float64, y []float64) error {
 	if len(X) == 0 || len(X) != len(y) {
 		return fmt.Errorf("ensemble: bad training shapes %d/%d", len(X), len(y))
@@ -39,29 +46,41 @@ func (m *RandomForestRegressor) Fit(X [][]float64, y []float64) error {
 	}
 	rng := sim.NewRNG(m.Seed ^ 0x9e3779b97f4a7c15)
 	n := len(X)
-	m.Trees = m.Trees[:0]
-	// One presort and one grower serve every tree: each bootstrap
-	// sample's sorted rows are derived from the presort, and a fitted
-	// tree keeps only its nodes, so the next tree can overwrite the rest.
-	pre := presort(X)
-	g := newGrower(n, d)
-	src := make([]int32, n)
-	pick := func(k int) int { return rng.Intn(k) }
-	for t := 0; t < m.NumTrees; t++ {
-		for i := range src {
-			src[i] = int32(rng.Intn(n))
-		}
-		g.load(X, y, src, pre)
-		tree := &RegressionTree{
-			MaxDepth:       m.MaxDepth,
-			MinSamplesLeaf: m.MinSamplesLeaf,
-			MaxFeatures:    maxFeat,
-			rng:            pick,
-		}
-		tree.fit(g)
-		m.Trees = append(m.Trees, tree)
+	src := make([]int32, m.NumTrees*n)
+	for i := range src {
+		src[i] = int32(rng.Intn(n))
 	}
-	return nil
+	// One presort serves every tree: each bootstrap sample's sorted rows
+	// are derived from it. X, y, pre and src are only read from here on.
+	pre := presort(X)
+	m.Trees = make([]*RegressionTree, m.NumTrees)
+	w := min(parallel.Workers(0), m.NumTrees)
+	var next atomic.Int64
+	return parallel.ForEach(w, w, func(int) error {
+		// Each worker takes the next tree until none is left, on one
+		// grower: a fitted tree keeps only its nodes, so the next tree
+		// can overwrite the rest.
+		g := newGrower(n, d)
+		for t := int(next.Add(1)) - 1; t < m.NumTrees; t = int(next.Add(1)) - 1 {
+			g.load(X, y, src[t*n:(t+1)*n], pre)
+			r := treeStream(m.Seed, t)
+			tree := &RegressionTree{
+				MaxDepth:       m.MaxDepth,
+				MinSamplesLeaf: m.MinSamplesLeaf,
+				MaxFeatures:    maxFeat,
+				rng:            func(k int) int { return r.Intn(k) },
+			}
+			tree.fit(g)
+			m.Trees[t] = tree
+		}
+		return nil
+	})
+}
+
+// treeStream is tree t's feature-subsampling stream, derived from the
+// forest's seed and the tree's index alone.
+func treeStream(seed uint64, t int) *sim.RNG {
+	return sim.NewRNG((seed ^ 0x9e3779b97f4a7c15) + uint64(t+1)*0xbf58476d1ce4e5b9)
 }
 
 // Predict averages the trees' predictions.

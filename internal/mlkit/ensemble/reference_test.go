@@ -124,8 +124,10 @@ func refBestSplit(t *RegressionTree, X [][]float64, y []float64, idx []int) (int
 	return bestFeat, bestThr, bestFeat >= 0
 }
 
-// refForestFit is RandomForestRegressor.Fit with per-tree bootstrap
-// copies and per-node sorts.
+// refForestFit is RandomForestRegressor.Fit grown one tree at a time,
+// with per-tree bootstrap copies and per-node sorts. Each tree draws its
+// bootstrap sample from the forest's stream just before it grows, and
+// its feature subsamples from its own stream.
 func refForestFit(m *RandomForestRegressor, X [][]float64, y []float64) {
 	if m.NumTrees <= 0 {
 		m.NumTrees = 10
@@ -139,7 +141,6 @@ func refForestFit(m *RandomForestRegressor, X [][]float64, y []float64) {
 	n := len(X)
 	bx := make([][]float64, n)
 	by := make([]float64, n)
-	pick := func(k int) int { return rng.Intn(k) }
 	m.Trees = nil
 	for t := 0; t < m.NumTrees; t++ {
 		for i := 0; i < n; i++ {
@@ -147,6 +148,8 @@ func refForestFit(m *RandomForestRegressor, X [][]float64, y []float64) {
 			bx[i] = X[j]
 			by[i] = y[j]
 		}
+		r := treeStream(m.Seed, t)
+		pick := func(k int) int { return r.Intn(k) }
 		tree := &RegressionTree{MaxDepth: m.MaxDepth, MinSamplesLeaf: m.MinSamplesLeaf, MaxFeatures: maxFeat, rng: pick}
 		refFit(tree, bx, by)
 		m.Trees = append(m.Trees, tree)

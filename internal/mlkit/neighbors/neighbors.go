@@ -7,6 +7,8 @@ package neighbors
 import (
 	"fmt"
 	"math"
+
+	"statebench/internal/parallel"
 )
 
 // Weighting selects how neighbor targets are combined.
@@ -75,22 +77,20 @@ func checkFinite(what string, i int, row []float64) error {
 	return nil
 }
 
+// chunkQueries is how many contiguous queries one task of Predict
+// scores: enough to outweigh handing a chunk to a goroutine, few enough
+// that a slow chunk cannot hold up the rest for long.
+const chunkQueries = 64
+
 // Predict returns the KNN estimate for each query row. Queries must be
-// finite, as training rows are.
+// finite, as training rows are. Every query is checked before any is
+// scored, so the error is the first bad query's; contiguous chunks of
+// queries are then scored on parallel.Workers(0) goroutines, each into
+// its own slots of the result.
 func (m *KNeighborsRegressor) Predict(X [][]float64) ([]float64, error) {
 	if m.XTrain == nil {
 		return nil, fmt.Errorf("neighbors: model not fitted")
 	}
-	out := make([]float64, len(X))
-	// top holds the K nearest rows seen so far in (distance, row) order,
-	// the order a full sort of every candidate would give them whenever
-	// rows at equal distances carry equal targets. sq is the squared
-	// sum dist is the root of.
-	type neighbor struct {
-		dist, sq float64
-		row      int
-	}
-	top := make([]neighbor, 0, m.K)
 	for qi, q := range X {
 		if len(q) != len(m.XTrain[0]) {
 			return nil, fmt.Errorf("neighbors: query has %d features, model has %d", len(q), len(m.XTrain[0]))
@@ -98,6 +98,32 @@ func (m *KNeighborsRegressor) Predict(X [][]float64) ([]float64, error) {
 		if err := checkFinite("query", qi, q); err != nil {
 			return nil, err
 		}
+	}
+	out := make([]float64, len(X))
+	chunks := (len(X) + chunkQueries - 1) / chunkQueries
+	err := parallel.ForEach(0, chunks, func(c int) error {
+		lo := c * chunkQueries
+		hi := min(lo+chunkQueries, len(X))
+		m.predictChunk(X[lo:hi], out[lo:hi])
+		return nil
+	})
+	return out, err
+}
+
+// neighbor is one held candidate of a query: its distance, the squared
+// sum dist is the root of, and its training row.
+type neighbor struct {
+	dist, sq float64
+	row      int
+}
+
+// predictChunk writes the estimate for each checked query of X to out.
+func (m *KNeighborsRegressor) predictChunk(X [][]float64, out []float64) {
+	// top holds the K nearest rows seen so far in (distance, row) order,
+	// the order a full sort of every candidate would give them whenever
+	// rows at equal distances carry equal targets.
+	top := make([]neighbor, 0, m.K)
+	for qi, q := range X {
 		top = top[:0]
 		// bound is the K-th nearest row's squared sum once K rows are
 		// held, and NaN before: no sum compares >= NaN. A row stops
@@ -173,5 +199,4 @@ func (m *KNeighborsRegressor) Predict(X [][]float64) ([]float64, error) {
 			out[qi] = s / float64(m.K)
 		}
 	}
-	return out, nil
 }

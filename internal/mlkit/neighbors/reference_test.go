@@ -3,6 +3,7 @@ package neighbors
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -198,5 +199,46 @@ func TestPredictTieOrder(t *testing.T) {
 	}
 	if pred[0] != y[4] {
 		t.Fatalf("exact match = %v, want the first copy's %v", pred[0], y[4])
+	}
+}
+
+// TestPredictSameAtAnyWorkerCount scores 1, 3 and 2,500 queries at
+// GOMAXPROCS 1, 2 and 8 against the full sort, and checks that a
+// non-finite query past the first chunk is reported as the sequential
+// scan reported it, ahead of a later malformed query.
+func TestPredictSameAtAnyWorkerCount(t *testing.T) {
+	r := sim.NewRNG(12)
+	X := pcaRows(r, 400, 8)
+	y := make([]float64, len(X))
+	for i := range y {
+		y[i] = r.Uniform(0, 100)
+	}
+	queries := append(pcaRows(r, 2490, 8), X[:10]...)
+	m := &KNeighborsRegressor{K: 5, Weights: Distance}
+	if err := m.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	want := refPredict(m, queries)
+	bad := slices.Clone(queries)
+	bad[chunkQueries+5] = []float64{0, 0, 0, math.NaN(), 0, 0, 0, 0}
+	bad[3*chunkQueries] = []float64{1}
+	const wantErr = "neighbors: query 69 has non-finite feature 3 (NaN)"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{1, 3, len(queries)} {
+			got, err := m.Predict(queries[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range got {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("GOMAXPROCS %d, %d queries: query %d = %v, want %v", procs, n, i, v, want[i])
+				}
+			}
+		}
+		if _, err := m.Predict(bad); err == nil || err.Error() != wantErr {
+			t.Fatalf("GOMAXPROCS %d: error %v, want %q", procs, err, wantErr)
+		}
 	}
 }

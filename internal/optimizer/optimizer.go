@@ -202,7 +202,7 @@ type Options struct {
 	// from it alone, so results are byte-identical across runs.
 	Seed uint64
 	// Workers bounds candidate-evaluation concurrency (0 = GOMAXPROCS,
-	// 1 = strictly sequential). Never changes results.
+	// 1 = one candidate at a time). Never changes results.
 	Workers int
 	// Engine is the sweep-shared payload engine; nil creates a fresh
 	// one per Sweep call. Passing a long-lived engine makes repeated

@@ -1,6 +1,8 @@
-// Package parallel is the campaign fan-out layer: a bounded worker pool
-// for running independent simulation campaigns concurrently while
-// keeping every observable output deterministic.
+// Package parallel is the fan-out layer: a bounded worker pool for
+// running independent tasks concurrently while keeping every
+// observable output deterministic. Its tasks are simulation campaigns
+// and, one level down, the pieces of a payload kernel: the forest's
+// trees and k-NN's query chunks.
 //
 // Every campaign in this repository builds a fresh, fully isolated
 // core.Env — its own sim.Kernel, its own seeded RNG streams — and
@@ -9,7 +11,10 @@
 // the pool only decides *when* a campaign runs, never *what* it
 // computes. Results are slotted by task index and errors are reported
 // in task order, so a run with any worker count is byte-identical to
-// the sequential run.
+// the sequential run. Campaign pools take their size from the caller's
+// Workers option. Payload kernels take Workers(0), every core: the
+// payload engine computes each of their results once, and every
+// campaign that needs it waits for that one computation.
 //
 // The one rule (see the sim package's concurrency contract): a kernel
 // and everything attached to it stays on the goroutine that runs it.

@@ -28,6 +28,7 @@ import (
 	"statebench/internal/core"
 	"statebench/internal/flow"
 	"statebench/internal/payload"
+	"statebench/internal/workloads"
 )
 
 // Workflow is the MapReduce text-processing workload.
@@ -92,11 +93,24 @@ const (
 	resultKey = "results/wordcount"
 )
 
-func chunkKey(run int64, i int) string { return fmt.Sprintf("tmp/mr%06d/chunk-%02d", run, i) }
-func partKey(run int64, i, j int) string {
-	return fmt.Sprintf("tmp/mr%06d/part-%02d-%02d", run, i, j)
+func chunkKey(run int64, i int) string   { return mrKey(run, "/chunk-", i) }
+func partKey(run int64, i, j int) string { return mrKey(run, "/part-", i, j) }
+func reduceKey(run int64, j int) string  { return mrKey(run, "/reduce-", j) }
+
+// mrKey is fmt.Sprintf("tmp/mr%06d%s%02d", run, name, idx[0]), with
+// "-%02d" of each further index appended.
+func mrKey(run int64, name string, idx ...int) string {
+	var buf [64]byte
+	b := workloads.AppendPadded(append(buf[:0], "tmp/mr"...), run, 6)
+	b = append(b, name...)
+	for k, i := range idx {
+		if k > 0 {
+			b = append(b, '-')
+		}
+		b = workloads.AppendPadded(b, int64(i), 2)
+	}
+	return string(b)
 }
-func reduceKey(run int64, j int) string { return fmt.Sprintf("tmp/mr%06d/reduce-%02d", run, j) }
 
 // mrMsg is the small JSON control message on the workflow edges; the
 // corpus and count bytes travel by blob key.

@@ -482,3 +482,22 @@ func TestCorpusTextIsDeterministic(t *testing.T) {
 		t.Fatalf("corpus only %d bytes", len(a))
 	}
 }
+
+// TestKeysMatchSprintf checks the blob keys against their fmt.Sprintf
+// forms at 0, at the edge of each pad width and past it.
+func TestKeysMatchSprintf(t *testing.T) {
+	for _, run := range []int64{0, 999999, 1000000} {
+		for _, i := range []int{0, 99, 100} {
+			for _, c := range [][2]string{
+				{chunkKey(run, i), fmt.Sprintf("tmp/mr%06d/chunk-%02d", run, i)},
+				{partKey(run, i, 99-i), fmt.Sprintf("tmp/mr%06d/part-%02d-%02d", run, i, 99-i)},
+				{partKey(run, 100, i), fmt.Sprintf("tmp/mr%06d/part-%02d-%02d", run, 100, i)},
+				{reduceKey(run, i), fmt.Sprintf("tmp/mr%06d/reduce-%02d", run, i)},
+			} {
+				if c[0] != c[1] {
+					t.Errorf("key %q, want %q", c[0], c[1])
+				}
+			}
+		}
+	}
+}

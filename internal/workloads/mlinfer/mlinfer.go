@@ -29,6 +29,7 @@ import (
 	"statebench/internal/core"
 	"statebench/internal/flow"
 	_ "statebench/internal/flow/lowerers"
+	"statebench/internal/workloads"
 	"statebench/internal/workloads/mlpipe"
 )
 
@@ -119,7 +120,13 @@ func parse(data []byte) (msg, error) {
 	return m, err
 }
 
-func runKey(run int64, name string) string { return fmt.Sprintf("tmp/infer%06d/%s", run, name) }
+// runKey namespaces a per-run intermediate blob object: it is
+// fmt.Sprintf("tmp/infer%06d/%s", run, name).
+func runKey(run int64, name string) string {
+	var buf [64]byte
+	b := workloads.AppendPadded(append(buf[:0], "tmp/infer"...), run, 6)
+	return string(append(append(b, '/'), name...))
+}
 
 // resultBytes is the prediction output payload size (one value per
 // batch row).

@@ -2,6 +2,7 @@ package mlinfer
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"statebench/internal/chaos"
@@ -140,5 +141,17 @@ func TestArtifactsStagedByAlias(t *testing.T) {
 	}
 	if len(got) == 0 || &got[0] != &arts.TestCSV[0] {
 		t.Fatal("a Get of the preloaded test batch returned a copy, not the artifact's bytes")
+	}
+}
+
+// TestRunKeyMatchesSprintf checks runKey against its fmt.Sprintf form
+// at 0, at the edge of the pad width and past it.
+func TestRunKeyMatchesSprintf(t *testing.T) {
+	for _, run := range []int64{0, 999999, 1000000} {
+		for _, name := range []string{"", "predictions"} {
+			if got, want := runKey(run, name), fmt.Sprintf("tmp/infer%06d/%s", run, name); got != want {
+				t.Errorf("runKey(%d, %q) = %q, want %q", run, name, got, want)
+			}
+		}
 	}
 }

@@ -98,3 +98,16 @@ func BenchmarkKNNPredictPipeline(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTrainLarge runs the whole large-dataset pipeline cache-cold,
+// as each process's first TrainWith does: feature engineering, PCA and
+// all three model fits with their validation scoring. It is the
+// go test counterpart of perfbench's mlkit.train_large_s.
+func BenchmarkTrainLarge(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainWith(payload.Disabled(), Large); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

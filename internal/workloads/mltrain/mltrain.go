@@ -20,6 +20,7 @@ import (
 	"statebench/internal/core"
 	"statebench/internal/flow"
 	_ "statebench/internal/flow/lowerers"
+	"statebench/internal/workloads"
 	"statebench/internal/workloads/mlpipe"
 )
 
@@ -93,8 +94,13 @@ func parseMsg(data []byte) (stepMsg, error) {
 	return m, err
 }
 
-// runKey namespaces a per-run intermediate blob object.
-func runKey(run int64, name string) string { return fmt.Sprintf("tmp/run%06d/%s", run, name) }
+// runKey namespaces a per-run intermediate blob object: it is
+// fmt.Sprintf("tmp/run%06d/%s", run, name).
+func runKey(run int64, name string) string {
+	var buf [64]byte
+	b := workloads.AppendPadded(append(buf[:0], "tmp/run"...), run, 6)
+	return string(append(append(b, '/'), name...))
+}
 
 // bestModelKey is where the winning model is published.
 const bestModelKey = "models/best"

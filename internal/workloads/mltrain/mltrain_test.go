@@ -3,6 +3,7 @@ package mltrain
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -265,5 +266,17 @@ func TestArtifactsStagedByAlias(t *testing.T) {
 	}
 	if len(got) != len(arts.DatasetCSV) || &got[0] != &arts.DatasetCSV[0] {
 		t.Fatal("a Get of the preloaded dataset returned a copy, not the artifact's bytes")
+	}
+}
+
+// TestRunKeyMatchesSprintf checks runKey against its fmt.Sprintf form
+// at 0, at the edge of the pad width and past it.
+func TestRunKeyMatchesSprintf(t *testing.T) {
+	for _, run := range []int64{0, 999999, 1000000} {
+		for _, name := range []string{"", "projected", "model-randomforest"} {
+			if got, want := runKey(run, name), fmt.Sprintf("tmp/run%06d/%s", run, name); got != want {
+				t.Errorf("runKey(%d, %q) = %q, want %q", run, name, got, want)
+			}
+		}
 	}
 }

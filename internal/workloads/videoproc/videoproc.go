@@ -28,6 +28,7 @@ import (
 	"statebench/internal/core"
 	"statebench/internal/flow"
 	_ "statebench/internal/flow/lowerers"
+	"statebench/internal/workloads"
 )
 
 // Spec describes the (virtual) input video and detection workload.
@@ -265,8 +266,15 @@ func unescapeJSON(b []byte) (rune, int) {
 	return rune(v), 6
 }
 
-func chunkKey(run int64, i int) string  { return fmt.Sprintf("tmp/video%06d/chunk-%04d", run, i) }
-func resultKey(run int64, i int) string { return fmt.Sprintf("tmp/video%06d/result-%04d", run, i) }
+func chunkKey(run int64, i int) string  { return runKey(run, "/chunk-", i) }
+func resultKey(run int64, i int) string { return runKey(run, "/result-", i) }
+
+// runKey is fmt.Sprintf("tmp/video%06d%s%04d", run, name, i).
+func runKey(run int64, name string, i int) string {
+	var buf [64]byte
+	b := workloads.AppendPadded(append(buf[:0], "tmp/video"...), run, 6)
+	return string(workloads.AppendPadded(append(b, name...), int64(i), 4))
+}
 
 // chunkBytes returns the size of chunk i of n.
 func (s Spec) chunkBytes(i, n int) int {

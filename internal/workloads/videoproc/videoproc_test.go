@@ -1,6 +1,7 @@
 package videoproc
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -128,5 +129,22 @@ func TestStepTransitionsScaleWithWorkers(t *testing.T) {
 	// Split + Map + N iterations + Merge.
 	if s10.MeanTxns != 13 || s20.MeanTxns != 23 {
 		t.Fatalf("transitions = %v/%v, want 13/23", s10.MeanTxns, s20.MeanTxns)
+	}
+}
+
+// TestKeysMatchSprintf checks the blob keys against their fmt.Sprintf
+// forms at 0, at the edge of each pad width and past it.
+func TestKeysMatchSprintf(t *testing.T) {
+	for _, run := range []int64{0, 999999, 1000000} {
+		for _, i := range []int{0, 9999, 10000} {
+			for _, c := range [][2]string{
+				{chunkKey(run, i), fmt.Sprintf("tmp/video%06d/chunk-%04d", run, i)},
+				{resultKey(run, i), fmt.Sprintf("tmp/video%06d/result-%04d", run, i)},
+			} {
+				if c[0] != c[1] {
+					t.Errorf("key %q, want %q", c[0], c[1])
+				}
+			}
+		}
 	}
 }
