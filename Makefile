@@ -20,8 +20,8 @@
 #            as concurrent sweep workers do; the forest and k-NN tests
 #            and the trained-artifact pin repeat five times, because
 #            those kernels grow trees and score queries on every core
-#            (the pin fits the models in its first run; later runs in
-#            the process read the shared payload cache). It also
+#            (the pin trains through its own payload engine, so each
+#            run fits the models again). It also
 #            cross-builds for Windows, the only build of the non-Linux
 #            files (payload's heap-backed zero arena).
 # tier2    — tier1.5 plus the observability/chaos determinism gates,
@@ -191,11 +191,12 @@ bench-all:
 	$(GO) test -run - -bench 'SequentialAll|ParallelAll' -benchtime 1x -benchmem .
 
 # bench-traffic exercises the kernel under the traffic-shaped
-# standing-population workload, a standing population of fixed-delay
-# timers queued through At and through a Lane, one of timers re-armed
-# after each serving model's completion delays queued through At and
-# through a Timers, and one full million-tenant open-loop run per
-# serving model; every benchmark
+# standing-population workload, a standing population of timers
+# re-armed at the scale evaluations' 6 s and the idle reaps' 5 min
+# delays queued through At and through a Timers, one of timers
+# re-armed after each serving model's completion delays queued through
+# At and through a Timers, and one full million-tenant open-loop run
+# per serving model; every benchmark
 # reports events/op so cmd/benchjson -compare can derive events/sec
 # across baselines.
 # Separate invocations on purpose: the storm and the timers need the

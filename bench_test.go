@@ -202,44 +202,51 @@ func BenchmarkKernelSameInstantStorm(b *testing.B) {
 // controller in miniature: a standing population of timers, each of
 // which re-arms one fixed delay when it fires, so the timers fall due
 // in the order they were armed. "at" queues them with Kernel.At, where
-// every firing walks a heap that holds the whole population; "lane"
-// queues them on a Lane, whose FIFO serves the same order in O(1).
+// every firing walks a heap that holds the whole population; "timers"
+// queues them on a Timers, a calendar queue. At the scale evaluations'
+// 6 s delay a timer lands in the calendar's fine tier or one coarse
+// bucket past it; at the idle reaps' 5 min delay ("reap-5m") every one
+// passes through the far tier. Each timer fires ten and five times.
 func BenchmarkKernelFixedDelayTimers(b *testing.B) {
-	const (
-		population = 1 << 19
-		delay      = 6 * time.Second
-		horizon    = time.Minute
-	)
-	stagger := delay / population
-	run := func(b *testing.B, arm func(k *sim.Kernel)) {
-		var total uint64
-		for i := 0; i < b.N; i++ {
-			k := sim.NewKernel(42)
-			arm(k)
-			k.RunUntil(horizon)
-			total += k.Executed()
+	const population = 1 << 19
+	for _, c := range []struct {
+		name           string
+		delay, horizon time.Duration
+	}{
+		{"", 6 * time.Second, time.Minute},
+		{"reap-5m/", 5 * time.Minute, 25 * time.Minute},
+	} {
+		stagger := c.delay / population
+		run := func(b *testing.B, arm func(k *sim.Kernel)) {
+			var total uint64
+			for i := 0; i < b.N; i++ {
+				k := sim.NewKernel(42)
+				arm(k)
+				k.RunUntil(c.horizon)
+				total += k.Executed()
+			}
+			b.ReportMetric(float64(total)/float64(b.N), "events/op")
 		}
-		b.ReportMetric(float64(total)/float64(b.N), "events/op")
+		b.Run(c.name+"at", func(b *testing.B) {
+			run(b, func(k *sim.Kernel) {
+				fires := make([]func(), population)
+				for j := range fires {
+					j := j
+					fires[j] = func() { k.At(k.Now()+c.delay, fires[j]) }
+					k.At(sim.Time(j)*stagger, fires[j])
+				}
+			})
+		})
+		b.Run(c.name+"timers", func(b *testing.B) {
+			run(b, func(k *sim.Kernel) {
+				var tm *sim.Timers
+				tm = k.NewTimers(func(j int64) { tm.At(k.Now()+c.delay, j) })
+				for j := int64(0); j < population; j++ {
+					tm.At(sim.Time(j)*stagger, j)
+				}
+			})
+		})
 	}
-	b.Run("at", func(b *testing.B) {
-		run(b, func(k *sim.Kernel) {
-			fires := make([]func(), population)
-			for j := range fires {
-				j := j
-				fires[j] = func() { k.At(k.Now()+delay, fires[j]) }
-				k.At(sim.Time(j)*stagger, fires[j])
-			}
-		})
-	})
-	b.Run("lane", func(b *testing.B) {
-		run(b, func(k *sim.Kernel) {
-			var l *sim.Lane
-			l = k.NewLane(func(j int32) { l.At(k.Now()+delay, j) })
-			for j := int32(0); j < population; j++ {
-				l.At(sim.Time(j)*stagger, j)
-			}
-		})
-	})
 }
 
 // BenchmarkKernelRandomDelayTimers is the traffic engine's completions

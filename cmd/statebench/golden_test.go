@@ -25,11 +25,12 @@ func golden(t *testing.T, name string) string {
 	return string(b)
 }
 
-// render reproduces the default command's output path: every paper
-// experiment in order, text tables, one blank line between reports.
-func render(t *testing.T, opts experiments.Options) string {
+// render reproduces the command's output path for runners (the default
+// command's: experiments.Registry()): every report in order, text
+// tables, one blank line between reports.
+func render(t *testing.T, runners []experiments.Runner, opts experiments.Options) string {
 	t.Helper()
-	reports, err := experiments.RunAll(experiments.Registry(), opts)
+	reports, err := experiments.RunAll(runners, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +63,29 @@ func skipUnderRace(t *testing.T) {
 func TestQuickOutputMatchesGolden(t *testing.T) {
 	skipUnderRace(t)
 	want := golden(t, "quick_p1.txt")
-	if got := render(t, quickOpts(1)); got != want {
+	if got := render(t, experiments.Registry(), quickOpts(1)); got != want {
 		t.Fatal("quick-scale output diverged from the pre-refactor golden (-parallel 1)")
+	}
+}
+
+// TestAblationsQuickMatchGolden pins the reports no paper-figure golden
+// covers, the ablations and the reliability campaign (`statebench
+// -quick ablation-memory ablation-keepalive ablation-mapconcurrency
+// reliability`), at -parallel 1 and 8.
+func TestAblationsQuickMatchGolden(t *testing.T) {
+	skipUnderRace(t)
+	want := golden(t, "ablations_quick.txt")
+	for _, workers := range []int{1, 8} {
+		if got := render(t, experiments.Ablations(), quickOpts(workers)); got != want {
+			t.Fatalf("ablation output diverged from the golden at -parallel %d:\n%s", workers, got)
+		}
 	}
 }
 
 func TestQuickOutputParallelInvariant(t *testing.T) {
 	skipUnderRace(t)
 	want := golden(t, "quick_p8.txt")
-	if got := render(t, quickOpts(8)); got != want {
+	if got := render(t, experiments.Registry(), quickOpts(8)); got != want {
 		t.Fatal("quick-scale output at -parallel 8 diverged from the golden")
 	}
 }
@@ -110,7 +125,7 @@ func TestQuickOutputCacheOffMatchesGolden(t *testing.T) {
 		if workers == 8 {
 			name = "quick_p8.txt"
 		}
-		if got := render(t, o); got != golden(t, name) {
+		if got := render(t, experiments.Registry(), o); got != golden(t, name) {
 			t.Fatalf("cache-off output diverged from the golden at -parallel %d", workers)
 		}
 	}
@@ -125,7 +140,7 @@ func TestDefaultOutputMatchesGolden(t *testing.T) {
 	o := experiments.DefaultOptions()
 	o.Seed = 42
 	o.Workers = 8
-	if got := render(t, o); got != want {
+	if got := render(t, experiments.Registry(), o); got != want {
 		t.Fatal("default-scale output diverged from the pre-refactor golden")
 	}
 }

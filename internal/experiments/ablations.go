@@ -55,7 +55,6 @@ func AblationMemory(o Options) (*Report, error) {
 		})
 		var samples obs.Samples
 		env.K.Spawn("driver", func(p *sim.Proc) {
-			defer env.Stop() // quiesce the idle Azure listeners
 			for i := 0; i < o.Iters; i++ {
 				inv, err := env.AWS().Lambda.Invoke(p, fn, nil)
 				if err != nil {
@@ -100,7 +99,6 @@ func AblationKeepAlive(o Options) (*Report, error) {
 		var delays obs.Samples
 		n := o.Iters
 		env.K.Spawn("driver", func(p *sim.Proc) {
-			defer env.Stop() // quiesce the idle Azure listeners
 			for i := 0; i < n; i++ {
 				stats, err := dep.Runner.Invoke(p, nil)
 				if err != nil {

@@ -4,9 +4,9 @@ package sim
 // state that churns at event rate — invocation records, in-flight
 // work items. Records are addressed by stable int32 handles (chunk
 // storage never moves), so schedulable state can reference a record
-// without holding a pointer: a Lane or Timers event can carry the
-// handle as its argument. Steady-state allocation cost is therefore
-// bounded by the peak number of live records, not the total
+// without holding a pointer: a Timers event carries the handle in its
+// int64 argument, with no closure. Steady-state allocation cost is
+// therefore bounded by the peak number of live records, not the total
 // processed.
 //
 // An Arena belongs to one kernel's goroutine like everything else in

@@ -30,19 +30,18 @@
 //
 // # Event storage
 //
-// Pending events wait in one of five kinds of storage: a 4-ary heap
+// Pending events wait in one of four kinds of storage: a 4-ary heap
 // for events queued for a later instant than the clock's, an O(1) FIFO
-// lane for events queued for the current one, any number of Lanes,
-// O(1) FIFOs that a caller fills in the order their events fall due
-// (fixed-delay timers, a self-rescheduling chain), any number of
-// Timers, calendar queues for closure-free events that fall due after
-// random delays (completions, instance starts), and a second 4-ary
-// heap for quiet events (Quiet). Each event draws its seq from one
-// kernel-wide counter, and each of these queues yields its events in
-// (at, seq) order, so its head is its minimum. The event loop always
-// runs whichever head has the smallest (at, seq) key, so the execution
-// order is the order a single heap would give. See DESIGN.md §11 for
-// the determinism argument.
+// lane for events queued for the current one, any number of Timers,
+// calendar queues for closure-free events that one handler runs
+// (completions, instance starts, fixed-delay timers, a
+// self-rescheduling chain), and a second 4-ary heap for quiet events
+// (Quiet). Each event draws its seq from one kernel-wide counter, and
+// each of these queues yields its events in (at, seq) order, so its
+// head is its minimum. The event loop always runs whichever head has
+// the smallest (at, seq) key, so the execution order is the order a
+// single heap would give. See DESIGN.md §11 for the determinism
+// argument.
 //
 // # Quiet events and the horizon
 //
@@ -209,13 +208,11 @@ type Kernel struct {
 	imm     []event
 	immHead int
 
-	// lanes are the caller-ordered FIFOs made by NewLane, timers the
-	// calendar queues made by NewTimers, and laneEvents counts the
-	// events both hold: while it is zero the event loop never looks at
-	// them.
-	lanes      []*Lane
-	timers     []*Timers
-	laneEvents int
+	// timers are the calendar queues made by NewTimers, and
+	// timerEvents counts the events they hold: while it is zero the
+	// event loop never looks at them.
+	timers      []*Timers
+	timerEvents int
 
 	// quiet holds the events Quiet queued, and exposed the keys of
 	// those that Expose has made count in Horizon, until each runs.
@@ -301,12 +298,12 @@ func (k *Kernel) Expose(e QuietEvent) {
 
 // Horizon returns the earliest instant at which anything other than
 // an unexposed quiet event can act: the clock, if a process has been
-// woken or an event is due now; otherwise the earliest of the heap's,
-// the Lanes' and the Timers' heads, the tick listener's next boundary,
-// the instant after RunUntil's deadline, and the exposed quiet events,
-// but never before the clock (RunUntil can move the clock past the
-// tick boundary without running an event, and the boundary moves only
-// when an event crosses it). With none of these it returns the largest
+// woken or an event is due now; otherwise the earliest of the heap's
+// and the Timers' heads, the tick listener's next boundary, the
+// instant after RunUntil's deadline, and the exposed quiet events, but
+// never before the clock (RunUntil can move the clock past the tick
+// boundary without running an event, and the boundary moves only when
+// an event crosses it). With none of these it returns the largest
 // Time.
 func (k *Kernel) Horizon() Time {
 	if k.next != nil || k.immHead < len(k.imm) {
@@ -316,16 +313,9 @@ func (k *Kernel) Horizon() Time {
 	if len(k.heap.keys) > 0 {
 		h = min(h, k.heap.keys[0].at)
 	}
-	if k.laneEvents > 0 {
-		for _, l := range k.lanes {
-			if l.n > 0 {
-				h = min(h, l.blocks[0][l.head].key.at)
-			}
-		}
-		for _, tm := range k.timers {
-			if tm.n > 0 {
-				h = min(h, tm.peek().key.at)
-			}
+	for _, tm := range k.timers {
+		if tm.n > 0 {
+			h = min(h, tm.peek().key.at)
 		}
 	}
 	if k.deadline >= 0 {
@@ -336,97 +326,6 @@ func (k *Kernel) Horizon() Time {
 	}
 	return max(h, k.now)
 }
-
-// Lane is a FIFO of events that all run one handler, for a caller that
-// queues them in the order they fall due: timers that each re-arm one
-// fixed delay, or a chain in which each event queues the next. Such a
-// caller pays O(1) per event instead of two heap walks, and no closure:
-// an event is its time, its seq and the int32 it hands the handler.
-// Lane events draw their seq from the kernel-wide counter and run in
-// the same (at, seq) order as every other event.
-type Lane struct {
-	k  *Kernel
-	fn func(arg int32)
-
-	// blocks holds the queued entries in order, laneBlock to a block:
-	// the head is blocks[0][head], and only the last block has room.
-	// spare keeps one drained block for the next one the tail needs.
-	blocks [][]laneEntry
-	spare  []laneEntry
-	head   int
-	n      int
-	last   Time // at of the last event queued
-}
-
-// laneEntry is one queued Lane event: 24 bytes.
-type laneEntry struct {
-	key eventKey
-	arg int32
-}
-
-// laneBlock is the number of entries in one block of Lane storage:
-// storage grows and shrinks with the lane a block at a time, so a
-// lane holding a million timers has no append-growth copy.
-const laneBlock = 1024
-
-// NewLane returns an empty Lane whose events call fn with the argument
-// they were queued with. The event loop compares the heads of all of a
-// kernel's lanes before every event while any holds one, so a kernel
-// should have a handful, one per event source.
-func (k *Kernel) NewLane(fn func(arg int32)) *Lane {
-	l := &Lane{k: k, fn: fn}
-	k.lanes = append(k.lanes, l)
-	return l
-}
-
-// At queues an event that calls the lane's handler with arg at time t.
-// Like Kernel.At, it runs a t before Now at the current time. It
-// panics if t is before the lane's last queued event: every lane stays
-// sorted by (at, seq), so its head is its next event.
-func (l *Lane) At(t Time, arg int32) {
-	k := l.k
-	if t < k.now {
-		t = k.now
-	}
-	if t < l.last {
-		panic(fmt.Sprintf("sim: Lane.At(%v) before the lane's last event at %v", t, l.last))
-	}
-	l.last = t
-	k.seq++
-	n := len(l.blocks)
-	if n == 0 || len(l.blocks[n-1]) == laneBlock {
-		b := l.spare
-		if b == nil {
-			b = make([]laneEntry, 0, laneBlock)
-		}
-		l.spare = nil
-		l.blocks = append(l.blocks, b)
-		n++
-	}
-	l.blocks[n-1] = append(l.blocks[n-1], laneEntry{key: eventKey{at: t, seq: k.seq}, arg: arg})
-	l.n++
-	k.laneEvents++
-	k.pending++
-}
-
-// pop drops the head entry, keeping a drained block for reuse.
-func (l *Lane) pop() {
-	l.head++
-	l.n--
-	if b := l.blocks[0]; l.head == len(b) {
-		l.head = 0
-		if len(l.blocks) == 1 {
-			l.blocks[0] = b[:0]
-			return
-		}
-		l.spare = b[:0]
-		l.blocks[0] = nil
-		l.blocks = l.blocks[1:]
-	}
-}
-
-// release frees the storage of an empty lane.
-func (l *Lane) release() { l.blocks, l.spare, l.head = nil, nil, 0 }
 
 // Run executes events until the queue is empty. It returns the final
 // virtual time.
@@ -452,9 +351,9 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 func (k *Kernel) dispatch() *Proc {
 	deadline := k.deadline
 	for k.pending > 0 {
-		if k.laneEvents > 0 {
-			if l, tm := k.nextLane(); l != nil || tm != nil {
-				if l != nil && !k.runLane(l, deadline) || tm != nil && !k.runTimers(tm, deadline) {
+		if k.timerEvents > 0 {
+			if tm := k.nextTimers(); tm != nil {
+				if !k.runTimers(tm, deadline) {
 					return nil
 				}
 				if p := k.next; p != nil {
@@ -526,9 +425,6 @@ func (k *Kernel) release() {
 	k.quiet.release()
 	k.imm = nil
 	k.immHead = 0
-	for _, l := range k.lanes {
-		l.release()
-	}
 	for _, tm := range k.timers {
 		tm.release()
 	}
@@ -557,65 +453,43 @@ func (k *Kernel) advance(at Time) {
 	}
 }
 
-// nextLane returns the Lane or the Timers whose head runs next (one of
-// the two is nil), or neither when the immediate lane's, the heap's or
-// the quiet heap's head comes first. The caller has checked that some
-// Lane or Timers holds an event.
-func (k *Kernel) nextLane() (*Lane, *Timers) {
-	var best *Lane
-	var bestT *Timers
+// nextTimers returns the Timers whose head runs next, or nil when the
+// immediate lane's, the heap's or the quiet heap's head comes first.
+// The caller has checked that some Timers holds an event.
+func (k *Kernel) nextTimers() *Timers {
+	var best *Timers
 	key := eventKey{at: math.MaxInt64, seq: math.MaxInt64}
-	for _, l := range k.lanes {
-		if l.n > 0 {
-			if h := l.blocks[0][l.head].key; h.before(key) {
-				best, key = l, h
-			}
-		}
-	}
 	for _, tm := range k.timers {
 		if tm.n > 0 {
 			if h := tm.peek().key; h.before(key) {
-				best, bestT, key = nil, tm, h
+				best, key = tm, h
 			}
 		}
 	}
 	if k.immHead < len(k.imm) {
 		if k.imm[k.immHead].key.before(key) {
-			return nil, nil
+			return nil
 		}
 	}
 	if len(k.heap.keys) > 0 && k.heap.keys[0].before(key) {
-		return nil, nil
+		return nil
 	}
 	if len(k.quiet.keys) > 0 && k.quiet.keys[0].before(key) {
-		return nil, nil
+		return nil
 	}
-	return best, bestT
+	return best
 }
 
-// runLane runs l's head event, as dispatch runs the others, or stops
-// the run and returns false when that event falls after the deadline.
-func (k *Kernel) runLane(l *Lane, deadline Time) bool {
-	e := l.blocks[0][l.head]
-	if !k.due(e.key.at, deadline) {
-		return false
-	}
-	l.pop()
-	k.laneEvents--
-	k.advance(e.key.at)
-	l.fn(e.arg)
-	return true
-}
-
-// runTimers runs tm's head event, which nextLane has loaded, as
-// runLane runs a Lane's.
+// runTimers runs tm's head event, which nextTimers has loaded, as
+// dispatch runs the others, or stops the run and returns false when
+// that event falls after the deadline.
 func (k *Kernel) runTimers(tm *Timers, deadline Time) bool {
 	e := tm.cur[tm.head]
 	if !k.due(e.key.at, deadline) {
 		return false
 	}
 	tm.pop()
-	k.laneEvents--
+	k.timerEvents--
 	k.advance(e.key.at)
 	tm.fn(e.arg)
 	return true
@@ -623,8 +497,7 @@ func (k *Kernel) runTimers(tm *Timers, deadline Time) bool {
 
 // quietFirst reports whether the quiet heap's head runs before the
 // immediate lane's and the heap's. The caller has checked that the
-// quiet heap holds an event and that no Lane's or Timers' head comes
-// first.
+// quiet heap holds an event and that no Timers' head comes first.
 func (k *Kernel) quietFirst() bool {
 	key := k.quiet.keys[0]
 	if k.immHead < len(k.imm) {
@@ -635,8 +508,8 @@ func (k *Kernel) quietFirst() bool {
 	return len(k.heap.keys) == 0 || key.before(k.heap.keys[0])
 }
 
-// runQuiet runs the quiet heap's head event, as runLane runs a Lane's,
-// and drops it from the exposed events if it is one.
+// runQuiet runs the quiet heap's head event, as runTimers runs a
+// Timers', and drops it from the exposed events if it is one.
 func (k *Kernel) runQuiet(deadline Time) bool {
 	key := k.quiet.keys[0]
 	if !k.due(key.at, deadline) {

@@ -341,22 +341,23 @@ func TestSameTimeFIFOUnderLoad(t *testing.T) {
 // TestRunReleasesEventStorage asserts the drained queue's backing array
 // is dropped so a retained Env does not pin campaign-sized event
 // storage (the core.Series memory-retention fix): the heap, the
-// immediate lane, a Lane's blocks, and a Timers' ring blocks, block
-// pool, sorted bucket and overflow heap.
+// immediate lane, and a Timers' fine and far rings, block pool, sorted
+// bucket and overflow heap.
 func TestRunReleasesEventStorage(t *testing.T) {
 	k := NewKernel(1)
-	l := k.NewLane(func(int32) {})
 	tm := k.NewTimers(func(int64) {})
 	for i := 0; i < 4096; i++ {
 		k.After(time.Duration(i)*time.Millisecond, func() {})
-		l.At(time.Duration(i)*time.Millisecond, int32(i))
 		at := time.Duration(i) * time.Millisecond
-		if i%16 == 15 {
-			at *= 1000 // beyond the calendar's window
+		switch {
+		case i%64 == 63:
+			at = time.Duration(i) * time.Hour // beyond the far tier
+		case i%16 == 15:
+			at *= 1000 // beyond the fine tier
 		}
 		tm.At(at, int64(i))
 	}
-	if cap(k.heap.keys) == 0 || len(l.blocks) < 2 || tm.ringN == 0 || len(tm.over.keys) == 0 {
+	if cap(k.heap.keys) == 0 || tm.fine.n == 0 || tm.far.n == 0 || len(tm.over.keys) == 0 {
 		t.Fatal("queue unexpectedly empty before Run")
 	}
 	k.Run()
@@ -366,12 +367,14 @@ func TestRunReleasesEventStorage(t *testing.T) {
 	if k.imm != nil {
 		t.Fatalf("immediate-lane storage retained after drain: cap %d", cap(k.imm))
 	}
-	if l.blocks != nil || l.spare != nil {
-		t.Fatalf("Lane storage retained after drain: %d blocks", len(l.blocks))
+	for _, r := range []*timerRing{&tm.fine, &tm.far} {
+		if r.slots != nil || r.occupied != nil {
+			t.Fatalf("Timers ring retained after drain: %d slots", len(r.slots))
+		}
 	}
-	if tm.ring != nil || tm.occupied != nil || tm.pool != nil || tm.cur != nil || tm.over.keys != nil || tm.over.vals != nil {
-		t.Fatalf("Timers storage retained after drain: ring %d, pool %v, cur cap %d, overflow cap %d",
-			len(tm.ring), tm.pool != nil, cap(tm.cur), cap(tm.over.keys))
+	if tm.pool != nil || tm.cur != nil || tm.over.keys != nil || tm.over.vals != nil {
+		t.Fatalf("Timers storage retained after drain: pool %v, cur cap %d, overflow cap %d",
+			tm.pool != nil, cap(tm.cur), cap(tm.over.keys))
 	}
 	// The kernel must stay usable after the release.
 	ran, fired := false, false
@@ -432,67 +435,55 @@ func TestShardedRunUntilDeadline(t *testing.T) {
 	}
 }
 
-// TestLaneFIFOAcrossBlocks runs a standing population of fixed-delay
-// timers, large enough that the Lane spans several blocks, through a
-// few rounds of re-arming: every firing comes in arming order, each
-// timer fires once per round, and the clamp runs a past time now.
+// TestLaneFIFOAcrossBlocks runs a standing population of timers that
+// each re-arm the traffic engine's 5 min idle-reap delay, large enough
+// that each bucket spans several blocks, through a few rounds on one
+// Timers, so every entry passes through the far tier: every firing
+// comes in arming order, each timer fires once per round, and the
+// clamp runs a past time now.
 func TestLaneFIFOAcrossBlocks(t *testing.T) {
-	const population, rounds, delay = 3*laneBlock + 7, 4, time.Second
+	const population, rounds, delay = 3*1024 + 7, 4, 5 * time.Minute
 	k := NewKernel(1)
-	var l *Lane
+	var tm *Timers
 	var fired int
 	last := int32(-1)
-	l = k.NewLane(func(j int32) {
+	tm = k.NewTimers(func(arg int64) {
+		j := int32(arg)
 		if want := (last + 1) % population; j != want {
 			t.Fatalf("timer %d fired after %d", j, last)
 		}
 		last = j
 		fired++
 		if fired <= population*(rounds-1) {
-			l.At(k.Now()+delay, j)
+			tm.At(k.Now()+delay, int64(j))
 		}
 	})
-	for j := int32(0); j < population; j++ {
-		l.At(Time(j)*time.Microsecond, j)
+	for j := int64(0); j < population; j++ {
+		tm.At(Time(j)*time.Microsecond, j)
 	}
 	k.Run()
 	if fired != population*rounds || k.Executed() != uint64(fired) {
 		t.Fatalf("fired %d, executed %d, want %d", fired, k.Executed(), population*rounds)
 	}
 	ranAt := Time(-1)
-	late := k.NewLane(func(int32) { ranAt = k.Now() })
-	k.At(5*time.Second, func() { late.At(time.Second, 0) })
+	late := k.NewTimers(func(int64) { ranAt = k.Now() })
+	k.At(k.Now()+5*time.Second, func() { late.At(time.Second, 0) })
 	k.Run()
-	if ranAt != 5*time.Second {
-		t.Fatalf("past Lane event ran at %v, want clamped to 5s", ranAt)
+	if want := Time(rounds-1)*delay + (population-1)*time.Microsecond + 5*time.Second; ranAt != want {
+		t.Fatalf("past Timers event ran at %v, want clamped to %v", ranAt, want)
 	}
 }
 
-// TestLaneAtBeforeTailPanics: a Lane holds its events in the order they
-// were queued, so an event due before the lane's last one is refused.
-func TestLaneAtBeforeTailPanics(t *testing.T) {
-	k := NewKernel(1)
-	l := k.NewLane(func(int32) {})
-	l.At(2*time.Second, 0)
-	l.At(2*time.Second, 1) // a tie with the tail is in order
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Lane.At before the lane's tail did not panic")
-		}
-	}()
-	l.At(time.Second, 2)
-}
-
-// TestLaneRunUntilAndPending: a deadline that falls between two Lane
-// events stops the run there, Pending counts the Lane events left, and
-// a later Run resumes with them.
+// TestLaneRunUntilAndPending: a deadline that falls between two Timers
+// events stops the run there, Pending counts the Timers events left,
+// and a later Run resumes with them.
 func TestLaneRunUntilAndPending(t *testing.T) {
 	k := NewKernel(1)
-	var ran []int32
-	l := k.NewLane(func(a int32) { ran = append(ran, a) })
-	l.At(time.Second, 1)
-	l.At(3*time.Second, 2)
-	l.At(4*time.Second, 3)
+	var ran []int64
+	tm := k.NewTimers(func(a int64) { ran = append(ran, a) })
+	tm.At(time.Second, 1)
+	tm.At(3*time.Second, 2)
+	tm.At(4*time.Second, 3)
 	k.At(2*time.Second, func() { ran = append(ran, 0) })
 	if k.Pending() != 4 {
 		t.Fatalf("Pending() = %d, want 4", k.Pending())

@@ -98,14 +98,15 @@ func TestPropertyLaneHeapMerge(t *testing.T) {
 	}
 }
 
-// Property: the immediate lane, the heap and two Lanes merge into one
+// Property: the immediate lane, the heap and two Timers merge into one
 // (at, scheduling order) order. Each callback queues up to two
 // follow-ups, each one of four ways: After(0) (immediate lane),
-// After(1–3 ms) (heap), 2 ms ahead on a fixed-delay Lane, or on a chain
-// Lane, whose every event queues the next 0–3 ms ahead. Instants
-// therefore collect ties across all four, and a chain event queued for
-// the current instant meets immediate-lane events. Every event is
-// tagged from a test-side counter bumped at each scheduling call.
+// After(1–3 ms) (heap), 2 ms ahead on a fixed-delay Timers, or on a
+// chain Timers, whose every event queues the next 0–3 ms ahead.
+// Instants therefore collect ties across all four, and a chain event
+// queued for the current instant meets immediate-lane events. Every
+// event is tagged from a test-side counter bumped at each scheduling
+// call.
 func TestPropertyLanesMerge(t *testing.T) {
 	f := func(ops []uint8) bool {
 		k := NewKernel(1)
@@ -123,18 +124,18 @@ func TestPropertyLanesMerge(t *testing.T) {
 				schedule()
 			}
 		}
-		fixed := k.NewLane(run)
-		var chain *Lane
-		chain = k.NewLane(func(tag int32) {
+		fixed := k.NewTimers(func(tag int64) { run(int32(tag)) })
+		var chain *Timers
+		chain = k.NewTimers(func(tag int64) {
 			chainPending = false
 			if next < len(ops) {
 				d := Time(ops[next]%4) * time.Millisecond
 				next++
 				tags++
 				chainPending = true
-				chain.At(k.Now()+d, tags)
+				chain.At(k.Now()+d, int64(tags))
 			}
-			run(tag)
+			run(int32(tag))
 		})
 		schedule = func() {
 			op := ops[next]
@@ -148,10 +149,10 @@ func TestPropertyLanesMerge(t *testing.T) {
 			case op%4 == 1:
 				k.After(time.Millisecond+d%(3*time.Millisecond), func() { run(tag) })
 			case op%4 == 2:
-				fixed.At(k.Now()+2*time.Millisecond, tag)
+				fixed.At(k.Now()+2*time.Millisecond, int64(tag))
 			case !chainPending:
 				chainPending = true
-				chain.At(k.Now()+d, tag)
+				chain.At(k.Now()+d, int64(tag))
 			default:
 				k.After(d, func() { run(tag) })
 			}
@@ -177,11 +178,11 @@ func TestPropertyLanesMerge(t *testing.T) {
 }
 
 // Property: quiet events merge with the heap, the immediate lane and a
-// Lane into one (at, scheduling order) order, and Horizon is always
+// Timers into one (at, scheduling order) order, and Horizon is always
 // the earliest of the pending non-quiet events, the exposed quiet
 // events, the next tick boundary and the instant after RunUntil's
 // deadline. Each callback queues up to two follow-ups, each one of
-// After(0–3 ms), At, Quiet at 0–3 ms, or 2 ms ahead on a Lane, or
+// After(0–3 ms), At, Quiet at 0–3 ms, or 2 ms ahead on a Timers, or
 // exposes the oldest unexposed quiet event; a tick listener is set at
 // one of three periods or not at all, and the run goes in RunUntil
 // steps before a final Run. An exposed event that has run leaves
@@ -227,7 +228,7 @@ func TestPropertyQuietEvents(t *testing.T) {
 				schedule()
 			}
 		}
-		lane := k.NewLane(run)
+		lane := k.NewTimers(func(tag int64) { run(int32(tag)) })
 		schedule = func() {
 			op := ops[next]
 			next++
@@ -258,7 +259,7 @@ func TestPropertyQuietEvents(t *testing.T) {
 				e.ev = k.Quiet(at, func() { run(tag) })
 			default:
 				e.at = k.Now() + 2*time.Millisecond
-				lane.At(e.at, tag)
+				lane.At(e.at, int64(tag))
 			}
 			pending[tag] = e
 		}
@@ -352,19 +353,21 @@ func TestPropertyKernelReproducible(t *testing.T) {
 	}
 }
 
-// Property: Timers events merge with the heap, the immediate lane, a
-// Lane and quiet events into one (at, seq) order. Each seeded case
-// queues events on two Timers and the other sources from inside
-// callbacks and from the caller between RunUntil steps, with a tick
-// listener at one of five periods or none. Times are drawn to collide:
-// the clock itself, inside a bucket, exactly on bucket edges, on the
-// calendar window's edge (from the clock's bucket and from the
-// cursor's), far beyond it, and the time of an event already queued,
-// so ties on at fall across sources. Every event checks that it is the
-// reference model's (at, seq) minimum, and Pending, Executed and
-// Horizon are checked against the model after every event and every
-// scheduling call, so a Horizon peek, which can load a bucket ahead of
-// the clock, separates the calls.
+// Property: Timers events merge with the heap, the immediate lane and
+// quiet events into one (at, seq) order. Each seeded case queues
+// events on three Timers and the other sources from inside callbacks
+// and from the caller between RunUntil steps, with a tick listener at
+// one of five periods or none. Times are drawn to collide: the clock
+// itself, inside a bucket, exactly on bucket edges, 8.6 s ahead of the
+// clock's bucket and of the cursor's, a Timers' fine-tier limit and
+// far-tier end (each give or take a fine or coarse bucket and a
+// nanosecond), far beyond the fine window, up to 20 h ahead, past the
+// far tier, and the time of an event already queued, so ties on at
+// fall across sources. Every event checks that it is the reference
+// model's (at, seq) minimum, and Pending, Executed and Horizon are
+// checked against the model after every event and every scheduling
+// call, so a Horizon peek, which can load a bucket ahead of the clock,
+// separates the calls.
 func TestPropertyTimersMerge(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		checkTimersMerge(t, seed)
@@ -375,6 +378,7 @@ func checkTimersMerge(t *testing.T, seed int64) {
 	const (
 		width  = Time(1) << calShift
 		window = calBuckets * width
+		coarse = width << coarseBits
 	)
 	rng := rand.New(rand.NewSource(seed))
 	fail := func(format string, args ...any) {
@@ -468,15 +472,16 @@ func checkTimersMerge(t *testing.T, seed int64) {
 			schedule()
 		}
 	}
-	lane := k.NewLane(run)
+	tmC := k.NewTimers(func(arg int64) { run(int32(arg)) })
 	tmA := k.NewTimers(func(arg int64) { run(int32(arg)) })
 	tmB := k.NewTimers(func(arg int64) { run(int32(arg)) })
+	timers := []*Timers{tmA, tmB, tmC}
 
 	pick := func() Time {
 		now := k.Now()
 		edge := now &^ (width - 1)
 		var at Time
-		switch rng.Intn(9) {
+		switch rng.Intn(12) {
 		case 0:
 			at = now
 		case 1:
@@ -491,6 +496,17 @@ func checkTimersMerge(t *testing.T, seed int64) {
 			at = Time(tmA.cursor+calBuckets)<<calShift + Time(rng.Intn(3)-1)
 		case 6:
 			at = now + window*Time(2+rng.Intn(30))/Time(1+rng.Intn(4))
+		case 7:
+			// A fine tier's limit: the end of the coarse bucket after
+			// its cursor's.
+			tm := timers[rng.Intn(3)]
+			at = Time(tm.cursor>>coarseBits+2)*coarse + Time(rng.Intn(3)-1)*width + Time(rng.Intn(3)-1)
+		case 8:
+			// A far tier's end.
+			tm := timers[rng.Intn(3)]
+			at = Time(tm.cursor>>coarseBits+calBuckets)*coarse + Time(rng.Intn(3)-1)*coarse + Time(rng.Intn(3)-1)
+		case 9:
+			at = now + Time(rng.Int63n(int64(20*time.Hour)))
 		default:
 			if len(ats) > 0 {
 				at = ats[rng.Intn(len(ats))]
@@ -542,7 +558,7 @@ func checkTimersMerge(t *testing.T, seed int64) {
 			e.quiet = true
 			e.ev = k.Quiet(e.at, func() { run(tag) })
 		case 4:
-			lane.At(e.at, tag)
+			tmC.At(e.at, int64(tag))
 		case 5, 6, 7:
 			tmA.At(e.at, int64(tag))
 		case 8, 10, 11:

@@ -111,17 +111,17 @@ func TestTickListenerMidRunInstall(t *testing.T) {
 	}
 }
 
-// A Lane event that crosses a boundary reports it like any other
+// A Timers event that crosses a boundary reports it like any other
 // event, before its handler runs.
 func TestTickListenerSeesLaneEvents(t *testing.T) {
 	k := NewKernel(1)
 	var log []string
 	k.SetTickListener(time.Second, func(b Time) { log = append(log, "tick "+b.String()) })
-	l := k.NewLane(func(int32) { log = append(log, "lane "+k.Now().String()) })
+	tm := k.NewTimers(func(int64) { log = append(log, "lane "+k.Now().String()) })
 	k.At(500*time.Millisecond, func() {})
-	l.At(1500*time.Millisecond, 0)
-	l.At(1700*time.Millisecond, 0)
-	l.At(3200*time.Millisecond, 0)
+	tm.At(1500*time.Millisecond, 0)
+	tm.At(1700*time.Millisecond, 0)
+	tm.At(3200*time.Millisecond, 0)
 	k.Run()
 	want := []string{"tick 1s", "lane 1.5s", "lane 1.7s", "tick 3s", "lane 3.2s"}
 	if len(log) != len(want) {

@@ -111,15 +111,19 @@ type rec struct {
 // record's handle in the low 32 bits, its tenant in the high 32.
 func completion(h, t int32) int64 { return int64(uint32(h)) | int64(t)<<32 }
 
-// Control events, a per-tenant instance start or idle-reap re-check,
-// fall due after a random or shortened delay. Their argument is the
-// tenant in the low 32 bits and the kind in the high 32. They are
-// demand-driven: a tenant has controller events in flight only while
-// it has work, so a million mostly-idle tenants cost no standing timer
-// load.
+// Control events are every event but a completion: the arrival chain
+// (each arrival queues the next), the scale controller's evaluations
+// (every ScaleEvalInterval while a tenant has work), instance starts
+// and idle reaps. Their argument is the tenant in the low 32 bits and
+// the kind in the high 32. The per-tenant ones are demand-driven: a
+// tenant has controller events in flight only while it has work or
+// idle instances, so a million mostly-idle tenants cost no standing
+// timer load.
 const (
 	ctlInstanceUp = iota
 	ctlReap
+	ctlArrival
+	ctlScaleEval
 )
 
 // tenant state flag bits (tenant.ctrl).
@@ -161,8 +165,8 @@ type tenant struct {
 // engine is one run's state: one 40-byte record per tenant, no
 // per-tenant heap objects, so a million tenants fit in 40 MB; the
 // records that do churn (in-flight invocations) live in an arena
-// bounded by peak concurrency, not throughput, and control events are
-// only a Timers entry.
+// bounded by peak concurrency, not throughput, and every event is only
+// a Timers entry.
 type engine struct {
 	cfg Config
 	k   *sim.Kernel
@@ -173,13 +177,8 @@ type engine struct {
 
 	tenants []tenant // indexed by tenant number
 
-	// The kernel Lanes of the three event sources that fall due in the
-	// order they are queued: the arrival chain (each arrival queues the
-	// next), scale evaluations (all ScaleEvalInterval ahead) and
-	// first-armed idle reaps (all IdleInstanceTimeout ahead).
-	arrivals, scaleEvals, reaps *sim.Lane
-	// The kernel Timers of the two event sources that fall due after
-	// random delays: completions and control events.
+	// The kernel Timers of the run's two event sources: completions
+	// and control events.
 	completions, controls *sim.Timers
 
 	recs sim.Arena[rec]
@@ -227,9 +226,6 @@ func Run(cfg Config) *Result {
 
 		tl: cfg.Timeline,
 	}
-	e.arrivals = k.NewLane(e.arrive)
-	e.scaleEvals = k.NewLane(e.scaleEval)
-	e.reaps = k.NewLane(e.reap)
 	e.completions = k.NewTimers(e.complete)
 	e.controls = k.NewTimers(e.control)
 	if cfg.Timeline.Enabled() && cfg.OnWindow != nil {
@@ -242,7 +238,7 @@ func Run(cfg Config) *Result {
 	// The arrival chain generates the whole stream; no arrivals are
 	// scheduled past Duration, so the run drains naturally.
 	if first := cfg.Process.Next(e.arrRNG, 0); first < cfg.Duration {
-		e.arrivals.At(first, 0)
+		e.armControl(0, ctlArrival, first)
 	}
 
 	k.Run()
@@ -253,10 +249,11 @@ func Run(cfg Config) *Result {
 
 // arrive runs one event of the arrival chain: it admits an invocation
 // and queues the next arrival.
-func (e *engine) arrive(int32) {
+func (e *engine) arrive() {
 	e.arrival()
-	if next := e.cfg.Process.Next(e.arrRNG, e.k.Now()); next < e.cfg.Duration {
-		e.arrivals.At(next, 0)
+	now := e.k.Now()
+	if next := e.cfg.Process.Next(e.arrRNG, now); next < e.cfg.Duration {
+		e.armControl(0, ctlArrival, next-now)
 	}
 }
 
@@ -316,7 +313,7 @@ func (e *engine) arrival() {
 	e.tl.ObserveQueueDepth(now, e.totBacklog)
 	if tn.ctrl&ctrlArmed == 0 {
 		tn.ctrl |= ctrlArmed
-		e.scaleEvals.At(now+e.cfg.Profile.ScaleEvalInterval, t)
+		e.armControl(t, ctlScaleEval, e.cfg.Profile.ScaleEvalInterval)
 	}
 }
 
@@ -380,23 +377,29 @@ func (e *engine) complete(arg int64) {
 func (e *engine) armReap(t int32) {
 	if tn := &e.tenants[t]; tn.ctrl&reapArmed == 0 {
 		tn.ctrl |= reapArmed
-		e.reaps.At(e.k.Now()+e.cfg.Profile.IdleInstanceTimeout, t)
+		e.armControl(t, ctlReap, e.cfg.Profile.IdleInstanceTimeout)
 	}
 }
 
-// armControl queues tenant t's control event of the given kind after d.
+// armControl queues a control event of the given kind for tenant t (0
+// for an arrival, which draws its tenant when it runs) after d.
 func (e *engine) armControl(t int32, kind int64, d sim.Time) {
 	e.controls.At(e.k.Now()+d, int64(uint32(t))|kind<<32)
 }
 
-// control runs one per-tenant control event.
+// control runs one control event.
 func (e *engine) control(arg int64) {
 	t := int32(arg)
-	if arg>>32 == ctlReap {
+	switch arg >> 32 {
+	case ctlArrival:
+		e.arrive()
+	case ctlScaleEval:
+		e.scaleEval(t)
+	case ctlReap:
 		e.reap(t)
-		return
+	default:
+		e.instanceUp(t)
 	}
-	e.instanceUp(t)
 }
 
 // scaleEval is the consumption-plan controller: every
@@ -420,7 +423,7 @@ func (e *engine) scaleEval(t int32) {
 		}
 	}
 	if tn.backlogN > 0 || tn.starting > 0 {
-		e.scaleEvals.At(e.k.Now()+p.ScaleEvalInterval, t)
+		e.armControl(t, ctlScaleEval, p.ScaleEvalInterval)
 	} else {
 		tn.ctrl &^= ctrlArmed
 	}
@@ -445,9 +448,7 @@ func (e *engine) instanceUp(t int32) {
 
 // reap is idle eviction: if the tenant has stayed idle the full
 // timeout, the platform reclaims its instances; otherwise it re-checks
-// when the current idle stretch would mature. That re-check falls due
-// sooner than IdleInstanceTimeout, out of the reap lane's order, so it
-// is a control event.
+// when the current idle stretch would mature.
 func (e *engine) reap(t int32) {
 	tn := &e.tenants[t]
 	p := &e.cfg.Profile
