@@ -124,10 +124,12 @@ netherite-determinism:
 # byte against the pre-refactor baseline (testdata/golden/flowconf.txt)
 # at -parallel 1 and 8, the lowered programs and graph-command output
 # are pinned against their goldens, and the IR validation/lint suite
-# runs — including the cross-style MapReduce answer-equality proof.
+# runs — including the cross-style MapReduce answer-equality proof and
+# the choice/wait probe that must return the same output on AWS-Step,
+# GCP-Wflow, Az-Dorch and Az-Dorch-N.
 flow-conformance:
 	$(GO) test -run 'TestFlowConformance|TestGraph' -count=1 ./cmd/statebench/
-	$(GO) test -count=1 ./internal/flow/ ./internal/workloads/mapreduce/
+	$(GO) test -count=1 ./internal/flow/ ./internal/flow/lowerers/ ./internal/workloads/mapreduce/
 
 # optimizer-determinism is the sweep-engine gate: the frontier tables,
 # picks, and full candidate CSV for all five workload families must be

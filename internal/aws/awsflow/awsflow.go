@@ -110,10 +110,12 @@ func (machineLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployme
 	if err != nil {
 		return nil, err
 	}
-	// Register the graph's Lambdas in node order (map iterators and
-	// parallel branches inline where their parent appears).
-	if err := registerGraph(env, st, g); err != nil {
-		return nil, err
+	for _, n := range flow.Nodes(g) {
+		if n.Kind == flow.KindTask {
+			if err := registerTask(env, st, n); err != nil {
+				return nil, err
+			}
+		}
 	}
 	machine, err := buildASL(g)
 	if err != nil {
@@ -141,30 +143,6 @@ func (machineLowerer) Program(def *flow.Definition) (string, error) {
 		return "", err
 	}
 	return string(data) + "\n", nil
-}
-
-// registerGraph installs every task Lambda of a machine graph in node
-// order.
-func registerGraph(env *core.Env, st *flow.Stages, g *flow.Graph) error {
-	for _, n := range g.Nodes {
-		switch n.Kind {
-		case flow.KindTask:
-			if err := registerTask(env, st, n); err != nil {
-				return err
-			}
-		case flow.KindMap:
-			if err := registerTask(env, st, n.Iter); err != nil {
-				return err
-			}
-		case flow.KindParallel:
-			for _, b := range n.Branches {
-				if err := registerTask(env, st, b); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // buildASL compiles a machine graph to an ASL state machine.
@@ -232,14 +210,24 @@ func buildState(n *flow.Node, retry []sfn.RetryPolicy) (*sfn.State, error) {
 		}
 		st = &sfn.State{Type: sfn.TypeParallel, Branches: branches}
 	case flow.KindChoice:
+		// Each case tests its field's presence first, so a case whose
+		// field is absent falls through as in flow.EvalChoice instead
+		// of failing the execution.
+		present := true
 		rules := make([]sfn.ChoiceRule, len(n.Cases))
 		for i, c := range n.Cases {
+			v := "$." + flow.ChoiceField(c.Var)
 			rules[i] = sfn.ChoiceRule{
-				Variable:                 c.Var,
-				NumericLessThan:          c.NumLT,
-				NumericGreaterThanEquals: c.NumGTE,
-				StringEquals:             c.StrEq,
-				Next:                     c.To,
+				And: []sfn.ChoiceRule{
+					{Variable: v, IsPresent: &present},
+					{
+						Variable:                 v,
+						NumericLessThan:          c.NumLT,
+						NumericGreaterThanEquals: c.NumGTE,
+						StringEquals:             c.StrEq,
+					},
+				},
+				Next: c.To,
 			}
 		}
 		return &sfn.State{Type: sfn.TypeChoice, Choices: rules, Default: n.Default}, nil

@@ -2,9 +2,10 @@
 // the Mono class becomes a single HTTP-triggered function, the Queue
 // class becomes a hand-rolled storage-queue chain (HTTP-triggered head,
 // queue-triggered tail), and the Durable classes become orchestrator /
-// entity registrations on a task hub. The durable lowering is generic
-// over the hub target, so the Netherite variant (nethflow) reuses it
-// against a different store.
+// entity registrations on a task hub, each orchestrator running its
+// graph with flow.Run over the orchestration context. The durable
+// lowering is generic over the hub target, so the Netherite variant
+// (nethflow) reuses it against a different store.
 package azureflow
 
 import (

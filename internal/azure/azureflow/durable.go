@@ -31,8 +31,8 @@ func ClassicTarget(env *core.Env) DurableTarget {
 }
 
 // durableLowerer compiles a Durable-class graph into orchestrator,
-// activity, and entity registrations on a task hub, with a generic
-// orchestrator interpreting the graph deterministically.
+// activity, and entity registrations on a task hub; each orchestrator
+// runs its graph with flow.Run.
 type durableLowerer struct {
 	impl     core.Impl
 	class    flow.Class
@@ -73,16 +73,29 @@ func (l *durableLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deplo
 			return nil, err
 		}
 	}
+	// Activities (each function once) and sub-orchestrators in
+	// flow.Nodes order; entity calls and pure transforms install
+	// nothing.
 	seen := make(map[string]bool)
-	for _, n := range g.Nodes {
-		if err := l.registerWork(tgt, st, def, n, rs, seen); err != nil {
+	for _, n := range flow.Nodes(g) {
+		switch {
+		case n.Kind == flow.KindSub:
+			err = tgt.Hub.RegisterOrchestrator(n.SubGraph.MachineName, n.SubGraph.OrchConsumedMemMB, orchestrator(n.SubGraph, st))
+		case isActivity(n) && !seen[n.Fn]:
+			seen[n.Fn] = true
+			var stage flow.StageFn
+			if stage, err = st.Task(n.Stage); err == nil {
+				err = tgt.Hub.RegisterActivity(n.Fn, n.ConsumedMemMB, func(ctx *functions.Context, input []byte) ([]byte, error) {
+					return stage(&actCtx{Context: ctx, rs: rs}, input)
+				})
+			}
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
 	orch := def.MachineNameFor(g, l.provider)
-	if err := tgt.Hub.RegisterOrchestrator(orch, g.OrchConsumedMemMB, func(ctx *durable.OrchestrationContext, input []byte) ([]byte, error) {
-		return runGraph(ctx, g, st, input)
-	}); err != nil {
+	if err := tgt.Hub.RegisterOrchestrator(orch, g.OrchConsumedMemMB, orchestrator(g, st)); err != nil {
 		return nil, err
 	}
 	class := l.class
@@ -134,50 +147,15 @@ func (l *durableLowerer) registerEntity(tgt DurableTarget, st *flow.Stages, def 
 	return nil
 }
 
-// registerWork walks a node and installs every activity and
-// sub-orchestrator it needs, in node order (entity calls and pure
-// transforms register nothing). seen dedupes activities shared between
-// nodes.
-func (l *durableLowerer) registerWork(tgt DurableTarget, st *flow.Stages, def *flow.Definition, n *flow.Node, rs *flow.RunState, seen map[string]bool) error {
-	switch n.Kind {
-	case flow.KindTask:
-		if n.Pure || n.Entity != "" || seen[n.Fn] {
-			return nil
-		}
-		seen[n.Fn] = true
-		stage, err := st.Task(n.Stage)
-		if err != nil {
-			return err
-		}
-		return tgt.Hub.RegisterActivity(n.Fn, n.ConsumedMemMB, func(ctx *functions.Context, input []byte) ([]byte, error) {
-			return stage(&actCtx{Context: ctx, rs: rs}, input)
-		})
-	case flow.KindMap:
-		return l.registerWork(tgt, st, def, n.Iter, rs, seen)
-	case flow.KindParallel:
-		for _, b := range n.Branches {
-			if err := l.registerWork(tgt, st, def, b, rs, seen); err != nil {
-				return err
-			}
-		}
-		return nil
-	case flow.KindSub:
-		sub := n.SubGraph
-		for _, sn := range sub.Nodes {
-			if err := l.registerWork(tgt, st, def, sn, rs, seen); err != nil {
-				return err
-			}
-		}
-		return tgt.Hub.RegisterOrchestrator(sub.MachineName, sub.OrchConsumedMemMB, func(ctx *durable.OrchestrationContext, input []byte) ([]byte, error) {
-			return runGraph(ctx, sub, st, input)
-		})
-	}
-	return nil
+// isActivity reports whether a node runs as a durable activity: a
+// platform task that is neither a pure transform nor an entity call.
+func isActivity(n *flow.Node) bool {
+	return n.Kind == flow.KindTask && !n.Pure && n.Entity == ""
 }
 
 // Program renders the deterministic registration plan: entities in
 // declaration order (ops sorted), then activities and
-// sub-orchestrators in node order, then the root orchestrator.
+// sub-orchestrators in flow.Nodes order, then the root orchestrator.
 func (l *durableLowerer) Program(def *flow.Definition) (string, error) {
 	g := def.Graphs[l.class]
 	var sb strings.Builder
@@ -192,34 +170,18 @@ func (l *durableLowerer) Program(def *flow.Definition) (string, error) {
 		}
 		fmt.Fprintf(&sb, "entity %s consumed=%dMB ops=[%s]\n", decl.Name, decl.ConsumedMemMB, strings.Join(ops, " "))
 	}
-	for _, n := range g.Nodes {
-		programWork(&sb, n)
+	for _, n := range flow.Nodes(g) {
+		switch {
+		case n.Kind == flow.KindSub:
+			fmt.Fprintf(&sb, "orchestrator %s consumed=%dMB nodes=%d\n",
+				n.SubGraph.MachineName, n.SubGraph.OrchConsumedMemMB, len(n.SubGraph.Nodes))
+		case isActivity(n):
+			fmt.Fprintf(&sb, "activity %s consumed=%dMB stage=%s\n", n.Fn, n.ConsumedMemMB, n.Stage)
+		}
 	}
 	fmt.Fprintf(&sb, "orchestrator %s consumed=%dMB nodes=%d\n",
 		def.MachineNameFor(g, l.provider), g.OrchConsumedMemMB, len(g.Nodes))
 	return sb.String(), nil
-}
-
-func programWork(sb *strings.Builder, n *flow.Node) {
-	switch n.Kind {
-	case flow.KindTask:
-		if n.Pure || n.Entity != "" {
-			return
-		}
-		fmt.Fprintf(sb, "activity %s consumed=%dMB stage=%s\n", n.Fn, n.ConsumedMemMB, n.Stage)
-	case flow.KindMap:
-		programWork(sb, n.Iter)
-	case flow.KindParallel:
-		for _, b := range n.Branches {
-			programWork(sb, b)
-		}
-	case flow.KindSub:
-		for _, sn := range n.SubGraph.Nodes {
-			programWork(sb, sn)
-		}
-		fmt.Fprintf(sb, "orchestrator %s consumed=%dMB nodes=%d\n",
-			n.SubGraph.MachineName, n.SubGraph.OrchConsumedMemMB, len(n.SubGraph.Nodes))
-	}
 }
 
 // actCtx wraps an activity's function context with the deployment's
@@ -232,103 +194,45 @@ type actCtx struct {
 // FlowRunState exposes the RunState to flow.RunStateOf.
 func (c *actCtx) FlowRunState() *flow.RunState { return c.rs }
 
-// issueTask starts one task-shaped node (activity, entity op, or
-// sub-orchestrator) without awaiting it.
-func issueTask(ctx *durable.OrchestrationContext, n *flow.Node, input []byte) *durable.Task {
-	switch {
-	case n.Kind == flow.KindSub:
-		return ctx.CallSubOrchestrator(n.SubGraph.MachineName, input)
-	case n.Entity != "":
-		return ctx.CallEntity(durable.EntityID{Name: n.Entity, Key: n.EntityKey}, n.Op, input)
+// orchestrator runs a durable graph with flow.Run, replayed from the
+// start on every episode like any orchestrator function.
+func orchestrator(g *flow.Graph, st *flow.Stages) durable.OrchestratorFn {
+	return func(ctx *durable.OrchestrationContext, input []byte) ([]byte, error) {
+		return flow.Run(g, st, input, orchBackend{ctx})
 	}
-	return ctx.CallActivity(n.Fn, input)
 }
 
-// runGraph interprets a durable graph inside an orchestrator: the same
-// deterministic walk every durable workload hand-coded before the IR.
-func runGraph(ctx *durable.OrchestrationContext, g *flow.Graph, st *flow.Stages, entry []byte) ([]byte, error) {
-	cur := entry
-	for name := g.Start; name != ""; {
-		n := g.Node(name)
-		in := flow.InputFor(n, cur, entry)
-		switch n.Kind {
-		case flow.KindTask, flow.KindSub:
-			if n.Pure {
-				stage, err := st.Task(n.Stage)
-				if err != nil {
-					return nil, err
-				}
-				out, err := stage(nil, in)
-				if err != nil {
-					return nil, err
-				}
-				cur = out
-				break
-			}
-			out, err := issueTask(ctx, n, in).Await()
-			if err != nil {
-				return nil, err
-			}
-			cur = out
-		case flow.KindMap:
-			items, err := flow.Items(n, st, in)
-			if err != nil {
-				return nil, err
-			}
-			if len(items) > flow.MaxFanOut {
-				return nil, fmt.Errorf("flow: %s: fan-out %d exceeds limit %d", n.Name, len(items), flow.MaxFanOut)
-			}
-			outs := make([][]byte, len(items))
-			if n.Serial {
-				for i, it := range items {
-					out, err := issueTask(ctx, n.Iter, it).Await()
-					if err != nil {
-						return nil, err
-					}
-					outs[i] = out
-				}
-			} else {
-				tasks := make([]*durable.Task, len(items))
-				for i, it := range items {
-					tasks[i] = issueTask(ctx, n.Iter, it)
-				}
-				outs, err = ctx.WaitAll(tasks...)
-				if err != nil {
-					return nil, err
-				}
-			}
-			cur, err = flow.JoinOutputs(n, outs, cur)
-			if err != nil {
-				return nil, err
-			}
-		case flow.KindParallel:
-			tasks := make([]*durable.Task, len(n.Branches))
-			for i, b := range n.Branches {
-				tasks[i] = issueTask(ctx, b, flow.InputFor(b, cur, entry))
-			}
-			outs, err := ctx.WaitAll(tasks...)
-			if err != nil {
-				return nil, err
-			}
-			cur, err = flow.JoinOutputs(n, outs, cur)
-			if err != nil {
-				return nil, err
-			}
-		case flow.KindChoice:
-			next, err := flow.EvalChoice(n, in)
-			if err != nil {
-				return nil, err
-			}
-			name = next
-			continue
-		case flow.KindWait:
-			if _, err := ctx.CreateTimer(time.Duration(n.WaitSeconds * float64(time.Second))).Await(); err != nil {
-				return nil, err
-			}
-		}
-		name = n.Next
+// orchBackend is flow.Run's backend inside an orchestrator: calls are
+// activities, entity operations or sub-orchestrations, a fan-out is
+// WaitAll over them, and a sleep is a durable timer.
+type orchBackend struct{ ctx *durable.OrchestrationContext }
+
+// start schedules one task-shaped node without awaiting it.
+func (b orchBackend) start(n *flow.Node, input []byte) *durable.Task {
+	switch {
+	case n.Kind == flow.KindSub:
+		return b.ctx.CallSubOrchestrator(n.SubGraph.MachineName, input)
+	case n.Entity != "":
+		return b.ctx.CallEntity(durable.EntityID{Name: n.Entity, Key: n.EntityKey}, n.Op, input)
 	}
-	return cur, nil
+	return b.ctx.CallActivity(n.Fn, input)
+}
+
+func (b orchBackend) Call(n *flow.Node, input []byte) ([]byte, error) {
+	return b.start(n, input).Await()
+}
+
+func (b orchBackend) Fan(nodes []*flow.Node, inputs [][]byte) ([][]byte, error) {
+	tasks := make([]*durable.Task, len(nodes))
+	for i, n := range nodes {
+		tasks[i] = b.start(n, inputs[i])
+	}
+	return b.ctx.WaitAll(tasks...)
+}
+
+func (b orchBackend) Sleep(d time.Duration) error {
+	_, err := b.ctx.CreateTimer(d).Await()
+	return err
 }
 
 // durableRunner starts one orchestration per run and reads the paper's

@@ -30,9 +30,9 @@ import (
 // sender (an activity's output, an orchestrator's input or result, a
 // memoized payload, an entity's stored state) and every receiver,
 // redeliveries and duplicates included. Nobody writes into them.
-// Committed history clones them (CommitEpisode). The classic store
-// delivers an empty Input or Result as nil; Netherite delivers it as
-// the sender left it.
+// Committed history clones them (CommitEpisode). Both stores deliver
+// through Hub.DeliverControl and Hub.DeliverWork, which turn an empty
+// Input or Result into nil.
 type Envelope = message
 
 // Record is one event-sourcing history record as persisted by a Store.

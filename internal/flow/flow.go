@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"statebench/internal/cloud/blob"
@@ -127,7 +128,9 @@ const (
 // Conditions are a small JSONPath-style subset that lowers directly to
 // ASL choice rules and evaluates inline on every other backend.
 type ChoiceCase struct {
-	// Var is the payload field the condition reads ("$.field").
+	// Var is the top-level payload field the condition reads
+	// ("$.field" or "field"); a case whose field is absent does not
+	// hold.
 	Var string
 	// Exactly one comparison must be set.
 	NumLT  *float64
@@ -290,6 +293,33 @@ func (g *Graph) Node(name string) *Node {
 		}
 	}
 	return nil
+}
+
+// Nodes lists every node of g in registration order: each top-level
+// node followed by its map iterator or parallel branches, with a
+// sub-graph's nodes (recursively) before the sub node that calls them,
+// so a lowerer installs a sub-workflow's tasks before the sub-workflow.
+func Nodes(g *Graph) []*Node {
+	var out []*Node
+	var add func(n *Node)
+	add = func(n *Node) {
+		if n.SubGraph != nil {
+			for _, sn := range n.SubGraph.Nodes {
+				add(sn)
+			}
+		}
+		out = append(out, n)
+		if n.Iter != nil {
+			add(n.Iter)
+		}
+		for _, b := range n.Branches {
+			add(b)
+		}
+	}
+	for _, n := range g.Nodes {
+		add(n)
+	}
+	return out
 }
 
 // DeployCodeSizeMB resolves the deployment package size for a provider.
@@ -478,7 +508,7 @@ func OverrideMemMB(d *Definition, memMB int) {
 		return
 	}
 	for _, g := range d.Graphs {
-		for _, n := range allNodes(g) {
+		for _, n := range Nodes(g) {
 			if n.Kind == KindTask && n.Fn != "" && !n.Pure && n.Entity == "" {
 				n.MemMB = memMB
 			}
@@ -583,18 +613,20 @@ func JoinOutputs(n *Node, outs [][]byte, cur []byte) ([]byte, error) {
 	return json.Marshal(raws)
 }
 
-// EvalChoice returns the name of the node a choice's payload selects.
+// ChoiceField returns the top-level payload field a choice case's Var
+// names: Var without its optional "$." prefix.
+func ChoiceField(v string) string { return strings.TrimPrefix(v, "$.") }
+
+// EvalChoice returns the name of the node a choice's payload selects:
+// the first case whose field is present and satisfies its comparison,
+// else the default.
 func EvalChoice(n *Node, payload []byte) (string, error) {
 	var doc map[string]any
 	if err := json.Unmarshal(payload, &doc); err != nil {
 		return "", fmt.Errorf("flow: %s: choice payload: %w", n.Name, err)
 	}
 	for _, c := range n.Cases {
-		field := c.Var
-		if len(field) > 2 && field[:2] == "$." {
-			field = field[2:]
-		}
-		v, ok := doc[field]
+		v, ok := doc[ChoiceField(c.Var)]
 		if !ok {
 			continue
 		}

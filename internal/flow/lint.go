@@ -42,7 +42,7 @@ func LintPayloads(def *Definition) []LintFinding {
 		if g == nil {
 			continue
 		}
-		for _, n := range allNodes(g) {
+		for _, n := range Nodes(g) {
 			if n.InEst > cap {
 				out = append(out, LintFinding{Impl: impl, Class: g.Class, Edge: "-> " + n.Name, Bytes: n.InEst, Cap: cap})
 			}

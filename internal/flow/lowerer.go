@@ -114,7 +114,7 @@ func Supports(def *Definition, impl core.Impl) bool {
 	if spec, ok := core.Provider(info.Kind); ok {
 		speed = def.SpeedFor(spec.Name)
 	}
-	for _, n := range allNodes(g) {
+	for _, n := range Nodes(g) {
 		if n.EstSeconds > 0 && n.EstSeconds/speed > caps.MaxTaskSeconds {
 			return false
 		}

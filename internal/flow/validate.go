@@ -2,6 +2,7 @@ package flow
 
 import (
 	"fmt"
+	"strings"
 )
 
 // MaxFanOut bounds a single fan-out's width: the widest managed map
@@ -180,6 +181,9 @@ func validateNode(defName string, g *Graph, n *Node, byName map[string]*Node) er
 		if n.MaxConcurrency > MaxFanOut {
 			return fail("fan-out bound %d exceeds limit %d", n.MaxConcurrency, MaxFanOut)
 		}
+		if why := fanMember(n.Iter); why != "" {
+			return fail("iterator %q %s", n.Iter.Name, why)
+		}
 		if err := validateNode(defName, g, n.Iter, byName); err != nil {
 			return err
 		}
@@ -191,6 +195,9 @@ func validateNode(defName string, g *Graph, n *Node, byName map[string]*Node) er
 			return fail("static fan-out %d exceeds limit %d", len(n.Branches), MaxFanOut)
 		}
 		for _, b := range n.Branches {
+			if why := fanMember(b); why != "" {
+				return fail("branch %q %s", b.Name, why)
+			}
 			if err := validateNode(defName, g, b, byName); err != nil {
 				return err
 			}
@@ -216,6 +223,11 @@ func validateNode(defName string, g *Graph, n *Node, byName map[string]*Node) er
 			if set != 1 {
 				return fail("choice case on %q must set exactly one comparison", c.Var)
 			}
+			// EvalChoice reads the field as one literal key, ASL as a
+			// path: they agree only on a plain top-level name.
+			if f := ChoiceField(c.Var); f == "" || strings.ContainsAny(f, ".[") {
+				return fail("choice case on %q must read one top-level field", c.Var)
+			}
 		}
 	case KindWait:
 		if n.WaitSeconds <= 0 {
@@ -234,27 +246,16 @@ func validateNode(defName string, g *Graph, n *Node, byName map[string]*Node) er
 	return nil
 }
 
-// allNodes flattens a graph — top-level nodes plus map iterators,
-// parallel branches, and sub-graph nodes — in deterministic order.
-func allNodes(g *Graph) []*Node {
-	var out []*Node
-	var add func(n *Node)
-	add = func(n *Node) {
-		out = append(out, n)
-		if n.Iter != nil {
-			add(n.Iter)
-		}
-		for _, b := range n.Branches {
-			add(b)
-		}
-		if n.SubGraph != nil {
-			for _, sn := range n.SubGraph.Nodes {
-				add(sn)
-			}
-		}
+// fanMember says why m cannot be a map iterator or parallel branch, or
+// returns "" when it can. Run hands every member to the backend as one
+// call, so it must be a platform task, an entity operation or a
+// sub-workflow: a pure transform runs only inline.
+func fanMember(m *Node) string {
+	switch {
+	case m.Kind != KindTask && m.Kind != KindSub:
+		return fmt.Sprintf("is a %s node, not a task or sub-workflow", m.Kind)
+	case m.Pure:
+		return "is a pure transform, which runs only inline"
 	}
-	for _, n := range g.Nodes {
-		add(n)
-	}
-	return out
+	return ""
 }

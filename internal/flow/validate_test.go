@@ -109,6 +109,21 @@ func TestValidateRejectsDanglingAndMalformedShapes(t *testing.T) {
 			}}, Default: "A"},
 			task("A", ""),
 		}}), "exactly one comparison"},
+		{"wait and choice as parallel branches", defWith(&Graph{Class: Mono, Start: "P", Nodes: []*Node{
+			{Name: "P", Kind: KindParallel, Branches: []*Node{
+				{Name: "W", Kind: KindWait, WaitSeconds: 1},
+				{Name: "C", Kind: KindChoice, Cases: []ChoiceCase{{Var: "x", To: "P", NumLT: f64(1)}}},
+			}},
+		}}), `branch "W" is a wait node`},
+		{"choice as map iterator", defWith(&Graph{Class: Mono, Start: "M", Nodes: []*Node{
+			{Name: "M", Kind: KindMap, Iter: &Node{Name: "C", Kind: KindChoice, Cases: []ChoiceCase{{Var: "x", To: "M", NumLT: f64(1)}}}},
+		}}), `iterator "C" is a choice node`},
+		{"pure parallel branch", defWith(&Graph{Class: Mono, Start: "P", Nodes: []*Node{
+			{Name: "P", Kind: KindParallel, Branches: []*Node{{Name: "T", Kind: KindTask, Pure: true, Stage: "s"}}},
+		}}), `branch "T" is a pure transform`},
+		{"choice on a nested field", choiceOn("$.a.b"), "one top-level field"},
+		{"choice on an indexed field", choiceOn("xs[0]"), "one top-level field"},
+		{"choice on no field", choiceOn("$."), "one top-level field"},
 		{"non-positive wait", defWith(&Graph{Class: Mono, Start: "W", Nodes: []*Node{
 			{Name: "W", Kind: KindWait, WaitSeconds: 0},
 		}}), "must be positive"},
@@ -130,6 +145,49 @@ func TestValidateFindsDefectsInsideIterators(t *testing.T) {
 		Name: "M", Kind: KindMap,
 		Iter: &Node{Name: "Each", Kind: KindTask, Fn: "f"}, // no stage
 	}}}), "no stage")
+}
+
+// TestValidateAcceptsTaskShapedMembers: entity calls and sub-workflows
+// fan out as well as platform tasks do.
+func TestValidateAcceptsTaskShapedMembers(t *testing.T) {
+	sub := &Graph{Class: Mono, Start: "X", Nodes: []*Node{task("X", "")}}
+	def := defWith(&Graph{Class: Mono, Start: "M", Nodes: []*Node{
+		{Name: "M", Kind: KindMap, Next: "P", Iter: &Node{Name: "S", Kind: KindSub, SubGraph: sub}},
+		{Name: "P", Kind: KindParallel, Branches: []*Node{
+			task("T", ""),
+			{Name: "E", Kind: KindTask, Entity: "ent", Op: "get"},
+		}},
+	}})
+	if err := Validate(def); err != nil {
+		t.Fatalf("Validate rejected task-shaped members: %v", err)
+	}
+}
+
+// TestNodesListsSubGraphBeforeCaller pins flow.Nodes' order: each node,
+// then its iterator or branches, with a sub-graph's nodes before the
+// sub node, so a sub-workflow's tasks register before it does.
+func TestNodesListsSubGraphBeforeCaller(t *testing.T) {
+	sub := &Graph{Class: Mono, Start: "X", Nodes: []*Node{task("X", "Y"), task("Y", "")}}
+	g := &Graph{Class: Mono, Start: "A", Nodes: []*Node{
+		task("A", "M"),
+		{Name: "M", Kind: KindMap, Next: "P", Iter: &Node{Name: "S", Kind: KindSub, SubGraph: sub}},
+		{Name: "P", Kind: KindParallel, Branches: []*Node{task("B1", ""), task("B2", "")}},
+	}}
+	var names []string
+	for _, n := range Nodes(g) {
+		names = append(names, n.Name)
+	}
+	if got, want := strings.Join(names, " "), "A M X Y S P B1 B2"; got != want {
+		t.Fatalf("Nodes order %q, want %q", got, want)
+	}
+}
+
+// choiceOn wraps one choice case reading field v in a definition.
+func choiceOn(v string) *Definition {
+	return defWith(&Graph{Class: Mono, Start: "C", Nodes: []*Node{
+		{Name: "C", Kind: KindChoice, Cases: []ChoiceCase{{Var: v, To: "A", NumLT: f64(1)}}, Default: "A"},
+		task("A", ""),
+	}})
 }
 
 func f64(v float64) *float64 { return &v }

@@ -1,10 +1,10 @@
 // Package gcpflow lowers provider-neutral flow definitions to GCP: the
 // Mono class becomes a single Cloud Function and the Machine class
-// becomes per-step Cloud Functions driven by a GCP Workflows program
-// interpreting the graph. Where awsflow compiles the Machine graph to
-// an ASL document, the Workflows backend takes an executable
-// definition, so the compiled artifact here is a deterministic
-// interpreter closed over the graph.
+// becomes per-step Cloud Functions driven by a GCP Workflows program.
+// Where awsflow compiles the Machine graph to an ASL document, the
+// Workflows backend takes an executable definition, so the program is
+// flow.Run over the graph with Workflows call, parallel and sleep
+// steps as its backend.
 package gcpflow
 
 import (
@@ -109,9 +109,14 @@ func (wflowLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment
 	if err != nil {
 		return nil, err
 	}
-	for _, n := range g.Nodes {
-		if err := registerNodes(gc, st, n); err != nil {
-			return nil, err
+	for _, n := range flow.Nodes(g) {
+		if n.Kind == flow.KindSub {
+			return nil, fmt.Errorf("gcpflow: node %q: kind %s has no Workflows lowering", n.Name, n.Kind)
+		}
+		if n.Kind == flow.KindTask && !n.Pure {
+			if err := registerTask(gc, st, n); err != nil {
+				return nil, err
+			}
 		}
 	}
 	name := def.MachineNameFor(g, providerName)
@@ -155,140 +160,51 @@ func programStep(n *flow.Node, indent string) string {
 	return fmt.Sprintf("%sstep %s: %s\n", indent, n.Name, n.Kind)
 }
 
-// registerNodes installs the Cloud Functions a node needs, in node
-// order.
-func registerNodes(gc *gcp.Cloud, st *flow.Stages, n *flow.Node) error {
-	switch n.Kind {
-	case flow.KindTask:
-		if n.Pure {
-			return nil
-		}
-		return registerTask(gc, st, n)
-	case flow.KindMap:
-		return registerNodes(gc, st, n.Iter)
-	case flow.KindParallel:
-		for _, b := range n.Branches {
-			if err := registerNodes(gc, st, b); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// wfDefinition builds the Workflows program: a deterministic
-// interpretation of the machine graph against the Workflows Ctx.
+// wfDefinition builds the Workflows program: flow.Run over the machine
+// graph from the run's entry payload, its last payload converted to
+// the execution output.
 func wfDefinition(def *flow.Definition, g *flow.Graph, st *flow.Stages) gcp.Definition {
 	return func(ctx *gcp.Ctx, input map[string]any) (map[string]any, error) {
 		run, _ := input["run"].(float64)
-		entry := def.Entry(flow.Machine, int64(run))
-		cur := entry
-		for name := g.Start; name != ""; {
-			n := g.Node(name)
-			in := flow.InputFor(n, cur, entry)
-			switch n.Kind {
-			case flow.KindTask:
-				if n.Pure {
-					stage, err := st.Task(n.Stage)
-					if err != nil {
-						return nil, err
-					}
-					out, err := stage(nil, in)
-					if err != nil {
-						return nil, err
-					}
-					cur = out
-					break
-				}
-				out, err := ctx.Call(n.Fn, in)
-				if err != nil {
-					return nil, err
-				}
-				cur = out
-			case flow.KindMap:
-				items, err := flow.Items(n, st, in)
-				if err != nil {
-					return nil, err
-				}
-				if len(items) > flow.MaxFanOut {
-					return nil, fmt.Errorf("flow: %s: fan-out %d exceeds limit %d", n.Name, len(items), flow.MaxFanOut)
-				}
-				outs := make([][]byte, len(items))
-				if n.Serial {
-					for i, it := range items {
-						out, err := ctx.Call(n.Iter.Fn, it)
-						if err != nil {
-							return nil, err
-						}
-						outs[i] = out
-					}
-				} else {
-					branches := make([]func(bc *gcp.Ctx) error, len(items))
-					for i, it := range items {
-						i, it := i, it
-						branches[i] = func(bc *gcp.Ctx) error {
-							bout, berr := bc.Call(n.Iter.Fn, it)
-							if berr != nil {
-								return berr
-							}
-							outs[i] = bout
-							return nil
-						}
-					}
-					if err := ctx.Parallel(branches...); err != nil {
-						return nil, err
-					}
-				}
-				cur, err = flow.JoinOutputs(n, outs, cur)
-				if err != nil {
-					return nil, err
-				}
-			case flow.KindParallel:
-				outs := make([][]byte, len(n.Branches))
-				branches := make([]func(bc *gcp.Ctx) error, len(n.Branches))
-				for i, b := range n.Branches {
-					i, b := i, b
-					bin := flow.InputFor(b, cur, entry)
-					branches[i] = func(bc *gcp.Ctx) error {
-						bout, berr := bc.Call(b.Fn, bin)
-						if berr != nil {
-							return berr
-						}
-						outs[i] = bout
-						return nil
-					}
-				}
-				if err := ctx.Parallel(branches...); err != nil {
-					return nil, err
-				}
-				var err error
-				cur, err = flow.JoinOutputs(n, outs, cur)
-				if err != nil {
-					return nil, err
-				}
-			case flow.KindChoice:
-				next, err := flow.EvalChoice(n, in)
-				if err != nil {
-					return nil, err
-				}
-				name = next
-				continue
-			case flow.KindWait:
-				ctx.Proc().Sleep(time.Duration(n.WaitSeconds * float64(time.Second)))
-			default:
-				return nil, fmt.Errorf("gcpflow: node %q: kind %s has no Workflows lowering", n.Name, n.Kind)
-			}
-			name = n.Next
+		last, err := flow.Run(g, st, def.Entry(flow.Machine, int64(run)), wflowBackend{ctx})
+		if err != nil {
+			return nil, err
 		}
 		if def.Finish != nil {
-			return def.Finish(cur)
+			return def.Finish(last)
 		}
 		var res map[string]any
-		if err := json.Unmarshal(cur, &res); err != nil {
+		if err := json.Unmarshal(last, &res); err != nil {
 			return nil, err
 		}
 		return res, nil
 	}
+}
+
+// wflowBackend is flow.Run's backend inside a Workflows program: a
+// call step per task, a parallel step per fan-out and the process's
+// own sleep for a wait.
+type wflowBackend struct{ ctx *gcp.Ctx }
+
+func (b wflowBackend) Call(n *flow.Node, input []byte) ([]byte, error) {
+	return b.ctx.Call(n.Fn, input)
+}
+
+func (b wflowBackend) Fan(nodes []*flow.Node, inputs [][]byte) ([][]byte, error) {
+	outs := make([][]byte, len(nodes))
+	branches := make([]func(bc *gcp.Ctx) error, len(nodes))
+	for i, n := range nodes {
+		branches[i] = func(bc *gcp.Ctx) (err error) {
+			outs[i], err = bc.Call(n.Fn, inputs[i])
+			return err
+		}
+	}
+	return outs, b.ctx.Parallel(branches...)
+}
+
+func (b wflowBackend) Sleep(d time.Duration) error {
+	b.ctx.Proc().Sleep(d)
+	return nil
 }
 
 // gwfRunner executes a Workflows program per run.
